@@ -319,7 +319,8 @@ def cmd_reproduce_paper(config: AnalysisConfig, run: dict) -> int:
 
 
 def cmd_schema(config: AnalysisConfig, run: dict) -> int:
-    record_header = "year,volume,issue,title,authors,start_page,end_page,subject[,author_count]"
+    record_header = ("year,volume,issue,title,authors,start_page,end_page,subject"
+                     "[,author_count][,page_count]")
     aggregate_header = ("year,papers,a1,a2,a3,a4,a5plus,total_authors,p1to5,p6to10,pabove10,"
                         + ",".join(f"subj:{label}" for label in config.taxonomy))
     if run["format"] == "json":
@@ -334,7 +335,7 @@ def cmd_schema(config: AnalysisConfig, run: dict) -> int:
             ],
         }, indent=2))
         return EXIT_OK
-    print("record CSV header (exact order; author_count optional):")
+    print("record CSV header (any column order; author_count, page_count optional):")
     print(f"  {record_header}")
     print("aggregate CSV header (one subj:<label> column per taxonomy entry):")
     print(f"  {aggregate_header}")

@@ -207,7 +207,7 @@ def productivity_totals(rows: list[ProductivityRow], mode: str = "paper") -> tup
 def productivity_table(dataset: Dataset, config: AnalysisConfig | None = None) -> ReportTable:
     config = config or AnalysisConfig()
     rows = productivity_rows(dataset)
-    totals_mode = "paper" if config.mode == "paper" else "pooled"
+    totals_mode = "paper" if config.resolved("totals_source") == "rounded_cells" else "pooled"
     total_aapp, total_ppa = productivity_totals(rows, totals_mode)
     total_papers = sum(r.papers for r in rows)
     total_authors = sum(r.authors for r in rows)

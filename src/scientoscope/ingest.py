@@ -8,12 +8,17 @@ by :func:`validate` without ever mutating or silently fixing the data.
 
 CSV schemas
 -----------
+Columns are matched by header name, in any order. The columns shown
+without brackets are required, and no name may appear twice.
+
 records::
 
-    year,volume,issue,title,authors,start_page,end_page,subject[,author_count]
+    year,volume,issue,title,authors,start_page,end_page,subject[,author_count][,page_count]
 
 with authors ";"-separated; a non-empty ``author_count`` overrides the
-name list (use it when names are unavailable).
+name list (use it when names are unavailable). An optional
+``page_count`` gives the page length when the span is unknown; when both
+are given they must agree.
 
 aggregates::
 
@@ -29,6 +34,7 @@ import csv
 import io
 import json
 from collections import Counter
+from collections.abc import Iterator
 
 from .config import AnalysisConfig
 from .model import (
@@ -86,8 +92,72 @@ def split_authors(raw: str) -> tuple[str, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Record-granularity parsing
+# Parsing: one row source for CSV/JSON, one field builder per granularity
 # ---------------------------------------------------------------------------
+
+
+def _csv_records(text: str) -> Iterator[list[str]]:
+    """CSV records of ``text``; a malformed one raises ParseError at its line."""
+    reader = csv.reader(io.StringIO(text))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV: {exc}", f"line {reader.line_num}") from None
+
+
+def _csv_header(records: Iterator[list[str]], kind: str, required: tuple[str, ...]) -> list[str]:
+    try:
+        header = [h.strip() for h in next(records)]
+    except StopIteration:
+        raise ParseError("empty input") from None
+    missing = [f for f in required if f not in header]
+    if missing:
+        raise ParseError(f"{kind} CSV header is missing columns: {', '.join(missing)}", "line 1")
+    duplicates = sorted({h for h in header if header.count(h) > 1})
+    if duplicates:
+        raise ParseError(f"duplicate columns: {', '.join(duplicates)}", "line 1")
+    return header
+
+
+def _rows(text: str, format: str, kind: str,
+          required: tuple[str, ...] = ()) -> Iterator[tuple[str, dict[str, str | None]]]:
+    """Yield ``(location, fields)`` for each non-blank CSV row or JSON element.
+
+    Values are strings or ``None`` (a JSON ``authors`` list is joined by
+    ";"); ``kind`` names the input in error messages.
+    """
+    if format == "csv":
+        records = _csv_records(text)
+        header = _csv_header(records, kind, required)
+        for line_no, row in enumerate(records, start=2):
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            location = f"line {line_no}"
+            if len(row) != len(header):
+                raise ParseError(f"expected {len(header)} fields, got {len(row)}", location)
+            yield location, dict(zip(header, row))
+    elif format == "json":
+        try:
+            data = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON: {exc}") from None
+        if not isinstance(data, list):
+            raise ParseError(f"{kind} JSON must be a top-level list")
+        for index, obj in enumerate(data, start=1):
+            location = f"element {index}"
+            if not isinstance(obj, dict):
+                raise ParseError(f"{kind} element must be an object", location)
+            fields: dict[str, str | None] = {}
+            for key, value in obj.items():
+                if value is None:
+                    fields[key] = None
+                elif key == "authors" and isinstance(value, list):
+                    fields[key] = ";".join(str(v) for v in value)
+                else:
+                    fields[key] = str(value)
+            yield location, fields
+    else:
+        raise ParseError(f"unknown input format: {format!r}")
 
 
 def _record_from_fields(fields: dict[str, str | None], location: str) -> BibRecord:
@@ -100,8 +170,7 @@ def _record_from_fields(fields: dict[str, str | None], location: str) -> BibReco
         raise ParseError("missing mandatory field 'subject'", location)
 
     author_count = _opt_int(fields.get("author_count"), "author_count", location)
-    authors_raw = (fields.get("authors") or "").strip()
-    authors = split_authors(authors_raw) if authors_raw else ()
+    authors = split_authors(fields.get("authors") or "")
     if author_count is not None:
         # Explicit count overrides the name list.
         authors = ()
@@ -128,66 +197,13 @@ def _record_from_fields(fields: dict[str, str | None], location: str) -> BibReco
     )
 
 
-def _parse_records_csv(text: str) -> list[BibRecord]:
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise ParseError("empty input") from None
-    header = [h.strip() for h in header]
-    missing = [f for f in RECORD_FIELDS if f not in header]
-    if missing:
-        raise ParseError(f"record CSV header is missing columns: {', '.join(missing)}", "line 1")
-
-    records = []
-    for line_no, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        location = f"line {line_no}"
-        if len(row) != len(header):
-            raise ParseError(f"expected {len(header)} fields, got {len(row)}", location)
-        fields = dict(zip(header, row))
-        records.append(_record_from_fields(fields, location))
-    return records
-
-
-def _parse_records_json(text: str) -> list[BibRecord]:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
-    if not isinstance(data, list):
-        raise ParseError("record JSON must be a top-level list")
-
-    records = []
-    for index, obj in enumerate(data, start=1):
-        location = f"element {index}"
-        if not isinstance(obj, dict):
-            raise ParseError("record element must be an object", location)
-        fields: dict[str, str | None] = {}
-        for key, value in obj.items():
-            if key == "authors" and isinstance(value, list):
-                fields[key] = ";".join(str(v) for v in value)
-            elif value is None:
-                fields[key] = None
-            else:
-                fields[key] = str(value)
-        records.append(_record_from_fields(fields, location))
-    return records
-
-
 def parse_records(source: bytes | str, format: str = "csv") -> Dataset:
     """Parse record-granularity input into a Dataset.
 
     The study window defaults to the observed year span.
     """
-    text = _decode(source)
-    if format == "csv":
-        records = _parse_records_csv(text)
-    elif format == "json":
-        records = _parse_records_json(text)
-    else:
-        raise ParseError(f"unknown input format: {format!r}")
+    records = [_record_from_fields(fields, location)
+               for location, fields in _rows(_decode(source), format, "record", RECORD_FIELDS)]
     if not records:
         raise ParseError("empty dataset")
     years = [r.year for r in records]
@@ -198,21 +214,14 @@ def parse_records(source: bytes | str, format: str = "csv") -> Dataset:
     )
 
 
-# ---------------------------------------------------------------------------
-# Aggregate-granularity parsing
-# ---------------------------------------------------------------------------
-
-
-def _aggregate_from_fields(fields: dict[str, str | None],
-                           subject_labels: list[str],
-                           location: str) -> YearAggregate:
+def _aggregate_from_fields(fields: dict[str, str | None], location: str) -> YearAggregate:
     year = _req_int(fields.get("year"), "year", location)
     papers = _req_int(fields.get("papers"), "papers", location)
     bins = tuple(_req_int(fields.get(k), k, location) for k in ("a1", "a2", "a3", "a4", "a5plus"))
     pages = tuple(_req_int(fields.get(k), k, location) for k in ("p1to5", "p6to10", "pabove10"))
     subject_counts = {
-        label: _req_int(fields.get(_SUBJECT_PREFIX + label), _SUBJECT_PREFIX + label, location)
-        for label in subject_labels
+        key[len(_SUBJECT_PREFIX):]: _req_int(value, key, location)
+        for key, value in fields.items() if key.startswith(_SUBJECT_PREFIX)
     }
     return YearAggregate(
         year=year,
@@ -224,47 +233,6 @@ def _aggregate_from_fields(fields: dict[str, str | None],
     )
 
 
-def _parse_aggregates_csv(text: str) -> list[YearAggregate]:
-    reader = csv.reader(io.StringIO(text))
-    try:
-        header = [h.strip() for h in next(reader)]
-    except StopIteration:
-        raise ParseError("empty input") from None
-    missing = [f for f in AGGREGATE_FIELDS if f not in header]
-    if missing:
-        raise ParseError(f"aggregate CSV header is missing columns: {', '.join(missing)}", "line 1")
-    subject_labels = [h[len(_SUBJECT_PREFIX):] for h in header if h.startswith(_SUBJECT_PREFIX)]
-
-    aggregates = []
-    for line_no, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        location = f"line {line_no}"
-        if len(row) != len(header):
-            raise ParseError(f"expected {len(header)} fields, got {len(row)}", location)
-        aggregates.append(_aggregate_from_fields(dict(zip(header, row)), subject_labels, location))
-    return aggregates
-
-
-def _parse_aggregates_json(text: str) -> list[YearAggregate]:
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
-    if not isinstance(data, list):
-        raise ParseError("aggregate JSON must be a top-level list")
-
-    aggregates = []
-    for index, obj in enumerate(data, start=1):
-        location = f"element {index}"
-        if not isinstance(obj, dict):
-            raise ParseError("aggregate element must be an object", location)
-        fields = {k: (None if v is None else str(v)) for k, v in obj.items()}
-        labels = [k[len(_SUBJECT_PREFIX):] for k in obj if k.startswith(_SUBJECT_PREFIX)]
-        aggregates.append(_aggregate_from_fields(fields, labels, location))
-    return aggregates
-
-
 def parse_aggregates(source: bytes | str, format: str = "csv") -> Dataset:
     """Parse aggregate-granularity input, sorted ascending by year.
 
@@ -272,13 +240,9 @@ def parse_aggregates(source: bytes | str, format: str = "csv") -> Dataset:
     :func:`validate`, not here, so parse failures and validation
     findings stay distinguishable.
     """
-    text = _decode(source)
-    if format == "csv":
-        aggregates = _parse_aggregates_csv(text)
-    elif format == "json":
-        aggregates = _parse_aggregates_json(text)
-    else:
-        raise ParseError(f"unknown input format: {format!r}")
+    aggregates = [_aggregate_from_fields(fields, location)
+                  for location, fields in _rows(_decode(source), format, "aggregate",
+                                                AGGREGATE_FIELDS)]
     if not aggregates:
         raise ParseError("empty dataset")
     aggregates.sort(key=lambda a: a.year)
@@ -290,17 +254,13 @@ def parse_aggregates(source: bytes | str, format: str = "csv") -> Dataset:
 
 
 def sniff_granularity(source: bytes | str, format: str = "csv") -> str:
-    """Guess records vs aggregates from the header/field names."""
+    """Guess records vs aggregates from the CSV header line or the first JSON object."""
     text = _decode(source)
     if format == "csv":
-        first_line = text.splitlines()[0] if text.splitlines() else ""
-        names = {h.strip() for h in next(csv.reader([first_line]), [])}
+        end = text.find("\n")
+        names = _csv_header(_csv_records(text[:end] if end >= 0 else text), "input", ())
     else:
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}") from None
-        names = set(data[0].keys()) if isinstance(data, list) and data else set()
+        names = next(_rows(text, format, "input"), ("", {}))[1]
     if "papers" in names:
         return "aggregates"
     if "title" in names or "authors" in names:

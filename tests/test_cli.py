@@ -134,6 +134,35 @@ def test_indicator_override_echoed_in_metadata(tmp_path, capsys):
     assert "1.73" in out  # stated CI for the first year
 
 
+def test_totals_source_override_applies_to_table3(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"totals_source": "full_precision"}))
+    rc = main(["analyze", "--input", AGG_PATH, "--config", str(cfg), "--mode", "paper",
+               "--table", "3"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert "overrides: totals_source=full_precision" in out.splitlines()[0]
+    total = next(line for line in out.splitlines() if line.startswith("Total"))
+    assert total.split()[-2:] == ["1.94", "0.51"]  # pooled, not the summed 9.65 / 2.60
+    assert "Totals row pools all years" in out
+
+
+def test_json_element_not_an_object_exits_2(tmp_path, capsys):
+    path = tmp_path / "numbers.json"
+    path.write_text("[1, 2]")
+    assert main(["analyze", "--input", str(path)]) == 2
+    assert "error: element 1: input element must be an object" in capsys.readouterr().err
+
+
+def test_csv_field_over_limit_exits_2(tmp_path, capsys):
+    path = tmp_path / "long_title.csv"
+    path.write_text("year,volume,issue,title,authors,start_page,end_page,subject\n"
+                    f"2013,,,{'T' * 200_000},A,1,2,ICT\n")
+    assert main(["analyze", "--input", str(path)]) == 2
+    assert ("error: line 2: malformed CSV: field larger than field limit"
+            in capsys.readouterr().err)
+
+
 def test_granularity_flag_overrides_sniffing(capsys):
     rc = main(["analyze", "--input", AGG_PATH, "--table", "1",
                "--granularity", "aggregates"])

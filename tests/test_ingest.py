@@ -1,5 +1,7 @@
 """Parsing, validation, and the record-to-aggregate bridge."""
 
+import csv
+import io
 import json
 
 import pytest
@@ -15,6 +17,7 @@ from scientoscope import (
     validate,
     write_aggregates_csv,
 )
+from scientoscope.cli import demo_records_path
 
 RECORD_HEADER = "year,volume,issue,title,authors,start_page,end_page,subject"
 AGG_HEADER = ("year,papers,a1,a2,a3,a4,a5plus,total_authors,p1to5,p6to10,pabove10,"
@@ -74,6 +77,22 @@ def test_parse_records_json_with_author_list():
     ds = parse_records(json.dumps(data), format="json")
     assert ds.records[0].authors == ("Kumar, A.", "Singh, B.")
     assert ds.records[0].page_count == 5
+
+
+def test_records_csv_and_json_parse_alike(demo_records):
+    objs = []
+    for row in csv.DictReader(io.StringIO(demo_records_path().read_text(encoding="utf-8"))):
+        obj = {key: int(value) if value.isdigit() else value or None for key, value in row.items()}
+        obj["authors"] = [name.strip() for name in row["authors"].split(";") if row["authors"]]
+        objs.append(obj)
+    assert parse_records(json.dumps(objs), format="json") == demo_records
+
+
+def test_duplicate_csv_columns_are_rejected():
+    with pytest.raises(ParseError, match="^line 1: duplicate columns: subject$"):
+        parse_records(RECORD_HEADER + ",subject\n2013,,,T,A,1,2,ICT,Open Access\n")
+    with pytest.raises(ParseError, match="^line 1: duplicate columns: a1$"):
+        parse_aggregates(AGG_HEADER + ",a1\n2013,1,1,0,0,0,0,1,1,0,0,1,0,0\n")
 
 
 def test_reversed_page_span_is_flagged_by_validate():
