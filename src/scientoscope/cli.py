@@ -36,6 +36,7 @@ from .golden import conformance_lines, run_conformance
 from .indicators import collaboration_table, egr_table, productivity_table, rgr_table
 from .ingest import (
     aggregate_records,
+    check_year_gaps,
     findings_as_json,
     findings_as_text,
     parse_aggregates,
@@ -172,12 +173,18 @@ def _read_input(run: dict, config: AnalysisConfig) -> Dataset:
 
 def _prepare_aggregates(dataset: Dataset, config: AnalysisConfig,
                         report: ValidationReport) -> Dataset:
-    """Bridge record granularity to aggregates, folding in any warnings."""
+    """Bridge record granularity to aggregates, folding in any findings.
+
+    The bridged years get the year-gap rule, which record validation
+    cannot apply; the other aggregate rules stay off, because records
+    without pages leave the page bins short on purpose.
+    """
     if dataset.granularity == "aggregates":
         return dataset
     aggregated, agg_report = aggregate_records(dataset, config)
     report.warnings.extend(agg_report.warnings)
     report.errors.extend(agg_report.errors)
+    check_year_gaps(aggregated.years, report)
     return aggregated
 
 
@@ -289,7 +296,7 @@ def cmd_reproduce_paper(config: AnalysisConfig, run: dict) -> int:
         print("standard mode: golden comparison skipped")
         return EXIT_OK
 
-    result = run_conformance(dataset, config)
+    result = run_conformance(tables, config)
     lines = conformance_lines(result)
     if run["format"] == "json":
         extra = {

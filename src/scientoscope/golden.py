@@ -2,9 +2,12 @@
 
 The toolkit ships the published tables of a five-year journal
 publication study (2013-2017, 227 articles) as golden data. The
-``reproduce-paper`` command recomputes every table from the bundled
-aggregates and compares each value against the printed one at a stated
-tolerance.
+``reproduce-paper`` command builds the eight tables it prints and
+compares each printed value at a stated tolerance against the cell of
+those tables at the same address: table, row (its first cell, or the
+footer for ``total`` and ``mean``) and column header. Conformance thus
+checks exactly what is printed, so a per-indicator override that
+departs from the paper conventions fails the cells it changes.
 
 A handful of printed cells contradict the source tables' own arithmetic
 (for example a bin-total row that does not equal its column sums).
@@ -19,51 +22,38 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import AnalysisConfig
-from .distributions import (
-    authorship_pattern,
-    page_length_distribution,
-    subject_distribution,
-    year_distribution,
-)
-from .indicators import (
-    cagr,
-    collaboration_rows,
-    exponential_growth,
-    productivity_rows,
-    productivity_totals,
-    relative_growth,
-)
-from .model import AUTHORSHIP_BIN_LABELS, Dataset
-from .report import round_display, round_half_up
+from .indicators import cagr
+from .model import AUTHORSHIP_BIN_LABELS
+from .report import CellValue, ReportTable, round_display
 
 YEARS = (2013, 2014, 2015, 2016, 2017)
 
-_T1 = {
+T1 = {
     "papers": (33, 63, 44, 36, 51),
     "pct": (14.5, 27.7, 19.4, 15.9, 22.5),
     "cum": (None, 96, 140, 176, 227),
     "cum_pct": (None, 42.29, 61.67, 77.53, 100.0),
 }
 
-_T2_BINS = (
+T2_BINS = (
     (14, 14, 5, 0, 0),
     (21, 28, 9, 5, 0),
     (11, 22, 9, 1, 1),
     (12, 17, 5, 1, 1),
     (12, 30, 6, 1, 1),
 )
-_T2_ROW_PCT = (
+T2_ROW_PCT = (
     (42.42, 42.42, 15.15, 0.0, 0.0),
     (33.33, 44.44, 14.29, 7.94, 0.0),
     (25.0, 50.0, 20.45, 2.27, 2.27),
     (33.33, 47.22, 13.89, 2.78, 2.78),
     (23.53, 58.82, 11.76, 1.96, 1.96),
 )
-_T2_YEAR_PCT = (14.5, 27.8, 19.4, 15.9, 22.5)
-_T2_FOOTER = (70, 111, 34, 9, 3)          # the 4-author cell is exempt, see below
-_T2_FOOTER_PCT = (30.84, 48.90, 14.98, 3.96, 1.32)
+T2_YEAR_PCT = (14.5, 27.8, 19.4, 15.9, 22.5)
+T2_FOOTER = (70, 111, 34, 9, 3)          # the 4-author cell is exempt, see below
+T2_FOOTER_PCT = (30.84, 48.90, 14.98, 3.96, 1.32)
 
-_T3 = {
+T3 = {
     "authors": (57, 124, 91, 70, 99),
     "papers_pct": (14.54, 27.75, 19.38, 15.86, 22.47),
     "authors_pct": (12.93, 28.12, 20.63, 15.87, 22.45),
@@ -71,7 +61,7 @@ _T3 = {
     "ppa": (0.58, 0.51, 0.48, 0.51, 0.51),
 }
 
-_T4 = {
+T4 = {
     "single": (14, 21, 11, 12, 12),
     "multiple": (19, 42, 33, 24, 38),
     "papers": (33, 63, 44, 36, 50),   # single + multiple per year, as printed
@@ -79,9 +69,9 @@ _T4 = {
     "dc": (0.58, 0.67, 0.75, 0.67, 0.76),
 }
 
-_T5_EGR = (0.00, 1.91, 0.70, 0.82, 1.42)
+T5_EGR = (0.00, 1.91, 0.70, 0.82, 1.42)
 
-_T6 = {
+T6 = {
     "w1": (3.49, 4.14, 3.78, 3.58, 3.93),  # first cell exempt, see below
     "w2": (4.14, 3.78, 3.58, 3.93, 5.42),
     "r": (0.65, 0.36, 0.20, 0.35, 1.49),
@@ -89,18 +79,18 @@ _T6 = {
     "cum": (None, 96, 140, 176, 227),
 }
 
-_T7_BINS = ((4, 26, 3), (13, 45, 5), (6, 34, 4), (7, 27, 2), (7, 43, 1))
-_T7_PCT = (
+T7_BINS = ((4, 26, 3), (13, 45, 5), (6, 34, 4), (7, 27, 2), (7, 43, 1))
+T7_PCT = (
     (10.81, 14.86, 20.00),
     (35.14, 25.71, 33.33),
     (16.22, 19.43, 26.67),
     (18.92, 15.43, 13.33),
     (18.92, 24.57, 6.67),
 )
-_T7_TOTALS = (37, 175, 15)
+T7_TOTALS = (37, 175, 15)
 _PAGE_LABELS = ("1-5", "6-10", "above 10")
 
-_T8_CELLS = {
+T8_CELLS = {
     "Scientometrics, Bibliometrics": (11, 18, 10, 1, 11),
     "Webometrics": (1, 0, 2, 0, 2),
     "User survey": (3, 6, 4, 9, 9),
@@ -116,7 +106,7 @@ _T8_CELLS = {
     "Social Networks": (0, 0, 1, 2, 1),
     "Others": (4, 14, 12, 7, 9),
 }
-_T8_ROW_TOTALS = {
+T8_ROW_TOTALS = {
     "Scientometrics, Bibliometrics": 51,
     "Webometrics": 5,
     "User survey": 31,
@@ -159,7 +149,7 @@ class GoldenCheck:
 
     ``tol`` compares numerically; ``display_decimals`` compares the
     half-up display string at that many decimals; expected ``None``
-    requires the computed cell to be absent.
+    requires the printed cell to be absent.
     """
 
     table: int
@@ -182,9 +172,12 @@ class CheckOutcome:
     check: GoldenCheck
     actual: object
     matched: bool
+    problem: str | None = None  # why the address resolved to no cell
 
     @property
     def status(self) -> str:
+        if self.problem is not None:
+            return "fail"
         if self.check.exempt:
             return "exempt"
         return "pass" if self.matched else "fail"
@@ -220,40 +213,40 @@ def demo_golden_checks() -> list[GoldenCheck]:
             checks.append(GoldenCheck(table, f"{year} / {label}", expected, tol=tol))
 
     # Table 1
-    per_year(1, "papers", _T1["papers"], 0)
-    per_year(1, "%", _T1["pct"], 0.1)
-    per_year(1, "cum. papers", _T1["cum"], 0)
-    per_year(1, "cum. %", _T1["cum_pct"], 0.01)
+    per_year(1, "papers", T1["papers"], 0)
+    per_year(1, "%", T1["pct"], 0.1)
+    per_year(1, "cum. papers", T1["cum"], 0)
+    per_year(1, "cum. %", T1["cum_pct"], 0.01)
     checks.append(GoldenCheck(1, "total / papers", 227, tol=0))
 
     # Table 2
     bin_labels = AUTHORSHIP_BIN_LABELS
-    for year, counts, percents in zip(YEARS, _T2_BINS, _T2_ROW_PCT):
+    for year, counts, percents in zip(YEARS, T2_BINS, T2_ROW_PCT):
         for label, count, pct in zip(bin_labels, counts, percents):
             checks.append(GoldenCheck(2, f"{year} / {label}", count, tol=0))
             checks.append(GoldenCheck(2, f"{year} / {label} %", pct, tol=0.01))
-    per_year(2, "papers %", _T2_YEAR_PCT, 0.1)
-    for label, count, pct in zip(bin_labels, _T2_FOOTER, _T2_FOOTER_PCT):
+    per_year(2, "papers %", T2_YEAR_PCT, 0.1)
+    for label, count, pct in zip(bin_labels, T2_FOOTER, T2_FOOTER_PCT):
         checks.append(GoldenCheck(2, f"total / {label}", count, tol=0))
         checks.append(GoldenCheck(2, f"total / {label} %", pct, tol=0.01))
 
     # Table 3
-    per_year(3, "authors", _T3["authors"], 0)
-    per_year(3, "papers %", _T3["papers_pct"], 0.01)
-    per_year(3, "authors %", _T3["authors_pct"], 0.01)
-    per_year(3, "AAPP", _T3["aapp"], 0.01)
-    per_year(3, "PPA", _T3["ppa"], 0.01)
+    per_year(3, "authors", T3["authors"], 0)
+    per_year(3, "papers %", T3["papers_pct"], 0.01)
+    per_year(3, "authors %", T3["authors_pct"], 0.01)
+    per_year(3, "AAPP", T3["aapp"], 0.01)
+    per_year(3, "PPA", T3["ppa"], 0.01)
     checks.append(GoldenCheck(3, "total / papers", 227, tol=0))
     checks.append(GoldenCheck(3, "total / authors", 441, tol=0))
     checks.append(GoldenCheck(3, "total / AAPP", "9.65", display_decimals=2))
     checks.append(GoldenCheck(3, "total / PPA", "2.59", display_decimals=2))
 
     # Table 4
-    per_year(4, "single", _T4["single"], 0)
-    per_year(4, "multiple", _T4["multiple"], 0)
-    per_year(4, "papers", _T4["papers"], 0)
-    per_year(4, "CI", _T4["ci"], 0.01)
-    per_year(4, "DC", _T4["dc"], 0.01)
+    per_year(4, "single", T4["single"], 0)
+    per_year(4, "multiple", T4["multiple"], 0)
+    per_year(4, "papers", T4["papers"], 0)
+    per_year(4, "CI", T4["ci"], 0.01)
+    per_year(4, "DC", T4["dc"], 0.01)
     checks.append(GoldenCheck(4, "total / single", 70, tol=0))
     checks.append(GoldenCheck(4, "total / multiple", 157, tol=0))
     checks.append(GoldenCheck(4, "total / papers", 227, tol=0))
@@ -261,130 +254,85 @@ def demo_golden_checks() -> list[GoldenCheck]:
     checks.append(GoldenCheck(4, "total / DC", 0.69, tol=0.01))
 
     # Table 5
-    per_year(5, "EGR", _T5_EGR, 0.01)
+    per_year(5, "EGR", T5_EGR, 0.01)
     checks.append(GoldenCheck(5, "total / EGR", 4.85, tol=0.01))
     checks.append(GoldenCheck(5, "CAGR %", 9.1, tol=0.05))
 
     # Table 6
-    per_year(6, "W1", _T6["w1"], 0.01)
-    per_year(6, "W2", _T6["w2"], 0.01)
-    per_year(6, "R", _T6["r"], 0.01)
-    per_year(6, "Dt", _T6["dt"], 0.01)
-    per_year(6, "cum. papers", _T6["cum"], 0)
+    per_year(6, "W1", T6["w1"], 0.01)
+    per_year(6, "W2", T6["w2"], 0.01)
+    per_year(6, "R", T6["r"], 0.01)
+    per_year(6, "Dt", T6["dt"], 0.01)
+    per_year(6, "cum. papers", T6["cum"], 0)
     checks.append(GoldenCheck(6, "mean / R", 0.61, tol=0.01))
     checks.append(GoldenCheck(6, "mean / Dt", 1.78, tol=0.01))
 
     # Table 7
-    for year, counts, percents in zip(YEARS, _T7_BINS, _T7_PCT):
+    for year, counts, percents in zip(YEARS, T7_BINS, T7_PCT):
         for label, count, pct in zip(_PAGE_LABELS, counts, percents):
             checks.append(GoldenCheck(7, f"{year} / {label}", count, tol=0))
             checks.append(GoldenCheck(7, f"{year} / {label} %", pct, tol=0.01))
-    for label, count in zip(_PAGE_LABELS, _T7_TOTALS):
+    for label, count in zip(_PAGE_LABELS, T7_TOTALS):
         checks.append(GoldenCheck(7, f"total / {label}", count, tol=0))
     checks.append(GoldenCheck(7, "total / papers", 227, tol=0))
 
     # Table 8
-    for subject, counts in _T8_CELLS.items():
+    for subject, counts in T8_CELLS.items():
         for year, count in zip(YEARS, counts):
             checks.append(GoldenCheck(8, f"{subject} / {year}", count, tol=0))
-        checks.append(GoldenCheck(8, f"{subject} / total", _T8_ROW_TOTALS[subject], tol=0))
-    for year, total in zip(YEARS, _T1["papers"]):
+        checks.append(GoldenCheck(8, f"{subject} / total", T8_ROW_TOTALS[subject], tol=0))
+    for year, total in zip(YEARS, T1["papers"]):
         checks.append(GoldenCheck(8, f"total / {year}", total, tol=0))
     checks.append(GoldenCheck(8, "total / total", 227, tol=0))
 
     return checks
 
 
-def _compute_actuals(dataset: Dataset, config: AnalysisConfig) -> dict[tuple[int, str], object]:
-    """Recompute every golden cell from the dataset, keyed like the checks."""
-    actuals: dict[tuple[int, str], object] = {}
+# Check-name columns that differ from the printed column headers, per
+# table. A column name not listed here is its own header.
+_HEADERS: dict[int, dict[str, str]] = {
+    1: {"papers": "Papers", "cum. papers": "Cum. papers", "cum. %": "Cum. %"},
+    2: {"papers %": "Papers %"},
+    3: {"papers": "Papers", "papers %": "Papers %", "authors": "Authors",
+        "authors %": "Authors %"},
+    4: {"single": "Single", "multiple": "Multiple", "papers": "Papers"},
+    5: {},
+    6: {"cum. papers": "Cum. papers"},
+    7: {"1-5": "1-5 pages", "1-5 %": "1-5 pages %", "6-10": "6-10 pages",
+        "6-10 %": "6-10 pages %", "above 10": "Above 10 pages",
+        "above 10 %": "Above 10 pages %", "papers": "Papers"},
+    8: {"total": "Total"},
+}
 
-    t1 = year_distribution(dataset)
-    for row in t1:
-        actuals[(1, f"{row.year} / papers")] = row.papers
-        actuals[(1, f"{row.year} / %")] = row.percent_of_total
-        actuals[(1, f"{row.year} / cum. papers")] = row.cumulative_papers
-        actuals[(1, f"{row.year} / cum. %")] = row.cumulative_percent
-    actuals[(1, "total / papers")] = sum(r.papers for r in t1)
 
-    t2_rows, t2_footer = authorship_pattern(dataset)
-    bin_labels = AUTHORSHIP_BIN_LABELS
-    for row in t2_rows:
-        for label, count, pct in zip(bin_labels, row.bin_counts, row.bin_row_percents):
-            actuals[(2, f"{row.year} / {label}")] = count
-            actuals[(2, f"{row.year} / {label} %")] = pct
-        actuals[(2, f"{row.year} / papers %")] = row.percent_of_total
-    for label, count, pct in zip(bin_labels, t2_footer.bin_counts, t2_footer.bin_row_percents):
-        actuals[(2, f"total / {label}")] = count
-        actuals[(2, f"total / {label} %")] = pct
+def _column(number: int, table: ReportTable, header: str) -> int:
+    headers = [c.header for c in table.columns]
+    if header not in headers:
+        raise LookupError(f"table {number} has no column {header!r}")
+    return headers.index(header)
 
-    t3 = productivity_rows(dataset)
-    total_papers = sum(r.papers for r in t3)
-    total_authors = sum(r.authors for r in t3)
-    for row in t3:
-        actuals[(3, f"{row.year} / authors")] = row.authors
-        actuals[(3, f"{row.year} / papers %")] = row.papers / total_papers * 100.0
-        actuals[(3, f"{row.year} / authors %")] = row.authors / total_authors * 100.0
-        actuals[(3, f"{row.year} / AAPP")] = row.aapp
-        actuals[(3, f"{row.year} / PPA")] = row.ppa
-    total_aapp, total_ppa = productivity_totals(t3, "paper")
-    actuals[(3, "total / papers")] = total_papers
-    actuals[(3, "total / authors")] = total_authors
-    actuals[(3, "total / AAPP")] = total_aapp
-    actuals[(3, "total / PPA")] = total_ppa
 
-    t4_rows, t4_footer = collaboration_rows(dataset, config)
-    for row in t4_rows:
-        actuals[(4, f"{row.year} / single")] = row.single
-        actuals[(4, f"{row.year} / multiple")] = row.multiple
-        actuals[(4, f"{row.year} / papers")] = row.papers
-        actuals[(4, f"{row.year} / CI")] = row.ci
-        actuals[(4, f"{row.year} / DC")] = row.dc
-    actuals[(4, "total / single")] = t4_footer.single
-    actuals[(4, "total / multiple")] = t4_footer.multiple
-    actuals[(4, "total / papers")] = t4_footer.papers
-    actuals[(4, "total / CI")] = t4_footer.ci
-    actuals[(4, "total / DC")] = t4_footer.dc
+def _printed_cell(check: GoldenCheck, tables: list[ReportTable],
+                  config: AnalysisConfig) -> CellValue:
+    """The value *tables* print at the check's address.
 
-    series = dataset.papers_by_year
-    egr = exponential_growth(series, "paper")
-    for row in egr.rows:
-        actuals[(5, f"{row.year} / EGR")] = row.egr
-    actuals[(5, "total / EGR")] = sum(
-        round_half_up(r.egr, 2) for r in egr.rows if r.egr is not None
-    )
-    actuals[(5, "CAGR %")] = cagr(series[0][1], series[-1][1], len(series), "paper_years")
-
-    rgr = relative_growth(series, "paper")
-    for row in rgr.rows:
-        actuals[(6, f"{row.year} / W1")] = row.w1
-        actuals[(6, f"{row.year} / W2")] = row.w2
-        actuals[(6, f"{row.year} / R")] = row.r
-        actuals[(6, f"{row.year} / Dt")] = row.dt
-        actuals[(6, f"{row.year} / cum. papers")] = row.cumulative
-    actuals[(6, "mean / R")] = rgr.mean_r
-    actuals[(6, "mean / Dt")] = rgr.mean_dt
-
-    t7_rows, t7_totals = page_length_distribution(dataset)
-    for row in t7_rows:
-        for label, count, pct in zip(_PAGE_LABELS, row.bin_counts, row.bin_column_percents):
-            actuals[(7, f"{row.year} / {label}")] = count
-            actuals[(7, f"{row.year} / {label} %")] = pct
-    for label, count in zip(_PAGE_LABELS, t7_totals):
-        actuals[(7, f"total / {label}")] = count
-    actuals[(7, "total / papers")] = sum(r.papers for r in t7_rows)
-
-    t8 = subject_distribution(dataset, config.taxonomy)
-    years = [a.year for a in dataset.aggregates]
-    for row in t8:
-        for year, count in zip(years, row.counts_by_year):
-            actuals[(8, f"{row.subject} / {year}")] = count
-        actuals[(8, f"{row.subject} / total")] = row.total
-    for i, year in enumerate(years):
-        actuals[(8, f"total / {year}")] = sum(r.counts_by_year[i] for r in t8)
-    actuals[(8, "total / total")] = sum(r.total for r in t8)
-
-    return actuals
+    Raises LookupError when the address names no row or no column.
+    """
+    table = tables[check.table - 1]
+    if (check.table, check.cell) == (5, "CAGR %"):
+        # The one golden value printed in a note rather than a cell.
+        index = _column(5, table, "Papers")
+        first, last = table.rows[0][index], table.rows[-1][index]
+        return cagr(first, last, len(table.rows), config.resolved("cagr_mode"))
+    row_name, _, column = check.cell.partition(" / ")
+    index = _column(check.table, table, _HEADERS[check.table].get(column, column))
+    if row_name in ("total", "mean"):
+        row = table.footer
+    else:
+        row = next((r for r in table.rows if str(r[0]) == row_name), None)
+    if row is None:
+        raise LookupError(f"table {check.table} has no row {row_name!r}")
+    return row[index]
 
 
 def _matches(check: GoldenCheck, actual: object) -> bool:
@@ -399,20 +347,21 @@ def _matches(check: GoldenCheck, actual: object) -> bool:
     return abs(float(actual) - float(check.expected)) <= (check.tol or 0.0)
 
 
-def run_conformance(dataset: Dataset, config: AnalysisConfig | None = None) -> ConformanceResult:
-    """Compare every computed value against the printed golden set.
+def check_outcome(check: GoldenCheck, tables: list[ReportTable],
+                  config: AnalysisConfig) -> CheckOutcome:
+    """Compare *check* against the cell it addresses in *tables* (tables 1-8 in
+    order, built under *config*); an address with no cell fails with its own message."""
+    try:
+        actual = _printed_cell(check, tables, config)
+    except LookupError as exc:
+        return CheckOutcome(check=check, actual=None, matched=False, problem=str(exc))
+    return CheckOutcome(check=check, actual=actual, matched=_matches(check, actual))
 
-    Always runs under pure paper conventions; only the structural parts
-    of *config* (taxonomy, page bins) carry over.
-    """
-    base = config or AnalysisConfig()
-    config = AnalysisConfig(mode="paper", taxonomy=base.taxonomy, page_bins=base.page_bins)
-    actuals = _compute_actuals(dataset, config)
-    outcomes = []
-    for check in demo_golden_checks():
-        actual = actuals.get((check.table, check.cell))
-        outcomes.append(CheckOutcome(check=check, actual=actual, matched=_matches(check, actual)))
-    return ConformanceResult(outcomes)
+
+def run_conformance(tables: list[ReportTable], config: AnalysisConfig) -> ConformanceResult:
+    """Compare every printed golden value against the printed *tables* 1-8."""
+    return ConformanceResult([check_outcome(check, tables, config)
+                              for check in demo_golden_checks()])
 
 
 def _show(value: object) -> str:
@@ -433,8 +382,8 @@ def conformance_lines(result: ConformanceResult, verbose: bool = False) -> list[
             if verbose:
                 lines.append(f"[PASS]   {check.name}: {_show(outcome.actual)}")
         elif outcome.status == "fail":
-            lines.append(f"[FAIL]   {check.name}: expected {_show(check.expected)}, "
-                         f"got {_show(outcome.actual)}")
+            got = outcome.problem or f"got {_show(outcome.actual)}"
+            lines.append(f"[FAIL]   {check.name}: expected {_show(check.expected)}, {got}")
         else:
             reason = EXEMPTIONS[(check.table, check.cell)]
             lines.append(f"[EXEMPT] {check.name}: printed {_show(check.expected)}, "

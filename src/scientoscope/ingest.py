@@ -329,6 +329,19 @@ def _validate_aggregate(agg: YearAggregate, window: tuple[int, int], strict: boo
             finding(location, rule, f"{what} sum {total} != papers {agg.papers}")
 
 
+def check_year_gaps(years: list[int], report: ValidationReport) -> None:
+    """Report each run of years missing from *years* as one ``year-gap`` error.
+
+    A single missing year is located at that year (``2014``), a longer
+    run at its first and last year (``2014-2016``).
+    """
+    unique_years = sorted(set(years))
+    for prev, nxt in zip(unique_years, unique_years[1:]):
+        if nxt - prev > 1:
+            gap = str(prev + 1) if nxt - prev == 2 else f"{prev + 1}-{nxt - 1}"
+            report.error(gap, "year-gap", f"gap at {gap}")
+
+
 def validate(dataset: Dataset, *, strict: bool = False,
              window: tuple[int, int] | None = None) -> ValidationReport:
     """Check every dataset invariant, reporting rather than fixing.
@@ -352,10 +365,7 @@ def validate(dataset: Dataset, *, strict: bool = False,
     for year, n in sorted(Counter(years).items()):
         if n > 1:
             report.error(str(year), "duplicate-year", f"year {year} appears {n} times")
-    unique_years = sorted(set(years))
-    for prev, nxt in zip(unique_years, unique_years[1:]):
-        for missing in range(prev + 1, nxt):
-            report.error(str(missing), "year-gap", f"gap at {missing}")
+    check_year_gaps(years, report)
     for agg in dataset.aggregates:
         _validate_aggregate(agg, window, strict, report)
     return report

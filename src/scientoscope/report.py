@@ -13,7 +13,7 @@ import io
 import json
 import math
 from dataclasses import dataclass, field
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal
 
 CellValue = int | float | str | None
 
@@ -22,18 +22,29 @@ CellValue = int | float | str | None
 COLUMN_KINDS = ("year", "label", "count", "percent", "ratio", "log")
 
 
+def _quantize(value: float, decimals: int) -> Decimal:
+    """Half-up rounding of the exact decimal expansion of *value*.
+
+    Runs under a context precise enough for every finite float: the
+    default 28 digits cannot hold the integer part of values >= 1e28.
+    """
+    if not math.isfinite(value):
+        raise ValueError(f"cannot round non-finite value {value!r}")
+    if decimals < 0:
+        raise ValueError("decimals must be >= 0")
+    exact = Decimal(value)
+    # Integer digits, the decimals, and one more for a carry (9.995 -> 10.00).
+    context = Context(prec=max(exact.adjusted(), 0) + decimals + 2)
+    return exact.quantize(Decimal(1).scaleb(-decimals), rounding=ROUND_HALF_UP, context=context)
+
+
 def round_half_up(value: float, decimals: int) -> float:
     """Round at *decimals* places, half away from zero, as a float.
 
     Operates on the exact decimal expansion of the binary float, so
     0.005 -> 0.01 rather than the banker's 0.00.
     """
-    if not math.isfinite(value):
-        raise ValueError(f"cannot round non-finite value {value!r}")
-    if decimals < 0:
-        raise ValueError("decimals must be >= 0")
-    quantum = Decimal(1).scaleb(-decimals)
-    return float(Decimal(value).quantize(quantum, rounding=ROUND_HALF_UP))
+    return float(_quantize(value, decimals))
 
 
 def round_display(value: float, decimals: int) -> str:
@@ -41,12 +52,7 @@ def round_display(value: float, decimals: int) -> str:
 
     "-0.00" is normalized to "0.00"; non-finite input is an error.
     """
-    if not math.isfinite(value):
-        raise ValueError(f"cannot render non-finite value {value!r}")
-    if decimals < 0:
-        raise ValueError("decimals must be >= 0")
-    quantum = Decimal(1).scaleb(-decimals)
-    rounded = Decimal(value).quantize(quantum, rounding=ROUND_HALF_UP)
+    rounded = _quantize(value, decimals)
     if rounded == 0:
         rounded = abs(rounded)  # avoid "-0.00"
     return f"{rounded:f}"

@@ -41,8 +41,21 @@ from scientoscope import (
     year_distribution,
 )
 from scientoscope.cli import demo_aggregates_path, main
-
-YEARS = (2013, 2014, 2015, 2016, 2017)
+from scientoscope.golden import (
+    T1,
+    T2_BINS,
+    T2_ROW_PCT,
+    T3,
+    T4,
+    T5_EGR,
+    T6,
+    T7_BINS,
+    T7_PCT,
+    T7_TOTALS,
+    T8_CELLS,
+    T8_ROW_TOTALS,
+    YEARS,
+)
 
 
 def _passed(number: object, label: str) -> None:
@@ -54,43 +67,27 @@ def _passed(number: object, label: str) -> None:
 
 def test_criterion_01_year_distribution(demo_dataset):
     rows = year_distribution(demo_dataset)
-    assert [r.papers for r in rows] == [33, 63, 44, 36, 51]
-    assert [r.cumulative_papers for r in rows] == [None, 96, 140, 176, 227]
-    for got, want in zip([r.cumulative_percent for r in rows],
-                         (None, 42.29, 61.67, 77.53, 100.0)):
+    assert [r.papers for r in rows] == list(T1["papers"])
+    assert [r.cumulative_papers for r in rows] == list(T1["cum"])
+    for got, want in zip([r.cumulative_percent for r in rows], T1["cum_pct"]):
         if want is None:
             assert got is None
         else:
             assert got == pytest.approx(want, abs=0.01)
-    for got, want in zip([r.percent_of_total for r in rows],
-                         (14.5, 27.7, 19.4, 15.9, 22.5)):
+    for got, want in zip([r.percent_of_total for r in rows], T1["pct"]):
         assert got == pytest.approx(want, abs=0.1)
     _passed(1, "year-wise distribution (papers, cumulative, percents)")
 
 
 # --- 2 -------------------------------------------------------------------
 
-GOLDEN_T2_BINS = {
-    2013: (14, 14, 5, 0, 0),
-    2014: (21, 28, 9, 5, 0),
-    2015: (11, 22, 9, 1, 1),
-    2016: (12, 17, 5, 1, 1),
-    2017: (12, 30, 6, 1, 1),
-}
-GOLDEN_T2_ROW_PCT = {
-    2013: (42.42, 42.42, 15.15, 0.0, 0.0),
-    2014: (33.33, 44.44, 14.29, 7.94, 0.0),
-    2015: (25.0, 50.0, 20.45, 2.27, 2.27),
-    2016: (33.33, 47.22, 13.89, 2.78, 2.78),
-    2017: (23.53, 58.82, 11.76, 1.96, 1.96),
-}
-
 
 def test_criterion_02_authorship_pattern(demo_dataset):
     rows, footer = authorship_pattern(demo_dataset)
-    for row in rows:
-        assert row.bin_counts == GOLDEN_T2_BINS[row.year]
-        for got, want in zip(row.bin_row_percents, GOLDEN_T2_ROW_PCT[row.year]):
+    assert tuple(r.year for r in rows) == YEARS
+    for row, bins, percents in zip(rows, T2_BINS, T2_ROW_PCT):
+        assert row.bin_counts == bins
+        for got, want in zip(row.bin_row_percents, percents):
             assert got == pytest.approx(want, abs=0.01)
     # The printed totals row reads [70, 111, 34, 9, 3], but the printed
     # 4-author column sums to 8; the computed footer is the column sum.
@@ -107,9 +104,9 @@ def test_criterion_02_authorship_pattern(demo_dataset):
 
 def test_criterion_03_author_productivity(demo_dataset):
     rows = productivity_rows(demo_dataset)
-    for got, want in zip([r.aapp for r in rows], (1.73, 1.97, 2.07, 1.94, 1.94)):
+    for got, want in zip([r.aapp for r in rows], T3["aapp"]):
         assert got == pytest.approx(want, abs=0.01)
-    for got, want in zip([r.ppa for r in rows], (0.58, 0.51, 0.48, 0.51, 0.51)):
+    for got, want in zip([r.ppa for r in rows], T3["ppa"]):
         assert got == pytest.approx(want, abs=0.01)
     total_aapp, total_ppa = productivity_totals(rows, "paper")
     assert round_display(total_aapp, 2) == "9.65"
@@ -130,10 +127,10 @@ def test_criterion_03_author_productivity(demo_dataset):
 
 def test_criterion_04_collaboration(demo_dataset, paper_config):
     rows, footer = collaboration_rows(demo_dataset, paper_config)
-    for got, want in zip([r.dc for r in rows], (0.58, 0.67, 0.75, 0.67, 0.76)):
+    for got, want in zip([r.dc for r in rows], T4["dc"]):
         assert got == pytest.approx(want, abs=0.01)
     assert footer.dc == pytest.approx(0.69, abs=0.01)
-    for got, want in zip([r.ci for r in rows], (1.36, 2.00, 3.00, 2.00, 3.17)):
+    for got, want in zip([r.ci for r in rows], T4["ci"]):
         assert got == pytest.approx(want, abs=0.01)
     assert footer.ci == pytest.approx(2.24, abs=0.01)
     stated_2013 = collaborative_index(14, 19, authors=57, variant="stated")
@@ -146,7 +143,7 @@ def test_criterion_04_collaboration(demo_dataset, paper_config):
 
 def test_criterion_05_growth_rates(demo_dataset):
     result = exponential_growth(demo_dataset.papers_by_year, "paper")
-    for got, want in zip([r.egr for r in result.rows], (0.00, 1.91, 0.70, 0.82, 1.42)):
+    for got, want in zip([r.egr for r in result.rows], T5_EGR):
         assert got == pytest.approx(want, abs=0.01)
     rounded_total = sum(round_half_up(r.egr, 2) for r in result.rows)
     assert rounded_total == pytest.approx(4.85, abs=1e-9)
@@ -165,9 +162,9 @@ def test_criterion_05_growth_rates(demo_dataset):
 def test_criterion_06_relative_growth(demo_dataset):
     result = relative_growth(demo_dataset.papers_by_year, "paper")
     rows = result.rows
-    for got, want in zip([r.r for r in rows], (0.65, 0.36, 0.20, 0.35, 1.49)):
+    for got, want in zip([r.r for r in rows], T6["r"]):
         assert got == pytest.approx(want, abs=0.01)
-    for got, want in zip([r.dt for r in rows], (1.07, 1.93, 3.47, 1.98, 0.47)):
+    for got, want in zip([r.dt for r in rows], T6["dt"]):
         assert got == pytest.approx(want, abs=0.01)
     # W columns at +/-0.01, except the first W1 cell: the source prints
     # 3.49 where ln 33 = 3.4965 rounds to 3.50. Logged and compared
@@ -176,7 +173,7 @@ def test_criterion_06_relative_growth(demo_dataset):
           "ln 33 = 3.4965 rounds to 3.50 (cell exempted)")
     for got, want in zip([r.w1 for r in rows], (3.50, 4.14, 3.78, 3.58, 3.93)):
         assert got == pytest.approx(want, abs=0.01)
-    for got, want in zip([r.w2 for r in rows], (4.14, 3.78, 3.58, 3.93, 5.42)):
+    for got, want in zip([r.w2 for r in rows], T6["w2"]):
         assert got == pytest.approx(want, abs=0.01)
     assert result.mean_r == pytest.approx(0.61, abs=0.01)
     assert result.mean_dt == pytest.approx(1.78, abs=0.01)
@@ -185,29 +182,15 @@ def test_criterion_06_relative_growth(demo_dataset):
 
 # --- 7 -------------------------------------------------------------------
 
-GOLDEN_T7_BINS = {
-    2013: (4, 26, 3),
-    2014: (13, 45, 5),
-    2015: (6, 34, 4),
-    2016: (7, 27, 2),
-    2017: (7, 43, 1),
-}
-GOLDEN_T7_PCT = {
-    2013: (10.81, 14.86, 20.00),
-    2014: (35.14, 25.71, 33.33),
-    2015: (16.22, 19.43, 26.67),
-    2016: (18.92, 15.43, 13.33),
-    2017: (18.92, 24.57, 6.67),
-}
-
 
 def test_criterion_07_page_lengths(demo_dataset):
     rows, totals = page_length_distribution(demo_dataset)
-    for row in rows:
-        assert row.bin_counts == GOLDEN_T7_BINS[row.year]
-        for got, want in zip(row.bin_column_percents, GOLDEN_T7_PCT[row.year]):
+    assert tuple(r.year for r in rows) == YEARS
+    for row, bins, percents in zip(rows, T7_BINS, T7_PCT):
+        assert row.bin_counts == bins
+        for got, want in zip(row.bin_column_percents, percents):
             assert got == pytest.approx(want, abs=0.01)
-    assert totals == (37, 175, 15)
+    assert totals == T7_TOTALS
     _passed(7, "page-length distribution (counts, column totals, percents)")
 
 
@@ -218,25 +201,10 @@ def test_criterion_07_page_lengths(demo_dataset):
 # overshoot by dropping that cell to 0 (which also matches the printed
 # Search Engines row total of 2). The printed cell is tracked in the
 # xfail companion below.
-GOLDEN_T8_CELLS = {
-    "Scientometrics, Bibliometrics": (11, 18, 10, 1, 11),
-    "Webometrics": (1, 0, 2, 0, 2),
-    "User survey": (3, 6, 4, 9, 9),
-    "E-Resources": (3, 9, 2, 5, 8),
-    "Information Seeking Behaviour": (2, 2, 1, 1, 0),
-    "Knowledge Management": (2, 2, 3, 3, 1),
-    "Library Services": (2, 3, 2, 2, 3),
-    "ICT": (1, 5, 1, 1, 1),
-    "Digital Libraries": (1, 1, 1, 2, 1),
-    "Open Access": (2, 1, 2, 1, 3),
-    "Library Automation": (1, 2, 1, 2, 2),
-    "Search Engines": (0, 0, 2, 0, 0),
-    "Social Networks": (0, 0, 1, 2, 1),
-    "Others": (4, 14, 12, 7, 9),
-}
+GOLDEN_T8_CELLS = {**T8_CELLS, "Search Engines": (0, 0, 2, 0, 0)}
 # Printed row totals; Social Networks prints 3 where its cells sum to 4
 # (xfail companion below), so the computed 4 is asserted here.
-GOLDEN_T8_ROW_TOTALS = (51, 5, 31, 27, 6, 11, 12, 9, 6, 9, 8, 2, 4, 46)
+GOLDEN_T8_ROW_TOTALS = tuple({**T8_ROW_TOTALS, "Social Networks": 4}.values())
 
 
 def test_criterion_08_subject_distribution(demo_dataset):
@@ -245,7 +213,7 @@ def test_criterion_08_subject_distribution(demo_dataset):
     for row in rows:
         assert row.counts_by_year == GOLDEN_T8_CELLS[row.subject], row.subject
     assert tuple(r.total for r in rows) == GOLDEN_T8_ROW_TOTALS
-    for i, want in enumerate((33, 63, 44, 36, 51)):
+    for i, want in enumerate(T1["papers"]):
         assert sum(r.counts_by_year[i] for r in rows) == want  # columns match table 1
     _passed(8, "subject distribution (cells, row totals, column sums; two printed "
                "totals exempted, see xfail companions)")

@@ -1,8 +1,11 @@
 """Command-line behavior: commands, exit codes, determinism, config."""
 
 import json
+from dataclasses import replace
 
+from scientoscope import AnalysisConfig, ColumnSpec, parse_aggregates, year_distribution_table
 from scientoscope.cli import demo_aggregates_path, demo_records_path, main
+from scientoscope.golden import GoldenCheck, check_outcome
 
 AGG_PATH = str(demo_aggregates_path())
 REC_PATH = str(demo_records_path())
@@ -147,6 +150,29 @@ def test_totals_source_override_applies_to_table3(tmp_path, capsys):
     assert "Totals row pools all years" in out
 
 
+def test_records_with_missing_year_fail_the_gap_rule(tmp_path, capsys):
+    # Without its 2015 rows the demo would print EGR and CAGR over a bridged 2014 -> 2016.
+    lines = demo_records_path().read_text(encoding="utf-8").splitlines(keepends=True)
+    path = tmp_path / "no_2015.csv"
+    path.write_text("".join(line for line in lines if not line.startswith("2015,")))
+    rc = main(["analyze", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "ERROR   [year-gap] 2015: gap at 2015" in captured.err
+    assert "page-bin-sum" not in captured.err
+    assert captured.out == ""
+
+
+def test_counts_beyond_decimal_precision_do_not_crash(tmp_path, capsys):
+    header = "year,papers,a1,a2,a3,a4,a5plus,total_authors,p1to5,p6to10,pabove10,subj:A\n"
+    path = tmp_path / "huge.csv"
+    path.write_text(header + f"2013,1,1,0,0,0,0,{10**27},1,0,0,1\n"
+                    + f"2014,{10**27},{10**27},0,0,0,0,{10**27},{10**27},0,0,{10**27}\n")
+    rc = main(["analyze", "--input", str(path), "--table", "all"])
+    assert rc in (0, 1)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_json_element_not_an_object_exits_2(tmp_path, capsys):
     path = tmp_path / "numbers.json"
     path.write_text("[1, 2]")
@@ -227,6 +253,28 @@ def test_reproduce_paper_negative_control(tmp_path, capsys):
     out = capsys.readouterr().out
     assert rc == 1
     assert "[FAIL]   table 3 / 2015 / authors: expected 91, got 92" in out
+
+
+def test_reproduce_paper_checks_the_printed_tables(tmp_path, capsys):
+    # An override that departs from the paper conventions changes the printed CI.
+    cfg = tmp_path / "stated.json"
+    cfg.write_text(json.dumps({"ci_variant": "stated"}))
+    rc = main(["reproduce-paper", "--config", str(cfg)])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "[FAIL]   table 4 / 2013 / CI: expected 1.3600, got 1.7273" in out
+
+
+def test_golden_check_on_a_missing_column_fails():
+    config = AnalysisConfig()
+    table = year_distribution_table(parse_aggregates(demo_aggregates_path().read_bytes()))
+    check = GoldenCheck(1, "2013 / cum. papers", None, tol=0)  # expects the absent cell
+    assert check_outcome(check, [table], config).status == "pass"
+    renamed = [ColumnSpec("Cumulative", c.kind) if c.header == "Cum. papers" else c
+               for c in table.columns]
+    outcome = check_outcome(check, [replace(table, columns=renamed)], config)
+    assert outcome.status == "fail"
+    assert outcome.problem == "table 1 has no column 'Cum. papers'"
 
 
 def test_reproduce_paper_json(capsys):

@@ -153,6 +153,15 @@ def test_validate_year_gap():
     assert any(f.rule == "year-gap" and f.location == "2014" for f in report.errors)
 
 
+def test_validate_long_year_gap_is_one_finding():
+    text = (AGG_HEADER + "\n"
+            "1,1,1,0,0,0,0,1,1,0,0,1,0\n"
+            "2000000,1,1,0,0,0,0,1,1,0,0,1,0\n")
+    report = validate(parse_aggregates(text))
+    gaps = [f for f in report.errors if f.rule == "year-gap"]
+    assert [(f.location, f.message) for f in gaps] == [("2-1999999", "gap at 2-1999999")]
+
+
 def test_bin_sum_mismatch_lenient_vs_strict():
     text = AGG_HEADER + "\n2013,2,1,0,0,0,0,1,2,0,0,2,0\n"  # authorship bins sum 1 != 2
     ds = parse_aggregates(text)

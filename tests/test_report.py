@@ -44,6 +44,14 @@ def test_round_half_up_numeric():
     assert round_half_up(1.94444, 2) == 1.94
 
 
+def test_rounding_beyond_default_decimal_precision():
+    # Values >= 1e28 have more integer digits than Decimal's default context holds.
+    assert round_display(1e28, 2) == "9999999999999999583119736832.00"
+    assert round_display(1e27, 2) == "1000000000000000013287555072.00"
+    assert round_half_up(1e28, 2) == 1e28
+    assert round_display(9.9951, 2) == "10.00"
+
+
 def _sample_table() -> ReportTable:
     return ReportTable(
         title="Sample",
