@@ -9,6 +9,11 @@ Commands::
                                  value against the printed tables
     scientoscope schema          print the CSV/JSON input schemas
 
+The four input commands load through one pipeline: read, validate, and,
+for accepted record input, bridge to per-year aggregates, folding the
+bridge's warnings into the validation report. ``validate`` prints that
+report; the others write its findings to stderr and stop on any error.
+
 Exit codes: 0 success, 1 validation/analysis/golden failure, 2 input or
 parse failure. Output is byte-identical for identical input and
 configuration; timestamps appear only under ``--timestamp``.
@@ -36,7 +41,6 @@ from .golden import conformance_lines, run_conformance
 from .indicators import collaboration_table, egr_table, productivity_table, rgr_table
 from .ingest import (
     aggregate_records,
-    check_year_gaps,
     findings_as_json,
     findings_as_text,
     parse_aggregates,
@@ -122,6 +126,8 @@ def _effective_options(args: argparse.Namespace) -> tuple[AnalysisConfig, dict]:
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = str(value) if key == "input" else value
+    if not isinstance(merged.get("input") or "", str):
+        raise ValueError(f"invalid input: {merged['input']!r} (expected a path)")
     config = config_from_dict(merged)
     run = {
         "input": merged.get("input"),
@@ -156,7 +162,9 @@ def _print_effective_config(config: AnalysisConfig, run: dict) -> None:
     }, indent=2, sort_keys=True))
 
 
-def _read_input(run: dict, config: AnalysisConfig) -> Dataset:
+def _load(config: AnalysisConfig, run: dict) -> tuple[Dataset, ValidationReport]:
+    """Read and validate the input; bridge accepted records to aggregates,
+    adding the bridge's warnings to the report."""
     if not run["input"]:
         raise ParseError("no input file given (use --input)")
     path = Path(run["input"])
@@ -167,25 +175,14 @@ def _read_input(run: dict, config: AnalysisConfig) -> Dataset:
     input_format = "json" if path.suffix.lower() == ".json" else "csv"
     granularity = run["granularity"] or sniff_granularity(raw, input_format)
     if granularity == "records":
-        return parse_records(raw, input_format)
-    return parse_aggregates(raw, input_format)
-
-
-def _prepare_aggregates(dataset: Dataset, config: AnalysisConfig,
-                        report: ValidationReport) -> Dataset:
-    """Bridge record granularity to aggregates, folding in any findings.
-
-    The bridged years get the year-gap rule, which record validation
-    cannot apply; the other aggregate rules stay off, because records
-    without pages leave the page bins short on purpose.
-    """
-    if dataset.granularity == "aggregates":
-        return dataset
-    aggregated, agg_report = aggregate_records(dataset, config)
-    report.warnings.extend(agg_report.warnings)
-    report.errors.extend(agg_report.errors)
-    check_year_gaps(aggregated.years, report)
-    return aggregated
+        dataset = parse_records(raw, input_format)
+    else:
+        dataset = parse_aggregates(raw, input_format)
+    report = validate(dataset, strict=config.strict, window=config.study_window)
+    if report.ok and dataset.granularity == "records":
+        dataset, bridged = aggregate_records(dataset, config)
+        report.warnings.extend(bridged.warnings)
+    return dataset, report
 
 
 _TABLE_BUILDERS = {
@@ -247,29 +244,19 @@ def _report_findings(report: ValidationReport) -> None:
 
 
 def cmd_validate(config: AnalysisConfig, run: dict) -> int:
-    dataset = _read_input(run, config)
-    report = validate(dataset, strict=config.strict, window=config.study_window)
+    _, report = _load(config, run)
     if run["format"] == "json":
         sys.stdout.write(findings_as_json(report))
     else:
         sys.stdout.write(findings_as_text(report))
-    if report.errors or (config.strict and report.warnings):
-        return EXIT_FAILURE
-    return EXIT_OK
+    return EXIT_OK if report.ok else EXIT_FAILURE
 
 
 def _analyze_tables(numbers: list[int], config: AnalysisConfig, run: dict) -> int:
-    dataset = _read_input(run, config)
-    report = validate(dataset, strict=config.strict, window=config.study_window)
+    dataset, report = _load(config, run)
+    _report_findings(report)
     if not report.ok:
-        _report_findings(report)
         return EXIT_FAILURE
-    dataset = _prepare_aggregates(dataset, config, report)
-    if report.errors:
-        _report_findings(report)
-        return EXIT_FAILURE
-    for finding in report.warnings:
-        print(f"WARNING {finding}", file=sys.stderr)
     tables = [_TABLE_BUILDERS[n](dataset, config) for n in numbers]
     _emit_tables(tables, run["format"], config, run)
     return EXIT_OK
@@ -287,7 +274,10 @@ def cmd_indicators(config: AnalysisConfig, run: dict) -> int:
 def cmd_reproduce_paper(config: AnalysisConfig, run: dict) -> int:
     if not run["input"]:
         run = dict(run, input=str(demo_aggregates_path()))
-    dataset = _read_input(run, config)
+    dataset, report = _load(config, run)
+    _report_findings(report)
+    if not report.ok:
+        return EXIT_FAILURE
     tables = [_TABLE_BUILDERS[n](dataset, config) for n in range(1, 9)]
 
     if config.mode != "paper":
@@ -310,6 +300,7 @@ def cmd_reproduce_paper(config: AnalysisConfig, run: dict) -> int:
                         "status": o.status,
                         "expected": o.check.expected,
                         "actual": o.actual,
+                        **({"problem": o.problem} if o.problem is not None else {}),
                     }
                     for o in result.outcomes
                 ],

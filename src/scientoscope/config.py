@@ -132,20 +132,47 @@ class AnalysisConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
 
+def _window(value: Any) -> tuple[int, int]:
+    first, last = value
+    return int(first), int(last)
+
+
+def _page_bins(value: Any) -> tuple[tuple[int, int | None], ...]:
+    return tuple((int(lo), None if hi is None else int(hi)) for lo, hi in value)
+
+
+def _string(value: Any) -> str:
+    if not isinstance(value, str):
+        raise TypeError(value)
+    return value
+
+
+# Keys whose values are checked for shape: expected shape (for error
+# messages) and converter.
+_SHAPED = {
+    "study_window": ("[first, last]", _window),
+    "taxonomy": ("a list of labels", lambda value: tuple(str(t) for t in value)),
+    "page_bins": ("a list of [low, high or null]", _page_bins),
+    "absent_marker": ("a string", _string),
+}
+
+
 def config_from_dict(data: dict[str, Any]) -> AnalysisConfig:
-    """Build a config from file/CLI data, tolerating absent keys."""
+    """Build a config from file/CLI data, tolerating absent keys.
+
+    A value of the wrong shape raises ``ValueError`` naming
+    the key and the shape it needs.
+    """
     known: dict[str, Any] = {}
     for key in ("mode", "ci_variant", "egr_mode", "cagr_mode", "rgr_mode",
-                "totals_source", "strict", "absent_marker"):
+                "totals_source", "strict"):
         if data.get(key) is not None:
             known[key] = data[key]
-    if data.get("study_window") is not None:
-        first, last = data["study_window"]
-        known["study_window"] = (int(first), int(last))
-    if data.get("taxonomy") is not None:
-        known["taxonomy"] = tuple(str(t) for t in data["taxonomy"])
-    if data.get("page_bins") is not None:
-        known["page_bins"] = tuple(
-            (int(lo), None if hi is None else int(hi)) for lo, hi in data["page_bins"]
-        )
+    for key, (shape, convert) in _SHAPED.items():
+        value = data.get(key)
+        if value is not None:
+            try:
+                known[key] = convert(value)
+            except (TypeError, ValueError):
+                raise ValueError(f"invalid {key}: {value!r} (expected {shape})") from None
     return AnalysisConfig(**known)

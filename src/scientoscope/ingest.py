@@ -53,6 +53,11 @@ AGGREGATE_FIELDS = ("year", "papers", "a1", "a2", "a3", "a4", "a5plus",
 
 _SUBJECT_PREFIX = "subj:"
 
+#: Largest count validation accepts. Floats hold every count up to it
+#: exactly, and the ratios and sums of such counts stay far inside the
+#: float range, so no indicator overflows.
+MAX_COUNT = 2**53
+
 
 def _decode(source: bytes | str) -> str:
     if isinstance(source, str):
@@ -139,8 +144,10 @@ def _rows(text: str, format: str, kind: str,
     elif format == "json":
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
             raise ParseError(f"invalid JSON: {exc}") from None
+        except RecursionError:
+            raise ParseError("invalid JSON: nested too deeply") from None
         if not isinstance(data, list):
             raise ParseError(f"{kind} JSON must be a top-level list")
         for index, obj in enumerate(data, start=1):
@@ -254,13 +261,19 @@ def parse_aggregates(source: bytes | str, format: str = "csv") -> Dataset:
 
 
 def sniff_granularity(source: bytes | str, format: str = "csv") -> str:
-    """Guess records vs aggregates from the CSV header line or the first JSON object."""
-    text = _decode(source)
+    """Guess records vs aggregates from the CSV header line or the first JSON object.
+
+    For CSV only the header line is decoded; the parse reports bad bytes
+    further on.
+    """
     if format == "csv":
-        end = text.find("\n")
-        names = _csv_header(_csv_records(text[:end] if end >= 0 else text), "input", ())
+        # Keep the newline, so a multi-byte sequence it cuts short fails
+        # with the message decoding the whole input would give.
+        end = source.find(b"\n" if isinstance(source, bytes) else "\n")
+        head = _decode(source[:end + 1] if end >= 0 else source)
+        names = _csv_header(_csv_records(head), "input", ())
     else:
-        names = next(_rows(text, format, "input"), ("", {}))[1]
+        names = next(_rows(_decode(source), format, "input"), ("", {}))[1]
     if "papers" in names:
         return "aggregates"
     if "title" in names or "authors" in names:
@@ -277,8 +290,11 @@ def _validate_record(record: BibRecord, location: str, window: tuple[int, int],
                      report: ValidationReport) -> None:
     if record.author_count is not None and record.authors:
         report.error(location, "author-source", "both author list and author_count present")
-    if record.n_authors < 1:
+    n_authors = record.n_authors
+    if n_authors < 1:
         report.error(location, "author-count", "author count must be >= 1")
+    elif n_authors > MAX_COUNT:
+        report.error(location, "count-range", f"author count is above {MAX_COUNT}")
     if not (window[0] <= record.year <= window[1]):
         report.error(location, "year-window",
                      f"year {record.year} outside study window {window[0]}-{window[1]}")
@@ -303,20 +319,23 @@ def _validate_aggregate(agg: YearAggregate, window: tuple[int, int], strict: boo
     if not (window[0] <= agg.year <= window[1]):
         report.error(location, "year-window",
                      f"year {agg.year} outside study window {window[0]}-{window[1]}")
-    if agg.papers < 0:
-        report.error(location, "negative-count", f"papers is negative: {agg.papers}")
     if len(agg.authorship_bins) != 5:
         report.error(location, "bin-shape",
                      f"expected 5 authorship bins, got {len(agg.authorship_bins)}")
-    for name, bins in (("authorship", agg.authorship_bins), ("page", agg.page_bins)):
-        for i, count in enumerate(bins):
-            if count < 0:
-                report.error(location, "negative-count", f"{name} bin {i + 1} is negative: {count}")
-    for label, count in agg.subject_counts.items():
+    counts = [
+        ("papers", agg.papers),
+        *((f"authorship bin {i}", n) for i, n in enumerate(agg.authorship_bins, start=1)),
+        *((f"page bin {i}", n) for i, n in enumerate(agg.page_bins, start=1)),
+        *((f"subject {label!r}", n) for label, n in agg.subject_counts.items()),
+        ("total_authors", agg.total_authors),
+    ]
+    for what, count in counts:
+        if count is None:
+            continue
         if count < 0:
-            report.error(location, "negative-count", f"subject {label!r} is negative: {count}")
-    if agg.total_authors is not None and agg.total_authors < 0:
-        report.error(location, "negative-count", f"total_authors is negative: {agg.total_authors}")
+            report.error(location, "negative-count", f"{what} is negative: {count}")
+        elif count > MAX_COUNT:
+            report.error(location, "count-range", f"{what} is above {MAX_COUNT}")
 
     finding = report.error if strict else report.warn
     checks = (
@@ -329,7 +348,7 @@ def _validate_aggregate(agg: YearAggregate, window: tuple[int, int], strict: boo
             finding(location, rule, f"{what} sum {total} != papers {agg.papers}")
 
 
-def check_year_gaps(years: list[int], report: ValidationReport) -> None:
+def _check_year_gaps(years: list[int], report: ValidationReport) -> None:
     """Report each run of years missing from *years* as one ``year-gap`` error.
 
     A single missing year is located at that year (``2014``), a longer
@@ -346,26 +365,26 @@ def validate(dataset: Dataset, *, strict: bool = False,
              window: tuple[int, int] | None = None) -> ValidationReport:
     """Check every dataset invariant, reporting rather than fixing.
 
-    ``strict`` promotes bin-sum mismatches from warnings to errors.
-    The dataset is accepted iff the report has no errors; running twice
-    yields identical reports.
+    Both granularities get the year-gap rule, because the growth
+    indicators assume an unbroken year sequence. ``strict`` promotes
+    bin-sum mismatches from warnings to errors. The dataset is accepted
+    iff the report has no errors; running twice yields identical reports.
     """
     report = ValidationReport()
     window = window or dataset.study_window
 
     if dataset.granularity == "records":
+        years = dataset.years
         report.record_count = len(dataset.records)
-        report.year_count = len(dataset.years)
         for i, record in enumerate(dataset.records, start=1):
             _validate_record(record, f"record {i}", window, report)
-        return report
-
-    report.year_count = len(dataset.aggregates)
-    years = [a.year for a in dataset.aggregates]
-    for year, n in sorted(Counter(years).items()):
-        if n > 1:
-            report.error(str(year), "duplicate-year", f"year {year} appears {n} times")
-    check_year_gaps(years, report)
+    else:
+        years = [a.year for a in dataset.aggregates]
+        for year, n in sorted(Counter(years).items()):
+            if n > 1:
+                report.error(str(year), "duplicate-year", f"year {year} appears {n} times")
+    report.year_count = len(years)
+    _check_year_gaps(years, report)
     for agg in dataset.aggregates:
         _validate_aggregate(agg, window, strict, report)
     return report

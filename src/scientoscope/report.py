@@ -71,10 +71,11 @@ class ColumnSpec:
 
 @dataclass(frozen=True)
 class DisplayPolicy:
-    """Display conventions: rounding is always half-up; ``totals_source``
-    selects whether footer totals of real-valued columns are
-    re-derived from the rounded cells (the source study's habit) or
-    taken at full precision."""
+    """Display conventions: rounding is always half-up.
+
+    ``totals_source = rounded_cells`` only adds the CSV renderer's
+    "(display)" columns; the table builders derive the footer totals
+    themselves."""
 
     absent_marker: str = "-"
     totals_source: str = "full_precision"  # or "rounded_cells"

@@ -3,12 +3,28 @@
 import json
 from dataclasses import replace
 
-from scientoscope import AnalysisConfig, ColumnSpec, parse_aggregates, year_distribution_table
+import pytest
+
+from scientoscope import (
+    AnalysisConfig,
+    ColumnSpec,
+    cli,
+    parse_aggregates,
+    year_distribution_table,
+)
 from scientoscope.cli import demo_aggregates_path, demo_records_path, main
 from scientoscope.golden import GoldenCheck, check_outcome
 
 AGG_PATH = str(demo_aggregates_path())
 REC_PATH = str(demo_records_path())
+
+
+def _without_2015(source, tmp_path):
+    """Copy of a bundled demo file without its 2015 rows."""
+    lines = source.read_text(encoding="utf-8").splitlines(keepends=True)
+    path = tmp_path / f"no_2015_{source.name}"
+    path.write_text("".join(line for line in lines if not line.startswith("2015,")))
+    return str(path)
 
 
 def test_validate_demo_lenient(capsys):
@@ -152,15 +168,54 @@ def test_totals_source_override_applies_to_table3(tmp_path, capsys):
 
 def test_records_with_missing_year_fail_the_gap_rule(tmp_path, capsys):
     # Without its 2015 rows the demo would print EGR and CAGR over a bridged 2014 -> 2016.
-    lines = demo_records_path().read_text(encoding="utf-8").splitlines(keepends=True)
-    path = tmp_path / "no_2015.csv"
-    path.write_text("".join(line for line in lines if not line.startswith("2015,")))
-    rc = main(["analyze", "--input", str(path)])
+    rc = main(["analyze", "--input", _without_2015(demo_records_path(), tmp_path)])
     captured = capsys.readouterr()
     assert rc == 1
-    assert "ERROR   [year-gap] 2015: gap at 2015" in captured.err
-    assert "page-bin-sum" not in captured.err
+    # No page-bin-sum warning, and no bridge warnings after the error.
+    assert captured.err == "ERROR   [year-gap] 2015: gap at 2015\n"
     assert captured.out == ""
+
+
+def test_validate_records_with_missing_year_fails(tmp_path, capsys):
+    rc = main(["validate", "--input", _without_2015(demo_records_path(), tmp_path)])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "ERROR   [year-gap] 2015: gap at 2015" in out
+
+
+def test_reproduce_paper_rejects_aggregates_with_missing_year(tmp_path, capsys):
+    path = _without_2015(demo_aggregates_path(), tmp_path)
+    rc = main(["reproduce-paper", "--mode", "standard", "--input", path])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert "ERROR   [year-gap] 2015: gap at 2015" in captured.err
+
+
+def test_reproduce_paper_bridges_record_input(capsys):
+    rc = main(["reproduce-paper", "--mode", "standard", "--input", REC_PATH])
+    captured = capsys.readouterr()
+    assert rc == 0
+    title_rules = [line for line in captured.out.splitlines() if line and set(line) == {"="}]
+    assert len(title_rules) == 8
+    assert "unknown-subject" in captured.err
+
+
+def _finding_lines(text):
+    return [line for line in text.splitlines() if line.startswith(("ERROR ", "WARNING "))]
+
+
+@pytest.mark.parametrize("granularity", ["aggregates", "records"])
+@pytest.mark.parametrize("flags", [[], ["--strict"]])
+def test_every_command_reports_the_same_findings(granularity, flags, capsys):
+    path = AGG_PATH if granularity == "aggregates" else REC_PATH
+    validate_rc = main(["validate", "--input", path, *flags])
+    findings = _finding_lines(capsys.readouterr().out)
+    assert findings
+    for command in (["analyze"], ["reproduce-paper", "--mode", "standard"]):
+        rc = main([*command, "--input", path, *flags])
+        assert capsys.readouterr().err.splitlines() == findings
+        assert rc == validate_rc
 
 
 def test_counts_beyond_decimal_precision_do_not_crash(tmp_path, capsys):
@@ -171,6 +226,32 @@ def test_counts_beyond_decimal_precision_do_not_crash(tmp_path, capsys):
     rc = main(["analyze", "--input", str(path), "--table", "all"])
     assert rc in (0, 1)
     assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[" * 200_000, "invalid JSON: nested too deeply"),
+    ('[{"year": ' + "9" * 5000 + "}]", "invalid JSON: Exceeds the limit (4300 digits)"),
+])
+def test_json_the_decoder_cannot_hold_exits_2(text, message, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_text(text)
+    assert main(["analyze", "--input", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+def test_bad_utf8_after_the_csv_header_exits_2(tmp_path, capsys):
+    path = tmp_path / "bad_bytes.csv"
+    path.write_bytes(demo_records_path().read_bytes() + b"2017,,,\xff,A,1,2,ICT\n")
+    assert main(["analyze", "--input", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: input is not valid UTF-8: ")
+
+
+def test_counts_beyond_the_float_range_exit_1(tmp_path, capsys):
+    header = "year,papers,a1,a2,a3,a4,a5plus,total_authors,p1to5,p6to10,pabove10,subj:A\n"
+    path = tmp_path / "overflow.csv"
+    path.write_text(header + f"2013,{10**400},1,0,0,0,0,1,1,0,0,1\n")
+    assert main(["analyze", "--input", str(path)]) == 1
+    assert "ERROR   [count-range] 2013: papers is above 9007199254740992" in capsys.readouterr().err
 
 
 def test_json_element_not_an_object_exits_2(tmp_path, capsys):
@@ -202,6 +283,26 @@ def test_config_env_var_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("SCIENTOSCOPE_CONFIG", str(cfg))
     main(["analyze", "--input", AGG_PATH, "--table", "1"])
     assert "mode=standard" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("key, value, shape", [
+    ("study_window", 5, "[first, last]"),
+    ("taxonomy", 5, "a list of labels"),
+    ("page_bins", [[1]], "a list of [low, high or null]"),
+    ("absent_marker", 5, "a string"),
+])
+def test_config_value_of_wrong_shape_exits_1(key, value, shape, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert main(["analyze", "--input", AGG_PATH, "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == f"error: invalid {key}: {value!r} (expected {shape})\n"
+
+
+def test_config_input_that_is_not_a_path_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"input": 5}))
+    assert main(["analyze", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == "error: invalid input: 5 (expected a path)\n"
 
 
 def test_config_study_window_enforced(tmp_path, capsys):
@@ -284,6 +385,26 @@ def test_reproduce_paper_json(capsys):
     assert len(doc["tables"]) == 8
     assert doc["conformance"]["failed"] == 0
     assert doc["conformance"]["exempted"] == 6
+    assert not any("problem" in check for check in doc["conformance"]["checks"])
+
+
+def test_reproduce_paper_json_keeps_the_reason_a_check_failed(monkeypatch, capsys):
+    def renamed_table_1(dataset, config):
+        table = year_distribution_table(dataset)
+        columns = [ColumnSpec("Cumulative", c.kind) if c.header == "Cum. papers" else c
+                   for c in table.columns]
+        return replace(table, columns=columns)
+
+    monkeypatch.setitem(cli._TABLE_BUILDERS, 1, renamed_table_1)
+    rc = main(["reproduce-paper", "--format", "json"])
+    assert rc == 1
+    checks = json.loads(capsys.readouterr().out)["conformance"]["checks"]
+    failed = [c for c in checks if c["status"] == "fail"]
+    assert [c["name"] for c in failed] == [f"table 1 / {y} / cum. papers"
+                                           for y in range(2013, 2018)]
+    assert all(c["actual"] is None and c["problem"] == "table 1 has no column 'Cum. papers'"
+               for c in failed)
+    assert not any("problem" in c for c in checks if c["status"] != "fail")
 
 
 def test_indicators_command(capsys):

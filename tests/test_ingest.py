@@ -18,6 +18,7 @@ from scientoscope import (
     write_aggregates_csv,
 )
 from scientoscope.cli import demo_records_path
+from scientoscope.ingest import MAX_COUNT
 
 RECORD_HEADER = "year,volume,issue,title,authors,start_page,end_page,subject"
 AGG_HEADER = ("year,papers,a1,a2,a3,a4,a5plus,total_authors,p1to5,p6to10,pabove10,"
@@ -151,6 +152,10 @@ def test_validate_year_gap():
             "2015,1,1,0,0,0,0,1,1,0,0,1,0\n")
     report = validate(parse_aggregates(text))
     assert any(f.rule == "year-gap" and f.location == "2014" for f in report.errors)
+    records = parse_records(RECORD_HEADER + "\n2013,,,T1,A,1,2,ICT\n2015,,,T2,A,1,2,ICT\n")
+    report = validate(records)
+    assert [(f.location, f.rule) for f in report.errors] == [("2014", "year-gap")]
+    assert (report.record_count, report.year_count) == (2, 2)
 
 
 def test_validate_long_year_gap_is_one_finding():
@@ -160,6 +165,16 @@ def test_validate_long_year_gap_is_one_finding():
     report = validate(parse_aggregates(text))
     gaps = [f for f in report.errors if f.rule == "year-gap"]
     assert [(f.location, f.message) for f in gaps] == [("2-1999999", "gap at 2-1999999")]
+
+
+def test_validate_counts_above_the_limit():
+    big = MAX_COUNT + 1
+    report = validate(parse_aggregates(AGG_HEADER + f"\n2013,1,1,0,0,0,0,{big},1,0,0,1,0\n"))
+    assert [(f.rule, f.message) for f in report.errors] == [
+        ("count-range", f"total_authors is above {MAX_COUNT}")]
+    records = parse_records("year,title,authors,subject,volume,issue,start_page,end_page,"
+                            f"author_count\n2013,T,,ICT,,,,,{big}\n")
+    assert [f.rule for f in validate(records).errors] == ["count-range"]
 
 
 def test_bin_sum_mismatch_lenient_vs_strict():
@@ -243,6 +258,11 @@ def test_aggregates_csv_round_trip(demo_dataset):
 def test_sniff_granularity():
     assert sniff_granularity(AGG_HEADER + "\n") == "aggregates"
     assert sniff_granularity(RECORD_HEADER + "\n") == "records"
+    # Only the CSV header is decoded; the parse reports the bad byte.
+    raw = (RECORD_HEADER + "\n2013,,,T,A,1,2,ICT\n").encode() + b"2014,,,\xff,A,1,2,ICT\n"
+    assert sniff_granularity(raw) == "records"
+    with pytest.raises(ParseError, match="input is not valid UTF-8"):
+        parse_records(raw)
 
 
 def test_parse_aggregates_json_round_trip(demo_dataset):
