@@ -30,7 +30,7 @@ from importlib import resources
 from pathlib import Path
 
 from . import __version__
-from .config import AnalysisConfig, config_from_dict
+from .config import CONFIG_KEYS, AnalysisConfig, config_from_dict
 from .distributions import (
     authorship_table,
     page_length_table,
@@ -40,6 +40,8 @@ from .distributions import (
 from .golden import conformance_lines, run_conformance
 from .indicators import collaboration_table, egr_table, productivity_table, rgr_table
 from .ingest import (
+    AGGREGATE_FIELDS,
+    RECORD_FIELDS,
     aggregate_records,
     findings_as_json,
     findings_as_text,
@@ -53,6 +55,9 @@ from .report import DisplayPolicy, ReportTable, render, table_as_json_obj
 
 CONFIG_ENV_VAR = "SCIENTOSCOPE_CONFIG"
 FORMATS = ("text", "csv", "json", "markdown")
+GRANULARITIES = ("records", "aggregates")
+#: Config-file keys that set up the run rather than the analysis.
+_RUN_KEYS = ("input", "format", "table", "granularity", "timestamp")
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -84,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help=f"JSON config file (or ${CONFIG_ENV_VAR})")
     common.add_argument("--show-config", action="store_true",
                         help="print the effective configuration before output")
-    common.add_argument("--granularity", choices=("records", "aggregates"), default=None,
+    common.add_argument("--granularity", choices=GRANULARITIES, default=None,
                         help="input granularity (default: sniffed from header)")
     common.add_argument("--timestamp", action="store_true", default=None,
                         help="include a timestamp in the metadata line")
@@ -121,8 +126,11 @@ def _load_file_config(args: argparse.Namespace) -> dict:
 def _effective_options(args: argparse.Namespace) -> tuple[AnalysisConfig, dict]:
     """Merge defaults, config file, and flags (flag beats file beats default)."""
     file_cfg = _load_file_config(args)
+    unknown = sorted(set(file_cfg) - set(CONFIG_KEYS) - set(_RUN_KEYS))
+    if unknown:
+        raise ValueError(f"unknown config key: {unknown[0]!r}")
     merged = dict(file_cfg)
-    for key in ("input", "format", "mode", "table", "strict", "granularity", "timestamp"):
+    for key in ("mode", "strict", *_RUN_KEYS):
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = str(value) if key == "input" else value
@@ -136,6 +144,9 @@ def _effective_options(args: argparse.Namespace) -> tuple[AnalysisConfig, dict]:
         "granularity": merged.get("granularity"),
         "timestamp": bool(merged.get("timestamp")),
     }
+    for key, valid in (("format", FORMATS), ("granularity", GRANULARITIES)):
+        if run[key] is not None and run[key] not in valid:
+            raise ValueError(f"invalid {key}: {run[key]!r} (expected one of {valid})")
     return config, run
 
 
@@ -317,10 +328,9 @@ def cmd_reproduce_paper(config: AnalysisConfig, run: dict) -> int:
 
 
 def cmd_schema(config: AnalysisConfig, run: dict) -> int:
-    record_header = ("year,volume,issue,title,authors,start_page,end_page,subject"
-                     "[,author_count][,page_count]")
-    aggregate_header = ("year,papers,a1,a2,a3,a4,a5plus,total_authors,p1to5,p6to10,pabove10,"
-                        + ",".join(f"subj:{label}" for label in config.taxonomy))
+    record_header = ",".join(RECORD_FIELDS) + "[,author_count][,page_count]"
+    aggregate_header = ",".join([*AGGREGATE_FIELDS,
+                                 *(f"subj:{label}" for label in config.taxonomy)])
     if run["format"] == "json":
         print(json.dumps({
             "records_csv": record_header,

@@ -1,4 +1,4 @@
-"""Analysis configuration: mode switches, binning, and taxonomy.
+"""Analysis configuration: mode switches and taxonomy.
 
 The toolkit runs in one of two top-level modes. ``paper`` reproduces the
 display and formula conventions of the source study's published tables;
@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from typing import Any
+
+from .model import PAGE_BINS
 
 #: Subject taxonomy of the bundled demonstration dataset, in display order.
 #: "Others" is the catch-all every unknown label maps to.
@@ -33,10 +35,7 @@ DEFAULT_TAXONOMY: tuple[str, ...] = (
     "Others",
 )
 
-#: Inclusive page-count bins; ``None`` marks an open upper end.
-DEFAULT_PAGE_BINS: tuple[tuple[int, int | None], ...] = ((1, 5), (6, 10), (11, None))
-
-# Per-indicator defaults implied by each top-level mode.
+# The per-indicator switches and the value each top-level mode gives them.
 _MODE_DEFAULTS = {
     "paper": {
         "ci_variant": "printed",
@@ -54,13 +53,13 @@ _MODE_DEFAULTS = {
     },
 }
 
+_SWITCHES = tuple(_MODE_DEFAULTS["paper"])
+
+# Accepted values of ``mode`` and of each switch, in mode order.
 _VALID = {
-    "mode": ("paper", "standard"),
-    "ci_variant": ("printed", "stated"),
-    "egr_mode": ("paper", "log"),
-    "cagr_mode": ("paper_years", "intervals"),
-    "rgr_mode": ("paper", "standard"),
-    "totals_source": ("rounded_cells", "full_precision"),
+    "mode": tuple(_MODE_DEFAULTS),
+    **{name: tuple(defaults[name] for defaults in _MODE_DEFAULTS.values())
+       for name in _SWITCHES},
 }
 
 
@@ -81,14 +80,13 @@ class AnalysisConfig:
     strict: bool = False
     study_window: tuple[int, int] | None = None
     taxonomy: tuple[str, ...] = DEFAULT_TAXONOMY
-    page_bins: tuple[tuple[int, int | None], ...] = DEFAULT_PAGE_BINS
     absent_marker: str = "-"
 
     def __post_init__(self) -> None:
-        for name in ("mode", "ci_variant", "egr_mode", "cagr_mode", "rgr_mode", "totals_source"):
+        for name, valid in _VALID.items():
             value = getattr(self, name)
-            if value is not None and value not in _VALID[name]:
-                raise ValueError(f"invalid {name}: {value!r} (expected one of {_VALID[name]})")
+            if value is not None and value not in valid:
+                raise ValueError(f"invalid {name}: {value!r} (expected one of {valid})")
 
     def resolved(self, name: str) -> str:
         """Effective value of a per-indicator switch under the current mode."""
@@ -97,30 +95,22 @@ class AnalysisConfig:
             return explicit
         return _MODE_DEFAULTS[self.mode][name]
 
-    def with_overrides(self, **kwargs: Any) -> "AnalysisConfig":
-        kwargs = {k: v for k, v in kwargs.items() if v is not None}
-        return replace(self, **kwargs) if kwargs else self
-
     def to_dict(self) -> dict[str, Any]:
         """Effective configuration as a plain dict (for display and hashing)."""
         return {
             "mode": self.mode,
-            "ci_variant": self.resolved("ci_variant"),
-            "egr_mode": self.resolved("egr_mode"),
-            "cagr_mode": self.resolved("cagr_mode"),
-            "rgr_mode": self.resolved("rgr_mode"),
-            "totals_source": self.resolved("totals_source"),
+            **{name: self.resolved(name) for name in _SWITCHES},
             "strict": self.strict,
             "study_window": list(self.study_window) if self.study_window else None,
             "taxonomy": list(self.taxonomy),
-            "page_bins": [[lo, hi] for lo, hi in self.page_bins],
+            "page_bins": [[lo, hi] for _, _, lo, hi in PAGE_BINS],
             "absent_marker": self.absent_marker,
         }
 
     def overrides(self) -> dict[str, str]:
         """Per-indicator switches that depart from the mode's defaults."""
         out = {}
-        for name in ("ci_variant", "egr_mode", "cagr_mode", "rgr_mode", "totals_source"):
+        for name in _SWITCHES:
             explicit = getattr(self, name)
             if explicit is not None and explicit != _MODE_DEFAULTS[self.mode][name]:
                 out[name] = explicit
@@ -132,13 +122,20 @@ class AnalysisConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
 
+#: The keys a config file may set for the analysis: the config's fields.
+CONFIG_KEYS = tuple(f.name for f in fields(AnalysisConfig))
+
+
 def _window(value: Any) -> tuple[int, int]:
     first, last = value
     return int(first), int(last)
 
 
-def _page_bins(value: Any) -> tuple[tuple[int, int | None], ...]:
-    return tuple((int(lo), None if hi is None else int(hi)) for lo, hi in value)
+def _taxonomy(value: Any) -> tuple[str, ...]:
+    labels = tuple(str(t) for t in value)
+    if "Others" not in labels or len(set(labels)) != len(labels):
+        raise ValueError(value)
+    return labels
 
 
 def _string(value: Any) -> str:
@@ -151,8 +148,7 @@ def _string(value: Any) -> str:
 # messages) and converter.
 _SHAPED = {
     "study_window": ("[first, last]", _window),
-    "taxonomy": ("a list of labels", lambda value: tuple(str(t) for t in value)),
-    "page_bins": ("a list of [low, high or null]", _page_bins),
+    "taxonomy": ("distinct labels that include 'Others'", _taxonomy),
     "absent_marker": ("a string", _string),
 }
 
@@ -163,16 +159,11 @@ def config_from_dict(data: dict[str, Any]) -> AnalysisConfig:
     A value of the wrong shape raises ``ValueError`` naming
     the key and the shape it needs.
     """
-    known: dict[str, Any] = {}
-    for key in ("mode", "ci_variant", "egr_mode", "cagr_mode", "rgr_mode",
-                "totals_source", "strict"):
-        if data.get(key) is not None:
-            known[key] = data[key]
+    known = {key: data[key] for key in CONFIG_KEYS if data.get(key) is not None}
     for key, (shape, convert) in _SHAPED.items():
-        value = data.get(key)
-        if value is not None:
+        if key in known:
             try:
-                known[key] = convert(value)
+                known[key] = convert(known[key])
             except (TypeError, ValueError):
-                raise ValueError(f"invalid {key}: {value!r} (expected {shape})") from None
+                raise ValueError(f"invalid {key}: {known[key]!r} (expected {shape})") from None
     return AnalysisConfig(**known)

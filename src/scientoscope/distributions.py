@@ -13,15 +13,37 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import AnalysisConfig
-from .model import AUTHORSHIP_BIN_LABELS, Dataset, YearAggregate
+from .model import AUTHORSHIP_BIN_LABELS, PAGE_BINS, Dataset, YearAggregate
 from .report import ColumnSpec, ReportTable
 
-PAGE_BIN_LABELS = ("1-5 pages", "6-10 pages", "Above 10 pages")
+PAGE_BIN_LABELS = tuple(label for _, label, _, _ in PAGE_BINS)
 
 
 def _pct(part: float, whole: float) -> float:
     """part/whole as a percentage; 0 when the denominator is 0."""
     return part / whole * 100.0 if whole else 0.0
+
+
+def _bin_table(title: str, labels: tuple[str, ...], rows: list[tuple],
+               footer: tuple) -> ReportTable:
+    """Year, then a count and a % per bin, then Papers and Papers %, from
+    rows and a footer of ``(first cell, counts, percents, papers, papers %)``."""
+    columns = [ColumnSpec("Year", "year")]
+    for label in labels:
+        columns.append(ColumnSpec(label, "count"))
+        columns.append(ColumnSpec(f"{label} %", "percent", 2))
+    columns.append(ColumnSpec("Papers", "count"))
+    columns.append(ColumnSpec("Papers %", "percent", 1))
+
+    def cells(first, counts, percents, papers, percent_of_total) -> list:
+        out: list = [first]
+        for count, percent in zip(counts, percents):
+            out.extend([count, percent])
+        out.extend([papers, percent_of_total])
+        return out
+
+    return ReportTable(title=title, columns=columns,
+                       rows=[cells(*row) for row in rows], footer=cells(*footer))
 
 
 def _require_aggregates(dataset: Dataset) -> tuple[YearAggregate, ...]:
@@ -131,25 +153,11 @@ def authorship_pattern(dataset: Dataset) -> tuple[list[AuthorshipRow], Authorshi
 
 def authorship_table(dataset: Dataset) -> ReportTable:
     rows, footer = authorship_pattern(dataset)
-    columns = [ColumnSpec("Year", "year")]
-    for label in AUTHORSHIP_BIN_LABELS:
-        columns.append(ColumnSpec(label, "count"))
-        columns.append(ColumnSpec(f"{label} %", "percent", 2))
-    columns.append(ColumnSpec("Papers", "count"))
-    columns.append(ColumnSpec("Papers %", "percent", 1))
-
-    def cells(row: AuthorshipRow, label: object) -> list:
-        out: list = [label]
-        for count, percent in zip(row.bin_counts, row.bin_row_percents):
-            out.extend([count, percent])
-        out.extend([row.papers, row.percent_of_total])
-        return out
-
-    return ReportTable(
-        title="Authorship pattern by year",
-        columns=columns,
-        rows=[cells(r, r.year) for r in rows],
-        footer=cells(footer, "Total"),
+    return _bin_table(
+        "Authorship pattern by year", AUTHORSHIP_BIN_LABELS,
+        [(r.year, r.bin_counts, r.bin_row_percents, r.papers, r.percent_of_total) for r in rows],
+        ("Total", footer.bin_counts, footer.bin_row_percents, footer.papers,
+         footer.percent_of_total),
     )
 
 
@@ -171,8 +179,7 @@ def page_length_distribution(dataset: Dataset) -> tuple[list[PageLengthRow], tup
     """Per-year page bins with column percentages and the column totals."""
     aggregates = _require_aggregates(dataset)
     total_papers = sum(a.papers for a in aggregates)
-    n_bins = len(aggregates[0].page_bins) if aggregates else 0
-    column_totals = tuple(sum(a.page_bins[i] for a in aggregates) for i in range(n_bins))
+    column_totals = tuple(sum(a.page_bins[i] for a in aggregates) for i in range(len(PAGE_BINS)))
     rows = []
     for agg in aggregates:
         rows.append(PageLengthRow(
@@ -190,31 +197,12 @@ def page_length_distribution(dataset: Dataset) -> tuple[list[PageLengthRow], tup
 def page_length_table(dataset: Dataset) -> ReportTable:
     rows, column_totals = page_length_distribution(dataset)
     total_papers = sum(r.papers for r in rows)
-    labels = PAGE_BIN_LABELS[:len(column_totals)]
-    columns = [ColumnSpec("Year", "year")]
-    for label in labels:
-        columns.append(ColumnSpec(label, "count"))
-        columns.append(ColumnSpec(f"{label} %", "percent", 2))
-    columns.append(ColumnSpec("Papers", "count"))
-    columns.append(ColumnSpec("Papers %", "percent", 1))
-
-    table_rows = []
-    for row in rows:
-        cells: list = [row.year]
-        for count, percent in zip(row.bin_counts, row.bin_column_percents):
-            cells.extend([count, percent])
-        cells.extend([row.papers, row.percent_of_total])
-        table_rows.append(cells)
-    footer: list = ["Total"]
-    for total in column_totals:
-        footer.extend([total, None])
-    footer.extend([total_papers, 100.0 if total_papers else 0.0])
-
-    return ReportTable(
-        title="Page-length distribution of articles",
-        columns=columns,
-        rows=table_rows,
-        footer=footer,
+    return _bin_table(
+        "Page-length distribution of articles", PAGE_BIN_LABELS,
+        [(r.year, r.bin_counts, r.bin_column_percents, r.papers, r.percent_of_total)
+         for r in rows],
+        ("Total", column_totals, (None,) * len(column_totals), total_papers,
+         100.0 if total_papers else 0.0),
     )
 
 

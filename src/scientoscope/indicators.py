@@ -281,6 +281,15 @@ def exponential_growth(series: list[tuple[int, int]], mode: str = "paper") -> Eg
     return EgrResult(rows=rows, total=total)
 
 
+def _cagr_periods(years: int, mode: str) -> int:
+    """Compounding periods n of a CAGR over ``years`` calendar years."""
+    if mode == "paper_years":
+        return years
+    if mode == "intervals":
+        return years - 1
+    raise ValueError(f"unknown CAGR mode: {mode!r}")
+
+
 def cagr(first: int, last: int, years: int, mode: str = "paper_years") -> float:
     """Compound annual growth rate over a window, in percent.
 
@@ -290,12 +299,7 @@ def cagr(first: int, last: int, years: int, mode: str = "paper_years") -> float:
     """
     if first <= 0 or last <= 0:
         raise ValueError("CAGR requires positive first and last counts")
-    if mode == "paper_years":
-        n = years
-    elif mode == "intervals":
-        n = years - 1
-    else:
-        raise ValueError(f"unknown CAGR mode: {mode!r}")
+    n = _cagr_periods(years, mode)
     if n <= 0:
         raise ValueError("CAGR undefined over zero periods")
     return ((last / first) ** (1.0 / n) - 1.0) * 100.0
@@ -313,7 +317,7 @@ def egr_table(dataset: Dataset, config: AnalysisConfig | None = None) -> ReportT
         total = sum(round_half_up(r.egr, 2) for r in result.rows if r.egr is not None)
     else:
         total = result.total
-    n_periods = len(series) if config.resolved("cagr_mode") == "paper_years" else len(series) - 1
+    n_periods = _cagr_periods(len(series), config.resolved("cagr_mode"))
     return ReportTable(
         title="Exponential growth rate of publications",
         columns=[

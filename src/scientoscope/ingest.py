@@ -24,8 +24,11 @@ aggregates::
 
     year,papers,a1,a2,a3,a4,a5plus,total_authors,p1to5,p6to10,pabove10,subj:<label>,...
 
-with one ``subj:<label>`` column per taxonomy entry. JSON mirrors the
-same field names, one object per record/aggregate, in a top-level list.
+with one ``subj:<label>`` column per taxonomy entry. The page columns
+are the study's fixed page-length classes (1-5, 6-10 and above 10
+pages, :data:`~scientoscope.model.PAGE_BINS`), and the record bridge
+bins page counts into the same classes. JSON mirrors the same field
+names, one object per record/aggregate, in a top-level list.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from collections.abc import Iterator
 
 from .config import AnalysisConfig
 from .model import (
+    PAGE_BINS,
     POOLED_BIN_AUTHOR_VALUE,
     BibRecord,
     Dataset,
@@ -48,8 +52,9 @@ from .model import (
 )
 
 RECORD_FIELDS = ("year", "volume", "issue", "title", "authors", "start_page", "end_page", "subject")
-AGGREGATE_FIELDS = ("year", "papers", "a1", "a2", "a3", "a4", "a5plus",
-                    "total_authors", "p1to5", "p6to10", "pabove10")
+_AUTHORSHIP_FIELDS = ("a1", "a2", "a3", "a4", "a5plus")
+_PAGE_FIELDS = tuple(column for column, _, _, _ in PAGE_BINS)
+AGGREGATE_FIELDS = ("year", "papers", *_AUTHORSHIP_FIELDS, "total_authors", *_PAGE_FIELDS)
 
 _SUBJECT_PREFIX = "subj:"
 
@@ -224,8 +229,8 @@ def parse_records(source: bytes | str, format: str = "csv") -> Dataset:
 def _aggregate_from_fields(fields: dict[str, str | None], location: str) -> YearAggregate:
     year = _req_int(fields.get("year"), "year", location)
     papers = _req_int(fields.get("papers"), "papers", location)
-    bins = tuple(_req_int(fields.get(k), k, location) for k in ("a1", "a2", "a3", "a4", "a5plus"))
-    pages = tuple(_req_int(fields.get(k), k, location) for k in ("p1to5", "p6to10", "pabove10"))
+    bins = tuple(_req_int(fields.get(k), k, location) for k in _AUTHORSHIP_FIELDS)
+    pages = tuple(_req_int(fields.get(k), k, location) for k in _PAGE_FIELDS)
     subject_counts = {
         key[len(_SUBJECT_PREFIX):]: _req_int(value, key, location)
         for key, value in fields.items() if key.startswith(_SUBJECT_PREFIX)
@@ -395,13 +400,6 @@ def validate(dataset: Dataset, *, strict: bool = False,
 # ---------------------------------------------------------------------------
 
 
-def _page_bin_index(page_count: int, page_bins: tuple[tuple[int, int | None], ...]) -> int | None:
-    for i, (lo, hi) in enumerate(page_bins):
-        if page_count >= lo and (hi is None or page_count <= hi):
-            return i
-    return None
-
-
 def aggregate_records(dataset: Dataset,
                       config: AnalysisConfig | None = None) -> tuple[Dataset, ValidationReport]:
     """Tabulate records into per-year aggregates.
@@ -427,7 +425,7 @@ def aggregate_records(dataset: Dataset,
         records = by_year[year]
         bins = [0, 0, 0, 0, 0]
         total_authors = 0
-        pages = [0] * len(config.page_bins)
+        pages = [0] * len(PAGE_BINS)
         subjects: dict[str, int] = {label: 0 for label in config.taxonomy}
         for record in records:
             n = record.n_authors
@@ -437,12 +435,13 @@ def aggregate_records(dataset: Dataset,
                 report.warn(f"{year}: {record.title!r}", "missing-pages",
                             "no page information; excluded from page bins")
             else:
-                idx = _page_bin_index(record.page_count, config.page_bins)
-                if idx is None:
-                    report.warn(f"{year}: {record.title!r}", "page-bin-range",
-                                f"page count {record.page_count} fits no configured bin")
+                for i, (_, _, lo, hi) in enumerate(PAGE_BINS):
+                    if lo <= record.page_count and (hi is None or record.page_count <= hi):
+                        pages[i] += 1
+                        break
                 else:
-                    pages[idx] += 1
+                    report.warn(f"{year}: {record.title!r}", "page-bin-range",
+                                f"page count {record.page_count} fits no page bin")
             label = record.subject
             if label not in known_subjects:
                 report.warn(f"{year}: {record.title!r}", "unknown-subject",

@@ -19,6 +19,15 @@ from dataclasses import dataclass, field
 
 AUTHORSHIP_BIN_LABELS = ("1 author", "2 authors", "3 authors", "4 authors", "5+ authors")
 
+#: The study's three page-length classes, in column order: aggregate CSV
+#: column, table label, and inclusive page range (``None`` marks the open
+#: upper end).
+PAGE_BINS: tuple[tuple[str, str, int, int | None], ...] = (
+    ("p1to5", "1-5 pages", 1, 5),
+    ("p6to10", "6-10 pages", 6, 10),
+    ("pabove10", "Above 10 pages", 11, None),
+)
+
 #: Authors counted for the open-ended bin when an aggregate is expanded
 #: back into synthetic per-article author counts.
 POOLED_BIN_AUTHOR_VALUE = 5
@@ -70,9 +79,9 @@ class YearAggregate:
     """Pre-tabulated per-year counts.
 
     ``authorship_bins`` always has five entries (1, 2, 3, 4, 5-and-above
-    authors); ``page_bins`` has one entry per configured page bin
-    (default: 1-5, 6-10, above 10). ``subject_counts`` maps taxonomy
-    labels to counts and preserves taxonomy order.
+    authors); ``page_bins`` has one entry per class of :data:`PAGE_BINS`
+    (1-5, 6-10, above 10 pages). ``subject_counts`` maps taxonomy labels
+    to counts and preserves taxonomy order.
     """
 
     year: int

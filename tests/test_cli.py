@@ -287,8 +287,7 @@ def test_config_env_var_fallback(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("key, value, shape", [
     ("study_window", 5, "[first, last]"),
-    ("taxonomy", 5, "a list of labels"),
-    ("page_bins", [[1]], "a list of [low, high or null]"),
+    ("taxonomy", 5, "distinct labels that include 'Others'"),
     ("absent_marker", 5, "a string"),
 ])
 def test_config_value_of_wrong_shape_exits_1(key, value, shape, tmp_path, capsys):
@@ -296,6 +295,40 @@ def test_config_value_of_wrong_shape_exits_1(key, value, shape, tmp_path, capsys
     cfg.write_text(json.dumps({key: value}))
     assert main(["analyze", "--input", AGG_PATH, "--config", str(cfg)]) == 1
     assert capsys.readouterr().err == f"error: invalid {key}: {value!r} (expected {shape})\n"
+
+
+@pytest.mark.parametrize("data, key", [
+    ({"totals_sorce": "full_precision"}, "totals_sorce"),
+    ({"page_bins": [[1, 2], [3, None]], "mode": "paper"}, "page_bins"),
+    ({"zeta": 1, "alpha": 2, "input": REC_PATH}, "alpha"),
+])
+def test_config_unknown_key_exits_1(data, key, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(data))
+    assert main(["analyze", "--input", REC_PATH, "--config", str(cfg)]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: unknown config key: {key!r}\n")
+
+
+@pytest.mark.parametrize("key, value, valid", [
+    ("granularity", "recs", "('records', 'aggregates')"),
+    ("format", "xml", "('text', 'csv', 'json', 'markdown')"),
+])
+def test_config_run_value_checked_before_input_is_read(key, value, valid, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert main(["analyze", "--input", REC_PATH, "--config", str(cfg)]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", f"error: invalid {key}: {value!r} (expected one of {valid})\n")
+
+
+@pytest.mark.parametrize("taxonomy", [["A", "A", "Others"], ["A", "B"]])
+def test_config_taxonomy_needs_distinct_labels_and_others(taxonomy, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"taxonomy": taxonomy}))
+    assert main(["analyze", "--input", REC_PATH, "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == (f"error: invalid taxonomy: {taxonomy!r} "
+                                       "(expected distinct labels that include 'Others')\n")
 
 
 def test_config_input_that_is_not_a_path_exits_1(tmp_path, capsys):
