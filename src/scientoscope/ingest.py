@@ -6,6 +6,15 @@ missing mandatory fields, non-numeric values) raise :class:`ParseError`;
 semantic problems (bin sums, year gaps, window violations) are reported
 by :func:`validate` without ever mutating or silently fixing the data.
 
+Record input has two routes with one set of checks. The library route
+builds every :class:`BibRecord` (:func:`parse_records`), then checks
+them (:func:`validate`) and bridges them to per-year aggregates
+(:func:`aggregate_records`). :func:`fold_records`, which the CLI uses,
+does all three in one pass over an open file: each row is parsed,
+checked by the same record rules and counted into the same per-year
+accumulator, with no record kept. Record CSV is streamed, so its memory
+is O(years + findings); JSON is decoded whole.
+
 CSV schemas
 -----------
 Columns are matched by header name, in any order. The columns shown
@@ -36,8 +45,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import re
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Container, Iterable, Iterator
+from operator import itemgetter
+from typing import BinaryIO, TextIO
 
 from .config import AnalysisConfig
 from .model import (
@@ -74,14 +86,14 @@ def _decode(source: bytes | str) -> str:
 
 
 def _opt_int(raw: str | None, what: str, location: str) -> int | None:
-    if raw is None:
-        return None
-    raw = raw.strip()
-    if raw == "":
+    if not raw:
         return None
     try:
-        return int(raw)
+        return int(raw)  # int() ignores the surrounding whitespace strip() removes
     except ValueError:
+        raw = raw.strip()
+        if raw == "":
+            return None
         raise ParseError(f"non-numeric {what}: {raw!r}", location) from None
 
 
@@ -98,7 +110,7 @@ def split_authors(raw: str) -> tuple[str, ...]:
     Commas stay inside names ("Kumar, A."), which is why ";" is the
     delimiter.
     """
-    return tuple(name.strip() for name in raw.split(";") if name.strip())
+    return tuple(filter(None, map(str.strip, raw.split(";"))))
 
 
 # ---------------------------------------------------------------------------
@@ -106,9 +118,9 @@ def split_authors(raw: str) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _csv_records(text: str) -> Iterator[list[str]]:
-    """CSV records of ``text``; a malformed one raises ParseError at its line."""
-    reader = csv.reader(io.StringIO(text))
+def _csv_records(lines: Iterable[str]) -> Iterator[list[str]]:
+    """CSV records of ``lines``; a malformed one raises ParseError at its line."""
+    reader = csv.reader(lines)
     try:
         yield from reader
     except csv.Error as exc:
@@ -129,26 +141,39 @@ def _csv_header(records: Iterator[list[str]], kind: str, required: tuple[str, ..
     return header
 
 
-def _rows(text: str, format: str, kind: str,
-          required: tuple[str, ...] = ()) -> Iterator[tuple[str, dict[str, str | None]]]:
-    """Yield ``(location, fields)`` for each non-blank CSV row or JSON element.
+def _json_text(key: str, value: object) -> str | None:
+    if value is None:
+        return None
+    if key == "authors" and isinstance(value, list):
+        return ";".join(str(v) for v in value)
+    return str(value)
 
-    Values are strings or ``None`` (a JSON ``authors`` list is joined by
-    ";"); ``kind`` names the input in error messages.
+
+def _rows(stream: TextIO, format: str, kind: str,
+          required: tuple[str, ...] = ()) -> Iterator[tuple[str, dict[str, int], list]]:
+    """Yield ``(location, columns, values)`` for each non-blank CSV row or JSON element.
+
+    ``values[columns[name]]`` is the field's string or ``None`` (a JSON
+    ``authors`` list is joined by ";"). Every ``values`` ends in a
+    ``None`` pad, so ``values[columns.get(name, -1)]`` reads an absent
+    field as ``None``. CSV rows share the header's ``columns``; each JSON
+    element has its own, in key order. CSV is read from ``stream`` row by
+    row; JSON is decoded whole. ``kind`` names the input in error messages.
     """
     if format == "csv":
-        records = _csv_records(text)
+        records = _csv_records(stream)
         header = _csv_header(records, kind, required)
+        columns = {name: i for i, name in enumerate(header)}
         for line_no, row in enumerate(records, start=2):
-            if not row or all(not cell.strip() for cell in row):
+            if not "".join(row).strip():
                 continue
-            location = f"line {line_no}"
             if len(row) != len(header):
-                raise ParseError(f"expected {len(header)} fields, got {len(row)}", location)
-            yield location, dict(zip(header, row))
+                raise ParseError(f"expected {len(header)} fields, got {len(row)}", f"line {line_no}")
+            row.append(None)
+            yield f"line {line_no}", columns, row
     elif format == "json":
         try:
-            data = json.loads(text)
+            data = json.loads(stream.read())
         except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
             raise ParseError(f"invalid JSON: {exc}") from None
         except RecursionError:
@@ -159,63 +184,68 @@ def _rows(text: str, format: str, kind: str,
             location = f"element {index}"
             if not isinstance(obj, dict):
                 raise ParseError(f"{kind} element must be an object", location)
-            fields: dict[str, str | None] = {}
-            for key, value in obj.items():
-                if value is None:
-                    fields[key] = None
-                elif key == "authors" and isinstance(value, list):
-                    fields[key] = ";".join(str(v) for v in value)
-                else:
-                    fields[key] = str(value)
-            yield location, fields
+            values = [_json_text(key, value) for key, value in obj.items()]
+            values.append(None)
+            yield location, {key: i for i, key in enumerate(obj)}, values
     else:
         raise ParseError(f"unknown input format: {format!r}")
 
 
-def _record_from_fields(fields: dict[str, str | None], location: str) -> BibRecord:
-    year = _req_int(fields.get("year"), "year", location)
-    title = (fields.get("title") or "").strip()
-    if not title:
-        raise ParseError("missing mandatory field 'title'", location)
-    subject = (fields.get("subject") or "").strip()
-    if not subject:
-        raise ParseError("missing mandatory field 'subject'", location)
+#: Record columns in the order :func:`_parsed_records` checks them.
+_RECORD_COLUMNS = ("year", "title", "subject", "author_count", "authors",
+                   "start_page", "end_page", "page_count", "volume", "issue")
 
-    author_count = _opt_int(fields.get("author_count"), "author_count", location)
-    authors = split_authors(fields.get("authors") or "")
-    if author_count is not None:
-        # Explicit count overrides the name list.
-        authors = ()
-    elif not authors:
-        raise ParseError("missing mandatory field 'authors' (or 'author_count')", location)
 
-    start_page = _opt_int(fields.get("start_page"), "start_page", location)
-    end_page = _opt_int(fields.get("end_page"), "end_page", location)
-    page_count = _opt_int(fields.get("page_count"), "page_count", location)
-    if page_count is None and start_page is not None and end_page is not None:
-        page_count = end_page - start_page + 1
+def _parsed_records(stream: TextIO, format: str) -> Iterator[tuple[str, tuple]]:
+    """Yield ``(location, fields)`` for each record, ``fields`` in :class:`BibRecord` order.
 
-    return BibRecord(
-        year=year,
-        title=title,
-        subject=subject,
-        authors=authors or None,
-        author_count=author_count,
-        volume=_opt_int(fields.get("volume"), "volume", location),
-        issue=_opt_int(fields.get("issue"), "issue", location),
-        start_page=start_page,
-        end_page=end_page,
-        page_count=page_count,
-    )
+    Every record parse check runs here, for :func:`parse_records` and
+    :func:`fold_records` alike; the first failing check of a row raises.
+    """
+    columns: dict[str, int] | None = None
+    for location, row_columns, values in _rows(stream, format, "record", RECORD_FIELDS):
+        if row_columns is not columns:  # once for CSV, per element for JSON
+            columns = row_columns
+            pick = itemgetter(*(columns.get(name, -1) for name in _RECORD_COLUMNS))
+        (year, title, subject, author_count, authors,
+         start_page, end_page, page_count, volume, issue) = pick(values)
+        year = _req_int(year, "year", location)
+        title = (title or "").strip()
+        if not title:
+            raise ParseError("missing mandatory field 'title'", location)
+        subject = (subject or "").strip()
+        if not subject:
+            raise ParseError("missing mandatory field 'subject'", location)
+
+        author_count = _opt_int(author_count, "author_count", location)
+        if author_count is not None:
+            # Explicit count overrides the name list.
+            authors = None
+        else:
+            authors = split_authors(authors or "")
+            if not authors:
+                raise ParseError("missing mandatory field 'authors' (or 'author_count')", location)
+
+        start_page = _opt_int(start_page, "start_page", location)
+        end_page = _opt_int(end_page, "end_page", location)
+        page_count = _opt_int(page_count, "page_count", location)
+        if page_count is None and start_page is not None and end_page is not None:
+            page_count = end_page - start_page + 1
+
+        yield location, (year, title, subject, authors, author_count,
+                         _opt_int(volume, "volume", location), _opt_int(issue, "issue", location),
+                         start_page, end_page, page_count)
 
 
 def parse_records(source: bytes | str, format: str = "csv") -> Dataset:
     """Parse record-granularity input into a Dataset.
 
-    The study window defaults to the observed year span.
+    The study window defaults to the observed year span. The CLI does not
+    build records: :func:`fold_records` streams the same checks straight
+    into per-year aggregates.
     """
-    records = [_record_from_fields(fields, location)
-               for location, fields in _rows(_decode(source), format, "record", RECORD_FIELDS)]
+    records = [BibRecord(*fields)
+               for _, fields in _parsed_records(io.StringIO(_decode(source)), format)]
     if not records:
         raise ParseError("empty dataset")
     years = [r.year for r in records]
@@ -226,14 +256,18 @@ def parse_records(source: bytes | str, format: str = "csv") -> Dataset:
     )
 
 
-def _aggregate_from_fields(fields: dict[str, str | None], location: str) -> YearAggregate:
-    year = _req_int(fields.get("year"), "year", location)
-    papers = _req_int(fields.get("papers"), "papers", location)
-    bins = tuple(_req_int(fields.get(k), k, location) for k in _AUTHORSHIP_FIELDS)
-    pages = tuple(_req_int(fields.get(k), k, location) for k in _PAGE_FIELDS)
+def _aggregate_from_fields(columns: dict[str, int], values: list,
+                           location: str) -> YearAggregate:
+    def field(name: str) -> str | None:
+        return values[columns.get(name, -1)]
+
+    year = _req_int(field("year"), "year", location)
+    papers = _req_int(field("papers"), "papers", location)
+    bins = tuple(_req_int(field(k), k, location) for k in _AUTHORSHIP_FIELDS)
+    pages = tuple(_req_int(field(k), k, location) for k in _PAGE_FIELDS)
     subject_counts = {
-        key[len(_SUBJECT_PREFIX):]: _req_int(value, key, location)
-        for key, value in fields.items() if key.startswith(_SUBJECT_PREFIX)
+        key[len(_SUBJECT_PREFIX):]: _req_int(values[i], key, location)
+        for key, i in columns.items() if key.startswith(_SUBJECT_PREFIX)
     }
     return YearAggregate(
         year=year,
@@ -241,7 +275,7 @@ def _aggregate_from_fields(fields: dict[str, str | None], location: str) -> Year
         authorship_bins=bins,
         page_bins=pages,
         subject_counts=subject_counts,
-        total_authors=_opt_int(fields.get("total_authors"), "total_authors", location),
+        total_authors=_opt_int(field("total_authors"), "total_authors", location),
     )
 
 
@@ -252,9 +286,9 @@ def parse_aggregates(source: bytes | str, format: str = "csv") -> Dataset:
     :func:`validate`, not here, so parse failures and validation
     findings stay distinguishable.
     """
-    aggregates = [_aggregate_from_fields(fields, location)
-                  for location, fields in _rows(_decode(source), format, "aggregate",
-                                                AGGREGATE_FIELDS)]
+    aggregates = [_aggregate_from_fields(columns, values, location)
+                  for location, columns, values in _rows(io.StringIO(_decode(source)), format,
+                                                         "aggregate", AGGREGATE_FIELDS)]
     if not aggregates:
         raise ParseError("empty dataset")
     aggregates.sort(key=lambda a: a.year)
@@ -265,25 +299,54 @@ def parse_aggregates(source: bytes | str, format: str = "csv") -> Dataset:
     )
 
 
+_JSON_LIST_OPENING = re.compile(r"[ \t\n\r]*\[[ \t\n\r]*")
+
+
+def _first_json_object(text: str) -> dict | None:
+    """The first element of a JSON list, decoded on its own; ``None``
+    unless the text opens a list whose first element is an object."""
+    opening = _JSON_LIST_OPENING.match(text)
+    if opening is None:
+        return None
+    try:
+        first, _ = json.JSONDecoder().raw_decode(text, opening.end())
+    except (ValueError, RecursionError):
+        return None
+    return first if isinstance(first, dict) else None
+
+
+def _granularity_of(names: Container[str]) -> str | None:
+    if "papers" in names:
+        return "aggregates"
+    if "title" in names or "authors" in names:
+        return "records"
+    return None
+
+
 def sniff_granularity(source: bytes | str, format: str = "csv") -> str:
     """Guess records vs aggregates from the CSV header line or the first JSON object.
 
     For CSV only the header line is decoded; the parse reports bad bytes
-    further on.
+    further on. For JSON the first element is decoded on its own; when
+    that settles nothing, the whole document is, so that its first fault
+    is the one reported.
     """
     if format == "csv":
         # Keep the newline, so a multi-byte sequence it cuts short fails
         # with the message decoding the whole input would give.
         end = source.find(b"\n" if isinstance(source, bytes) else "\n")
         head = _decode(source[:end + 1] if end >= 0 else source)
-        names = _csv_header(_csv_records(head), "input", ())
+        granularity = _granularity_of(_csv_header(_csv_records(io.StringIO(head)), "input", ()))
     else:
-        names = next(_rows(_decode(source), format, "input"), ("", {}))[1]
-    if "papers" in names:
-        return "aggregates"
-    if "title" in names or "authors" in names:
-        return "records"
-    raise ParseError("cannot determine granularity from input header")
+        text = _decode(source)
+        first = _first_json_object(text) if format == "json" else None
+        granularity = _granularity_of(first) if first is not None else None
+        if granularity is None:
+            columns = next(_rows(io.StringIO(text), format, "input"), ("", {}, []))[1]
+            granularity = _granularity_of(columns)
+    if granularity is None:
+        raise ParseError("cannot determine granularity from input header")
+    return granularity
 
 
 # ---------------------------------------------------------------------------
@@ -291,29 +354,29 @@ def sniff_granularity(source: bytes | str, format: str = "csv") -> str:
 # ---------------------------------------------------------------------------
 
 
-def _validate_record(record: BibRecord, location: str, window: tuple[int, int],
-                     report: ValidationReport) -> None:
-    if record.author_count is not None and record.authors:
+def _validate_record(location: str, year: int, n_authors: int, start_page: int | None,
+                     end_page: int | None, page_count: int | None,
+                     window: tuple[int, int] | None, report: ValidationReport,
+                     both_author_sources: bool = False) -> None:
+    """The record rules, on one record's values; ``window=None`` skips ``year-window``."""
+    if both_author_sources:
         report.error(location, "author-source", "both author list and author_count present")
-    n_authors = record.n_authors
     if n_authors < 1:
         report.error(location, "author-count", "author count must be >= 1")
     elif n_authors > MAX_COUNT:
         report.error(location, "count-range", f"author count is above {MAX_COUNT}")
-    if not (window[0] <= record.year <= window[1]):
+    if window is not None and not (window[0] <= year <= window[1]):
         report.error(location, "year-window",
-                     f"year {record.year} outside study window {window[0]}-{window[1]}")
-    if record.start_page is not None and record.end_page is not None:
-        if record.end_page < record.start_page:
-            report.error(location, "page-span",
-                         f"end_page {record.end_page} < start_page {record.start_page}")
-        elif record.page_count is not None:
-            span = record.end_page - record.start_page + 1
-            if record.page_count != span:
-                report.error(location, "page-count",
-                             f"page_count {record.page_count} != span {span}")
-    for page in ("start_page", "end_page", "page_count"):
-        value = getattr(record, page)
+                     f"year {year} outside study window {window[0]}-{window[1]}")
+    if start_page is not None and end_page is not None:
+        if end_page < start_page:
+            report.error(location, "page-span", f"end_page {end_page} < start_page {start_page}")
+        elif page_count is not None:
+            span = end_page - start_page + 1
+            if page_count != span:
+                report.error(location, "page-count", f"page_count {page_count} != span {span}")
+    for page, value in (("start_page", start_page), ("end_page", end_page),
+                        ("page_count", page_count)):
         if value is not None and value < 1:
             report.error(location, "page-positive", f"{page} must be positive, got {value}")
 
@@ -382,7 +445,10 @@ def validate(dataset: Dataset, *, strict: bool = False,
         years = dataset.years
         report.record_count = len(dataset.records)
         for i, record in enumerate(dataset.records, start=1):
-            _validate_record(record, f"record {i}", window, report)
+            _validate_record(f"record {i}", record.year, record.n_authors, record.start_page,
+                             record.end_page, record.page_count, window, report,
+                             both_author_sources=record.author_count is not None
+                             and bool(record.authors))
     else:
         years = [a.year for a in dataset.aggregates]
         for year, n in sorted(Counter(years).items()):
@@ -400,72 +466,139 @@ def validate(dataset: Dataset, *, strict: bool = False,
 # ---------------------------------------------------------------------------
 
 
+class _YearTally:
+    """Per-year accumulator of the record bridge.
+
+    Author counts of 5 or more pool into the open 5+ bin while the
+    author total keeps the exact sum. Records without page information
+    are excluded from the page bins only, with a warning; unknown subject
+    labels map to "Others" with a warning.
+    """
+
+    def __init__(self, taxonomy: tuple[str, ...]):
+        self._taxonomy = taxonomy
+        self._known = frozenset(taxonomy)
+        #: year -> [papers, total authors, authorship bins, page bins, subject counts]
+        self.counts: dict[int, list] = {}
+        self.warnings: list[Finding] = []
+
+    def year(self, year: int) -> list:
+        """The counts of *year*, registering the year if it is new."""
+        counts = self.counts.get(year)
+        if counts is None:
+            counts = self.counts[year] = [0, 0, [0] * 5, [0] * len(PAGE_BINS),
+                                          dict.fromkeys(self._taxonomy, 0)]
+        return counts
+
+    def add(self, year: int, n_authors: int, page_count: int | None, subject: str,
+            title: str) -> None:
+        counts = self.year(year)
+        counts[0] += 1
+        counts[1] += n_authors
+        counts[2][min(n_authors, POOLED_BIN_AUTHOR_VALUE) - 1] += 1
+        if page_count is None:
+            self.warnings.append(Finding(f"{year}: {title!r}", "missing-pages",
+                                         "no page information; excluded from page bins"))
+        else:
+            for i, (_, _, lo, hi) in enumerate(PAGE_BINS):
+                if lo <= page_count and (hi is None or page_count <= hi):
+                    counts[3][i] += 1
+                    break
+            else:
+                self.warnings.append(Finding(f"{year}: {title!r}", "page-bin-range",
+                                             f"page count {page_count} fits no page bin"))
+        if subject not in self._known:
+            self.warnings.append(Finding(
+                f"{year}: {title!r}", "unknown-subject",
+                f"subject {subject!r} not in taxonomy; counted under 'Others'"))
+            subject = "Others"
+        counts[4][subject] = counts[4].get(subject, 0) + 1
+
+    def dataset(self, study_window: tuple[int, int]) -> Dataset:
+        return Dataset(
+            granularity="aggregates",
+            study_window=study_window,
+            aggregates=tuple(
+                YearAggregate(year=year, papers=papers, authorship_bins=tuple(bins),
+                              page_bins=tuple(pages), subject_counts=subjects,
+                              total_authors=total_authors)
+                for year, (papers, total_authors, bins, pages, subjects)
+                in sorted(self.counts.items())),
+        )
+
+    def sorted_warnings(self) -> list[Finding]:
+        """The warnings in a deterministic order, whatever the record order."""
+        return sorted(self.warnings, key=lambda f: (f.location, f.rule, f.message))
+
+
 def aggregate_records(dataset: Dataset,
                       config: AnalysisConfig | None = None) -> tuple[Dataset, ValidationReport]:
-    """Tabulate records into per-year aggregates.
+    """Tabulate records into per-year aggregates, as :class:`_YearTally` describes.
 
-    Author counts of 5 or more pool into the open 5+ bin while
-    ``total_authors`` keeps the exact sum. Records without page
-    information are excluded from the page bins only, with a warning;
-    unknown subject labels map to "Others" with a warning. The result
-    is independent of record order.
+    The result is independent of record order.
     """
     if dataset.granularity != "records":
         raise ValueError("aggregate_records requires record granularity")
-    config = config or AnalysisConfig()
-    report = ValidationReport(record_count=len(dataset.records))
-    known_subjects = set(config.taxonomy)
-
-    by_year: dict[int, list[BibRecord]] = {}
+    tally = _YearTally((config or AnalysisConfig()).taxonomy)
     for record in dataset.records:
-        by_year.setdefault(record.year, []).append(record)
+        tally.add(record.year, record.n_authors, record.page_count, record.subject, record.title)
+    report = ValidationReport(warnings=tally.sorted_warnings(),
+                              record_count=len(dataset.records), year_count=len(tally.counts))
+    return tally.dataset(dataset.study_window), report
 
-    aggregates = []
-    for year in sorted(by_year):
-        records = by_year[year]
-        bins = [0, 0, 0, 0, 0]
-        total_authors = 0
-        pages = [0] * len(PAGE_BINS)
-        subjects: dict[str, int] = {label: 0 for label in config.taxonomy}
-        for record in records:
-            n = record.n_authors
-            bins[min(n, POOLED_BIN_AUTHOR_VALUE) - 1] += 1
-            total_authors += n
-            if record.page_count is None:
-                report.warn(f"{year}: {record.title!r}", "missing-pages",
-                            "no page information; excluded from page bins")
-            else:
-                for i, (_, _, lo, hi) in enumerate(PAGE_BINS):
-                    if lo <= record.page_count and (hi is None or record.page_count <= hi):
-                        pages[i] += 1
-                        break
-                else:
-                    report.warn(f"{year}: {record.title!r}", "page-bin-range",
-                                f"page count {record.page_count} fits no page bin")
-            label = record.subject
-            if label not in known_subjects:
-                report.warn(f"{year}: {record.title!r}", "unknown-subject",
-                            f"subject {label!r} not in taxonomy; counted under 'Others'")
-                label = "Others"
-            subjects[label] = subjects.get(label, 0) + 1
-        aggregates.append(YearAggregate(
-            year=year,
-            papers=len(records),
-            authorship_bins=tuple(bins),
-            page_bins=tuple(pages),
-            subject_counts=subjects,
-            total_authors=total_authors,
-        ))
 
-    result = Dataset(
-        granularity="aggregates",
-        study_window=dataset.study_window,
-        aggregates=tuple(aggregates),
-    )
-    report.year_count = len(aggregates)
-    # Deterministic warning order regardless of input record order.
-    report.warnings.sort(key=lambda f: (f.location, f.rule, f.message))
-    return result, report
+def fold_records(source: BinaryIO, format: str = "csv",
+                 config: AnalysisConfig | None = None) -> tuple[Dataset, ValidationReport]:
+    """Parse, validate and bridge record input in one pass over an open binary file.
+
+    The result equals :func:`parse_records`, then :func:`validate` with
+    the config's ``strict`` and ``study_window``, then, when the report
+    has no errors, :func:`aggregate_records`, with the bridge's warnings
+    appended to the report. No :class:`BibRecord` is built: CSV is read
+    row by row, so memory is O(years + findings); JSON is decoded whole.
+    With errors, the report has no bridge warnings and the aggregates
+    are incomplete. A bad UTF-8 byte anywhere in the input takes
+    precedence over every other parse error, with the message that
+    decoding the whole input gives.
+    """
+    config = config or AnalysisConfig()
+    text = io.TextIOWrapper(source, encoding="utf-8", newline="\n")
+    try:
+        return _fold(text, format, config)
+    except (ParseError, UnicodeDecodeError):
+        # A decode error carries a position within the decoder's chunk,
+        # and a row error may precede a bad byte: decode it all again.
+        source.seek(0)
+        _decode(source.read())
+        raise
+    finally:
+        text.detach()  # the caller owns and closes source
+
+
+def _fold(text: TextIO, format: str, config: AnalysisConfig) -> tuple[Dataset, ValidationReport]:
+    report = ValidationReport()
+    tally = _YearTally(config.taxonomy)
+    # Without a configured window the window is the observed span, which
+    # holds every record.
+    window = config.study_window
+    for _, (year, title, subject, authors, author_count, _, _,
+            start_page, end_page, page_count) in _parsed_records(text, format):
+        report.record_count += 1
+        n_authors = len(authors) if author_count is None else author_count
+        _validate_record(f"record {report.record_count}", year, n_authors, start_page,
+                         end_page, page_count, window, report)
+        if report.errors:
+            tally.year(year)  # no bridge will run; the year still counts for year-gap
+        else:
+            tally.add(year, n_authors, page_count, subject, title)
+    if not report.record_count:
+        raise ParseError("empty dataset")
+    years = sorted(tally.counts)
+    report.year_count = len(years)
+    _check_year_gaps(years, report)
+    if report.ok:
+        report.warnings = tally.sorted_warnings()
+    return tally.dataset((years[0], years[-1])), report
 
 
 def expand_author_counts(aggregate: YearAggregate) -> list[int]:

@@ -2,6 +2,7 @@
 
 import json
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -338,6 +339,26 @@ def test_config_input_that_is_not_a_path_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err == "error: invalid input: 5 (expected a path)\n"
 
 
+@pytest.mark.parametrize("key", ["strict", "timestamp"])
+@pytest.mark.parametrize("value", ["no", "false", 1, 0, [], {}])
+def test_config_switch_that_is_not_a_boolean_exits_1(key, value, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    assert main(["analyze", "--input", AGG_PATH, "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: invalid {key}: {value!r} (expected true or false)\n"
+
+
+def test_config_switches_set_to_false_change_nothing(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"strict": False, "timestamp": False}))
+    assert main(["analyze", "--input", AGG_PATH, "--config", str(cfg)]) == 0
+    with_file = capsys.readouterr()
+    assert main(["analyze", "--input", AGG_PATH]) == 0
+    assert capsys.readouterr() == with_file
+
+
 def test_config_study_window_enforced(tmp_path, capsys):
     cfg = tmp_path / "window.json"
     cfg.write_text(json.dumps({"study_window": [2014, 2017]}))
@@ -457,3 +478,13 @@ def test_schema_command(capsys):
     assert "year,volume,issue,title,authors,start_page,end_page,subject" in out
     assert "year,papers,a1,a2,a3,a4,a5plus" in out
     assert "subj:Scientometrics, Bibliometrics" in out
+
+
+def test_cli_binds_every_name_the_trace_harness_wraps():
+    # bench/trace_child.py stops every traced run when one of these names
+    # is gone from cli; it is compiled from source here, so nothing is written.
+    path = Path(__file__).resolve().parents[1] / "bench" / "trace_child.py"
+    namespace = {"__name__": "trace_child"}
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), namespace)
+    assert namespace["LAYER_OF"]
+    assert [name for name in namespace["LAYER_OF"] if not callable(getattr(cli, name, None))] == []

@@ -1,0 +1,164 @@
+"""Differential test: the streaming record fold against the library route.
+
+The CLI loads record input with :func:`fold_records`, one pass that
+parses, validates and bridges. The library keeps the three steps
+:func:`parse_records`, :func:`validate` and :func:`aggregate_records`.
+For small generated record sets both routes must give equal aggregates,
+equal findings and equal parse errors. The CSV and JSON forms of a set
+must print the same tables, and so must the aggregate CSV of an
+accepted set. The settings are deterministic, like
+``tests/test_fuzz.py``.
+"""
+
+import csv
+import io
+import json
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from scientoscope import (
+    AnalysisConfig,
+    ParseError,
+    aggregate_records,
+    parse_records,
+    validate,
+    write_aggregates_csv,
+)
+from scientoscope.cli import main
+from scientoscope.ingest import RECORD_FIELDS, fold_records
+
+DIFFERENTIAL = settings(max_examples=60, deadline=None, derandomize=True, database=None,
+                        suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                               HealthCheck.too_slow])
+
+COLUMNS = (*RECORD_FIELDS, "author_count", "page_count")
+
+
+@st.composite
+def clean_record(draw):
+    """A record that parses and validates: authors as names or as a count
+    only, pages as a span, a span and its count, a count only, or absent
+    (a missing-pages warning), and a subject that may be unknown."""
+    rec = {"year": draw(st.integers(2011, 2016)),
+           "volume": draw(st.none() | st.integers(1, 9)),
+           "issue": draw(st.none() | st.integers(1, 9)),
+           "title": draw(st.sampled_from(["T", "A, study", 'The "quoted" title', " padded "])),
+           "authors": draw(st.lists(st.sampled_from(["A", "B. Kumar", "Singh, C.", " D "]),
+                                    min_size=1, max_size=6)),
+           "subject": draw(st.sampled_from(["ICT", "Open Access", "Others", "Zoology"]))}
+    if draw(st.booleans()):
+        rec["author_count"] = draw(st.integers(1, 7))
+        rec["authors"] = draw(st.sampled_from([[], rec["authors"]]))
+    start, length = draw(st.integers(1, 400)), draw(st.integers(1, 30))
+    pages = draw(st.sampled_from(["span", "span and count", "count", "none"]))
+    if "span" in pages:
+        rec["start_page"], rec["end_page"] = start, start + length - 1
+    if "count" in pages:
+        rec["page_count"] = length
+    return rec
+
+
+# Flaws injected into a clean record: validation errors, then parse errors.
+FLAWS = (
+    {"start_page": 9, "end_page": 4},  # reversed span
+    {"start_page": 1, "end_page": 5, "page_count": 7},  # count disagrees with the span
+    {"start_page": 0, "end_page": 3},  # page not positive
+    {"page_count": -2},
+    {"author_count": 0},
+    {"author_count": -9},  # would index past the authorship bins
+    {"year": 2030},  # outside any window, and a long gap
+    {"year": "MMXIII"},
+    {"start_page": "x", "end_page": 3},
+    {"volume": "v2"},
+    {"title": ""},
+    {"subject": " "},
+    {"authors": [], "author_count": None},
+)
+
+
+@st.composite
+def record_sets(draw):
+    """Clean records with up to two flaws, and for each record the blank
+    row that comes before it in the CSV form, or ``None``."""
+    records = draw(st.lists(clean_record(), min_size=1, max_size=10))
+    for index, flaw in draw(st.lists(st.tuples(st.integers(0, len(records) - 1),
+                                               st.sampled_from(FLAWS)), max_size=2)):
+        records[index].update(flaw)
+    blanks = draw(st.lists(st.sampled_from([None, None, [], [""] * len(COLUMNS), [" ", "  "]]),
+                           min_size=len(records), max_size=len(records)))
+    return records, blanks
+
+
+def _csv_bytes(records, blanks):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(COLUMNS)
+    for rec, blank in zip(records, blanks):
+        if blank is not None:
+            writer.writerow(blank)
+        row = [rec.get(key) for key in COLUMNS]
+        row[COLUMNS.index("authors")] = "; ".join(rec["authors"])
+        writer.writerow(["" if value is None else value for value in row])
+    return buf.getvalue().encode()
+
+
+def _json_bytes(records, authors_as_text):
+    objs = [dict(rec, authors="; ".join(rec["authors"]) if authors_as_text else rec["authors"])
+            for rec in records]
+    return json.dumps(objs).encode()
+
+
+def _library_route(raw, format, config):
+    """parse_records -> validate -> aggregate_records, as the CLI once ran them."""
+    dataset = parse_records(raw, format)
+    report = validate(dataset, strict=config.strict, window=config.study_window)
+    if not report.ok:
+        return None, report
+    aggregated, bridged = aggregate_records(dataset, config)
+    report.warnings.extend(bridged.warnings)
+    return aggregated, report
+
+
+def _outcome(route):
+    try:
+        return route()
+    except ParseError as exc:
+        return str(exc)
+
+
+@DIFFERENTIAL
+@given(record_sets(), st.none() | st.just((2012, 2015)))
+def test_fold_equals_parse_validate_and_bridge(drawn, window):
+    records, blanks = drawn
+    config = AnalysisConfig(study_window=window)
+    for format, raw in (("csv", _csv_bytes(records, blanks)),
+                        ("json", _json_bytes(records, authors_as_text=False))):
+        expected = _outcome(lambda: _library_route(raw, format, config))
+        folded = _outcome(lambda: fold_records(io.BytesIO(raw), format, config))
+        if isinstance(expected, str) or not expected[1].ok:
+            folded = folded if isinstance(folded, str) else (None, folded[1])
+        assert folded == expected
+
+
+@DIFFERENTIAL
+@given(drawn=record_sets())
+def test_csv_json_and_aggregate_forms_print_the_same_tables(drawn, tmp_path, capsys):
+    records, blanks = drawn
+    inputs = {"records.csv": _csv_bytes(records, blanks),
+              "lists.json": _json_bytes(records, authors_as_text=False),
+              "text.json": _json_bytes(records, authors_as_text=True)}
+    results = set()
+    for name, raw in inputs.items():
+        path = tmp_path / name
+        path.write_bytes(raw)
+        rc = main(["analyze", "--input", str(path)])
+        results.add((rc, capsys.readouterr().out))
+    assert len(results) == 1
+    ((rc, out),) = results
+    if rc == 0:
+        aggregated, _ = fold_records(io.BytesIO(inputs["records.csv"]), "csv", AnalysisConfig())
+        path = tmp_path / "aggregates.csv"
+        path.write_text(write_aggregates_csv(aggregated), encoding="utf-8")
+        assert main(["analyze", "--input", str(path)]) == 0
+        assert capsys.readouterr().out == out

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import tracemalloc
 
 import pytest
 
@@ -17,8 +18,8 @@ from scientoscope import (
     validate,
     write_aggregates_csv,
 )
-from scientoscope.cli import demo_records_path
-from scientoscope.ingest import MAX_COUNT
+from scientoscope.cli import demo_records_path, main
+from scientoscope.ingest import MAX_COUNT, fold_records
 
 RECORD_HEADER = "year,volume,issue,title,authors,start_page,end_page,subject"
 AGG_HEADER = ("year,papers,a1,a2,a3,a4,a5plus,total_authors,p1to5,p6to10,pabove10,"
@@ -286,3 +287,78 @@ def test_aggregate_requires_records():
         aggregate_records(
             parse_aggregates(AGG_HEADER + "\n2013,1,1,0,0,0,0,1,1,0,0,1,0\n"), config
         )
+
+
+def _record_rows(n, years=10):
+    """*n* clean record rows over *years* years: no finding at all."""
+    subjects = ("ICT", "Open Access", "Webometrics")
+    return "".join(f"{2000 + i % years},{i % 9 + 1},{i % 4 + 1},Title {i},"
+                   f"{'; '.join(f'Author {j}' for j in range(i % 6 + 1))},"
+                   f"{i % 200 + 1},{i % 200 + 1 + i % 30},{subjects[i % 3]}\n"
+                   for i in range(n))
+
+
+def _fold_bytes(raw):
+    return fold_records(io.BytesIO(raw), "csv", AnalysisConfig())
+
+
+@pytest.mark.parametrize("offset", [100, 70_000])
+def test_bad_utf8_reports_the_position_decoding_the_whole_input_gives(offset):
+    head = (RECORD_HEADER + "\n" + _record_rows(2000)).encode()
+    assert len(head) > 70_000
+    raw = head[:offset] + b"\xff" + head[offset:]
+    with pytest.raises(UnicodeDecodeError) as decoded:
+        raw.decode("utf-8")
+    message = f"input is not valid UTF-8: {decoded.value}"
+    assert f"in position {offset}:" in message
+    with pytest.raises(ParseError) as folded:
+        _fold_bytes(raw)
+    assert str(folded.value) == message
+    with pytest.raises(ParseError) as parsed:
+        parse_records(raw)
+    assert str(parsed.value) == message
+
+
+@pytest.mark.parametrize("bad", [
+    "year,title,authors,subject\n",  # header missing columns
+    RECORD_HEADER + "\n2013,,,T,A,1,2\n",  # ragged row
+    RECORD_HEADER + "\nMMXIII,,,T,A,1,2,ICT\n",  # non-numeric year
+    RECORD_HEADER + "\n2013,,,T,A,1,2,\n",  # missing subject
+])
+def test_bad_utf8_takes_precedence_over_an_earlier_parse_error(bad):
+    raw = (bad + _record_rows(3000)).encode() + b"2013,,,\xfe,A,1,2,ICT\n"
+    with pytest.raises(ParseError, match="^input is not valid UTF-8: 'utf-8' codec can't decode "
+                                         "byte 0xfe in position"):
+        _fold_bytes(raw)
+
+
+def test_lone_carriage_return_in_an_unquoted_field_exits_2(tmp_path, capsys):
+    path = tmp_path / "lone_cr.csv"
+    path.write_bytes((RECORD_HEADER + "\n" + _record_rows(3) + "2013,,,T\rX,A,1,2,ICT\n").encode())
+    assert main(["analyze", "--input", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: line 5: malformed CSV: new-line character seen in unquoted field - "
+        "do you need to open the file in universal-newline mode?\n")
+
+
+def test_record_input_loads_in_memory_that_does_not_grow_with_the_records(tmp_path, capsys):
+    paths = {}
+    for n in (2_000, 20_000):
+        paths[n] = tmp_path / f"records_{n}.csv"
+        paths[n].write_text(RECORD_HEADER + "\n" + _record_rows(n), encoding="utf-8")
+    # An untraced load first fills the interpreter's tuple free lists
+    # (bounded, up to 2000 tuples per size), which tracemalloc would
+    # otherwise count as growth between the two traced loads.
+    assert main(["validate", "--input", str(paths[20_000])]) == 0
+    peaks = []
+    for n, path in paths.items():
+        tracemalloc.start()
+        try:
+            assert main(["validate", "--input", str(path)]) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    out = capsys.readouterr().out
+    assert out.count("records: 20000  years: 10\nerrors: 0  warnings: 0\n") == 2
+    assert "records: 2000  years: 10\nerrors: 0  warnings: 0\n" in out
+    assert peaks[1] < 1.5 * peaks[0], peaks
