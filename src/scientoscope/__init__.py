@@ -9,27 +9,20 @@ data for the ``reproduce-paper`` command.
 
 from .config import DEFAULT_TAXONOMY, AnalysisConfig
 from .distributions import (
-    authorship_pattern,
     authorship_table,
-    page_length_distribution,
     page_length_table,
-    subject_distribution,
     subject_table,
-    year_distribution,
     year_distribution_table,
 )
 from .indicators import (
     author_productivity,
     cagr,
-    collaboration_rows,
     collaboration_table,
     collaborative_index,
     degree_of_collaboration,
     egr_table,
     exponential_growth,
-    productivity_rows,
     productivity_table,
-    productivity_totals,
     relative_growth,
     rgr_table,
 )
@@ -75,33 +68,26 @@ __all__ = [
     "YearAggregate",
     "aggregate_records",
     "author_productivity",
-    "authorship_pattern",
     "authorship_table",
     "cagr",
-    "collaboration_rows",
     "collaboration_table",
     "collaborative_index",
     "degree_of_collaboration",
     "egr_table",
     "expand_author_counts",
     "exponential_growth",
-    "page_length_distribution",
     "page_length_table",
     "parse_aggregates",
     "parse_records",
-    "productivity_rows",
     "productivity_table",
-    "productivity_totals",
     "relative_growth",
     "render",
     "rgr_table",
     "round_display",
     "round_half_up",
     "sniff_granularity",
-    "subject_distribution",
     "subject_table",
     "validate",
     "write_aggregates_csv",
-    "year_distribution",
     "year_distribution_table",
 ]

@@ -141,9 +141,8 @@ def _effective_options(args: argparse.Namespace) -> tuple[AnalysisConfig, dict]:
             merged[key] = str(value) if key == "input" else value
     if not isinstance(merged.get("input") or "", str):
         raise ValueError(f"invalid input: {merged['input']!r} (expected a path)")
-    for key in ("strict", "timestamp"):
-        if merged.get(key) is not None and not isinstance(merged[key], bool):
-            raise ValueError(f"invalid {key}: {merged[key]!r} (expected true or false)")
+    if merged.get("timestamp") is not None and not isinstance(merged["timestamp"], bool):
+        raise ValueError(f"invalid timestamp: {merged['timestamp']!r} (expected true or false)")
     config = config_from_dict(merged)
     run = {
         "input": merged.get("input"),

@@ -138,18 +138,21 @@ def _taxonomy(value: Any) -> tuple[str, ...]:
     return labels
 
 
-def _string(value: Any) -> str:
-    if not isinstance(value, str):
-        raise TypeError(value)
-    return value
+def _instance(kind: type) -> Any:
+    def check(value: Any) -> Any:
+        if not isinstance(value, kind):
+            raise TypeError(value)
+        return value
+    return check
 
 
 # Keys whose values are checked for shape: expected shape (for error
 # messages) and converter.
 _SHAPED = {
+    "strict": ("true or false", _instance(bool)),
     "study_window": ("[first, last]", _window),
     "taxonomy": ("distinct labels that include 'Others'", _taxonomy),
-    "absent_marker": ("a string", _string),
+    "absent_marker": ("a string", _instance(str)),
 }
 
 

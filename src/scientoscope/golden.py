@@ -305,13 +305,6 @@ _HEADERS: dict[int, dict[str, str]] = {
 }
 
 
-def _column(number: int, table: ReportTable, header: str) -> int:
-    headers = [c.header for c in table.columns]
-    if header not in headers:
-        raise LookupError(f"table {number} has no column {header!r}")
-    return headers.index(header)
-
-
 def _printed_cell(check: GoldenCheck, tables: list[ReportTable],
                   config: AnalysisConfig) -> CellValue:
     """The value *tables* print at the check's address.
@@ -321,18 +314,10 @@ def _printed_cell(check: GoldenCheck, tables: list[ReportTable],
     table = tables[check.table - 1]
     if (check.table, check.cell) == (5, "CAGR %"):
         # The one golden value printed in a note rather than a cell.
-        index = _column(5, table, "Papers")
-        first, last = table.rows[0][index], table.rows[-1][index]
-        return cagr(first, last, len(table.rows), config.resolved("cagr_mode"))
-    row_name, _, column = check.cell.partition(" / ")
-    index = _column(check.table, table, _HEADERS[check.table].get(column, column))
-    if row_name in ("total", "mean"):
-        row = table.footer
-    else:
-        row = next((r for r in table.rows if str(r[0]) == row_name), None)
-    if row is None:
-        raise LookupError(f"table {check.table} has no row {row_name!r}")
-    return row[index]
+        papers = [table.cell(str(row[0]), "Papers") for row in table.rows]
+        return cagr(papers[0], papers[-1], len(papers), config.resolved("cagr_mode"))
+    row, _, column = check.cell.partition(" / ")
+    return table.cell(row, _HEADERS[check.table].get(column, column))
 
 
 def _matches(check: GoldenCheck, actual: object) -> bool:
@@ -354,7 +339,8 @@ def check_outcome(check: GoldenCheck, tables: list[ReportTable],
     try:
         actual = _printed_cell(check, tables, config)
     except LookupError as exc:
-        return CheckOutcome(check=check, actual=None, matched=False, problem=str(exc))
+        return CheckOutcome(check=check, actual=None, matched=False,
+                            problem=f"table {check.table} has {exc}")
     return CheckOutcome(check=check, actual=actual, matched=_matches(check, actual))
 
 

@@ -2,7 +2,10 @@
 
 Degree of collaboration, collaborative index, author productivity,
 exponential growth rate, compound annual growth rate, relative growth
-rate, and doubling time. Each indicator has a ``paper`` convention that
+rate, and doubling time. The scalar formulas are public functions; each
+``*_table`` function builds its table's cells straight from the
+dataset's aggregates, and :meth:`~scientoscope.report.ReportTable.cell`
+reads a value back. Each indicator has a ``paper`` convention that
 reproduces the bundled source study's published tables and a
 ``standard`` (textbook) convention; :class:`~scientoscope.config.AnalysisConfig`
 selects between them.
@@ -23,11 +26,11 @@ Conventions worth calling out, because both are implemented:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from itertools import accumulate
 
 from .config import AnalysisConfig
-from .model import Dataset, Finding, YearAggregate
-from .report import ColumnSpec, ReportTable, round_half_up
+from .model import Dataset
+from .report import CellValue, ColumnSpec, ReportTable, round_half_up
 
 LN2 = math.log(2.0)
 
@@ -35,16 +38,6 @@ LN2 = math.log(2.0)
 # ---------------------------------------------------------------------------
 # Collaboration
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class CollaborationRow:
-    year: int
-    single: int     # Ns
-    multiple: int   # Nm
-    papers: int     # Ns + Nm
-    ci: float
-    dc: float
 
 
 def degree_of_collaboration(single: int, multiple: int) -> float:
@@ -78,9 +71,7 @@ def collaborative_index(single: int, multiple: int, *, authors: int | None = Non
     raise ValueError(f"unknown CI variant: {variant!r}")
 
 
-def collaboration_rows(dataset: Dataset,
-                       config: AnalysisConfig | None = None
-                       ) -> tuple[list[CollaborationRow], CollaborationRow]:
+def collaboration_table(dataset: Dataset, config: AnalysisConfig | None = None) -> ReportTable:
     """Per-year collaboration rows plus a totals row.
 
     Row paper counts are Ns + Nm from the authorship bins. The totals
@@ -91,45 +82,16 @@ def collaboration_rows(dataset: Dataset,
     """
     config = config or AnalysisConfig()
     variant = config.resolved("ci_variant")
-    if dataset.granularity != "aggregates":
-        raise ValueError("collaboration analysis requires aggregate granularity")
-
-    def build(year: int, single: int, multiple: int, agg: YearAggregate | None,
-              papers: int | None = None) -> CollaborationRow:
-        row_papers = single + multiple if papers is None else papers
-        authors = agg.total_authors if agg is not None else None
-        return CollaborationRow(
-            year=year,
-            single=single,
-            multiple=multiple,
-            papers=row_papers,
-            ci=collaborative_index(single, multiple, authors=authors, variant=variant),
-            dc=degree_of_collaboration(single, multiple),
-        )
-
-    rows = [build(a.year, a.single, a.multiple, a) for a in dataset.aggregates]
-    total_single = sum(a.single for a in dataset.aggregates)
-    total_papers = sum(a.papers for a in dataset.aggregates)
+    aggregates = dataset.require_aggregates()
+    rows = [[a.year, a.single, a.multiple, a.single + a.multiple,
+             collaborative_index(a.single, a.multiple, authors=a.total_authors, variant=variant),
+             degree_of_collaboration(a.single, a.multiple)] for a in aggregates]
+    total_single = sum(a.single for a in aggregates)
+    total_papers = sum(a.papers for a in aggregates)
     total_multiple = total_papers - total_single
     total_authors = None
-    if all(a.total_authors is not None for a in dataset.aggregates):
-        total_authors = sum(a.total_authors or 0 for a in dataset.aggregates)
-    footer = CollaborationRow(
-        year=0,
-        single=total_single,
-        multiple=total_multiple,
-        papers=total_papers,
-        ci=collaborative_index(total_single, total_multiple,
-                               authors=total_authors, variant=variant),
-        dc=total_multiple / total_papers if total_papers else 0.0,
-    )
-    return rows, footer
-
-
-def collaboration_table(dataset: Dataset, config: AnalysisConfig | None = None) -> ReportTable:
-    config = config or AnalysisConfig()
-    rows, footer = collaboration_rows(dataset, config)
-    variant = config.resolved("ci_variant")
+    if all(a.total_authors is not None for a in aggregates):
+        total_authors = sum(a.total_authors for a in aggregates)
     if variant == "printed":
         ci_note = ("CI is the multi-to-single-authored ratio Nm/Ns, following the "
                    "reproduced study's printed column; the conventional definition "
@@ -146,8 +108,11 @@ def collaboration_table(dataset: Dataset, config: AnalysisConfig | None = None) 
             ColumnSpec("CI", "ratio", 2),
             ColumnSpec("DC", "ratio", 2),
         ],
-        rows=[[r.year, r.single, r.multiple, r.papers, r.ci, r.dc] for r in rows],
-        footer=["Total", footer.single, footer.multiple, footer.papers, footer.ci, footer.dc],
+        rows=rows,
+        footer=["Total", total_single, total_multiple, total_papers,
+                collaborative_index(total_single, total_multiple,
+                                    authors=total_authors, variant=variant),
+                total_multiple / total_papers if total_papers else 0.0],
         notes=[ci_note, "DC = Nm / (Nm + Ns)."],
     )
 
@@ -157,15 +122,6 @@ def collaboration_table(dataset: Dataset, config: AnalysisConfig | None = None) 
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProductivityRow:
-    year: int
-    papers: int
-    authors: int
-    aapp: float  # authors per paper
-    ppa: float   # papers per author
-
-
 def author_productivity(papers: int, authors: int) -> tuple[float, float]:
     """(authors/papers, papers/authors); the two are exact reciprocals."""
     if papers <= 0 or authors <= 0:
@@ -173,47 +129,28 @@ def author_productivity(papers: int, authors: int) -> tuple[float, float]:
     return authors / papers, papers / authors
 
 
-def productivity_rows(dataset: Dataset) -> list[ProductivityRow]:
-    if dataset.granularity != "aggregates":
-        raise ValueError("productivity analysis requires aggregate granularity")
-    if any(a.total_authors is None for a in dataset.aggregates):
-        raise ValueError("author totals unavailable")
-    rows = []
-    for agg in dataset.aggregates:
-        aapp, ppa = author_productivity(agg.papers, agg.total_authors or 0)
-        rows.append(ProductivityRow(agg.year, agg.papers, agg.total_authors or 0, aapp, ppa))
-    return rows
-
-
-def productivity_totals(rows: list[ProductivityRow], mode: str = "paper") -> tuple[float, float]:
-    """Totals row for the productivity table.
-
-    ``paper`` sums the per-year values at their displayed 2-decimal
-    rounding, which is how the source study's totals row adds up;
-    ``pooled`` computes total authors / total papers and its reciprocal.
-    """
-    if not rows:
-        raise ValueError("productivity totals require at least one row")
-    if mode == "paper":
-        return (sum(round_half_up(r.aapp, 2) for r in rows),
-                sum(round_half_up(r.ppa, 2) for r in rows))
-    if mode == "pooled":
-        papers = sum(r.papers for r in rows)
-        authors = sum(r.authors for r in rows)
-        return author_productivity(papers, authors)
-    raise ValueError(f"unknown productivity totals mode: {mode!r}")
-
-
 def productivity_table(dataset: Dataset, config: AnalysisConfig | None = None) -> ReportTable:
+    """Papers, authors, AAPP and PPA per year, plus a totals row.
+
+    Under ``totals_source = rounded_cells`` the AAPP and PPA totals sum
+    the per-year values at their displayed 2-decimal rounding, which is
+    how the source study's totals row adds up; otherwise they pool all
+    years: total authors / total papers and its reciprocal.
+    """
     config = config or AnalysisConfig()
-    rows = productivity_rows(dataset)
-    totals_mode = "paper" if config.resolved("totals_source") == "rounded_cells" else "pooled"
-    total_aapp, total_ppa = productivity_totals(rows, totals_mode)
-    total_papers = sum(r.papers for r in rows)
-    total_authors = sum(r.authors for r in rows)
-    note = ("Totals row sums the displayed yearly values."
-            if totals_mode == "paper"
-            else "Totals row pools all years: total authors / total papers and its reciprocal.")
+    aggregates = dataset.require_aggregates()
+    if any(a.total_authors is None for a in aggregates):
+        raise ValueError("author totals unavailable")
+    ratios = [author_productivity(a.papers, a.total_authors) for a in aggregates]
+    total_papers = sum(a.papers for a in aggregates)
+    total_authors = sum(a.total_authors for a in aggregates)
+    if config.resolved("totals_source") == "rounded_cells":
+        total_aapp = sum(round_half_up(aapp, 2) for aapp, _ in ratios)
+        total_ppa = sum(round_half_up(ppa, 2) for _, ppa in ratios)
+        note = "Totals row sums the displayed yearly values."
+    else:
+        total_aapp, total_ppa = author_productivity(total_papers, total_authors)
+        note = "Totals row pools all years: total authors / total papers and its reciprocal."
     return ReportTable(
         title="Author productivity by year",
         columns=[
@@ -225,11 +162,11 @@ def productivity_table(dataset: Dataset, config: AnalysisConfig | None = None) -
             ColumnSpec("AAPP", "ratio", 2),
             ColumnSpec("PPA", "ratio", 2),
         ],
-        rows=[[r.year, r.papers,
-               r.papers / total_papers * 100.0 if total_papers else 0.0,
-               r.authors,
-               r.authors / total_authors * 100.0 if total_authors else 0.0,
-               r.aapp, r.ppa] for r in rows],
+        rows=[[a.year, a.papers,
+               a.papers / total_papers * 100.0 if total_papers else 0.0,
+               a.total_authors,
+               a.total_authors / total_authors * 100.0 if total_authors else 0.0,
+               aapp, ppa] for a, (aapp, ppa) in zip(aggregates, ratios)],
         footer=["Total", total_papers, None, total_authors, None, total_aapp, total_ppa],
         notes=["AAPP = average authors per paper; PPA = papers per author.", note],
     )
@@ -240,35 +177,24 @@ def productivity_table(dataset: Dataset, config: AnalysisConfig | None = None) -
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EgrRow:
-    year: int
-    papers: int
-    egr: float | None  # absent for the first year in log convention
-
-
-@dataclass(frozen=True)
-class EgrResult:
-    rows: list[EgrRow]
-    total: float  # full-precision sum of the present values
-
-
-def exponential_growth(series: list[tuple[int, int]], mode: str = "paper") -> EgrResult:
-    """Year-over-year growth of a publication count series.
+def exponential_growth(series: list[tuple[int, int]],
+                       mode: str = "paper") -> list[list[CellValue]]:
+    """Year-over-year growth of a publication count series, as the rows
+    ``[year, papers, egr]`` of the EGR table.
 
     ``paper`` pins the first year to 0 and reports the raw ratio
     papers(t)/papers(t-1) afterwards, which is the relation the source
     study's printed column follows; ``log`` reports ln of that ratio
-    with the first year absent.
+    with the first year absent (``None``).
     """
     if mode not in ("paper", "log"):
         raise ValueError(f"unknown EGR mode: {mode!r}")
     if len(series) < 2:
         raise ValueError("EGR requires at least two years")
-    rows: list[EgrRow] = []
+    rows: list[list[CellValue]] = []
     for i, (year, papers) in enumerate(series):
         if i == 0:
-            rows.append(EgrRow(year, papers, 0.0 if mode == "paper" else None))
+            rows.append([year, papers, 0.0 if mode == "paper" else None])
             continue
         prev = series[i - 1][1]
         if prev <= 0:
@@ -276,9 +202,8 @@ def exponential_growth(series: list[tuple[int, int]], mode: str = "paper") -> Eg
         if mode == "log" and papers <= 0:
             raise ValueError(f"log EGR undefined: zero papers in year {year}")
         ratio = papers / prev
-        rows.append(EgrRow(year, papers, ratio if mode == "paper" else math.log(ratio)))
-    total = sum(r.egr for r in rows if r.egr is not None)
-    return EgrResult(rows=rows, total=total)
+        rows.append([year, papers, ratio if mode == "paper" else math.log(ratio)])
+    return rows
 
 
 def _cagr_periods(years: int, mode: str) -> int:
@@ -308,15 +233,14 @@ def cagr(first: int, last: int, years: int, mode: str = "paper_years") -> float:
 def egr_table(dataset: Dataset, config: AnalysisConfig | None = None) -> ReportTable:
     config = config or AnalysisConfig()
     series = dataset.papers_by_year
-    result = exponential_growth(series, config.resolved("egr_mode"))
+    rows = exponential_growth(series, config.resolved("egr_mode"))
     first_year, last_year = series[0][0], series[-1][0]
     growth_pct = cagr(series[0][1], series[-1][1], len(series), config.resolved("cagr_mode"))
 
+    rates = [egr for _, _, egr in rows if egr is not None]
     # The source study's totals row adds the rounded yearly values.
     if config.resolved("totals_source") == "rounded_cells":
-        total = sum(round_half_up(r.egr, 2) for r in result.rows if r.egr is not None)
-    else:
-        total = result.total
+        rates = [round_half_up(egr, 2) for egr in rates]
     n_periods = _cagr_periods(len(series), config.resolved("cagr_mode"))
     return ReportTable(
         title="Exponential growth rate of publications",
@@ -325,8 +249,8 @@ def egr_table(dataset: Dataset, config: AnalysisConfig | None = None) -> ReportT
             ColumnSpec("Papers", "count"),
             ColumnSpec("EGR", "ratio", 2),
         ],
-        rows=[[r.year, r.papers, r.egr] for r in result.rows],
-        footer=["Total", sum(p for _, p in series), total],
+        rows=rows,
+        footer=["Total", sum(p for _, p in series), sum(rates)],
         notes=[f"CAGR {first_year}-{last_year}: "
                f"{round_half_up(growth_pct, 1):.1f}% over {n_periods} periods."],
     )
@@ -337,36 +261,19 @@ def egr_table(dataset: Dataset, config: AnalysisConfig | None = None) -> ReportT
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GrowthRow:
-    year: int
-    papers: int
-    cumulative: int | None  # absent for the first year
-    w1: float | None
-    w2: float | None
-    r: float | None
-    dt: float | None
-
-
-@dataclass(frozen=True)
-class GrowthResult:
-    rows: list[GrowthRow]
-    mean_r: float
-    mean_dt: float | None
-    warnings: list[Finding]
-
-
-def relative_growth(series: list[tuple[int, int]], mode: str = "standard") -> GrowthResult:
-    """Relative growth rate W2 - W1 and doubling time ln 2 / R.
+def relative_growth(series: list[tuple[int, int]],
+                    mode: str = "standard") -> list[list[CellValue]]:
+    """Relative growth rate W2 - W1 and doubling time ln 2 / R, as the
+    rows ``[year, papers, cumulative, w1, w2, r, dt]`` of the RGR table.
 
     ``standard`` takes W(t) = ln(cumulative papers through t), so R is
     the log-ratio of successive cumulative counts; the first row has no
     rate. ``paper`` reproduces the source table's construction: each
     row compares ln of successive yearly counts, the final row compares
-    the last year against ln of the grand total, R is |W2 - W1| carried
-    at 2-decimal precision, and the means are arithmetic means over the
-    rows. Rows with R = 0 have no doubling time and are excluded from
-    the Dt mean with a warning.
+    the last year against ln of the grand total, and R is |W2 - W1|
+    carried at 2-decimal precision. The first row's cumulative count is
+    absent, and a row with R = 0 has no doubling time; :func:`rgr_table`
+    leaves absent values out of the means in its footer.
     """
     if mode not in ("standard", "paper"):
         raise ValueError(f"unknown RGR mode: {mode!r}")
@@ -375,54 +282,31 @@ def relative_growth(series: list[tuple[int, int]], mode: str = "standard") -> Gr
     if any(papers <= 0 for _, papers in series):
         raise ValueError("relative growth requires positive counts in every year")
 
-    warnings: list[Finding] = []
-    rows: list[GrowthRow] = []
-    cumulative = []
-    running = 0
-    for _, papers in series:
-        running += papers
-        cumulative.append(running)
-
-    if mode == "standard":
-        for i, (year, papers) in enumerate(series):
+    cumulative = list(accumulate(papers for _, papers in series))
+    rows: list[list[CellValue]] = []
+    for i, (year, papers) in enumerate(series):
+        if mode == "standard":
             if i == 0:
-                rows.append(GrowthRow(year, papers, None, None, math.log(cumulative[0]),
-                                      None, None))
+                rows.append([year, papers, None, None, math.log(cumulative[0]), None, None])
                 continue
             w1 = math.log(cumulative[i - 1])
             w2 = math.log(cumulative[i])
             r = w2 - w1
-            dt = LN2 / r if r > 0 else None
-            if dt is None:
-                warnings.append(Finding(str(year), "zero-growth",
-                                        "R = 0: doubling time undefined, excluded from mean"))
-            rows.append(GrowthRow(year, papers, cumulative[i], w1, w2, r, dt))
-    else:
-        grand_total = cumulative[-1]
-        for i, (year, papers) in enumerate(series):
+        else:
             w1 = math.log(papers)
-            w2 = math.log(series[i + 1][1]) if i < len(series) - 1 else math.log(grand_total)
+            w2 = math.log(series[i + 1][1]) if i < len(series) - 1 else math.log(cumulative[-1])
             r = round_half_up(abs(w2 - w1), 2)
-            dt = LN2 / r if r > 0 else None
-            if dt is None:
-                warnings.append(Finding(str(year), "zero-growth",
-                                        "R = 0: doubling time undefined, excluded from mean"))
-            rows.append(GrowthRow(year, papers, None if i == 0 else cumulative[i], w1, w2, r, dt))
-
-    r_values = [row.r for row in rows if row.r is not None]
-    dt_values = [row.dt for row in rows if row.dt is not None]
-    return GrowthResult(
-        rows=rows,
-        mean_r=sum(r_values) / len(r_values) if r_values else 0.0,
-        mean_dt=sum(dt_values) / len(dt_values) if dt_values else None,
-        warnings=warnings,
-    )
+        rows.append([year, papers, None if i == 0 else cumulative[i], w1, w2, r,
+                     LN2 / r if r > 0 else None])
+    return rows
 
 
 def rgr_table(dataset: Dataset, config: AnalysisConfig | None = None) -> ReportTable:
     config = config or AnalysisConfig()
     series = dataset.papers_by_year
-    result = relative_growth(series, config.resolved("rgr_mode"))
+    rows = relative_growth(series, config.resolved("rgr_mode"))
+    rates = [r for *_, r, _ in rows if r is not None]
+    times = [dt for *_, dt in rows if dt is not None]
     notes = ["Dt = ln 2 / R; footer shows arithmetic means of R and Dt."]
     if config.resolved("rgr_mode") == "paper":
         notes.append("R compares successive yearly counts at 2-decimal precision; "
@@ -440,8 +324,8 @@ def rgr_table(dataset: Dataset, config: AnalysisConfig | None = None) -> ReportT
             ColumnSpec("R", "log", 2),
             ColumnSpec("Dt", "ratio", 2),
         ],
-        rows=[[r.year, r.papers, r.cumulative, r.w1, r.w2, r.r, r.dt] for r in result.rows],
+        rows=rows,
         footer=["Total", sum(p for _, p in series), None, None, None,
-                result.mean_r, result.mean_dt],
+                sum(rates) / len(rates), sum(times) / len(times) if times else None],
         notes=notes,
     )

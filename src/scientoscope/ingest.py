@@ -118,18 +118,21 @@ def split_authors(raw: str) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _csv_records(lines: Iterable[str]) -> Iterator[list[str]]:
-    """CSV records of ``lines``; a malformed one raises ParseError at its line."""
+def _csv_records(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
+    """``(line, record)`` for each CSV record of ``lines``, ``line`` being the
+    physical line the record ends on; a malformed one raises ParseError at its line."""
     reader = csv.reader(lines)
     try:
-        yield from reader
+        for record in reader:
+            yield reader.line_num, record
     except csv.Error as exc:
         raise ParseError(f"malformed CSV: {exc}", f"line {reader.line_num}") from None
 
 
-def _csv_header(records: Iterator[list[str]], kind: str, required: tuple[str, ...]) -> list[str]:
+def _csv_header(records: Iterator[tuple[int, list[str]]], kind: str,
+                required: tuple[str, ...]) -> list[str]:
     try:
-        header = [h.strip() for h in next(records)]
+        header = [h.strip() for h in next(records)[1]]
     except StopIteration:
         raise ParseError("empty input") from None
     missing = [f for f in required if f not in header]
@@ -164,7 +167,7 @@ def _rows(stream: TextIO, format: str, kind: str,
         records = _csv_records(stream)
         header = _csv_header(records, kind, required)
         columns = {name: i for i, name in enumerate(header)}
-        for line_no, row in enumerate(records, start=2):
+        for line_no, row in records:
             if not "".join(row).strip():
                 continue
             if len(row) != len(header):

@@ -154,12 +154,18 @@ class Dataset:
             return [a.year for a in self.aggregates]
         return sorted({r.year for r in self.records})
 
+    def require_aggregates(self) -> tuple[YearAggregate, ...]:
+        """The per-year aggregates every table is built from; record data
+        raises ``ValueError`` until it is bridged."""
+        if self.granularity != "aggregates":
+            raise ValueError("tables require aggregate granularity "
+                             "(run aggregate_records on record data first)")
+        return self.aggregates
+
     @property
     def papers_by_year(self) -> list[tuple[int, int]]:
         """(year, paper count) pairs in ascending year order."""
-        if self.granularity != "aggregates":
-            raise ValueError("papers_by_year requires aggregate granularity")
-        return [(a.year, a.papers) for a in self.aggregates]
+        return [(a.year, a.papers) for a in self.require_aggregates()]
 
     @property
     def total_papers(self) -> int:

@@ -103,9 +103,22 @@ class ReportTable:
         if self.footer is not None and len(self.footer) != width:
             raise ValueError(f"footer has {len(self.footer)} cells, expected {width}")
 
-    def column(self, header: str) -> list[CellValue]:
-        idx = [c.header for c in self.columns].index(header)
-        return [row[idx] for row in self.rows]
+    def cell(self, row: str, header: str) -> CellValue:
+        """The value in the row whose first cell prints as *row* (``total``
+        and ``mean`` name the footer) and the column headed *header*.
+
+        Raises LookupError naming the missing column, or else the missing row.
+        """
+        headers = [c.header for c in self.columns]
+        if header not in headers:
+            raise LookupError(f"no column {header!r}")
+        if row in ("total", "mean"):
+            cells = self.footer
+        else:
+            cells = next((r for r in self.rows if str(r[0]) == row), None)
+        if cells is None:
+            raise LookupError(f"no row {row!r}")
+        return cells[headers.index(header)]
 
 
 def _cell_display(value: CellValue, spec: ColumnSpec, policy: DisplayPolicy) -> str:

@@ -19,28 +19,29 @@ import random
 import pytest
 
 from scientoscope import (
+    AnalysisConfig,
     Dataset,
     YearAggregate,
     aggregate_records,
-    authorship_pattern,
+    authorship_table,
     cagr,
-    collaboration_rows,
+    collaboration_table,
     collaborative_index,
     degree_of_collaboration,
-    exponential_growth,
-    page_length_distribution,
+    egr_table,
+    page_length_table,
     parse_aggregates,
-    productivity_rows,
-    productivity_totals,
+    productivity_table,
     relative_growth,
+    rgr_table,
     round_display,
-    round_half_up,
-    subject_distribution,
+    subject_table,
     validate,
     write_aggregates_csv,
-    year_distribution,
+    year_distribution_table,
 )
 from scientoscope.cli import demo_aggregates_path, main
+from scientoscope.distributions import PAGE_BIN_LABELS
 from scientoscope.golden import (
     T1,
     T2_BINS,
@@ -56,25 +57,38 @@ from scientoscope.golden import (
     T8_ROW_TOTALS,
     YEARS,
 )
+from scientoscope.model import AUTHORSHIP_BIN_LABELS
+
+POOLED = AnalysisConfig(mode="paper", totals_source="full_precision")
 
 
 def _passed(number: object, label: str) -> None:
     print(f"ACCEPTANCE {number}: PASS - {label}")
 
 
+def _column(table, header):
+    """The printed *header* cell of every body row."""
+    return [table.cell(str(row[0]), header) for row in table.rows]
+
+
+def _cells(table, row, headers, suffix=""):
+    """The printed cells of one row under each of *headers*, each with *suffix*."""
+    return tuple(table.cell(str(row), f"{header}{suffix}") for header in headers)
+
+
 # --- 1 -------------------------------------------------------------------
 
 
 def test_criterion_01_year_distribution(demo_dataset):
-    rows = year_distribution(demo_dataset)
-    assert [r.papers for r in rows] == list(T1["papers"])
-    assert [r.cumulative_papers for r in rows] == list(T1["cum"])
-    for got, want in zip([r.cumulative_percent for r in rows], T1["cum_pct"]):
+    table = year_distribution_table(demo_dataset)
+    assert _column(table, "Papers") == list(T1["papers"])
+    assert _column(table, "Cum. papers") == list(T1["cum"])
+    for got, want in zip(_column(table, "Cum. %"), T1["cum_pct"]):
         if want is None:
             assert got is None
         else:
             assert got == pytest.approx(want, abs=0.01)
-    for got, want in zip([r.percent_of_total for r in rows], T1["pct"]):
+    for got, want in zip(_column(table, "%"), T1["pct"]):
         assert got == pytest.approx(want, abs=0.1)
     _passed(1, "year-wise distribution (papers, cumulative, percents)")
 
@@ -83,15 +97,15 @@ def test_criterion_01_year_distribution(demo_dataset):
 
 
 def test_criterion_02_authorship_pattern(demo_dataset):
-    rows, footer = authorship_pattern(demo_dataset)
-    assert tuple(r.year for r in rows) == YEARS
-    for row, bins, percents in zip(rows, T2_BINS, T2_ROW_PCT):
-        assert row.bin_counts == bins
-        for got, want in zip(row.bin_row_percents, percents):
+    table = authorship_table(demo_dataset)
+    assert tuple(_column(table, "Year")) == YEARS
+    for year, bins, percents in zip(YEARS, T2_BINS, T2_ROW_PCT):
+        assert _cells(table, year, AUTHORSHIP_BIN_LABELS) == bins
+        for got, want in zip(_cells(table, year, AUTHORSHIP_BIN_LABELS, " %"), percents):
             assert got == pytest.approx(want, abs=0.01)
     # The printed totals row reads [70, 111, 34, 9, 3], but the printed
     # 4-author column sums to 8; the computed footer is the column sum.
-    assert footer.bin_counts == (70, 111, 34, 8, 3)
+    assert _cells(table, "total", AUTHORSHIP_BIN_LABELS) == (70, 111, 34, 8, 3)
     report = validate(demo_dataset)
     assert any(f.rule == "authorship-bin-sum" and f.location == "2017"
                for f in report.warnings), "2017 row-sum warning must be emitted"
@@ -102,18 +116,18 @@ def test_criterion_02_authorship_pattern(demo_dataset):
 # --- 3 -------------------------------------------------------------------
 
 
-def test_criterion_03_author_productivity(demo_dataset):
-    rows = productivity_rows(demo_dataset)
-    for got, want in zip([r.aapp for r in rows], T3["aapp"]):
+def test_criterion_03_author_productivity(demo_dataset, paper_config):
+    table = productivity_table(demo_dataset, paper_config)
+    for got, want in zip(_column(table, "AAPP"), T3["aapp"]):
         assert got == pytest.approx(want, abs=0.01)
-    for got, want in zip([r.ppa for r in rows], T3["ppa"]):
+    for got, want in zip(_column(table, "PPA"), T3["ppa"]):
         assert got == pytest.approx(want, abs=0.01)
-    total_aapp, total_ppa = productivity_totals(rows, "paper")
-    assert round_display(total_aapp, 2) == "9.65"
+    assert round_display(table.cell("total", "AAPP"), 2) == "9.65"
     # The printed PPA total 2.59 sums a truncated cell (51/99 = 0.5152
     # displays as 0.52); the consistent sum of displayed values is 2.60.
-    assert round_display(total_ppa, 2) == "2.60"
-    pooled_aapp, pooled_ppa = productivity_totals(rows, "pooled")
+    assert round_display(table.cell("total", "PPA"), 2) == "2.60"
+    pooled = productivity_table(demo_dataset, POOLED)
+    pooled_aapp, pooled_ppa = pooled.cell("total", "AAPP"), pooled.cell("total", "PPA")
     assert pooled_aapp == pytest.approx(441 / 227, abs=1e-12)  # oracle: pooled division
     assert pooled_aapp == pytest.approx(1.94, abs=0.01)
     assert pooled_ppa == pytest.approx(227 / 441, abs=1e-12)
@@ -126,13 +140,13 @@ def test_criterion_03_author_productivity(demo_dataset):
 
 
 def test_criterion_04_collaboration(demo_dataset, paper_config):
-    rows, footer = collaboration_rows(demo_dataset, paper_config)
-    for got, want in zip([r.dc for r in rows], T4["dc"]):
+    table = collaboration_table(demo_dataset, paper_config)
+    for got, want in zip(_column(table, "DC"), T4["dc"]):
         assert got == pytest.approx(want, abs=0.01)
-    assert footer.dc == pytest.approx(0.69, abs=0.01)
-    for got, want in zip([r.ci for r in rows], T4["ci"]):
+    assert table.cell("total", "DC") == pytest.approx(0.69, abs=0.01)
+    for got, want in zip(_column(table, "CI"), T4["ci"]):
         assert got == pytest.approx(want, abs=0.01)
-    assert footer.ci == pytest.approx(2.24, abs=0.01)
+    assert table.cell("total", "CI") == pytest.approx(2.24, abs=0.01)
     stated_2013 = collaborative_index(14, 19, authors=57, variant="stated")
     assert stated_2013 == pytest.approx(1.73, abs=0.01)
     _passed(4, "degree of collaboration and both CI variants")
@@ -141,13 +155,13 @@ def test_criterion_04_collaboration(demo_dataset, paper_config):
 # --- 5 -------------------------------------------------------------------
 
 
-def test_criterion_05_growth_rates(demo_dataset):
-    result = exponential_growth(demo_dataset.papers_by_year, "paper")
-    for got, want in zip([r.egr for r in result.rows], T5_EGR):
+def test_criterion_05_growth_rates(demo_dataset, paper_config):
+    table = egr_table(demo_dataset, paper_config)
+    for got, want in zip(_column(table, "EGR"), T5_EGR):
         assert got == pytest.approx(want, abs=0.01)
-    rounded_total = sum(round_half_up(r.egr, 2) for r in result.rows)
-    assert rounded_total == pytest.approx(4.85, abs=1e-9)
-    assert result.total == pytest.approx(4.85, abs=0.01)
+    # Paper mode's totals row adds the yearly values at their 2-decimal rounding.
+    assert table.cell("total", "EGR") == pytest.approx(4.85, abs=1e-9)
+    assert egr_table(demo_dataset, POOLED).cell("total", "EGR") == pytest.approx(4.85, abs=0.01)
     assert cagr(33, 51, 5, "paper_years") == pytest.approx(9.1, abs=0.05)
     # Oracle: direct exponentiation over 4 intervals.
     assert cagr(33, 51, 5, "intervals") == pytest.approx(((51 / 33) ** 0.25 - 1) * 100,
@@ -159,24 +173,23 @@ def test_criterion_05_growth_rates(demo_dataset):
 # --- 6 -------------------------------------------------------------------
 
 
-def test_criterion_06_relative_growth(demo_dataset):
-    result = relative_growth(demo_dataset.papers_by_year, "paper")
-    rows = result.rows
-    for got, want in zip([r.r for r in rows], T6["r"]):
+def test_criterion_06_relative_growth(demo_dataset, paper_config):
+    table = rgr_table(demo_dataset, paper_config)
+    for got, want in zip(_column(table, "R"), T6["r"]):
         assert got == pytest.approx(want, abs=0.01)
-    for got, want in zip([r.dt for r in rows], T6["dt"]):
+    for got, want in zip(_column(table, "Dt"), T6["dt"]):
         assert got == pytest.approx(want, abs=0.01)
     # W columns at +/-0.01, except the first W1 cell: the source prints
     # 3.49 where ln 33 = 3.4965 rounds to 3.50. Logged and compared
     # against the computed 3.50 instead.
     print("ACCEPTANCE 6: note - first-year W1 prints 3.49 in the source; "
           "ln 33 = 3.4965 rounds to 3.50 (cell exempted)")
-    for got, want in zip([r.w1 for r in rows], (3.50, 4.14, 3.78, 3.58, 3.93)):
+    for got, want in zip(_column(table, "W1"), (3.50, 4.14, 3.78, 3.58, 3.93)):
         assert got == pytest.approx(want, abs=0.01)
-    for got, want in zip([r.w2 for r in rows], T6["w2"]):
+    for got, want in zip(_column(table, "W2"), T6["w2"]):
         assert got == pytest.approx(want, abs=0.01)
-    assert result.mean_r == pytest.approx(0.61, abs=0.01)
-    assert result.mean_dt == pytest.approx(1.78, abs=0.01)
+    assert table.cell("mean", "R") == pytest.approx(0.61, abs=0.01)
+    assert table.cell("mean", "Dt") == pytest.approx(1.78, abs=0.01)
     _passed(6, "relative growth rate and doubling time (W1 2013 exempted and logged)")
 
 
@@ -184,13 +197,13 @@ def test_criterion_06_relative_growth(demo_dataset):
 
 
 def test_criterion_07_page_lengths(demo_dataset):
-    rows, totals = page_length_distribution(demo_dataset)
-    assert tuple(r.year for r in rows) == YEARS
-    for row, bins, percents in zip(rows, T7_BINS, T7_PCT):
-        assert row.bin_counts == bins
-        for got, want in zip(row.bin_column_percents, percents):
+    table = page_length_table(demo_dataset)
+    assert tuple(_column(table, "Year")) == YEARS
+    for year, bins, percents in zip(YEARS, T7_BINS, T7_PCT):
+        assert _cells(table, year, PAGE_BIN_LABELS) == bins
+        for got, want in zip(_cells(table, year, PAGE_BIN_LABELS, " %"), percents):
             assert got == pytest.approx(want, abs=0.01)
-    assert totals == T7_TOTALS
+    assert _cells(table, "total", PAGE_BIN_LABELS) == T7_TOTALS
     _passed(7, "page-length distribution (counts, column totals, percents)")
 
 
@@ -208,13 +221,13 @@ GOLDEN_T8_ROW_TOTALS = tuple({**T8_ROW_TOTALS, "Social Networks": 4}.values())
 
 
 def test_criterion_08_subject_distribution(demo_dataset):
-    rows = subject_distribution(demo_dataset)
-    assert len(rows) == 14
-    for row in rows:
-        assert row.counts_by_year == GOLDEN_T8_CELLS[row.subject], row.subject
-    assert tuple(r.total for r in rows) == GOLDEN_T8_ROW_TOTALS
-    for i, want in enumerate(T1["papers"]):
-        assert sum(r.counts_by_year[i] for r in rows) == want  # columns match table 1
+    table = subject_table(demo_dataset)
+    assert len(table.rows) == 14
+    for subject in _column(table, "Subject"):
+        assert _cells(table, subject, YEARS) == GOLDEN_T8_CELLS[subject], subject
+    assert tuple(_column(table, "Total")) == GOLDEN_T8_ROW_TOTALS
+    for year, want in zip(YEARS, T1["papers"]):
+        assert sum(_column(table, str(year))) == want  # columns match table 1
     _passed(8, "subject distribution (cells, row totals, column sums; two printed "
                "totals exempted, see xfail companions)")
 
@@ -233,9 +246,9 @@ def test_criterion_09_property_suite(demo_records):
     for _ in range(200):
         series = _random_series(rng)
         for mode in ("standard", "paper"):
-            for row in relative_growth(series, mode).rows:
-                if row.r is not None and row.dt is not None:
-                    assert abs(row.dt * row.r - math.log(2)) <= 1e-9, (mode, series)
+            for *_, r, dt in relative_growth(series, mode):
+                if r is not None and dt is not None:
+                    assert abs(dt * r - math.log(2)) <= 1e-9, (mode, series)
 
     # (b) DC bounds and exact invariance under integer scaling, 200 pairs.
     rng = random.Random(20140202)
@@ -273,8 +286,7 @@ def test_criterion_09_property_suite(demo_records):
     rng = random.Random(20170505)
     for _ in range(200):
         series = _random_series(rng)
-        rows = relative_growth(series, "standard").rows
-        total_r = sum(row.r for row in rows if row.r is not None)
+        total_r = sum(r for *_, r, _ in relative_growth(series, "standard") if r is not None)
         expected = math.log(sum(p for _, p in series) / series[0][1])
         assert abs(total_r - expected) <= 1e-9
 
@@ -331,27 +343,25 @@ def test_criterion_10_reproduce_paper(capsys, tmp_path):
 @pytest.mark.xfail(strict=True, reason="printed 4-author total is 9 but the printed "
                                        "column cells sum to 8")
 def test_printed_four_author_total_as_literal(demo_dataset):
-    _, footer = authorship_pattern(demo_dataset)
-    assert footer.bin_counts == (70, 111, 34, 9, 3)
+    table = authorship_table(demo_dataset)
+    assert _cells(table, "total", AUTHORSHIP_BIN_LABELS) == (70, 111, 34, 9, 3)
 
 
 @pytest.mark.xfail(strict=True, reason="printed PPA total 2.59 sums a truncated cell; "
                                        "half-up display of 51/99 is 0.52, giving 2.60")
-def test_printed_ppa_total_as_literal(demo_dataset):
-    _, total_ppa = productivity_totals(productivity_rows(demo_dataset), "paper")
-    assert round_display(total_ppa, 2) == "2.59"
+def test_printed_ppa_total_as_literal(demo_dataset, paper_config):
+    table = productivity_table(demo_dataset, paper_config)
+    assert round_display(table.cell("total", "PPA"), 2) == "2.59"
 
 
 @pytest.mark.xfail(strict=True, reason="printed Search Engines 2017 cell is 1, but the "
                                        "printed 2017 column then sums to 52 against its "
                                        "total of 51; bundled data carries 0")
 def test_printed_search_engines_2017_as_literal(demo_dataset):
-    rows = {r.subject: r for r in subject_distribution(demo_dataset)}
-    assert rows["Search Engines"].counts_by_year[-1] == 1
+    assert subject_table(demo_dataset).cell("Search Engines", "2017") == 1
 
 
 @pytest.mark.xfail(strict=True, reason="printed Social Networks row total is 3 but the "
                                        "printed cells sum to 4")
 def test_printed_social_networks_total_as_literal(demo_dataset):
-    rows = {r.subject: r for r in subject_distribution(demo_dataset)}
-    assert rows["Social Networks"].total == 3
+    assert subject_table(demo_dataset).cell("Social Networks", "Total") == 3

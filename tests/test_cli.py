@@ -14,6 +14,7 @@ from scientoscope import (
     year_distribution_table,
 )
 from scientoscope.cli import demo_aggregates_path, demo_records_path, main
+from scientoscope.config import config_from_dict
 from scientoscope.golden import GoldenCheck, check_outcome
 
 AGG_PATH = str(demo_aggregates_path())
@@ -348,6 +349,16 @@ def test_config_switch_that_is_not_a_boolean_exits_1(key, value, tmp_path, capsy
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: invalid {key}: {value!r} (expected true or false)\n"
+
+
+@pytest.mark.parametrize("value", ["no", "false", 1, 0, [], {}])
+def test_config_from_dict_takes_only_a_boolean_strict(value):
+    with pytest.raises(ValueError) as excinfo:
+        config_from_dict({"strict": value})
+    assert str(excinfo.value) == f"invalid strict: {value!r} (expected true or false)"
+    assert config_from_dict({"strict": True}).strict is True
+    assert config_from_dict({"strict": None}) == config_from_dict({}) == config_from_dict(
+        {"strict": False})
 
 
 def test_config_switches_set_to_false_change_nothing(tmp_path, capsys):

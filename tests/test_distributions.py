@@ -3,14 +3,14 @@
 import pytest
 
 from scientoscope import (
-    authorship_pattern,
-    page_length_distribution,
+    authorship_table,
+    page_length_table,
     parse_aggregates,
-    subject_distribution,
     subject_table,
-    year_distribution,
     year_distribution_table,
 )
+from scientoscope.distributions import PAGE_BIN_LABELS
+from scientoscope.model import AUTHORSHIP_BIN_LABELS
 
 AGG_HEADER = ("year,papers,a1,a2,a3,a4,a5plus,total_authors,p1to5,p6to10,pabove10,"
               "subj:A,subj:B")
@@ -20,37 +20,48 @@ def _tiny(rows: list[str]):
     return parse_aggregates(AGG_HEADER + "\n" + "\n".join(rows) + "\n")
 
 
+def _column(table, header):
+    """The *header* cell of every body row."""
+    return [table.cell(str(row[0]), header) for row in table.rows]
+
+
+def _cells(table, row, headers, suffix=""):
+    """The cells of one row under each of *headers*, each with *suffix*."""
+    return tuple(table.cell(row, f"{header}{suffix}") for header in headers)
+
+
 def test_year_distribution_demo(demo_dataset):
-    rows = {r.year: r for r in year_distribution(demo_dataset)}
-    assert rows[2014].papers == 63
-    assert rows[2014].percent_of_total == pytest.approx(27.7, abs=0.1)
-    assert rows[2014].cumulative_papers == 96
-    assert rows[2014].cumulative_percent == pytest.approx(42.29, abs=0.01)
-    assert rows[2013].cumulative_papers is None
-    assert rows[2013].cumulative_percent is None
-    assert rows[2017].cumulative_papers == 227
-    assert rows[2017].cumulative_percent == pytest.approx(100.0)
+    table = year_distribution_table(demo_dataset)
+    assert table.cell("2014", "Papers") == 63
+    assert table.cell("2014", "%") == pytest.approx(27.7, abs=0.1)
+    assert table.cell("2014", "Cum. papers") == 96
+    assert table.cell("2014", "Cum. %") == pytest.approx(42.29, abs=0.01)
+    assert table.cell("2013", "Cum. papers") is None
+    assert table.cell("2013", "Cum. %") is None
+    assert table.cell("2017", "Cum. papers") == 227
+    assert table.cell("2017", "Cum. %") == pytest.approx(100.0)
 
 
 def test_year_distribution_single_year():
-    rows = year_distribution(_tiny(["2013,33,14,14,5,0,0,57,4,26,3,20,13"]))
-    (row,) = rows
-    assert row.percent_of_total == pytest.approx(100.0)
-    assert row.cumulative_papers is None
+    table = year_distribution_table(_tiny(["2013,33,14,14,5,0,0,57,4,26,3,20,13"]))
+    assert len(table.rows) == 1
+    assert table.cell("2013", "%") == pytest.approx(100.0)
+    assert table.cell("2013", "Cum. papers") is None
 
 
 def test_year_distribution_cumulative_and_percent_invariants(demo_dataset):
-    rows = year_distribution(demo_dataset)
-    total = sum(r.papers for r in rows)
-    cums = [r.cumulative_papers for r in rows if r.cumulative_papers is not None]
+    table = year_distribution_table(demo_dataset)
+    papers = _column(table, "Papers")
+    total = sum(papers)
+    cums = [c for c in _column(table, "Cum. papers") if c is not None]
     assert cums == sorted(cums) and len(set(cums)) == len(cums)
     assert cums[-1] == total
     running = 0
-    for row in rows:
-        running += row.papers
-        if row.cumulative_papers is not None:
-            assert row.cumulative_papers == running
-    assert sum(r.percent_of_total for r in rows) == pytest.approx(100.0, abs=0.2)
+    for count, cumulative in zip(papers, _column(table, "Cum. papers")):
+        running += count
+        if cumulative is not None:
+            assert cumulative == running
+    assert sum(_column(table, "%")) == pytest.approx(100.0, abs=0.2)
 
 
 def test_year_distribution_additivity(demo_dataset):
@@ -62,74 +73,72 @@ def test_year_distribution_additivity(demo_dataset):
                                 study_window=(aggs[0].year, aggs[1].year))
     second = dataclasses.replace(demo_dataset, aggregates=aggs[2:],
                                  study_window=(aggs[2].year, aggs[-1].year))
-    merged_counts = [(r.year, r.papers) for r in year_distribution(demo_dataset)]
-    split_counts = ([(r.year, r.papers) for r in year_distribution(first)]
-                    + [(r.year, r.papers) for r in year_distribution(second)])
-    assert merged_counts == split_counts
+
+    def counts(dataset):
+        table = year_distribution_table(dataset)
+        return list(zip(_column(table, "Year"), _column(table, "Papers")))
+
+    assert counts(demo_dataset) == counts(first) + counts(second)
 
 
 def test_authorship_pattern_demo(demo_dataset):
-    rows, footer = authorship_pattern(demo_dataset)
-    by_year = {r.year: r for r in rows}
-    assert by_year[2013].bin_counts == (14, 14, 5, 0, 0)
-    for got, want in zip(by_year[2013].bin_row_percents, (42.42, 42.42, 15.15, 0.0, 0.0)):
+    table = authorship_table(demo_dataset)
+    assert _cells(table, "2013", AUTHORSHIP_BIN_LABELS) == (14, 14, 5, 0, 0)
+    for got, want in zip(_cells(table, "2013", AUTHORSHIP_BIN_LABELS, " %"),
+                         (42.42, 42.42, 15.15, 0.0, 0.0)):
         assert got == pytest.approx(want, abs=0.01)
     # 2017 percentages divide by the declared 51 papers, not the bin sum of 50.
-    assert by_year[2017].bin_row_percents[0] == pytest.approx(23.53, abs=0.01)
-    assert footer.bin_counts == (70, 111, 34, 8, 3)  # exact column sums
-    assert footer.papers == 227
+    assert table.cell("2017", "1 author %") == pytest.approx(23.53, abs=0.01)
+    assert _cells(table, "total", AUTHORSHIP_BIN_LABELS) == (70, 111, 34, 8, 3)  # exact column sums
+    assert table.cell("total", "Papers") == 227
 
 
 def test_authorship_zero_papers_year_yields_zero_percents():
-    rows, _ = authorship_pattern(_tiny(["2013,0,0,0,0,0,0,0,0,0,0,0,0"]))
-    assert rows[0].bin_row_percents == (0.0, 0.0, 0.0, 0.0, 0.0)
+    table = authorship_table(_tiny(["2013,0,0,0,0,0,0,0,0,0,0,0,0"]))
+    assert _cells(table, "2013", AUTHORSHIP_BIN_LABELS, " %") == (0.0, 0.0, 0.0, 0.0, 0.0)
 
 
 def test_footer_counts_equal_column_sums(demo_dataset):
-    rows, footer = authorship_pattern(demo_dataset)
-    for i in range(5):
-        assert footer.bin_counts[i] == sum(r.bin_counts[i] for r in rows)
-    page_rows, totals = page_length_distribution(demo_dataset)
-    for i in range(3):
-        assert totals[i] == sum(r.bin_counts[i] for r in page_rows)
+    for table, labels in ((authorship_table(demo_dataset), AUTHORSHIP_BIN_LABELS),
+                          (page_length_table(demo_dataset), PAGE_BIN_LABELS)):
+        for label in labels:
+            assert table.cell("total", label) == sum(_column(table, label))
 
 
 def test_page_length_demo(demo_dataset):
-    rows, totals = page_length_distribution(demo_dataset)
-    by_year = {r.year: r for r in rows}
-    assert by_year[2014].bin_counts == (13, 45, 5)
-    for got, want in zip(by_year[2014].bin_column_percents, (35.14, 25.71, 33.33)):
+    table = page_length_table(demo_dataset)
+    assert _cells(table, "2014", PAGE_BIN_LABELS) == (13, 45, 5)
+    for got, want in zip(_cells(table, "2014", PAGE_BIN_LABELS, " %"), (35.14, 25.71, 33.33)):
         assert got == pytest.approx(want, abs=0.01)
-    assert by_year[2013].bin_column_percents[0] == pytest.approx(10.81, abs=0.01)  # 4/37
+    assert table.cell("2013", "1-5 pages %") == pytest.approx(10.81, abs=0.01)  # 4/37
+    totals = _cells(table, "total", PAGE_BIN_LABELS)
     assert totals == (37, 175, 15)
     assert sum(totals) == 227
 
 
 def test_page_length_degenerate_single_bin():
-    rows, totals = page_length_distribution(_tiny(["2013,2,2,0,0,0,0,2,0,2,0,1,1"]))
-    assert totals == (0, 2, 0)
-    assert rows[0].bin_column_percents[0] == 0.0  # empty column: 0, not NaN
+    table = page_length_table(_tiny(["2013,2,2,0,0,0,0,2,0,2,0,1,1"]))
+    assert _cells(table, "total", PAGE_BIN_LABELS) == (0, 2, 0)
+    assert table.cell("2013", "1-5 pages %") == 0.0  # empty column: 0, not NaN
 
 
 def test_subject_distribution_demo(demo_dataset):
-    rows = subject_distribution(demo_dataset)
-    by_subject = {r.subject: r for r in rows}
-    assert by_subject["Scientometrics, Bibliometrics"].counts_by_year == (11, 18, 10, 1, 11)
-    assert by_subject["Scientometrics, Bibliometrics"].total == 51
-    assert by_subject["Search Engines"].total == 2
-    assert [r.subject for r in rows][0] == "Scientometrics, Bibliometrics"
-    assert [r.subject for r in rows][-1] == "Others"
+    table = subject_table(demo_dataset)
+    years = [str(a.year) for a in demo_dataset.aggregates]
+    assert _cells(table, "Scientometrics, Bibliometrics", years) == (11, 18, 10, 1, 11)
+    assert table.cell("Scientometrics, Bibliometrics", "Total") == 51
+    assert table.cell("Search Engines", "Total") == 2
+    assert _column(table, "Subject")[0] == "Scientometrics, Bibliometrics"
+    assert _column(table, "Subject")[-1] == "Others"
     # Column sums equal the yearly paper counts.
-    years = [a.year for a in demo_dataset.aggregates]
-    for i, year in enumerate(years):
-        column = sum(r.counts_by_year[i] for r in rows)
-        assert column == demo_dataset.aggregates[i].papers, year
+    for year, agg in zip(years, demo_dataset.aggregates):
+        assert sum(_column(table, year)) == agg.papers, year
 
 
 def test_subject_distribution_rejects_unknown_label():
     ds = _tiny(["2013,1,1,0,0,0,0,1,1,0,0,1,0"])
     with pytest.raises(ValueError, match="unknown subject label"):
-        subject_distribution(ds, taxonomy=("A",))  # data also carries B
+        subject_table(ds, taxonomy=("A",))  # data also carries B
 
 
 def test_subject_table_footer(demo_dataset):

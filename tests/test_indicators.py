@@ -8,15 +8,24 @@ from scientoscope import (
     AnalysisConfig,
     author_productivity,
     cagr,
-    collaboration_rows,
+    collaboration_table,
     collaborative_index,
     degree_of_collaboration,
+    egr_table,
     exponential_growth,
-    productivity_rows,
-    productivity_totals,
+    productivity_table,
     relative_growth,
+    rgr_table,
 )
 from scientoscope.model import Dataset, YearAggregate
+
+PAPER_TOTALS = AnalysisConfig(totals_source="rounded_cells")
+POOLED_TOTALS = AnalysisConfig(totals_source="full_precision")
+
+
+def _keys(table, footer: bool = False) -> list[str]:
+    """The row addresses of *table*: each body row's first cell, then the footer."""
+    return [str(row[0]) for row in table.rows] + (["total"] if footer else [])
 
 
 def test_degree_of_collaboration_values():
@@ -46,17 +55,17 @@ def test_collaborative_index_errors():
 
 
 def test_collaboration_rows_demo(demo_dataset, paper_config):
-    rows, footer = collaboration_rows(demo_dataset, paper_config)
-    by_year = {r.year: r for r in rows}
-    assert by_year[2017].single == 12 and by_year[2017].multiple == 38
-    assert by_year[2017].papers == 50  # bin-derived, one short of the declared 51
-    assert by_year[2017].dc == pytest.approx(0.76)
+    table = collaboration_table(demo_dataset, paper_config)
+    assert table.cell("2017", "Single") == 12 and table.cell("2017", "Multiple") == 38
+    assert table.cell("2017", "Papers") == 50  # bin-derived, one short of the declared 51
+    assert table.cell("2017", "DC") == pytest.approx(0.76)
     # Totals derive multiple as declared papers minus single.
-    assert footer.single == 70 and footer.multiple == 157 and footer.papers == 227
-    assert footer.ci == pytest.approx(157 / 70)
-    assert footer.dc == pytest.approx(157 / 227)
-    for row in rows:
-        assert row.single + row.multiple == row.papers
+    assert (table.cell("total", "Single") == 70 and table.cell("total", "Multiple") == 157
+            and table.cell("total", "Papers") == 227)
+    assert table.cell("total", "CI") == pytest.approx(157 / 70)
+    assert table.cell("total", "DC") == pytest.approx(157 / 227)
+    for year in _keys(table):
+        assert table.cell(year, "Single") + table.cell(year, "Multiple") == table.cell(year, "Papers")
 
 
 def test_author_productivity_values():
@@ -69,33 +78,35 @@ def test_author_productivity_values():
 
 
 def test_aapp_ppa_reciprocal(demo_dataset):
-    for row in productivity_rows(demo_dataset):
-        assert row.aapp * row.ppa == pytest.approx(1.0, abs=1e-9)
+    table = productivity_table(demo_dataset)
+    for year in _keys(table):
+        assert table.cell(year, "AAPP") * table.cell(year, "PPA") == pytest.approx(1.0, abs=1e-9)
 
 
 def test_productivity_totals_modes(demo_dataset):
-    rows = productivity_rows(demo_dataset)
-    total_aapp, total_ppa = productivity_totals(rows, "paper")
-    assert total_aapp == pytest.approx(9.65, abs=1e-9)
+    paper = productivity_table(demo_dataset, PAPER_TOTALS)
+    assert paper.cell("total", "AAPP") == pytest.approx(9.65, abs=1e-9)
     # The displayed yearly PPA values are 0.58/0.51/0.48/0.51/0.52, so the
     # honest paper-style sum is 2.60 (the source table printed 2.59 by
     # truncating its last cell).
-    assert total_ppa == pytest.approx(2.60, abs=1e-9)
-    pooled_aapp, pooled_ppa = productivity_totals(rows, "pooled")
-    assert pooled_aapp == pytest.approx(441 / 227)
-    assert pooled_ppa == pytest.approx(227 / 441)
+    assert paper.cell("total", "PPA") == pytest.approx(2.60, abs=1e-9)
+    pooled = productivity_table(demo_dataset, POOLED_TOTALS)
+    assert pooled.cell("total", "AAPP") == pytest.approx(441 / 227)
+    assert pooled.cell("total", "PPA") == pytest.approx(227 / 441)
 
 
 def test_productivity_totals_single_row_agreement():
-    (row,) = productivity_rows(Dataset(
+    dataset = Dataset(
         granularity="aggregates", study_window=(2013, 2013),
         aggregates=(YearAggregate(2013, 33, (14, 14, 5, 0, 0), (4, 26, 3),
                                   {"A": 33}, total_authors=57),),
-    ))
-    paper = productivity_totals([row], "paper")
-    pooled = productivity_totals([row], "pooled")
-    assert pooled == pytest.approx((row.aapp, row.ppa))
-    assert paper == pytest.approx((row.aapp, row.ppa), abs=0.005)
+    )
+    paper = productivity_table(dataset, PAPER_TOTALS)
+    pooled = productivity_table(dataset, POOLED_TOTALS)
+    (year,) = _keys(paper)
+    row = (paper.cell(year, "AAPP"), paper.cell(year, "PPA"))
+    assert (pooled.cell("total", "AAPP"), pooled.cell("total", "PPA")) == pytest.approx(row)
+    assert (paper.cell("total", "AAPP"), paper.cell("total", "PPA")) == pytest.approx(row, abs=0.005)
 
 
 def test_productivity_requires_author_totals():
@@ -104,36 +115,37 @@ def test_productivity_requires_author_totals():
         aggregates=(YearAggregate(2013, 33, (14, 14, 5, 0, 0), (4, 26, 3), {"A": 33}),),
     )
     with pytest.raises(ValueError, match="author totals unavailable"):
-        productivity_rows(ds)
+        productivity_table(ds)
 
 
 SERIES = [(2013, 33), (2014, 63), (2015, 44), (2016, 36), (2017, 51)]
 
 
-def test_exponential_growth_paper_mode():
-    result = exponential_growth(SERIES, "paper")
-    values = [r.egr for r in result.rows]
+def test_exponential_growth_paper_mode(demo_dataset):
+    values = [egr for *_, egr in exponential_growth(SERIES, "paper")]
     assert values[0] == 0.0
     assert values[1] == pytest.approx(63 / 33)
     assert values[2] == pytest.approx(44 / 63)
     assert values[3] == pytest.approx(36 / 44)
     assert values[4] == pytest.approx(51 / 36)
-    assert result.total == pytest.approx(sum(values))  # exactly the row sum
+    assert demo_dataset.papers_by_year == SERIES
+    table = egr_table(demo_dataset, AnalysisConfig(egr_mode="paper", totals_source="full_precision"))
+    assert table.cell("total", "EGR") == pytest.approx(sum(values))  # exactly the row sum
 
 
 def test_exponential_growth_log_mode():
-    result = exponential_growth(SERIES, "log")
-    assert result.rows[0].egr is None
-    assert result.rows[1].egr == pytest.approx(math.log(63 / 33))
+    values = [egr for *_, egr in exponential_growth(SERIES, "log")]
+    assert values[0] is None
+    assert values[1] == pytest.approx(math.log(63 / 33))
 
 
 def test_exponential_growth_constant_series():
     paper = exponential_growth([(1, 7), (2, 7), (3, 7)], "paper")
-    assert [r.egr for r in paper.rows] == [0.0, 1.0, 1.0]
-    log = exponential_growth([(1, 7), (2, 7), (3, 7)], "log")
-    assert log.rows[0].egr is None
-    assert log.rows[1].egr == pytest.approx(0.0)
-    assert log.rows[2].egr == pytest.approx(0.0)
+    assert [egr for *_, egr in paper] == [0.0, 1.0, 1.0]
+    log = [egr for *_, egr in exponential_growth([(1, 7), (2, 7), (3, 7)], "log")]
+    assert log[0] is None
+    assert log[1] == pytest.approx(0.0)
+    assert log[2] == pytest.approx(0.0)
 
 
 def test_exponential_growth_zero_denominator():
@@ -157,55 +169,56 @@ def test_cagr_zero_periods():
         cagr(3, 5, 1, "intervals")
 
 
-def test_relative_growth_standard_mode():
-    result = relative_growth(SERIES, "standard")
-    first, second = result.rows[0], result.rows[1]
-    assert first.r is None and first.dt is None and first.cumulative is None
+def test_relative_growth_standard_mode(demo_dataset):
+    assert demo_dataset.papers_by_year == SERIES
+    table = rgr_table(demo_dataset, AnalysisConfig(rgr_mode="standard"))
+    assert (table.cell("2013", "R") is None and table.cell("2013", "Dt") is None
+            and table.cell("2013", "Cum. papers") is None)
     # Oracle: direct logarithms of the cumulative series.
-    assert second.w1 == pytest.approx(math.log(33))
-    assert second.w2 == pytest.approx(math.log(96))
-    assert second.r == pytest.approx(math.log(96) - math.log(33))
-    assert second.r == pytest.approx(1.0678, abs=1e-4)
-    assert second.dt == pytest.approx(math.log(2) / second.r)
-    assert second.dt == pytest.approx(0.649, abs=1e-3)
-    for row in result.rows[1:]:
-        assert row.r >= 0.0
+    assert table.cell("2014", "W1") == pytest.approx(math.log(33))
+    assert table.cell("2014", "W2") == pytest.approx(math.log(96))
+    r = table.cell("2014", "R")
+    assert r == pytest.approx(math.log(96) - math.log(33))
+    assert r == pytest.approx(1.0678, abs=1e-4)
+    assert table.cell("2014", "Dt") == pytest.approx(math.log(2) / r)
+    assert table.cell("2014", "Dt") == pytest.approx(0.649, abs=1e-3)
+    for year in _keys(table)[1:]:
+        assert table.cell(year, "R") >= 0.0
 
 
 def test_relative_growth_standard_telescopes():
-    result = relative_growth(SERIES, "standard")
-    total = sum(row.r for row in result.rows if row.r is not None)
+    total = sum(r for *_, r, _ in relative_growth(SERIES, "standard") if r is not None)
     assert total == pytest.approx(math.log(227 / 33), abs=1e-9)
 
 
 def test_relative_growth_paper_mode(demo_dataset):
-    result = relative_growth(SERIES, "paper")
-    rs = [row.r for row in result.rows]
+    assert demo_dataset.papers_by_year == SERIES
+    table = rgr_table(demo_dataset, AnalysisConfig(rgr_mode="paper"))
+    years = _keys(table)
+    rs = [table.cell(year, "R") for year in years]
     assert rs == pytest.approx([0.65, 0.36, 0.20, 0.35, 1.49], abs=1e-12)
-    dts = [row.dt for row in result.rows]
+    dts = [table.cell(year, "Dt") for year in years]
     for got, want in zip(dts, (1.07, 1.93, 3.47, 1.98, 0.47)):
         assert got == pytest.approx(want, abs=0.01)
-    assert result.rows[-1].w2 == pytest.approx(math.log(227))  # wrap to the grand total
-    assert result.mean_r == pytest.approx(0.61, abs=1e-9)
-    assert result.mean_dt == pytest.approx(1.78, abs=0.01)
-    assert result.rows[0].cumulative is None
-    assert result.rows[1].cumulative == 96
+    assert table.cell("2017", "W2") == pytest.approx(math.log(227))  # wrap to the grand total
+    assert table.cell("mean", "R") == pytest.approx(0.61, abs=1e-9)
+    assert table.cell("mean", "Dt") == pytest.approx(1.78, abs=0.01)
+    assert table.cell("2013", "Cum. papers") is None
+    assert table.cell("2014", "Cum. papers") == 96
 
 
 def test_relative_growth_doubling_identity():
     for mode in ("standard", "paper"):
-        for row in relative_growth(SERIES, mode).rows:
-            if row.r is not None and row.dt is not None and row.r > 0:
-                assert row.dt * row.r == pytest.approx(math.log(2), abs=1e-9)
+        for *_, r, dt in relative_growth(SERIES, mode):
+            if r is not None and dt is not None and r > 0:
+                assert dt * r == pytest.approx(math.log(2), abs=1e-9)
 
 
 def test_relative_growth_two_equal_years():
-    result = relative_growth([(1, 9), (2, 9)], "paper")
-    first, last = result.rows
-    assert first.r == 0.0 and first.dt is None  # flat year: Dt undefined
-    assert result.warnings and result.warnings[0].rule == "zero-growth"
-    assert last.r == pytest.approx(0.69)  # ln(18) - ln(9) = ln 2 at 2 decimals
-    assert last.dt == pytest.approx(1.0, abs=0.01)
+    (*_, first_r, first_dt), (*_, last_r, last_dt) = relative_growth([(1, 9), (2, 9)], "paper")
+    assert first_r == 0.0 and first_dt is None  # flat year: Dt undefined
+    assert last_r == pytest.approx(0.69)  # ln(18) - ln(9) = ln 2 at 2 decimals
+    assert last_dt == pytest.approx(1.0, abs=0.01)
 
 
 def test_relative_growth_preconditions():
@@ -216,13 +229,13 @@ def test_relative_growth_preconditions():
 
 
 def test_printed_ci_equals_dc_odds(demo_dataset, paper_config):
-    rows, footer = collaboration_rows(demo_dataset, paper_config)
-    for row in list(rows) + [footer]:
-        if row.dc < 1.0:
-            assert row.ci == pytest.approx(row.dc / (1.0 - row.dc), abs=1e-9)
+    table = collaboration_table(demo_dataset, paper_config)
+    for row in _keys(table, footer=True):
+        dc = table.cell(row, "DC")
+        if dc < 1.0:
+            assert table.cell(row, "CI") == pytest.approx(dc / (1.0 - dc), abs=1e-9)
 
 
 def test_stated_ci_via_config(demo_dataset):
     config = AnalysisConfig(mode="paper", ci_variant="stated")
-    rows, _ = collaboration_rows(demo_dataset, config)
-    assert rows[0].ci == pytest.approx(57 / 33)
+    assert collaboration_table(demo_dataset, config).cell("2013", "CI") == pytest.approx(57 / 33)

@@ -332,6 +332,22 @@ def test_bad_utf8_takes_precedence_over_an_earlier_parse_error(bad):
         _fold_bytes(raw)
 
 
+@pytest.mark.parametrize("last_row, message", [
+    ("2015,,,T,A,q,9,ICT\n", "line 6: non-numeric start_page: 'q'"),
+    ("2015,,,T,A,1,9\n", "line 6: expected 8 fields, got 7"),
+], ids=["non-numeric", "ragged"])
+def test_csv_error_names_the_physical_line_after_quoted_newlines(last_row, message):
+    # Rows 1 and 2 each hold one quoted newline, so the third row is on line 6.
+    raw = (RECORD_HEADER + '\n2013,,,"Two\nlines",A,1,5,ICT\n'
+           '2014,,,"Also\ntwo",A,1,5,ICT\n' + last_row).encode()
+    with pytest.raises(ParseError) as folded:
+        _fold_bytes(raw)
+    assert str(folded.value) == message
+    with pytest.raises(ParseError) as parsed:
+        parse_records(raw)
+    assert str(parsed.value) == message
+
+
 def test_lone_carriage_return_in_an_unquoted_field_exits_2(tmp_path, capsys):
     path = tmp_path / "lone_cr.csv"
     path.write_bytes((RECORD_HEADER + "\n" + _record_rows(3) + "2013,,,T\rX,A,1,2,ICT\n").encode())

@@ -66,6 +66,36 @@ def _sample_table() -> ReportTable:
     )
 
 
+def test_cell_finds_a_row_by_its_first_cell():
+    table = _sample_table()
+    assert table.cell("2014", "Papers") == 63
+    assert table.cell("2013", "DC") == 19 / 33
+    assert table.cell("2013", "Year") == 2013
+
+
+def test_cell_maps_total_and_mean_to_the_footer():
+    table = _sample_table()
+    assert table.cell("total", "Papers") == 96
+    assert table.cell("mean", "DC") == 61 / 96
+    # The footer's own first cell is not a row address.
+    with pytest.raises(LookupError, match="no row 'Total'"):
+        table.cell("Total", "Papers")
+
+
+def test_cell_missing_row_or_column_raises_lookup_error():
+    table = _sample_table()
+    with pytest.raises(LookupError, match="no row '2015'"):
+        table.cell("2015", "Papers")
+    with pytest.raises(LookupError, match="no column 'CI'"):
+        table.cell("2013", "CI")
+    # The column is checked first.
+    with pytest.raises(LookupError, match="no column 'CI'"):
+        table.cell("2015", "CI")
+    footless = ReportTable(title="No footer", columns=[ColumnSpec("N", "count")], rows=[[1]])
+    with pytest.raises(LookupError, match="no row 'total'"):
+        footless.cell("total", "N")
+
+
 def test_row_width_is_enforced():
     with pytest.raises(ValueError, match="cells"):
         ReportTable(title="Bad", columns=[ColumnSpec("A", "count")], rows=[[1, 2]])
