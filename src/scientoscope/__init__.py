@@ -28,7 +28,6 @@ from .indicators import (
 )
 from .ingest import (
     aggregate_records,
-    expand_author_counts,
     parse_aggregates,
     parse_records,
     sniff_granularity,
@@ -74,7 +73,6 @@ __all__ = [
     "collaborative_index",
     "degree_of_collaboration",
     "egr_table",
-    "expand_author_counts",
     "exponential_growth",
     "page_length_table",
     "parse_aggregates",

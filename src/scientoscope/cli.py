@@ -201,7 +201,7 @@ def _load(config: AnalysisConfig, run: dict) -> tuple[Dataset, ValidationReport]
             dataset = parse_aggregates(stream.read(), input_format)
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    return dataset, validate(dataset, strict=config.strict, window=config.study_window)
+    return dataset, validate(dataset, config)
 
 
 _TABLE_BUILDERS = {

@@ -58,7 +58,7 @@ def year_distribution_table(dataset: Dataset) -> ReportTable:
     The first year's cumulative cells are absent; the cumulative series
     starts at the second year and ends at the grand total.
     """
-    aggregates = dataset.require_aggregates()
+    aggregates = dataset.aggregates
     total = sum(a.papers for a in aggregates)
     rows = []
     running = 0
@@ -87,7 +87,7 @@ def authorship_table(dataset: Dataset) -> ReportTable:
     so they reflect the declared output even when the bins undercount.
     The totals row sums each bin column exactly.
     """
-    aggregates = dataset.require_aggregates()
+    aggregates = dataset.aggregates
     total = sum(a.papers for a in aggregates)
     totals = _column_sums([a.authorship_bins for a in aggregates], len(AUTHORSHIP_BIN_LABELS))
     return _bin_table(
@@ -100,7 +100,7 @@ def authorship_table(dataset: Dataset) -> ReportTable:
 
 def page_length_table(dataset: Dataset) -> ReportTable:
     """Per-year page bins with column percentages and the column totals."""
-    aggregates = dataset.require_aggregates()
+    aggregates = dataset.aggregates
     total = sum(a.papers for a in aggregates)
     totals = _column_sums([a.page_bins for a in aggregates], len(PAGE_BINS))
     return _bin_table(
@@ -114,26 +114,29 @@ def page_length_table(dataset: Dataset) -> ReportTable:
 def subject_table(dataset: Dataset, taxonomy: tuple[str, ...] | None = None) -> ReportTable:
     """Subject-by-year count matrix in taxonomy order, zero-filled.
 
-    Labels present in the data but missing from the taxonomy are an
-    internal error: ingest maps unknown labels to "Others" before data
-    reaches this stage.
+    Labels the taxonomy does not list are counted under "Others", as the
+    record bridge counts them and as :func:`~scientoscope.ingest.validate`
+    reports them; without "Others" in the taxonomy such a label raises
+    ``ValueError``.
     """
-    aggregates = dataset.require_aggregates()
+    aggregates = dataset.aggregates
     taxonomy = taxonomy or AnalysisConfig().taxonomy
-    known = set(taxonomy)
-    for agg in aggregates:
-        for label in agg.subject_counts:
-            if label not in known:
-                raise ValueError(f"unknown subject label {label!r} in year {agg.year}; "
-                                 "ingest should have mapped it to 'Others'")
-    matrix = [[agg.subject_counts.get(label, 0) for agg in aggregates] for label in taxonomy]
-    column_totals = _column_sums(matrix, len(aggregates))
+    matrix = {label: [0] * len(aggregates) for label in taxonomy}
+    for i, agg in enumerate(aggregates):
+        for label, count in agg.subject_counts.items():
+            if label not in matrix:
+                if "Others" not in matrix:
+                    raise ValueError(f"unknown subject label {label!r} in year {agg.year} "
+                                     "and no 'Others' in the taxonomy")
+                label = "Others"
+            matrix[label][i] += count
+    column_totals = _column_sums(list(matrix.values()), len(aggregates))
     columns = [ColumnSpec("Subject", "label")]
     columns.extend(ColumnSpec(str(agg.year), "count") for agg in aggregates)
     columns.append(ColumnSpec("Total", "count"))
     return ReportTable(
         title="Subject distribution of articles",
         columns=columns,
-        rows=[[label, *counts, sum(counts)] for label, counts in zip(taxonomy, matrix)],
+        rows=[[label, *counts, sum(counts)] for label, counts in matrix.items()],
         footer=["Total", *column_totals, sum(column_totals)],
     )

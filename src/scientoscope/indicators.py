@@ -82,7 +82,7 @@ def collaboration_table(dataset: Dataset, config: AnalysisConfig | None = None) 
     """
     config = config or AnalysisConfig()
     variant = config.resolved("ci_variant")
-    aggregates = dataset.require_aggregates()
+    aggregates = dataset.aggregates
     rows = [[a.year, a.single, a.multiple, a.single + a.multiple,
              collaborative_index(a.single, a.multiple, authors=a.total_authors, variant=variant),
              degree_of_collaboration(a.single, a.multiple)] for a in aggregates]
@@ -138,7 +138,7 @@ def productivity_table(dataset: Dataset, config: AnalysisConfig | None = None) -
     years: total authors / total papers and its reciprocal.
     """
     config = config or AnalysisConfig()
-    aggregates = dataset.require_aggregates()
+    aggregates = dataset.aggregates
     if any(a.total_authors is None for a in aggregates):
         raise ValueError("author totals unavailable")
     ratios = [author_productivity(a.papers, a.total_authors) for a in aggregates]

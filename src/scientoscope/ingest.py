@@ -13,7 +13,9 @@ them (:func:`validate`) and bridges them to per-year aggregates
 does all three in one pass over an open file: each row is parsed,
 checked by the same record rules and counted into the same per-year
 accumulator, with no record kept. Record CSV is streamed, so its memory
-is O(years + findings); JSON is decoded whole.
+is O(years + findings); JSON is decoded whole. Every step reads its
+``strict``, ``study_window`` and ``taxonomy`` from one
+:class:`~scientoscope.config.AnalysisConfig`.
 
 CSV schemas
 -----------
@@ -240,23 +242,17 @@ def _parsed_records(stream: TextIO, format: str) -> Iterator[tuple[str, tuple]]:
                          start_page, end_page, page_count)
 
 
-def parse_records(source: bytes | str, format: str = "csv") -> Dataset:
-    """Parse record-granularity input into a Dataset.
+def parse_records(source: bytes | str, format: str = "csv") -> tuple[BibRecord, ...]:
+    """Parse record-granularity input into its records, in input order.
 
-    The study window defaults to the observed year span. The CLI does not
-    build records: :func:`fold_records` streams the same checks straight
-    into per-year aggregates.
+    The CLI does not build records: :func:`fold_records` streams the same
+    checks straight into per-year aggregates.
     """
-    records = [BibRecord(*fields)
-               for _, fields in _parsed_records(io.StringIO(_decode(source)), format)]
+    records = tuple(BibRecord(*fields)
+                    for _, fields in _parsed_records(io.StringIO(_decode(source)), format))
     if not records:
         raise ParseError("empty dataset")
-    years = [r.year for r in records]
-    return Dataset(
-        granularity="records",
-        study_window=(min(years), max(years)),
-        records=tuple(records),
-    )
+    return records
 
 
 def _aggregate_from_fields(columns: dict[str, int], values: list,
@@ -295,11 +291,7 @@ def parse_aggregates(source: bytes | str, format: str = "csv") -> Dataset:
     if not aggregates:
         raise ParseError("empty dataset")
     aggregates.sort(key=lambda a: a.year)
-    return Dataset(
-        granularity="aggregates",
-        study_window=(aggregates[0].year, aggregates[-1].year),
-        aggregates=tuple(aggregates),
-    )
+    return Dataset(tuple(aggregates))
 
 
 _JSON_LIST_OPENING = re.compile(r"[ \t\n\r]*\[[ \t\n\r]*")
@@ -384,10 +376,11 @@ def _validate_record(location: str, year: int, n_authors: int, start_page: int |
             report.error(location, "page-positive", f"{page} must be positive, got {value}")
 
 
-def _validate_aggregate(agg: YearAggregate, window: tuple[int, int], strict: bool,
+def _validate_aggregate(agg: YearAggregate, config: AnalysisConfig,
                         report: ValidationReport) -> None:
     location = str(agg.year)
-    if not (window[0] <= agg.year <= window[1]):
+    window = config.study_window
+    if window is not None and not (window[0] <= agg.year <= window[1]):
         report.error(location, "year-window",
                      f"year {agg.year} outside study window {window[0]}-{window[1]}")
     if len(agg.authorship_bins) != 5:
@@ -408,7 +401,7 @@ def _validate_aggregate(agg: YearAggregate, window: tuple[int, int], strict: boo
         elif count > MAX_COUNT:
             report.error(location, "count-range", f"{what} is above {MAX_COUNT}")
 
-    finding = report.error if strict else report.warn
+    finding = report.error if config.strict else report.warn
     checks = (
         ("authorship-bin-sum", sum(agg.authorship_bins), "authorship bins"),
         ("page-bin-sum", sum(agg.page_bins), "page bins"),
@@ -417,9 +410,13 @@ def _validate_aggregate(agg: YearAggregate, window: tuple[int, int], strict: boo
     for rule, total, what in checks:
         if total != agg.papers:
             finding(location, rule, f"{what} sum {total} != papers {agg.papers}")
+    for label, count in agg.subject_counts.items():
+        if count and label not in config.taxonomy:
+            report.warn(location, "unknown-subject",
+                        f"subject {label!r} not in taxonomy; counted under 'Others'")
 
 
-def _check_year_gaps(years: list[int], report: ValidationReport) -> None:
+def _check_year_gaps(years: Iterable[int], report: ValidationReport) -> None:
     """Report each run of years missing from *years* as one ``year-gap`` error.
 
     A single missing year is located at that year (``2014``), a longer
@@ -432,35 +429,41 @@ def _check_year_gaps(years: list[int], report: ValidationReport) -> None:
             report.error(gap, "year-gap", f"gap at {gap}")
 
 
-def validate(dataset: Dataset, *, strict: bool = False,
-             window: tuple[int, int] | None = None) -> ValidationReport:
-    """Check every dataset invariant, reporting rather than fixing.
+def validate(data: Dataset | tuple[BibRecord, ...],
+             config: AnalysisConfig | None = None) -> ValidationReport:
+    """Check every invariant of a dataset or of parsed records, reporting rather than fixing.
 
-    Both granularities get the year-gap rule, because the growth
-    indicators assume an unbroken year sequence. ``strict`` promotes
-    bin-sum mismatches from warnings to errors. The dataset is accepted
-    iff the report has no errors; running twice yields identical reports.
+    The rules read the config: ``strict`` promotes bin-sum mismatches
+    from warnings to errors; ``study_window``, when set, bounds every year
+    (``year-window``); and an aggregate subject label with a non-zero
+    count that ``taxonomy`` does not list is reported as
+    ``unknown-subject``, counted under "Others" as the record bridge
+    counts it. Both granularities get the year-gap rule, because the
+    growth indicators assume an unbroken year sequence. The data is
+    accepted iff the report has no errors; running twice yields
+    identical reports.
     """
+    config = config or AnalysisConfig()
     report = ValidationReport()
-    window = window or dataset.study_window
-
-    if dataset.granularity == "records":
-        years = dataset.years
-        report.record_count = len(dataset.records)
-        for i, record in enumerate(dataset.records, start=1):
-            _validate_record(f"record {i}", record.year, record.n_authors, record.start_page,
-                             record.end_page, record.page_count, window, report,
-                             both_author_sources=record.author_count is not None
-                             and bool(record.authors))
-    else:
-        years = [a.year for a in dataset.aggregates]
+    if isinstance(data, Dataset):
+        aggregates = data.aggregates
+        years = [a.year for a in aggregates]
         for year, n in sorted(Counter(years).items()):
             if n > 1:
                 report.error(str(year), "duplicate-year", f"year {year} appears {n} times")
+    else:
+        aggregates = ()
+        years = {r.year for r in data}
+        report.record_count = len(data)
+        for i, record in enumerate(data, start=1):
+            _validate_record(f"record {i}", record.year, record.n_authors, record.start_page,
+                             record.end_page, record.page_count, config.study_window, report,
+                             both_author_sources=record.author_count is not None
+                             and bool(record.authors))
     report.year_count = len(years)
     _check_year_gaps(years, report)
-    for agg in dataset.aggregates:
-        _validate_aggregate(agg, window, strict, report)
+    for agg in aggregates:
+        _validate_aggregate(agg, config, report)
     return report
 
 
@@ -517,47 +520,42 @@ class _YearTally:
             subject = "Others"
         counts[4][subject] = counts[4].get(subject, 0) + 1
 
-    def dataset(self, study_window: tuple[int, int]) -> Dataset:
-        return Dataset(
-            granularity="aggregates",
-            study_window=study_window,
-            aggregates=tuple(
-                YearAggregate(year=year, papers=papers, authorship_bins=tuple(bins),
-                              page_bins=tuple(pages), subject_counts=subjects,
-                              total_authors=total_authors)
-                for year, (papers, total_authors, bins, pages, subjects)
-                in sorted(self.counts.items())),
-        )
+    def dataset(self) -> Dataset:
+        return Dataset(tuple(
+            YearAggregate(year=year, papers=papers, authorship_bins=tuple(bins),
+                          page_bins=tuple(pages), subject_counts=subjects,
+                          total_authors=total_authors)
+            for year, (papers, total_authors, bins, pages, subjects)
+            in sorted(self.counts.items())))
 
     def sorted_warnings(self) -> list[Finding]:
         """The warnings in a deterministic order, whatever the record order."""
         return sorted(self.warnings, key=lambda f: (f.location, f.rule, f.message))
 
 
-def aggregate_records(dataset: Dataset,
+def aggregate_records(records: tuple[BibRecord, ...],
                       config: AnalysisConfig | None = None) -> tuple[Dataset, ValidationReport]:
-    """Tabulate records into per-year aggregates, as :class:`_YearTally` describes.
+    """Tabulate records into per-year aggregates, as :class:`_YearTally` describes,
+    with the config's taxonomy.
 
     The result is independent of record order.
     """
-    if dataset.granularity != "records":
-        raise ValueError("aggregate_records requires record granularity")
     tally = _YearTally((config or AnalysisConfig()).taxonomy)
-    for record in dataset.records:
+    for record in records:
         tally.add(record.year, record.n_authors, record.page_count, record.subject, record.title)
     report = ValidationReport(warnings=tally.sorted_warnings(),
-                              record_count=len(dataset.records), year_count=len(tally.counts))
-    return tally.dataset(dataset.study_window), report
+                              record_count=len(records), year_count=len(tally.counts))
+    return tally.dataset(), report
 
 
 def fold_records(source: BinaryIO, format: str = "csv",
                  config: AnalysisConfig | None = None) -> tuple[Dataset, ValidationReport]:
     """Parse, validate and bridge record input in one pass over an open binary file.
 
-    The result equals :func:`parse_records`, then :func:`validate` with
-    the config's ``strict`` and ``study_window``, then, when the report
-    has no errors, :func:`aggregate_records`, with the bridge's warnings
-    appended to the report. No :class:`BibRecord` is built: CSV is read
+    The result equals :func:`parse_records`, then :func:`validate`, then,
+    when the report has no errors, :func:`aggregate_records`, all three
+    with the same config and the bridge's warnings appended to the
+    report. No :class:`BibRecord` is built: CSV is read
     row by row, so memory is O(years + findings); JSON is decoded whole.
     With errors, the report has no bridge warnings and the aggregates
     are incomplete. A bad UTF-8 byte anywhere in the input takes
@@ -581,40 +579,23 @@ def fold_records(source: BinaryIO, format: str = "csv",
 def _fold(text: TextIO, format: str, config: AnalysisConfig) -> tuple[Dataset, ValidationReport]:
     report = ValidationReport()
     tally = _YearTally(config.taxonomy)
-    # Without a configured window the window is the observed span, which
-    # holds every record.
-    window = config.study_window
     for _, (year, title, subject, authors, author_count, _, _,
             start_page, end_page, page_count) in _parsed_records(text, format):
         report.record_count += 1
         n_authors = len(authors) if author_count is None else author_count
         _validate_record(f"record {report.record_count}", year, n_authors, start_page,
-                         end_page, page_count, window, report)
+                         end_page, page_count, config.study_window, report)
         if report.errors:
             tally.year(year)  # no bridge will run; the year still counts for year-gap
         else:
             tally.add(year, n_authors, page_count, subject, title)
     if not report.record_count:
         raise ParseError("empty dataset")
-    years = sorted(tally.counts)
-    report.year_count = len(years)
-    _check_year_gaps(years, report)
+    report.year_count = len(tally.counts)
+    _check_year_gaps(tally.counts, report)
     if report.ok:
         report.warnings = tally.sorted_warnings()
-    return tally.dataset((years[0], years[-1])), report
-
-
-def expand_author_counts(aggregate: YearAggregate) -> list[int]:
-    """Rebuild synthetic per-article author counts from authorship bins.
-
-    The open 5+ bin is valued at exactly 5 authors per article, which is
-    the convention under which the bundled study's per-year author
-    totals equal the bin-weighted sums.
-    """
-    counts: list[int] = []
-    for i, n in enumerate(aggregate.authorship_bins):
-        counts.extend([i + 1] * n)
-    return counts
+    return tally.dataset(), report
 
 
 # ---------------------------------------------------------------------------
@@ -627,8 +608,6 @@ def write_aggregates_csv(dataset: Dataset) -> str:
 
     Parsing the result reproduces the dataset exactly.
     """
-    if dataset.granularity != "aggregates":
-        raise ValueError("write_aggregates_csv requires aggregate granularity")
     labels: list[str] = []
     for agg in dataset.aggregates:
         for label in agg.subject_counts:

@@ -1,6 +1,6 @@
 """Canonical in-memory model for bibliographic datasets.
 
-Two granularities are supported end to end:
+Input comes at two granularities:
 
 * record granularity: one :class:`BibRecord` per published article, as
   parsed from a CSV/JSON export;
@@ -8,8 +8,10 @@ Two granularities are supported end to end:
   carrying pre-tabulated counts (papers, authorship bins, page bins,
   subject counts).
 
-Both flow into the same analysis pipeline; record-level data is bridged
-via :func:`scientoscope.ingest.aggregate_records`.
+A :class:`Dataset` is the per-year aggregates every table is built
+from. Records become one via :func:`scientoscope.ingest.aggregate_records`;
+the study window and the taxonomy belong to the analysis
+(:class:`~scientoscope.config.AnalysisConfig`), not to the data.
 """
 
 from __future__ import annotations
@@ -28,8 +30,9 @@ PAGE_BINS: tuple[tuple[str, str, int, int | None], ...] = (
     ("pabove10", "Above 10 pages", 11, None),
 )
 
-#: Authors counted for the open-ended bin when an aggregate is expanded
-#: back into synthetic per-article author counts.
+#: Author count from which the record bridge pools articles into the open
+#: 5+ authorship bin. Valued at this count, the bins of the bundled study
+#: sum to its per-year author totals.
 POOLED_BIN_AUTHOR_VALUE = 5
 
 
@@ -136,39 +139,11 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class Dataset:
-    """A parsed dataset at either granularity.
+    """The per-year aggregates of one dataset, sorted ascending by year."""
 
-    ``aggregates`` is kept sorted ascending by year. ``study_window``
-    is the inclusive (first_year, last_year) span the data is meant to
-    cover; it defaults to the observed year range at parse time.
-    """
-
-    granularity: str  # "records" | "aggregates"
-    study_window: tuple[int, int]
-    records: tuple[BibRecord, ...] = ()
-    aggregates: tuple[YearAggregate, ...] = ()
-
-    @property
-    def years(self) -> list[int]:
-        if self.granularity == "aggregates":
-            return [a.year for a in self.aggregates]
-        return sorted({r.year for r in self.records})
-
-    def require_aggregates(self) -> tuple[YearAggregate, ...]:
-        """The per-year aggregates every table is built from; record data
-        raises ``ValueError`` until it is bridged."""
-        if self.granularity != "aggregates":
-            raise ValueError("tables require aggregate granularity "
-                             "(run aggregate_records on record data first)")
-        return self.aggregates
+    aggregates: tuple[YearAggregate, ...]
 
     @property
     def papers_by_year(self) -> list[tuple[int, int]]:
         """(year, paper count) pairs in ascending year order."""
-        return [(a.year, a.papers) for a in self.require_aggregates()]
-
-    @property
-    def total_papers(self) -> int:
-        if self.granularity == "aggregates":
-            return sum(a.papers for a in self.aggregates)
-        return len(self.records)
+        return [(a.year, a.papers) for a in self.aggregates]

@@ -265,12 +265,10 @@ def test_criterion_09_property_suite(demo_records):
     # (c) aggregate_records is permutation invariant, 50 shuffles.
     rng = random.Random(20150303)
     baseline, _ = aggregate_records(demo_records)
-    records = list(demo_records.records)
+    records = list(demo_records)
     for _ in range(50):
         rng.shuffle(records)
-        shuffled = Dataset(granularity="records", study_window=demo_records.study_window,
-                           records=tuple(records))
-        permuted, _ = aggregate_records(shuffled)
+        permuted, _ = aggregate_records(tuple(records))
         assert permuted == baseline
 
     # (d) printed CI equals the DC odds dc/(1-dc) wherever dc < 1.
@@ -307,9 +305,7 @@ def test_criterion_09_property_suite(demo_records):
                 subject_counts={label: rng.randint(0, 40) for label in taxonomy},
                 total_authors=rng.choice([None, rng.randint(0, 400)]),
             ))
-        dataset = Dataset(granularity="aggregates",
-                          study_window=(first_year, aggregates[-1].year),
-                          aggregates=tuple(aggregates))
+        dataset = Dataset(tuple(aggregates))
         assert parse_aggregates(write_aggregates_csv(dataset)) == dataset
 
     _passed(9, "property suite (doubling identity, DC bounds/scaling, permutation "

@@ -379,6 +379,27 @@ def test_config_study_window_enforced(tmp_path, capsys):
     assert "year-window" in out and "2013" in out
 
 
+def test_aggregate_labels_outside_the_taxonomy_count_under_others(tmp_path, capsys):
+    cfg = tmp_path / "taxonomy.json"
+    cfg.write_text(json.dumps({"taxonomy": ["Webometrics", "Others"]}))
+    assert main(["validate", "--input", AGG_PATH, "--config", str(cfg)]) == 0
+    findings = _finding_lines(capsys.readouterr().out)
+    assert ("WARNING [unknown-subject] 2013: subject 'Scientometrics, Bibliometrics' "
+            "not in taxonomy; counted under 'Others'") in findings
+    assert sum("[unknown-subject]" in line for line in findings) == 53
+    rc = main(["analyze", "--table", "8", "--format", "csv", "--input", AGG_PATH,
+               "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert rc == 0
+    assert captured.err.splitlines() == findings
+    assert captured.out.splitlines()[2:] == [
+        "Subject,2013,2014,2015,2016,2017,Total",
+        "Webometrics,1,0,2,0,2,5",
+        "Others,32,63,42,36,49,222",
+        "Total,33,63,44,36,51,227",
+    ]
+
+
 def test_show_config_prints_effective_settings(capsys):
     rc = main(["analyze", "--input", AGG_PATH, "--table", "1", "--show-config",
                "--mode", "standard"])

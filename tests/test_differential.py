@@ -111,11 +111,11 @@ def _json_bytes(records, authors_as_text):
 
 def _library_route(raw, format, config):
     """parse_records -> validate -> aggregate_records, as the CLI once ran them."""
-    dataset = parse_records(raw, format)
-    report = validate(dataset, strict=config.strict, window=config.study_window)
+    records = parse_records(raw, format)
+    report = validate(records, config)
     if not report.ok:
         return None, report
-    aggregated, bridged = aggregate_records(dataset, config)
+    aggregated, bridged = aggregate_records(records, config)
     report.warnings.extend(bridged.warnings)
     return aggregated, report
 

@@ -69,10 +69,8 @@ def test_year_distribution_additivity(demo_dataset):
     # counts as tabulating the merged dataset.
     aggs = demo_dataset.aggregates
     import dataclasses
-    first = dataclasses.replace(demo_dataset, aggregates=aggs[:2],
-                                study_window=(aggs[0].year, aggs[1].year))
-    second = dataclasses.replace(demo_dataset, aggregates=aggs[2:],
-                                 study_window=(aggs[2].year, aggs[-1].year))
+    first = dataclasses.replace(demo_dataset, aggregates=aggs[:2])
+    second = dataclasses.replace(demo_dataset, aggregates=aggs[2:])
 
     def counts(dataset):
         table = year_distribution_table(dataset)

@@ -97,7 +97,6 @@ def test_productivity_totals_modes(demo_dataset):
 
 def test_productivity_totals_single_row_agreement():
     dataset = Dataset(
-        granularity="aggregates", study_window=(2013, 2013),
         aggregates=(YearAggregate(2013, 33, (14, 14, 5, 0, 0), (4, 26, 3),
                                   {"A": 33}, total_authors=57),),
     )
@@ -111,7 +110,6 @@ def test_productivity_totals_single_row_agreement():
 
 def test_productivity_requires_author_totals():
     ds = Dataset(
-        granularity="aggregates", study_window=(2013, 2013),
         aggregates=(YearAggregate(2013, 33, (14, 14, 5, 0, 0), (4, 26, 3), {"A": 33}),),
     )
     with pytest.raises(ValueError, match="author totals unavailable"):

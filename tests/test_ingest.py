@@ -11,7 +11,6 @@ from scientoscope import (
     AnalysisConfig,
     ParseError,
     aggregate_records,
-    expand_author_counts,
     parse_aggregates,
     parse_records,
     sniff_granularity,
@@ -29,8 +28,7 @@ AGG_HEADER = ("year,papers,a1,a2,a3,a4,a5plus,total_authors,p1to5,p6to10,pabove1
 def test_parse_record_row_maps_fields():
     csv_text = (RECORD_HEADER + "\n"
                 '2013,33,5,Some Title,A. Kumar; B. Singh,412,417,"Scientometrics, Bibliometrics"\n')
-    ds = parse_records(csv_text)
-    (rec,) = ds.records
+    (rec,) = parse_records(csv_text)
     assert rec.year == 2013
     assert rec.volume == 33 and rec.issue == 5
     assert rec.authors == ("A. Kumar", "B. Singh")
@@ -41,16 +39,16 @@ def test_parse_record_row_maps_fields():
 
 
 def test_parse_record_single_author():
-    ds = parse_records(RECORD_HEADER + "\n2013,,,T,A. Kumar,,,Subj\n")
-    assert ds.records[0].n_authors == 1
-    assert ds.records[0].start_page is None  # empty optionals are absent, not zero
+    (rec,) = parse_records(RECORD_HEADER + "\n2013,,,T,A. Kumar,,,Subj\n")
+    assert rec.n_authors == 1
+    assert rec.start_page is None  # empty optionals are absent, not zero
 
 
 def test_parse_record_author_count_overrides():
     header = RECORD_HEADER + ",author_count"
-    ds = parse_records(header + "\n2013,,,T,,,,Subj,4\n")
-    assert ds.records[0].n_authors == 4
-    assert ds.records[0].authors is None
+    (rec,) = parse_records(header + "\n2013,,,T,,,,Subj,4\n")
+    assert rec.n_authors == 4
+    assert rec.authors is None
 
 
 def test_parse_record_missing_mandatory_fields():
@@ -76,9 +74,9 @@ def test_parse_record_reports_1_based_line():
 def test_parse_records_json_with_author_list():
     data = [{"year": 2013, "title": "T", "subject": "S",
              "authors": ["Kumar, A.", "Singh, B."], "start_page": 1, "end_page": 5}]
-    ds = parse_records(json.dumps(data), format="json")
-    assert ds.records[0].authors == ("Kumar, A.", "Singh, B.")
-    assert ds.records[0].page_count == 5
+    (rec,) = parse_records(json.dumps(data), format="json")
+    assert rec.authors == ("Kumar, A.", "Singh, B.")
+    assert rec.page_count == 5
 
 
 def test_records_csv_and_json_parse_alike(demo_records):
@@ -105,7 +103,7 @@ def test_reversed_page_span_is_flagged_by_validate():
 
 def test_validate_year_out_of_window():
     ds = parse_records(RECORD_HEADER + "\n2019,,,T,A,,,Subj\n")
-    report = validate(ds, window=(2013, 2017))
+    report = validate(ds, AnalysisConfig(study_window=(2013, 2017)))
     assert any(f.rule == "year-window" for f in report.errors)
 
 
@@ -120,8 +118,8 @@ def test_validate_page_count_span_mismatch():
 def test_parse_records_json_string_authors():
     data = json.dumps([{"year": 2013, "title": "T", "subject": "S",
                         "authors": "Kumar, A.; Singh, B."}])
-    ds = parse_records(data, format="json")
-    assert ds.records[0].authors == ("Kumar, A.", "Singh, B.")
+    (rec,) = parse_records(data, format="json")
+    assert rec.authors == ("Kumar, A.", "Singh, B.")
 
 
 def test_parse_aggregates_sorted_and_consistent():
@@ -130,7 +128,6 @@ def test_parse_aggregates_sorted_and_consistent():
             "2013,1,1,0,0,0,0,1,1,0,0,1,0\n")
     ds = parse_aggregates(text)
     assert [a.year for a in ds.aggregates] == [2013, 2014]
-    assert ds.study_window == (2013, 2014)
     assert validate(ds).ok
 
 
@@ -184,7 +181,7 @@ def test_bin_sum_mismatch_lenient_vs_strict():
     lenient = validate(ds)
     assert lenient.ok
     assert any(f.rule == "authorship-bin-sum" for f in lenient.warnings)
-    strict = validate(ds, strict=True)
+    strict = validate(ds, AnalysisConfig(strict=True))
     assert any(f.rule == "authorship-bin-sum" for f in strict.errors)
 
 
@@ -246,10 +243,10 @@ def test_aggregate_records_conservation():
 
 
 def test_expand_author_counts_reproduces_author_totals(demo_dataset):
-    # Bin-weighted expansion with the 5+ bin valued at 5 matches the
+    # The bin-weighted sum, with the 5+ bin valued at 5, matches the
     # dataset's recorded author totals for every year.
     for agg in demo_dataset.aggregates:
-        assert sum(expand_author_counts(agg)) == agg.total_authors
+        assert sum(n * k for k, n in enumerate(agg.authorship_bins, start=1)) == agg.total_authors
 
 
 def test_aggregates_csv_round_trip(demo_dataset):
@@ -279,14 +276,6 @@ def test_parse_aggregates_json_round_trip(demo_dataset):
         obj.update({f"subj:{k}": v for k, v in agg.subject_counts.items()})
         objs.append(obj)
     assert parse_aggregates(json.dumps(objs), format="json") == demo_dataset
-
-
-def test_aggregate_requires_records():
-    config = AnalysisConfig()
-    with pytest.raises(ValueError):
-        aggregate_records(
-            parse_aggregates(AGG_HEADER + "\n2013,1,1,0,0,0,0,1,1,0,0,1,0\n"), config
-        )
 
 
 def _record_rows(n, years=10):
