@@ -256,10 +256,9 @@ def _emit_tables(tables: list[ReportTable], fmt: str, config: AnalysisConfig,
 
 
 def _report_findings(report: ValidationReport) -> None:
-    for finding in report.errors:
-        print(f"ERROR   {finding}", file=sys.stderr)
-    for finding in report.warnings:
-        print(f"WARNING {finding}", file=sys.stderr)
+    lines = [*(f"ERROR   {f}\n" for f in report.errors),
+             *(f"WARNING {f}\n" for f in report.warnings)]
+    sys.stderr.write("".join(lines))
 
 
 def cmd_validate(config: AnalysisConfig, run: dict) -> int:

@@ -17,6 +17,14 @@ is O(years + findings); JSON is decoded whole. Every step reads its
 ``strict``, ``study_window`` and ``taxonomy`` from one
 :class:`~scientoscope.config.AnalysisConfig`.
 
+Clean rows take a short path: the parse converts with bare ``int()``
+and builds no location string, and the fold applies a guard that every
+record rule passes instead of the rules themselves. The precise checks
+are the fallback, and the only code that words a message: a row the
+short parse cannot take goes to ``_record_fields``, and a row that
+fails the guard goes to ``_validate_record``. So both paths give the
+same fields, findings and errors.
+
 CSV schemas
 -----------
 Columns are matched by header name, in any order. The columns shown
@@ -88,15 +96,12 @@ def _decode(source: bytes | str) -> str:
 
 
 def _opt_int(raw: str | None, what: str, location: str) -> int | None:
-    if not raw:
+    if not raw or raw.isspace():
         return None
     try:
         return int(raw)  # int() ignores the surrounding whitespace strip() removes
     except ValueError:
-        raw = raw.strip()
-        if raw == "":
-            return None
-        raise ParseError(f"non-numeric {what}: {raw!r}", location) from None
+        raise ParseError(f"non-numeric {what}: {raw.strip()!r}", location) from None
 
 
 def _req_int(raw: str | None, what: str, location: str) -> int:
@@ -154,15 +159,21 @@ def _json_text(key: str, value: object) -> str | None:
     return str(value)
 
 
-def _rows(stream: TextIO, format: str, kind: str,
-          required: tuple[str, ...] = ()) -> Iterator[tuple[str, dict[str, int], list]]:
-    """Yield ``(location, columns, values)`` for each non-blank CSV row or JSON element.
+def _location(format: str, number: int) -> str:
+    """The location a row error names: a CSV line or a JSON element."""
+    return f"{'line' if format == 'csv' else 'element'} {number}"
 
-    ``values[columns[name]]`` is the field's string or ``None`` (a JSON
-    ``authors`` list is joined by ";"). Every ``values`` ends in a
-    ``None`` pad, so ``values[columns.get(name, -1)]`` reads an absent
-    field as ``None``. CSV rows share the header's ``columns``; each JSON
-    element has its own, in key order. CSV is read from ``stream`` row by
+
+def _rows(stream: TextIO, format: str, kind: str,
+          required: tuple[str, ...] = ()) -> Iterator[tuple[int, dict[str, int], list]]:
+    """Yield ``(number, columns, values)`` for each non-blank CSV row or JSON element.
+
+    ``number`` is the line or element :func:`_location` names, and
+    ``values[columns[name]]`` the field's string or ``None`` (a JSON
+    ``authors`` list is joined by ";"). Every ``values`` ends in a ``None``
+    pad, so ``values[columns.get(name, -1)]`` reads an absent field as
+    ``None``. CSV rows share the header's ``columns``; JSON elements share
+    one while their key order repeats. CSV is read from ``stream`` row by
     row; JSON is decoded whole. ``kind`` names the input in error messages.
     """
     if format == "csv":
@@ -175,7 +186,7 @@ def _rows(stream: TextIO, format: str, kind: str,
             if len(row) != len(header):
                 raise ParseError(f"expected {len(header)} fields, got {len(row)}", f"line {line_no}")
             row.append(None)
-            yield f"line {line_no}", columns, row
+            yield line_no, columns, row
     elif format == "json":
         try:
             data = json.loads(stream.read())
@@ -185,61 +196,94 @@ def _rows(stream: TextIO, format: str, kind: str,
             raise ParseError("invalid JSON: nested too deeply") from None
         if not isinstance(data, list):
             raise ParseError(f"{kind} JSON must be a top-level list")
+        keys: tuple | None = None
         for index, obj in enumerate(data, start=1):
-            location = f"element {index}"
             if not isinstance(obj, dict):
-                raise ParseError(f"{kind} element must be an object", location)
+                raise ParseError(f"{kind} element must be an object", f"element {index}")
+            if tuple(obj) != keys:
+                keys = tuple(obj)
+                columns = {key: i for i, key in enumerate(keys)}
             values = [_json_text(key, value) for key, value in obj.items()]
             values.append(None)
-            yield location, {key: i for i, key in enumerate(obj)}, values
+            yield index, columns, values
     else:
         raise ParseError(f"unknown input format: {format!r}")
 
 
-#: Record columns in the order :func:`_parsed_records` checks them.
+#: Record columns in the order :func:`_record_fields` checks them.
 _RECORD_COLUMNS = ("year", "title", "subject", "author_count", "authors",
                    "start_page", "end_page", "page_count", "volume", "issue")
 
 
-def _parsed_records(stream: TextIO, format: str) -> Iterator[tuple[str, tuple]]:
-    """Yield ``(location, fields)`` for each record, ``fields`` in :class:`BibRecord` order.
+def _record_fields(location: str, raw: tuple) -> tuple:
+    """The precise parse: one record's fields in :class:`BibRecord` order,
+    from its *raw* values in :data:`_RECORD_COLUMNS` order, or the
+    ParseError of its first failing check."""
+    (year, title, subject, author_count, authors,
+     start_page, end_page, page_count, volume, issue) = raw
+    year = _req_int(year, "year", location)
+    title = (title or "").strip()
+    if not title:
+        raise ParseError("missing mandatory field 'title'", location)
+    subject = (subject or "").strip()
+    if not subject:
+        raise ParseError("missing mandatory field 'subject'", location)
 
-    Every record parse check runs here, for :func:`parse_records` and
-    :func:`fold_records` alike; the first failing check of a row raises.
-    """
+    author_count = _opt_int(author_count, "author_count", location)
+    if author_count is not None:
+        # Explicit count overrides the name list.
+        names = None
+    else:
+        names = split_authors(authors or "")
+        if not names:
+            raise ParseError("missing mandatory field 'authors' (or 'author_count')", location)
+
+    start_page = _opt_int(start_page, "start_page", location)
+    end_page = _opt_int(end_page, "end_page", location)
+    page_count = _opt_int(page_count, "page_count", location)
+    if page_count is None and start_page is not None and end_page is not None:
+        page_count = end_page - start_page + 1
+    return (year, title, subject, names, author_count,
+            _opt_int(volume, "volume", location), _opt_int(issue, "issue", location),
+            start_page, end_page, page_count)
+
+
+def _parsed_records(stream: TextIO, format: str) -> Iterator[tuple]:
+    """Yield the fields of each record in :class:`BibRecord` order, for
+    :func:`parse_records` and :func:`fold_records` alike: by the short
+    path, or by :func:`_record_fields` for a row where that raises
+    ValueError (a malformed or whitespace-only number) or finds a blank
+    mandatory field or author list."""
     columns: dict[str, int] | None = None
-    for location, row_columns, values in _rows(stream, format, "record", RECORD_FIELDS):
-        if row_columns is not columns:  # once for CSV, per element for JSON
+    for number, row_columns, values in _rows(stream, format, "record", RECORD_FIELDS):
+        if row_columns is not columns:  # once for CSV, once per JSON key order
             columns = row_columns
             pick = itemgetter(*(columns.get(name, -1) for name in _RECORD_COLUMNS))
+        raw = pick(values)
         (year, title, subject, author_count, authors,
-         start_page, end_page, page_count, volume, issue) = pick(values)
-        year = _req_int(year, "year", location)
-        title = (title or "").strip()
-        if not title:
-            raise ParseError("missing mandatory field 'title'", location)
-        subject = (subject or "").strip()
-        if not subject:
-            raise ParseError("missing mandatory field 'subject'", location)
-
-        author_count = _opt_int(author_count, "author_count", location)
-        if author_count is not None:
-            # Explicit count overrides the name list.
-            authors = None
+         start_page, end_page, page_count, volume, issue) = raw
+        try:
+            year = int(year) if year else None
+            author_count = int(author_count) if author_count else None
+            start_page = int(start_page) if start_page else None
+            end_page = int(end_page) if end_page else None
+            page_count = int(page_count) if page_count else None
+            volume = int(volume) if volume else None
+            issue = int(issue) if issue else None
+        except ValueError:
+            clean = False
         else:
-            authors = split_authors(authors or "")
-            if not authors:
-                raise ParseError("missing mandatory field 'authors' (or 'author_count')", location)
-
-        start_page = _opt_int(start_page, "start_page", location)
-        end_page = _opt_int(end_page, "end_page", location)
-        page_count = _opt_int(page_count, "page_count", location)
+            title = title.strip() if title else ""
+            subject = subject.strip() if subject else ""
+            names = split_authors(authors) if author_count is None and authors else None
+            clean = year is not None and title and subject and (names or author_count is not None)
+        if not clean:
+            yield _record_fields(_location(format, number), raw)
+            continue
         if page_count is None and start_page is not None and end_page is not None:
             page_count = end_page - start_page + 1
-
-        yield location, (year, title, subject, authors, author_count,
-                         _opt_int(volume, "volume", location), _opt_int(issue, "issue", location),
-                         start_page, end_page, page_count)
+        yield (year, title, subject, names, author_count,
+               volume, issue, start_page, end_page, page_count)
 
 
 def parse_records(source: bytes | str, format: str = "csv") -> tuple[BibRecord, ...]:
@@ -249,7 +293,7 @@ def parse_records(source: bytes | str, format: str = "csv") -> tuple[BibRecord, 
     checks straight into per-year aggregates.
     """
     records = tuple(BibRecord(*fields)
-                    for _, fields in _parsed_records(io.StringIO(_decode(source)), format))
+                    for fields in _parsed_records(io.StringIO(_decode(source)), format))
     if not records:
         raise ParseError("empty dataset")
     return records
@@ -285,9 +329,9 @@ def parse_aggregates(source: bytes | str, format: str = "csv") -> Dataset:
     :func:`validate`, not here, so parse failures and validation
     findings stay distinguishable.
     """
-    aggregates = [_aggregate_from_fields(columns, values, location)
-                  for location, columns, values in _rows(io.StringIO(_decode(source)), format,
-                                                         "aggregate", AGGREGATE_FIELDS)]
+    aggregates = [_aggregate_from_fields(columns, values, _location(format, number))
+                  for number, columns, values in _rows(io.StringIO(_decode(source)), format,
+                                                       "aggregate", AGGREGATE_FIELDS)]
     if not aggregates:
         raise ParseError("empty dataset")
     aggregates.sort(key=lambda a: a.year)
@@ -337,7 +381,7 @@ def sniff_granularity(source: bytes | str, format: str = "csv") -> str:
         first = _first_json_object(text) if format == "json" else None
         granularity = _granularity_of(first) if first is not None else None
         if granularity is None:
-            columns = next(_rows(io.StringIO(text), format, "input"), ("", {}, []))[1]
+            columns = next(_rows(io.StringIO(text), format, "input"), (0, {}, []))[1]
             granularity = _granularity_of(columns)
     if granularity is None:
         raise ParseError("cannot determine granularity from input header")
@@ -353,7 +397,13 @@ def _validate_record(location: str, year: int, n_authors: int, start_page: int |
                      end_page: int | None, page_count: int | None,
                      window: tuple[int, int] | None, report: ValidationReport,
                      both_author_sources: bool = False) -> None:
-    """The record rules, on one record's values; ``window=None`` skips ``year-window``."""
+    """The record rules, on one record's values; ``window=None`` skips ``year-window``.
+
+    :func:`_fold` calls this only for a row that fails its guard, so the
+    guard must pass only values that every rule here accepts: a new or
+    changed rule needs the guard changed with it, and a ``FLAWS`` entry in
+    ``tests/test_differential.py`` that breaks it.
+    """
     if both_author_sources:
         report.error(location, "author-source", "both author list and author_count present")
     if n_authors < 1:
@@ -472,6 +522,14 @@ def validate(data: Dataset | tuple[BibRecord, ...],
 # ---------------------------------------------------------------------------
 
 
+#: Page count -> index of its :data:`PAGE_BINS` class (``None``: it fits none),
+#: for counts 0 to ``_TOP_PAGES``; any larger count shares the last entry.
+_TOP_PAGES = max(lo if hi is None else hi for _, _, lo, hi in PAGE_BINS) + 1
+_PAGE_BIN_OF = tuple(next((i for i, (_, _, lo, hi) in enumerate(PAGE_BINS)
+                           if lo <= n and (hi is None or n <= hi)), None)
+                     for n in range(_TOP_PAGES + 1))
+
+
 class _YearTally:
     """Per-year accumulator of the record bridge.
 
@@ -483,7 +541,6 @@ class _YearTally:
 
     def __init__(self, taxonomy: tuple[str, ...]):
         self._taxonomy = taxonomy
-        self._known = frozenset(taxonomy)
         #: year -> [papers, total authors, authorship bins, page bins, subject counts]
         self.counts: dict[int, list] = {}
         self.warnings: list[Finding] = []
@@ -496,29 +553,34 @@ class _YearTally:
                                           dict.fromkeys(self._taxonomy, 0)]
         return counts
 
-    def add(self, year: int, n_authors: int, page_count: int | None, subject: str,
-            title: str) -> None:
-        counts = self.year(year)
-        counts[0] += 1
-        counts[1] += n_authors
-        counts[2][min(n_authors, POOLED_BIN_AUTHOR_VALUE) - 1] += 1
-        if page_count is None:
-            self.warnings.append(Finding(f"{year}: {title!r}", "missing-pages",
-                                         "no page information; excluded from page bins"))
-        else:
-            for i, (_, _, lo, hi) in enumerate(PAGE_BINS):
-                if lo <= page_count and (hi is None or page_count <= hi):
-                    counts[3][i] += 1
-                    break
+    def add_all(self, rows: Iterable[tuple[int, int, int | None, str, str]]) -> None:
+        """Count each ``(year, n_authors, page_count, subject, title)`` row."""
+        known = frozenset(self._taxonomy)
+        get_counts, warn = self.counts.get, self.warnings.append
+        pooled = POOLED_BIN_AUTHOR_VALUE - 1  # the open bin's index
+        for year, n_authors, page_count, subject, title in rows:
+            counts = get_counts(year) or self.year(year)
+            counts[0] += 1
+            counts[1] += n_authors
+            counts[2][n_authors - 1 if n_authors <= pooled else pooled] += 1
+            if page_count is None:
+                warn(Finding(f"{year}: {title!r}", "missing-pages",
+                             "no page information; excluded from page bins"))
             else:
-                self.warnings.append(Finding(f"{year}: {title!r}", "page-bin-range",
-                                             f"page count {page_count} fits no page bin"))
-        if subject not in self._known:
-            self.warnings.append(Finding(
-                f"{year}: {title!r}", "unknown-subject",
-                f"subject {subject!r} not in taxonomy; counted under 'Others'"))
-            subject = "Others"
-        counts[4][subject] = counts[4].get(subject, 0) + 1
+                i = (_PAGE_BIN_OF[page_count if page_count < _TOP_PAGES else _TOP_PAGES]
+                     if page_count >= 0 else None)
+                if i is None:
+                    warn(Finding(f"{year}: {title!r}", "page-bin-range",
+                                 f"page count {page_count} fits no page bin"))
+                else:
+                    counts[3][i] += 1
+            subjects = counts[4]
+            if subject in known:
+                subjects[subject] += 1
+            else:
+                warn(Finding(f"{year}: {title!r}", "unknown-subject",
+                             f"subject {subject!r} not in taxonomy; counted under 'Others'"))
+                subjects["Others"] = subjects.get("Others", 0) + 1
 
     def dataset(self) -> Dataset:
         return Dataset(tuple(
@@ -541,8 +603,7 @@ def aggregate_records(records: tuple[BibRecord, ...],
     The result is independent of record order.
     """
     tally = _YearTally((config or AnalysisConfig()).taxonomy)
-    for record in records:
-        tally.add(record.year, record.n_authors, record.page_count, record.subject, record.title)
+    tally.add_all((r.year, r.n_authors, r.page_count, r.subject, r.title) for r in records)
     report = ValidationReport(warnings=tally.sorted_warnings(),
                               record_count=len(records), year_count=len(tally.counts))
     return tally.dataset(), report
@@ -555,8 +616,15 @@ def fold_records(source: BinaryIO, format: str = "csv",
     The result equals :func:`parse_records`, then :func:`validate`, then,
     when the report has no errors, :func:`aggregate_records`, all three
     with the same config and the bridge's warnings appended to the
-    report. No :class:`BibRecord` is built: CSV is read
-    row by row, so memory is O(years + findings); JSON is decoded whole.
+    report. No :class:`BibRecord` is built: CSV is read row by row, so
+    memory is O(years + findings); JSON is decoded whole.
+
+    A clean row takes the short path. A row whose short parse raises, or
+    finds a blank mandatory field or author list, is parsed again by the
+    precise parse; a row that fails a guard every record rule passes is
+    checked by the record rules. Those precise checks word every error
+    and finding, so the result is the same on either path.
+
     With errors, the report has no bridge warnings and the aggregates
     are incomplete. A bad UTF-8 byte anywhere in the input takes
     precedence over every other parse error, with the message that
@@ -579,16 +647,28 @@ def fold_records(source: BinaryIO, format: str = "csv",
 def _fold(text: TextIO, format: str, config: AnalysisConfig) -> tuple[Dataset, ValidationReport]:
     report = ValidationReport()
     tally = _YearTally(config.taxonomy)
-    for _, (year, title, subject, authors, author_count, _, _,
-            start_page, end_page, page_count) in _parsed_records(text, format):
-        report.record_count += 1
-        n_authors = len(authors) if author_count is None else author_count
-        _validate_record(f"record {report.record_count}", year, n_authors, start_page,
-                         end_page, page_count, config.study_window, report)
-        if report.errors:
-            tally.year(year)  # no bridge will run; the year still counts for year-gap
-        else:
-            tally.add(year, n_authors, page_count, subject, title)
+    window = config.study_window
+
+    def checked() -> Iterator[tuple[int, int, int | None, str, str]]:
+        """The rows to bridge: every row, until a record rule fails."""
+        for (year, title, subject, authors, author_count, _, _,
+             start, end, pages) in _parsed_records(text, format):
+            report.record_count += 1
+            n_authors = len(authors) if author_count is None else author_count
+            # A guard that every rule of _validate_record passes; they run only when it fails.
+            if not (0 < n_authors <= MAX_COUNT
+                    and (window is None or window[0] <= year <= window[1])
+                    and (0 < start <= end and pages == end - start + 1
+                         if start is not None and end is not None
+                         else all(v is None or v > 0 for v in (start, end, pages)))):
+                _validate_record(f"record {report.record_count}", year, n_authors, start,
+                                 end, pages, window, report)
+            if report.errors:
+                tally.year(year)  # no bridge will run; the year still counts for year-gap
+            else:
+                yield year, n_authors, pages, subject, title
+
+    tally.add_all(checked())
     if not report.record_count:
         raise ParseError("empty dataset")
     report.year_count = len(tally.counts)

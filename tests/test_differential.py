@@ -1,32 +1,39 @@
-"""Differential test: the streaming record fold against the library route.
+"""Differential test: the streaming record fold against the precise route.
 
 The CLI loads record input with :func:`fold_records`, one pass that
-parses, validates and bridges. The library keeps the three steps
-:func:`parse_records`, :func:`validate` and :func:`aggregate_records`.
-For small generated record sets both routes must give equal aggregates,
-equal findings and equal parse errors. The CSV and JSON forms of a set
-must print the same tables, and so must the aggregate CSV of an
-accepted set. The settings are deterministic, like
-``tests/test_fuzz.py``.
+parses, validates and bridges, and that sends a row to the precise parse
+and to the record rules only when it fails a short-path guard. The
+reference route runs every row through the precise parse
+(``ingest._record_fields``), then through :func:`validate` and
+:func:`aggregate_records`. For small generated record sets, and for
+every edge input and flaw below with and without a study window, both
+routes must give equal aggregates, equal findings and equal parse
+errors, and :func:`parse_records` must build the records the precise
+parse builds. The CSV and JSON forms of a set must print the same
+tables, and so must the aggregate CSV of an accepted set. The settings
+are deterministic, like ``tests/test_fuzz.py``.
 """
 
 import csv
 import io
 import json
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from scientoscope import (
     AnalysisConfig,
+    BibRecord,
     ParseError,
     aggregate_records,
     parse_records,
     validate,
     write_aggregates_csv,
 )
+from scientoscope import ingest
 from scientoscope.cli import main
-from scientoscope.ingest import RECORD_FIELDS, fold_records
+from scientoscope.ingest import MAX_COUNT, RECORD_FIELDS, fold_records
 
 DIFFERENTIAL = settings(max_examples=60, deadline=None, derandomize=True, database=None,
                         suppress_health_check=[HealthCheck.function_scoped_fixture,
@@ -39,7 +46,8 @@ COLUMNS = (*RECORD_FIELDS, "author_count", "page_count")
 def clean_record(draw):
     """A record that parses and validates: authors as names or as a count
     only, pages as a span, a span and its count, a count only, or absent
-    (a missing-pages warning), and a subject that may be unknown."""
+    (a missing-pages warning), and a subject that may be unknown; half of
+    them also take one of the ``EDGES``."""
     rec = {"year": draw(st.integers(2011, 2016)),
            "volume": draw(st.none() | st.integers(1, 9)),
            "issue": draw(st.none() | st.integers(1, 9)),
@@ -56,7 +64,25 @@ def clean_record(draw):
         rec["start_page"], rec["end_page"] = start, start + length - 1
     if "count" in pages:
         rec["page_count"] = length
+    rec.update(draw(st.sampled_from(({},) * len(EDGES) + EDGES)))
     return rec
+
+
+# Values that parse and validate, many of them off the short path: numbers
+# int() reads past their digits, a blank number (absent), author lists
+# with blank names, with and without an author count, Unicode-padded
+# text, and JSON numbers as title and subject.
+EDGES = (
+    {"volume": " 12 "}, {"issue": "+5"}, {"volume": "1_0"}, {"issue": "٣"},
+    {"volume": " "}, {"issue": " "}, {"page_count": " "}, {"author_count": " "},
+    {"year": " 2013 "}, {"year": "+2014"}, {"year": "2_015"},
+    {"start_page": " 12 ", "end_page": "+14", "page_count": "٣"},
+    {"authors": ";A"}, {"authors": "A;;B"}, {"authors": "A;   ;B"},
+    {"authors": ";A", "author_count": 2}, {"authors": "A;;B", "author_count": 1},
+    {"authors": "A;   ;B", "author_count": 3}, {"authors": " ", "author_count": 2},
+    {"title": "\u00a0Padded\u2003"}, {"subject": "\u3000ICT\u2029"},
+    {"title": 7}, {"subject": 3}, {"start_page": 3, "end_page": None, "page_count": None},
+)
 
 
 # Flaws injected into a clean record: validation errors, then parse errors.
@@ -74,6 +100,12 @@ FLAWS = (
     {"title": ""},
     {"subject": " "},
     {"authors": [], "author_count": None},
+    {"author_count": MAX_COUNT + 1},  # count-range
+    {"start_page": None, "end_page": None, "page_count": 0},
+    {"start_page": None, "end_page": -4, "page_count": None},
+    {"year": "x"}, {"issue": "9" * 5000}, {"author_count": "x"}, {"page_count": "x"},
+    {"authors": " ", "author_count": None}, {"authors": ";", "author_count": None},
+    {"title": "\u2003 \t"}, {"subject": "\u00a0"}, {"title": None}, {"subject": None},
 )
 
 
@@ -90,6 +122,11 @@ def record_sets(draw):
     return records, blanks
 
 
+def _authors_text(rec):
+    authors = rec["authors"]
+    return authors if isinstance(authors, str) else "; ".join(authors)
+
+
 def _csv_bytes(records, blanks):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -98,20 +135,33 @@ def _csv_bytes(records, blanks):
         if blank is not None:
             writer.writerow(blank)
         row = [rec.get(key) for key in COLUMNS]
-        row[COLUMNS.index("authors")] = "; ".join(rec["authors"])
+        row[COLUMNS.index("authors")] = _authors_text(rec)
         writer.writerow(["" if value is None else value for value in row])
     return buf.getvalue().encode()
 
 
 def _json_bytes(records, authors_as_text):
-    objs = [dict(rec, authors="; ".join(rec["authors"]) if authors_as_text else rec["authors"])
+    objs = [dict(rec, authors=_authors_text(rec) if authors_as_text else rec["authors"])
             for rec in records]
     return json.dumps(objs).encode()
 
 
-def _library_route(raw, format, config):
-    """parse_records -> validate -> aggregate_records, as the CLI once ran them."""
-    records = parse_records(raw, format)
+def _precise_records(raw, format):
+    """:func:`parse_records` with every row through the precise parse."""
+    records = tuple(
+        BibRecord(*ingest._record_fields(ingest._location(format, number),
+                                         tuple(values[columns.get(name, -1)]
+                                               for name in ingest._RECORD_COLUMNS)))
+        for number, columns, values in ingest._rows(io.StringIO(raw.decode()), format,
+                                                    "record", RECORD_FIELDS))
+    if not records:
+        raise ParseError("empty dataset")
+    return records
+
+
+def _precise_route(raw, format, config):
+    """The precise parse -> validate -> aggregate_records, as the CLI once ran them."""
+    records = _precise_records(raw, format)
     report = validate(records, config)
     if not report.ok:
         return None, report
@@ -127,18 +177,38 @@ def _outcome(route):
         return str(exc)
 
 
-@DIFFERENTIAL
-@given(record_sets(), st.none() | st.just((2012, 2015)))
-def test_fold_equals_parse_validate_and_bridge(drawn, window):
-    records, blanks = drawn
+def _assert_routes_agree(records, blanks, window):
     config = AnalysisConfig(study_window=window)
     for format, raw in (("csv", _csv_bytes(records, blanks)),
                         ("json", _json_bytes(records, authors_as_text=False))):
-        expected = _outcome(lambda: _library_route(raw, format, config))
+        expected = _outcome(lambda: _precise_route(raw, format, config))
         folded = _outcome(lambda: fold_records(io.BytesIO(raw), format, config))
         if isinstance(expected, str) or not expected[1].ok:
             folded = folded if isinstance(folded, str) else (None, folded[1])
         assert folded == expected
+        assert (_outcome(lambda: parse_records(raw, format))
+                == _outcome(lambda: _precise_records(raw, format)))
+
+
+@DIFFERENTIAL
+@given(record_sets(), st.none() | st.just((2012, 2015)))
+def test_fold_equals_parse_validate_and_bridge(drawn, window):
+    _assert_routes_agree(*drawn, window)
+
+
+# Four clean records over 2012-2015, the second one overridden, with a
+# row of empty fields and an empty line before the third.
+_BASE = tuple({"year": year, "volume": 1, "issue": 2, "title": "T", "authors": ["A", "B"],
+               "subject": "ICT", "start_page": 1, "end_page": 6} for year in range(2012, 2016))
+_BLANKS = [None, None, [""] * len(COLUMNS), []]
+
+
+@pytest.mark.parametrize("window", [None, (2012, 2015), (2013, 2014)])
+@pytest.mark.parametrize("override", EDGES + FLAWS)
+def test_every_edge_and_flaw_agrees_on_both_routes(override, window):
+    records = [dict(rec) for rec in _BASE]
+    records[1].update(override)
+    _assert_routes_agree(records, _BLANKS, window)
 
 
 @DIFFERENTIAL

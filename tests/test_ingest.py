@@ -4,11 +4,13 @@ import csv
 import io
 import json
 import tracemalloc
+from collections import Counter
 
 import pytest
 
 from scientoscope import (
     AnalysisConfig,
+    BibRecord,
     ParseError,
     aggregate_records,
     parse_aggregates,
@@ -17,6 +19,7 @@ from scientoscope import (
     validate,
     write_aggregates_csv,
 )
+from scientoscope import ingest
 from scientoscope.cli import demo_records_path, main
 from scientoscope.ingest import MAX_COUNT, fold_records
 
@@ -242,6 +245,19 @@ def test_aggregate_records_conservation():
     assert sum(agg.subject_counts.values()) == agg.papers
 
 
+def test_bridge_puts_each_count_in_its_class_at_the_edges():
+    records = tuple(BibRecord(2013, f"T{n}", "ICT", author_count=n, page_count=pages)
+                    for n, pages in zip(range(1, 7), (1, 5, 6, 10, 11, 400)))
+    records += (BibRecord(2013, "Z", "ICT", author_count=1, page_count=0),
+                BibRecord(2013, "N", "ICT", author_count=1, page_count=-2))
+    aggregated, report = aggregate_records(records)
+    (agg,) = aggregated.aggregates
+    assert agg.authorship_bins == (3, 1, 1, 1, 2)
+    assert agg.page_bins == (2, 2, 2)
+    assert [f.message for f in report.warnings] == ["page count -2 fits no page bin",
+                                                    "page count 0 fits no page bin"]
+
+
 def test_expand_author_counts_reproduces_author_totals(demo_dataset):
     # The bin-weighted sum, with the 5+ bin valued at 5, matches the
     # dataset's recorded author totals for every year.
@@ -289,6 +305,28 @@ def _record_rows(n, years=10):
 
 def _fold_bytes(raw):
     return fold_records(io.BytesIO(raw), "csv", AnalysisConfig())
+
+
+@pytest.mark.parametrize("flawed, calls", [
+    ("", (0, 0)),
+    ("2005,,,T,;A;;B;,1,2,ICT\n", (0, 0)),  # blank author names stay on the short path
+    ("2005, ,,T,A,1,2,ICT\n", (1, 0)),  # a whitespace-only volume: the precise parse
+    ("2005,,,T,A,9,4,ICT\n", (0, 1)),  # a reversed span: the record rules
+    ("2005, ,,T,A,9,4,ICT\n", (1, 1)),
+], ids=["clean", "blank-names", "parse", "rules", "both"])
+def test_only_a_row_the_short_path_cannot_take_leaves_it(monkeypatch, flawed, calls):
+    counts = Counter()
+    for name in ("_record_fields", "_validate_record"):
+        def counted(*args, real=getattr(ingest, name), name=name):
+            counts[name] += 1
+            return real(*args)
+        monkeypatch.setattr(ingest, name, counted)
+    rows = _record_rows(2000).splitlines(keepends=True)
+    raw = (RECORD_HEADER + "\n" + "".join(rows[:1000]) + flawed + "".join(rows[1000:])).encode()
+    _, report = _fold_bytes(raw)
+    assert report.record_count == 2000 + bool(flawed)
+    assert report.ok == (calls[1] == 0)
+    assert (counts["_record_fields"], counts["_validate_record"]) == calls
 
 
 @pytest.mark.parametrize("offset", [100, 70_000])

@@ -7,14 +7,16 @@ import json
 import pytest
 
 from scientoscope import (
+    AnalysisConfig,
     ColumnSpec,
     DisplayPolicy,
     ReportTable,
+    aggregate_records,
     render,
     round_display,
     round_half_up,
 )
-from scientoscope.distributions import year_distribution_table
+from scientoscope.distributions import subject_table, year_distribution_table
 from scientoscope.indicators import collaboration_table, egr_table
 
 
@@ -80,6 +82,14 @@ def test_cell_maps_total_and_mean_to_the_footer():
     # The footer's own first cell is not a row address.
     with pytest.raises(LookupError, match="no row 'Total'"):
         table.cell("Total", "Papers")
+
+
+def test_cell_reads_a_body_row_named_total_before_the_footer(demo_records):
+    config = AnalysisConfig(taxonomy=("total", "Others"))
+    dataset, _ = aggregate_records(demo_records, config)
+    table = subject_table(dataset, config.taxonomy)
+    assert table.rows[0][0] == "total" and table.footer[-1] == 12
+    assert table.cell("total", "Total") == 0
 
 
 def test_cell_missing_row_or_column_raises_lookup_error():
