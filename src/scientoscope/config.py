@@ -128,7 +128,10 @@ CONFIG_KEYS = tuple(f.name for f in fields(AnalysisConfig))
 
 def _window(value: Any) -> tuple[int, int]:
     first, last = value
-    return int(first), int(last)
+    # Exactly two JSON integers: a float is not truncated, and true is no year.
+    if type(first) is not int or type(last) is not int or first > last:
+        raise ValueError(value)
+    return first, last
 
 
 def _taxonomy(value: Any) -> tuple[str, ...]:

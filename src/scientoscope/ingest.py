@@ -17,13 +17,12 @@ is O(years + findings); JSON is decoded whole. Every step reads its
 ``strict``, ``study_window`` and ``taxonomy`` from one
 :class:`~scientoscope.config.AnalysisConfig`.
 
-Clean rows take a short path: the parse converts with bare ``int()``
-and builds no location string, and the fold applies a guard that every
-record rule passes instead of the rules themselves. The precise checks
-are the fallback, and the only code that words a message: a row the
-short parse cannot take goes to ``_record_fields``, and a row that
-fails the guard goes to ``_validate_record``. So both paths give the
-same fields, findings and errors.
+Each record rule is stated once, in ``_validate_record``, which both
+routes call for every record; it formats a location only for a rule
+that fails. Clean rows take a short parse that converts with bare
+``int()`` and builds no location string. A row it cannot take goes to
+the precise parse, ``_record_fields``, the only code that words a parse
+message, so both parses give the same fields and errors.
 
 CSV schemas
 -----------
@@ -87,12 +86,12 @@ MAX_COUNT = 2**53
 
 
 def _decode(source: bytes | str) -> str:
-    if isinstance(source, str):
-        return source
+    """The input as text, without a leading byte-order mark."""
     try:
-        return source.decode("utf-8")
+        text = source if isinstance(source, str) else source.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ParseError(f"input is not valid UTF-8: {exc}") from exc
+    return text.removeprefix("\ufeff")
 
 
 def _opt_int(raw: str | None, what: str, location: str) -> int | None:
@@ -125,23 +124,13 @@ def split_authors(raw: str) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _csv_records(lines: Iterable[str]) -> Iterator[tuple[int, list[str]]]:
-    """``(line, record)`` for each CSV record of ``lines``, ``line`` being the
-    physical line the record ends on; a malformed one raises ParseError at its line."""
-    reader = csv.reader(lines)
+def _csv_header(reader, kind: str, required: tuple[str, ...]) -> list[str]:
     try:
-        for record in reader:
-            yield reader.line_num, record
-    except csv.Error as exc:
-        raise ParseError(f"malformed CSV: {exc}", f"line {reader.line_num}") from None
-
-
-def _csv_header(records: Iterator[tuple[int, list[str]]], kind: str,
-                required: tuple[str, ...]) -> list[str]:
-    try:
-        header = [h.strip() for h in next(records)[1]]
+        header = [h.strip() for h in next(reader)]
     except StopIteration:
         raise ParseError("empty input") from None
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV: {exc}", f"line {reader.line_num}") from None
     missing = [f for f in required if f not in header]
     if missing:
         raise ParseError(f"{kind} CSV header is missing columns: {', '.join(missing)}", "line 1")
@@ -174,19 +163,24 @@ def _rows(stream: TextIO, format: str, kind: str,
     pad, so ``values[columns.get(name, -1)]`` reads an absent field as
     ``None``. CSV rows share the header's ``columns``; JSON elements share
     one while their key order repeats. CSV is read from ``stream`` row by
-    row; JSON is decoded whole. ``kind`` names the input in error messages.
+    row, and ``number`` is the physical line a row ends on; JSON is decoded
+    whole. ``kind`` names the input in error messages.
     """
     if format == "csv":
-        records = _csv_records(stream)
-        header = _csv_header(records, kind, required)
+        reader = csv.reader(stream)
+        header = _csv_header(reader, kind, required)
         columns = {name: i for i, name in enumerate(header)}
-        for line_no, row in records:
-            if not "".join(row).strip():
-                continue
-            if len(row) != len(header):
-                raise ParseError(f"expected {len(header)} fields, got {len(row)}", f"line {line_no}")
-            row.append(None)
-            yield line_no, columns, row
+        try:
+            for row in reader:
+                if not "".join(row).strip():
+                    continue
+                if len(row) != len(header):
+                    raise ParseError(f"expected {len(header)} fields, got {len(row)}",
+                                     f"line {reader.line_num}")
+                row.append(None)
+                yield reader.line_num, columns, row
+        except csv.Error as exc:
+            raise ParseError(f"malformed CSV: {exc}", f"line {reader.line_num}") from None
     elif format == "json":
         try:
             data = json.loads(stream.read())
@@ -375,7 +369,7 @@ def sniff_granularity(source: bytes | str, format: str = "csv") -> str:
         # with the message decoding the whole input would give.
         end = source.find(b"\n" if isinstance(source, bytes) else "\n")
         head = _decode(source[:end + 1] if end >= 0 else source)
-        granularity = _granularity_of(_csv_header(_csv_records(io.StringIO(head)), "input", ()))
+        granularity = _granularity_of(_csv_header(csv.reader(io.StringIO(head)), "input", ()))
     else:
         text = _decode(source)
         first = _first_json_object(text) if format == "json" else None
@@ -393,37 +387,42 @@ def sniff_granularity(source: bytes | str, format: str = "csv") -> str:
 # ---------------------------------------------------------------------------
 
 
-def _validate_record(location: str, year: int, n_authors: int, start_page: int | None,
+def _validate_record(number: int, year: int, n_authors: int, start_page: int | None,
                      end_page: int | None, page_count: int | None,
                      window: tuple[int, int] | None, report: ValidationReport,
                      both_author_sources: bool = False) -> None:
-    """The record rules, on one record's values; ``window=None`` skips ``year-window``.
+    """The record rules, on the values of record *number*; ``window=None`` skips ``year-window``.
 
-    :func:`_fold` calls this only for a row that fails its guard, so the
-    guard must pass only values that every rule here accepts: a new or
-    changed rule needs the guard changed with it, and a ``FLAWS`` entry in
-    ``tests/test_differential.py`` that breaks it.
+    The one statement of the rules: :func:`fold_records` and :func:`validate`
+    call it for every record. ``record N`` is formatted only for a rule that
+    fails, so a record that passes them all costs no string formatting.
     """
     if both_author_sources:
-        report.error(location, "author-source", "both author list and author_count present")
+        report.error(f"record {number}", "author-source",
+                     "both author list and author_count present")
     if n_authors < 1:
-        report.error(location, "author-count", "author count must be >= 1")
+        report.error(f"record {number}", "author-count", "author count must be >= 1")
     elif n_authors > MAX_COUNT:
-        report.error(location, "count-range", f"author count is above {MAX_COUNT}")
+        report.error(f"record {number}", "count-range", f"author count is above {MAX_COUNT}")
     if window is not None and not (window[0] <= year <= window[1]):
-        report.error(location, "year-window",
+        report.error(f"record {number}", "year-window",
                      f"year {year} outside study window {window[0]}-{window[1]}")
     if start_page is not None and end_page is not None:
         if end_page < start_page:
-            report.error(location, "page-span", f"end_page {end_page} < start_page {start_page}")
-        elif page_count is not None:
-            span = end_page - start_page + 1
-            if page_count != span:
-                report.error(location, "page-count", f"page_count {page_count} != span {span}")
-    for page, value in (("start_page", start_page), ("end_page", end_page),
-                        ("page_count", page_count)):
-        if value is not None and value < 1:
-            report.error(location, "page-positive", f"{page} must be positive, got {value}")
+            report.error(f"record {number}", "page-span",
+                         f"end_page {end_page} < start_page {start_page}")
+        elif page_count is not None and page_count != (span := end_page - start_page + 1):
+            report.error(f"record {number}", "page-count",
+                         f"page_count {page_count} != span {span}")
+    if start_page is not None and start_page < 1:
+        report.error(f"record {number}", "page-positive",
+                     f"start_page must be positive, got {start_page}")
+    if end_page is not None and end_page < 1:
+        report.error(f"record {number}", "page-positive",
+                     f"end_page must be positive, got {end_page}")
+    if page_count is not None and page_count < 1:
+        report.error(f"record {number}", "page-positive",
+                     f"page_count must be positive, got {page_count}")
 
 
 def _validate_aggregate(agg: YearAggregate, config: AnalysisConfig,
@@ -506,7 +505,7 @@ def validate(data: Dataset | tuple[BibRecord, ...],
         years = {r.year for r in data}
         report.record_count = len(data)
         for i, record in enumerate(data, start=1):
-            _validate_record(f"record {i}", record.year, record.n_authors, record.start_page,
+            _validate_record(i, record.year, record.n_authors, record.start_page,
                              record.end_page, record.page_count, config.study_window, report,
                              both_author_sources=record.author_count is not None
                              and bool(record.authors))
@@ -619,11 +618,11 @@ def fold_records(source: BinaryIO, format: str = "csv",
     report. No :class:`BibRecord` is built: CSV is read row by row, so
     memory is O(years + findings); JSON is decoded whole.
 
-    A clean row takes the short path. A row whose short parse raises, or
+    A clean row takes the short parse; a row whose short parse raises, or
     finds a blank mandatory field or author list, is parsed again by the
-    precise parse; a row that fails a guard every record rule passes is
-    checked by the record rules. Those precise checks word every error
-    and finding, so the result is the same on either path.
+    precise parse, which words every parse error. Every record, on either
+    parse, goes through the record rules (``_validate_record``); there is
+    no second, cheaper copy of them.
 
     With errors, the report has no bridge warnings and the aggregates
     are incomplete. A bad UTF-8 byte anywhere in the input takes
@@ -631,7 +630,7 @@ def fold_records(source: BinaryIO, format: str = "csv",
     decoding the whole input gives.
     """
     config = config or AnalysisConfig()
-    text = io.TextIOWrapper(source, encoding="utf-8", newline="\n")
+    text = io.TextIOWrapper(source, encoding="utf-8-sig", newline="\n")
     try:
         return _fold(text, format, config)
     except (ParseError, UnicodeDecodeError):
@@ -655,14 +654,8 @@ def _fold(text: TextIO, format: str, config: AnalysisConfig) -> tuple[Dataset, V
              start, end, pages) in _parsed_records(text, format):
             report.record_count += 1
             n_authors = len(authors) if author_count is None else author_count
-            # A guard that every rule of _validate_record passes; they run only when it fails.
-            if not (0 < n_authors <= MAX_COUNT
-                    and (window is None or window[0] <= year <= window[1])
-                    and (0 < start <= end and pages == end - start + 1
-                         if start is not None and end is not None
-                         else all(v is None or v > 0 for v in (start, end, pages)))):
-                _validate_record(f"record {report.record_count}", year, n_authors, start,
-                                 end, pages, window, report)
+            _validate_record(report.record_count, year, n_authors, start, end, pages,
+                             window, report)
             if report.errors:
                 tally.year(year)  # no bridge will run; the year still counts for year-gap
             else:

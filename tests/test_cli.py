@@ -1,5 +1,7 @@
 """Command-line behavior: commands, exit codes, determinism, config."""
 
+import csv
+import io
 import json
 from dataclasses import replace
 from pathlib import Path
@@ -248,6 +250,27 @@ def test_bad_utf8_after_the_csv_header_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: input is not valid UTF-8: ")
 
 
+def _demo_records_json():
+    rows = csv.DictReader(io.StringIO(demo_records_path().read_text(encoding="utf-8")))
+    return json.dumps(list(rows)).encode()
+
+
+@pytest.mark.parametrize("name, raw", [
+    ("records.csv", lambda: demo_records_path().read_bytes()),
+    ("aggregates.csv", lambda: demo_aggregates_path().read_bytes()),
+    ("records.json", _demo_records_json),
+], ids=["records-csv", "aggregates-csv", "records-json"])
+def test_a_leading_byte_order_mark_is_not_part_of_the_input(name, raw, tmp_path, capsys):
+    # Excel's "CSV UTF-8" export starts the file with one.
+    path = tmp_path / name
+    results = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        path.write_bytes(bom + raw())
+        results.append((main(["analyze", "--input", str(path)]), capsys.readouterr()))
+    assert results[0][0] == 0
+    assert results[1] == results[0]
+
+
 def test_counts_beyond_the_float_range_exit_1(tmp_path, capsys):
     header = "year,papers,a1,a2,a3,a4,a5plus,total_authors,p1to5,p6to10,pabove10,subj:A\n"
     path = tmp_path / "overflow.csv"
@@ -289,6 +312,10 @@ def test_config_env_var_fallback(tmp_path, capsys, monkeypatch):
 
 @pytest.mark.parametrize("key, value, shape", [
     ("study_window", 5, "[first, last]"),
+    ("study_window", [True, 2017], "[first, last]"),
+    ("study_window", [2013.9, 2017], "[first, last]"),
+    ("study_window", [2017, 2013], "[first, last]"),
+    ("study_window", ["2013", "2017"], "[first, last]"),
     ("taxonomy", 5, "distinct labels that include 'Others'"),
     ("absent_marker", 5, "a string"),
 ])

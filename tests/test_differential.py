@@ -1,8 +1,9 @@
 """Differential test: the streaming record fold against the precise route.
 
 The CLI loads record input with :func:`fold_records`, one pass that
-parses, validates and bridges, and that sends a row to the precise parse
-and to the record rules only when it fails a short-path guard. The
+parses, validates and bridges. It sends a row to the precise parse only
+when the short parse cannot take it, and runs every row through the
+record rules, as :func:`validate` does. The
 reference route runs every row through the precise parse
 (``ingest._record_fields``), then through :func:`validate` and
 :func:`aggregate_records`. For small generated record sets, and for

@@ -11,6 +11,7 @@ import pytest
 from scientoscope import (
     AnalysisConfig,
     BibRecord,
+    Finding,
     ParseError,
     aggregate_records,
     parse_aggregates,
@@ -116,6 +117,33 @@ def test_validate_page_count_span_mismatch():
                         "page_count": 99}])
     report = validate(parse_records(data, format="json"))
     assert any(f.rule == "page-count" for f in report.errors)
+
+
+@pytest.mark.parametrize("fields, rule, message", [
+    ("2013,,,T,A,9,4,ICT,,3", "page-span", "end_page 4 < start_page 9"),
+    ("2013,,,T,A,1,5,ICT,,7", "page-count", "page_count 7 != span 5"),
+    ("2013,,,T,A,0,3,ICT,,", "page-positive", "start_page must be positive, got 0"),
+    ("2013,,,T,A,,-4,ICT,,", "page-positive", "end_page must be positive, got -4"),
+    ("2013,,,T,A,,,ICT,,0", "page-positive", "page_count must be positive, got 0"),
+    ("2013,,,T,,,,ICT,0,", "author-count", "author count must be >= 1"),
+    ("2013,,,T,,,,ICT,-9,", "author-count", "author count must be >= 1"),
+    (f"2013,,,T,,,,ICT,{MAX_COUNT + 1},", "count-range", f"author count is above {MAX_COUNT}"),
+    ("2016,,,T,A,1,2,ICT,,", "year-window", "year 2016 outside study window 2012-2015"),
+])
+def test_each_record_rule_words_its_one_finding(fields, rule, message):
+    # Both routes share the record rules, so the differential test cannot pin them.
+    raw = (RECORD_HEADER + ",author_count,page_count\n2012,,,T,A,1,2,ICT,,\n"
+           + fields + "".join(f"\n{year},,,T,A,1,2,ICT,," for year in (2013, 2014, 2015))).encode()
+    config = AnalysisConfig(study_window=(2012, 2015))
+    expected = [Finding("record 2", rule, message)]
+    assert fold_records(io.BytesIO(raw), "csv", config)[1].errors == expected
+    assert validate(parse_records(raw), config).errors == expected
+
+
+def test_both_author_sources_on_a_built_record_is_an_error():
+    record = BibRecord(2013, "T", "ICT", authors=("A",), author_count=1)
+    assert validate((record,)).errors == [
+        Finding("record 1", "author-source", "both author list and author_count present")]
 
 
 def test_parse_records_json_string_authors():
@@ -307,14 +335,15 @@ def _fold_bytes(raw):
     return fold_records(io.BytesIO(raw), "csv", AnalysisConfig())
 
 
-@pytest.mark.parametrize("flawed, calls", [
-    ("", (0, 0)),
-    ("2005,,,T,;A;;B;,1,2,ICT\n", (0, 0)),  # blank author names stay on the short path
-    ("2005, ,,T,A,1,2,ICT\n", (1, 0)),  # a whitespace-only volume: the precise parse
-    ("2005,,,T,A,9,4,ICT\n", (0, 1)),  # a reversed span: the record rules
-    ("2005, ,,T,A,9,4,ICT\n", (1, 1)),
+@pytest.mark.parametrize("flawed, precise, ok", [
+    ("", 0, True),
+    ("2005,,,T,;A;;B;,1,2,ICT\n", 0, True),  # blank author names stay on the short path
+    ("2005, ,,T,A,1,2,ICT\n", 1, True),  # a whitespace-only volume: the precise parse
+    ("2005,,,T,A,9,4,ICT\n", 0, False),  # a reversed span: the short parse, then an error
+    ("2005, ,,T,A,9,4,ICT\n", 1, False),
 ], ids=["clean", "blank-names", "parse", "rules", "both"])
-def test_only_a_row_the_short_path_cannot_take_leaves_it(monkeypatch, flawed, calls):
+def test_only_a_row_the_short_path_cannot_take_leaves_it(monkeypatch, flawed, precise, ok):
+    # Only such a row reaches the precise parse, while the record rules run on every row.
     counts = Counter()
     for name in ("_record_fields", "_validate_record"):
         def counted(*args, real=getattr(ingest, name), name=name):
@@ -325,8 +354,8 @@ def test_only_a_row_the_short_path_cannot_take_leaves_it(monkeypatch, flawed, ca
     raw = (RECORD_HEADER + "\n" + "".join(rows[:1000]) + flawed + "".join(rows[1000:])).encode()
     _, report = _fold_bytes(raw)
     assert report.record_count == 2000 + bool(flawed)
-    assert report.ok == (calls[1] == 0)
-    assert (counts["_record_fields"], counts["_validate_record"]) == calls
+    assert report.ok == ok
+    assert (counts["_record_fields"], counts["_validate_record"]) == (precise, report.record_count)
 
 
 @pytest.mark.parametrize("offset", [100, 70_000])
@@ -373,6 +402,18 @@ def test_csv_error_names_the_physical_line_after_quoted_newlines(last_row, messa
     with pytest.raises(ParseError) as parsed:
         parse_records(raw)
     assert str(parsed.value) == message
+
+
+def test_csv_error_in_the_header_names_its_physical_line():
+    # The header's quoted newline puts its stray carriage return on line 2.
+    raw = (b'year,"vol\nume",issue,title,authors,start_page,end_page,sub\rject\n'
+           b"2013,,,T,A,1,2,ICT\n")
+    message = ("line 2: malformed CSV: new-line character seen in unquoted field - "
+               "do you need to open the file in universal-newline mode?")
+    for load in (_fold_bytes, parse_records):
+        with pytest.raises(ParseError) as raised:
+            load(raw)
+        assert str(raised.value) == message
 
 
 def test_lone_carriage_return_in_an_unquoted_field_exits_2(tmp_path, capsys):
