@@ -28,13 +28,11 @@ import argparse
 import json
 import os
 import sys
-from datetime import datetime, timezone
-from importlib import resources
 from pathlib import Path
 from typing import BinaryIO
 
 from . import __version__
-from .config import CONFIG_KEYS, AnalysisConfig, config_from_dict
+from .config import AnalysisConfig, config_from_dict
 from .distributions import (
     authorship_table,
     page_length_table,
@@ -71,12 +69,12 @@ EXIT_PARSE = 2
 
 def demo_aggregates_path() -> Path:
     """Path of the bundled aggregate dataset."""
-    return Path(str(resources.files("scientoscope.data").joinpath("demo_aggregates.csv")))
+    return Path(__file__).parent / "data" / "demo_aggregates.csv"
 
 
 def demo_records_path() -> Path:
     """Path of the bundled 12-record synthetic dataset."""
-    return Path(str(resources.files("scientoscope.data").joinpath("demo_small_records.csv")))
+    return Path(__file__).parent / "data" / "demo_small_records.csv"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -120,7 +118,7 @@ def _load_file_config(args: argparse.Namespace) -> dict:
     if path is None:
         return {}
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(path.read_text(encoding="utf-8-sig"))
     except (OSError, json.JSONDecodeError) as exc:
         raise ParseError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(data, dict):
@@ -131,7 +129,7 @@ def _load_file_config(args: argparse.Namespace) -> dict:
 def _effective_options(args: argparse.Namespace) -> tuple[AnalysisConfig, dict]:
     """Merge defaults, config file, and flags (flag beats file beats default)."""
     file_cfg = _load_file_config(args)
-    unknown = sorted(set(file_cfg) - set(CONFIG_KEYS) - set(_RUN_KEYS))
+    unknown = sorted(set(file_cfg) - set(AnalysisConfig._fields) - set(_RUN_KEYS))
     if unknown:
         raise ValueError(f"unknown config key: {unknown[0]!r}")
     merged = dict(file_cfg)
@@ -168,6 +166,7 @@ def _metadata_line(config: AnalysisConfig, run: dict) -> str:
     if overrides:
         line += " | overrides: " + ",".join(f"{k}={v}" for k, v in sorted(overrides.items()))
     if run["timestamp"]:
+        from datetime import datetime, timezone  # only runs that print one import it
         line += f" | {datetime.now(timezone.utc).isoformat(timespec='seconds')}"
     return line
 
@@ -244,6 +243,7 @@ def _emit_tables(tables: list[ReportTable], fmt: str, config: AnalysisConfig,
             "tables": [table_as_json_obj(t, policy) for t in tables],
         }
         if run["timestamp"]:
+            from datetime import datetime, timezone
             doc["meta"]["timestamp"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
         if extra_json:
             doc.update(extra_json)

@@ -11,10 +11,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields
+from collections import namedtuple
 from typing import Any
 
-from .model import PAGE_BINS
+from .model import PAGE_BINS, Checked
 
 #: Subject taxonomy of the bundled demonstration dataset, in display order.
 #: "Others" is the catch-all every unknown label maps to.
@@ -63,26 +63,19 @@ _VALID = {
 }
 
 
-@dataclass(frozen=True)
-class AnalysisConfig:
+class AnalysisConfig(Checked, namedtuple(
+        "AnalysisConfig", "mode ci_variant egr_mode cagr_mode rgr_mode totals_source strict "
+        "study_window taxonomy absent_marker",
+        defaults=("paper", None, None, None, None, None, False, None, DEFAULT_TAXONOMY, "-"))):
     """Mode switches and structural settings for one analysis run.
 
     Per-indicator fields left as ``None`` follow the top-level ``mode``;
     explicit values override it and are echoed in output metadata.
     """
 
-    mode: str = "paper"
-    ci_variant: str | None = None
-    egr_mode: str | None = None
-    cagr_mode: str | None = None
-    rgr_mode: str | None = None
-    totals_source: str | None = None
-    strict: bool = False
-    study_window: tuple[int, int] | None = None
-    taxonomy: tuple[str, ...] = DEFAULT_TAXONOMY
-    absent_marker: str = "-"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         for name, valid in _VALID.items():
             value = getattr(self, name)
             if value is not None and value not in valid:
@@ -120,10 +113,6 @@ class AnalysisConfig:
         """Short stable digest of the effective configuration."""
         canonical = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
-
-
-#: The keys a config file may set for the analysis: the config's fields.
-CONFIG_KEYS = tuple(f.name for f in fields(AnalysisConfig))
 
 
 def _window(value: Any) -> tuple[int, int]:
@@ -165,7 +154,7 @@ def config_from_dict(data: dict[str, Any]) -> AnalysisConfig:
     A value of the wrong shape raises ``ValueError`` naming
     the key and the shape it needs.
     """
-    known = {key: data[key] for key in CONFIG_KEYS if data.get(key) is not None}
+    known = {key: data[key] for key in AnalysisConfig._fields if data.get(key) is not None}
     for key, (shape, convert) in _SHAPED.items():
         if key in known:
             try:

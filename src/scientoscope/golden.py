@@ -19,11 +19,11 @@ reproduce them. Every exemption is listed in the conformance output.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .config import AnalysisConfig
 from .indicators import cagr
-from .model import AUTHORSHIP_BIN_LABELS
+from .model import AUTHORSHIP_BIN_LABELS, Fieldwise
 from .report import CellValue, ReportTable, round_display
 
 YEARS = (2013, 2014, 2015, 2016, 2017)
@@ -143,8 +143,8 @@ EXEMPTIONS: dict[tuple[int, str], str] = {
 }
 
 
-@dataclass(frozen=True)
-class GoldenCheck:
+class GoldenCheck(namedtuple("GoldenCheck", "table cell expected tol display_decimals",
+                             defaults=(None, None))):
     """One printed value with its comparison rule.
 
     ``tol`` compares numerically; ``display_decimals`` compares the
@@ -152,11 +152,7 @@ class GoldenCheck:
     requires the printed cell to be absent.
     """
 
-    table: int
-    cell: str
-    expected: object
-    tol: float | None = None
-    display_decimals: int | None = None
+    __slots__ = ()
 
     @property
     def exempt(self) -> bool:
@@ -167,12 +163,10 @@ class GoldenCheck:
         return f"table {self.table} / {self.cell}"
 
 
-@dataclass(frozen=True)
-class CheckOutcome:
-    check: GoldenCheck
-    actual: object
-    matched: bool
-    problem: str | None = None  # why the address resolved to no cell
+class CheckOutcome(namedtuple("CheckOutcome", "check actual matched problem", defaults=(None,))):
+    """A check's result; ``problem`` says why its address resolved to no cell."""
+
+    __slots__ = ()
 
     @property
     def status(self) -> str:
@@ -183,9 +177,9 @@ class CheckOutcome:
         return "pass" if self.matched else "fail"
 
 
-@dataclass
-class ConformanceResult:
-    outcomes: list[CheckOutcome]
+class ConformanceResult(Fieldwise):
+    def __init__(self, outcomes: list[CheckOutcome]):
+        self.outcomes = outcomes
 
     @property
     def n_passed(self) -> int:

@@ -236,7 +236,8 @@ def _record_fields(location: str, raw: tuple) -> tuple:
     end_page = _opt_int(end_page, "end_page", location)
     page_count = _opt_int(page_count, "page_count", location)
     if page_count is None and start_page is not None and end_page is not None:
-        page_count = end_page - start_page + 1
+        # None for a reversed span, which the page-span finding alone reports.
+        page_count = end_page - start_page + 1 if end_page >= start_page else None
     return (year, title, subject, names, author_count,
             _opt_int(volume, "volume", location), _opt_int(issue, "issue", location),
             start_page, end_page, page_count)
@@ -275,7 +276,7 @@ def _parsed_records(stream: TextIO, format: str) -> Iterator[tuple]:
             yield _record_fields(_location(format, number), raw)
             continue
         if page_count is None and start_page is not None and end_page is not None:
-            page_count = end_page - start_page + 1
+            page_count = end_page - start_page + 1 if end_page >= start_page else None
         yield (year, title, subject, names, author_count,
                volume, issue, start_page, end_page, page_count)
 
@@ -591,7 +592,7 @@ class _YearTally:
 
     def sorted_warnings(self) -> list[Finding]:
         """The warnings in a deterministic order, whatever the record order."""
-        return sorted(self.warnings, key=lambda f: (f.location, f.rule, f.message))
+        return sorted(self.warnings)  # by (location, rule, message)
 
 
 def aggregate_records(records: tuple[BibRecord, ...],

@@ -16,7 +16,7 @@ the study window and the taxonomy belong to the analysis
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 
 AUTHORSHIP_BIN_LABELS = ("1 author", "2 authors", "3 authors", "4 authors", "5+ authors")
@@ -48,26 +48,47 @@ class ParseError(ValueError):
         super().__init__(f"{location}: {message}" if location else message)
 
 
-@dataclass(frozen=True)
-class BibRecord:
+class Checked:
+    """Base of a named tuple whose constructor, ``_make`` and ``_replace`` all
+    run ``_check``; in a plain named tuple the last two bypass ``__new__``."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        self._check()
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class Fieldwise:
+    """Field-wise equality and ``repr`` for the mutable value types, whose
+    fields are the attributes ``__init__`` sets, in order. Unhashable."""
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return vars(self) == vars(other)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+
+class BibRecord(namedtuple("BibRecord", "year title subject authors author_count volume "
+                           "issue start_page end_page page_count", defaults=(None,) * 7)):
     """One published article.
 
     Exactly one of ``authors`` (ordered name list) or ``author_count``
     must be present; ``author_count`` is for sources that report only a
     count. ``page_count`` is derived from the span when both ends are
-    known.
+    known and in order.
     """
 
-    year: int
-    title: str
-    subject: str
-    authors: tuple[str, ...] | None = None
-    author_count: int | None = None
-    volume: int | None = None
-    issue: int | None = None
-    start_page: int | None = None
-    end_page: int | None = None
-    page_count: int | None = None
+    __slots__ = ()
 
     @property
     def n_authors(self) -> int:
@@ -77,22 +98,22 @@ class BibRecord:
         return len(self.authors or ())
 
 
-@dataclass(frozen=True)
-class YearAggregate:
+class YearAggregate(namedtuple("YearAggregate", "year papers authorship_bins page_bins "
+                               "subject_counts total_authors")):
     """Pre-tabulated per-year counts.
 
     ``authorship_bins`` always has five entries (1, 2, 3, 4, 5-and-above
     authors); ``page_bins`` has one entry per class of :data:`PAGE_BINS`
     (1-5, 6-10, above 10 pages). ``subject_counts`` maps taxonomy labels
-    to counts and preserves taxonomy order.
+    to counts and preserves taxonomy order; by default a new empty dict.
     """
 
-    year: int
-    papers: int
-    authorship_bins: tuple[int, ...]
-    page_bins: tuple[int, ...]
-    subject_counts: dict[str, int] = field(default_factory=dict)
-    total_authors: int | None = None
+    __slots__ = ()
+
+    def __new__(cls, year, papers, authorship_bins, page_bins, subject_counts=None,
+                total_authors=None):
+        return super().__new__(cls, year, papers, authorship_bins, page_bins,
+                               {} if subject_counts is None else subject_counts, total_authors)
 
     @property
     def single(self) -> int:
@@ -105,26 +126,24 @@ class YearAggregate:
         return sum(self.authorship_bins[1:])
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(namedtuple("Finding", "location rule message")):
     """One validation finding: where, which rule, and what happened."""
 
-    location: str
-    rule: str
-    message: str
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"[{self.rule}] {self.location}: {self.message}"
 
 
-@dataclass
-class ValidationReport:
+class ValidationReport(Fieldwise):
     """Outcome of validating a dataset. Empty ``errors`` means accepted."""
 
-    errors: list[Finding] = field(default_factory=list)
-    warnings: list[Finding] = field(default_factory=list)
-    record_count: int = 0
-    year_count: int = 0
+    def __init__(self, errors: list[Finding] | None = None, warnings: list[Finding] | None = None,
+                 record_count: int = 0, year_count: int = 0):
+        self.errors = [] if errors is None else errors
+        self.warnings = [] if warnings is None else warnings
+        self.record_count = record_count
+        self.year_count = year_count
 
     @property
     def ok(self) -> bool:
@@ -137,11 +156,10 @@ class ValidationReport:
         self.warnings.append(Finding(location, rule, message))
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(namedtuple("Dataset", "aggregates")):
     """The per-year aggregates of one dataset, sorted ascending by year."""
 
-    aggregates: tuple[YearAggregate, ...]
+    __slots__ = ()
 
     @property
     def papers_by_year(self) -> list[tuple[int, int]]:

@@ -12,8 +12,10 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 from decimal import ROUND_HALF_UP, Context, Decimal
+
+from .model import Checked, Fieldwise
 
 CellValue = int | float | str | None
 
@@ -58,44 +60,40 @@ def round_display(value: float, decimals: int) -> str:
     return f"{rounded:f}"
 
 
-@dataclass(frozen=True)
-class ColumnSpec:
-    header: str
-    kind: str = "count"
-    decimals: int = 2
+class ColumnSpec(Checked, namedtuple("ColumnSpec", "header kind decimals", defaults=("count", 2))):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.kind not in COLUMN_KINDS:
             raise ValueError(f"unknown column kind: {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class DisplayPolicy:
+class DisplayPolicy(Checked, namedtuple("DisplayPolicy", "absent_marker totals_source",
+                                        defaults=("-", "full_precision"))):
     """Display conventions: rounding is always half-up.
 
     ``totals_source = rounded_cells`` only adds the CSV renderer's
     "(display)" columns; the table builders derive the footer totals
     themselves."""
 
-    absent_marker: str = "-"
-    totals_source: str = "full_precision"  # or "rounded_cells"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def _check(self) -> None:
         if self.totals_source not in ("full_precision", "rounded_cells"):
             raise ValueError(f"invalid totals_source: {self.totals_source!r}")
 
 
-@dataclass
-class ReportTable:
+class ReportTable(Fieldwise):
     """Headers, rows, optional footer, and footnotes for one table."""
 
-    title: str
-    columns: list[ColumnSpec]
-    rows: list[list[CellValue]] = field(default_factory=list)
-    footer: list[CellValue] | None = None
-    notes: list[str] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
+    def __init__(self, title: str, columns: list[ColumnSpec],
+                 rows: list[list[CellValue]] | None = None,
+                 footer: list[CellValue] | None = None, notes: list[str] | None = None):
+        self.title = title
+        self.columns = columns
+        self.rows = [] if rows is None else rows
+        self.footer = footer
+        self.notes = [] if notes is None else notes
         width = len(self.columns)
         for i, row in enumerate(self.rows):
             if len(row) != width:

@@ -3,7 +3,6 @@
 import csv
 import io
 import json
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -11,6 +10,7 @@ import pytest
 from scientoscope import (
     AnalysisConfig,
     ColumnSpec,
+    ReportTable,
     cli,
     parse_aggregates,
     year_distribution_table,
@@ -302,6 +302,19 @@ def test_granularity_flag_overrides_sniffing(capsys):
     assert "Articles published per year" in capsys.readouterr().out
 
 
+def test_a_config_file_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    # Windows editors save UTF-8 with one.
+    cfg = tmp_path / "cfg.json"
+    results = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        cfg.write_bytes(bom + json.dumps({"mode": "standard"}).encode())
+        results.append((main(["analyze", "--input", AGG_PATH, "--config", str(cfg)]),
+                        capsys.readouterr()))
+    assert results[0][0] == 0
+    assert "mode=standard" in results[0][1].out
+    assert results[1] == results[0]
+
+
 def test_config_env_var_fallback(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "env_cfg.json"
     cfg.write_text(json.dumps({"mode": "standard"}))
@@ -486,7 +499,8 @@ def test_golden_check_on_a_missing_column_fails():
     assert check_outcome(check, [table], config).status == "pass"
     renamed = [ColumnSpec("Cumulative", c.kind) if c.header == "Cum. papers" else c
                for c in table.columns]
-    outcome = check_outcome(check, [replace(table, columns=renamed)], config)
+    renamed_table = ReportTable(table.title, renamed, table.rows, table.footer, table.notes)
+    outcome = check_outcome(check, [renamed_table], config)
     assert outcome.status == "fail"
     assert outcome.problem == "table 1 has no column 'Cum. papers'"
 
@@ -506,7 +520,7 @@ def test_reproduce_paper_json_keeps_the_reason_a_check_failed(monkeypatch, capsy
         table = year_distribution_table(dataset)
         columns = [ColumnSpec("Cumulative", c.kind) if c.header == "Cum. papers" else c
                    for c in table.columns]
-        return replace(table, columns=columns)
+        return ReportTable(table.title, columns, table.rows, table.footer, table.notes)
 
     monkeypatch.setitem(cli._TABLE_BUILDERS, 1, renamed_table_1)
     rc = main(["reproduce-paper", "--format", "json"])

@@ -68,9 +68,8 @@ def test_year_distribution_additivity(demo_dataset):
     # Tabulating two disjoint-year halves yields the same per-year paper
     # counts as tabulating the merged dataset.
     aggs = demo_dataset.aggregates
-    import dataclasses
-    first = dataclasses.replace(demo_dataset, aggregates=aggs[:2])
-    second = dataclasses.replace(demo_dataset, aggregates=aggs[2:])
+    first = demo_dataset._replace(aggregates=aggs[:2])
+    second = demo_dataset._replace(aggregates=aggs[2:])
 
     def counts(dataset):
         table = year_distribution_table(dataset)

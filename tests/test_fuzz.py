@@ -6,7 +6,7 @@ fails the test. Besides arbitrary bytes and JSON, the strategies build
 inputs in the record and aggregate schemas. Half of those draw their
 counts from the range validation accepts (zero, one year, the limit
 itself), so that many examples get past validation into the bridge and
-the tables.
+the tables. A last test feeds arbitrary JSON as the ``--config`` file.
 """
 
 import csv
@@ -16,7 +16,8 @@ import json
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from scientoscope.cli import main
+from scientoscope import cli, config
+from scientoscope.cli import demo_aggregates_path, demo_records_path, main
 from scientoscope.ingest import AGGREGATE_FIELDS, MAX_COUNT
 
 COMMANDS = (["validate"], ["analyze"], ["reproduce-paper", "--mode", "standard"])
@@ -110,3 +111,35 @@ def test_schema_shaped_json(tmp_path, objects):
 @given(objects=datasets)
 def test_schema_shaped_csv(tmp_path, objects):
     _run_all(tmp_path, "input.csv", _csv(objects).encode("utf-8", "surrogatepass"))
+
+
+# A valid config-file value for each key a config file may set.
+_VALID_CONFIG = {
+    **config._VALID,
+    "strict": (True, False),
+    "study_window": ([2013, 2017], [2014, 2016], [2000, 2030]),
+    "taxonomy": (["ICT", "Others"], list(config.DEFAULT_TAXONOMY)),
+    "absent_marker": ("-", "", "n/a"),
+    "input": (str(demo_records_path()), str(demo_aggregates_path())),
+    "format": cli.FORMATS,
+    "table": ("all", "3", 8),
+    "granularity": cli.GRANULARITIES,
+    "timestamp": (True, False),
+}
+valid_configs = st.fixed_dictionaries({}, optional={
+    key: st.sampled_from(values) for key, values in _VALID_CONFIG.items()})
+
+
+@FUZZ
+@given(value=json_values, valid=valid_configs, key=st.sampled_from(sorted(_VALID_CONFIG)))
+def test_arbitrary_config(tmp_path, value, valid, key):
+    # Any JSON value as the whole file; a valid config, which can still fail
+    # on the input; and that config with one key set to the value.
+    assert set(_VALID_CONFIG) == {*config.AnalysisConfig._fields, *cli._RUN_KEYS}
+    path = tmp_path / "config.json"
+    for data in (value, valid, {**valid, key: value}):
+        path.write_text(json.dumps(data), encoding="utf-8")
+        for command in (["validate", "--input", str(demo_records_path())],
+                        ["analyze", "--show-config", "--input", str(demo_aggregates_path())],
+                        ["reproduce-paper"]):
+            assert main([*command, "--config", str(path)]) in (0, 1, 2)

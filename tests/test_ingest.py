@@ -121,6 +121,7 @@ def test_validate_page_count_span_mismatch():
 
 @pytest.mark.parametrize("fields, rule, message", [
     ("2013,,,T,A,9,4,ICT,,3", "page-span", "end_page 4 < start_page 9"),
+    ("2013,,,T,A,9,4,ICT,,", "page-span", "end_page 4 < start_page 9"),
     ("2013,,,T,A,1,5,ICT,,7", "page-count", "page_count 7 != span 5"),
     ("2013,,,T,A,0,3,ICT,,", "page-positive", "start_page must be positive, got 0"),
     ("2013,,,T,A,,-4,ICT,,", "page-positive", "end_page must be positive, got -4"),
