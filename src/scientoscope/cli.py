@@ -11,11 +11,11 @@ Commands::
 
 The four input commands load through one pipeline: read, validate, and,
 for accepted record input, bridge to per-year aggregates, folding the
-bridge's warnings into the validation report. Record input takes all
-three steps in one streaming pass (:func:`~scientoscope.ingest.fold_records`),
-after the granularity is sniffed from the CSV header line or the first
-JSON element. ``validate`` prints that report; the others write its
-findings to stderr and stop on any error.
+bridge's warnings into the validation report, in one pass that opens
+and decodes the input once (:func:`~scientoscope.ingest.load`). Unless
+``--granularity`` is given, the granularity is read off the CSV header
+or the first JSON element. ``validate`` prints that report; the others
+write its findings to stderr and stop on any error.
 
 Exit codes: 0 success, 1 validation/analysis/golden failure, 2 input or
 parse failure. Output is byte-identical for identical input and
@@ -29,7 +29,6 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import BinaryIO
 
 from . import __version__
 from .config import AnalysisConfig, config_from_dict
@@ -44,15 +43,14 @@ from .indicators import collaboration_table, egr_table, productivity_table, rgr_
 from .ingest import (
     AGGREGATE_FIELDS,
     RECORD_FIELDS,
+    finding_lines,
     findings_as_json,
     findings_as_text,
-    fold_records,
-    parse_aggregates,
-    sniff_granularity,
-    validate,
+    load,
 )
 # Unused here, but the benchmark's trace harness wraps them by these names.
-from .ingest import aggregate_records, parse_records  # noqa: F401
+from .ingest import aggregate_records, parse_aggregates, parse_records  # noqa: F401
+from .ingest import sniff_granularity, validate  # noqa: F401
 from .model import Dataset, ParseError, ValidationReport
 from .report import DisplayPolicy, ReportTable, render, table_as_json_obj
 
@@ -166,9 +164,14 @@ def _metadata_line(config: AnalysisConfig, run: dict) -> str:
     if overrides:
         line += " | overrides: " + ",".join(f"{k}={v}" for k, v in sorted(overrides.items()))
     if run["timestamp"]:
-        from datetime import datetime, timezone  # only runs that print one import it
-        line += f" | {datetime.now(timezone.utc).isoformat(timespec='seconds')}"
+        line += f" | {_timestamp()}"
     return line
+
+
+def _timestamp() -> str:
+    """The current UTC time, to the second, in ISO 8601."""
+    from datetime import datetime, timezone  # only runs that print one import it
+    return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
 def _print_effective_config(config: AnalysisConfig, run: dict) -> None:
@@ -177,12 +180,6 @@ def _print_effective_config(config: AnalysisConfig, run: dict) -> None:
         "run": run,
         "config_hash": config.config_hash(),
     }, indent=2, sort_keys=True))
-
-
-def _sniff(stream: BinaryIO, input_format: str) -> str:
-    head = stream.readline() if input_format == "csv" else stream.read()
-    stream.seek(0)
-    return sniff_granularity(head, input_format)
 
 
 def _load(config: AnalysisConfig, run: dict) -> tuple[Dataset, ValidationReport]:
@@ -194,13 +191,9 @@ def _load(config: AnalysisConfig, run: dict) -> tuple[Dataset, ValidationReport]
     input_format = "json" if path.suffix.lower() == ".json" else "csv"
     try:
         with path.open("rb") as stream:
-            granularity = run["granularity"] or _sniff(stream, input_format)
-            if granularity == "records":
-                return fold_records(stream, input_format, config)
-            dataset = parse_aggregates(stream.read(), input_format)
+            return load(stream, input_format, config, run["granularity"])
     except OSError as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
-    return dataset, validate(dataset, config)
 
 
 _TABLE_BUILDERS = {
@@ -243,8 +236,7 @@ def _emit_tables(tables: list[ReportTable], fmt: str, config: AnalysisConfig,
             "tables": [table_as_json_obj(t, policy) for t in tables],
         }
         if run["timestamp"]:
-            from datetime import datetime, timezone
-            doc["meta"]["timestamp"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
+            doc["meta"]["timestamp"] = _timestamp()
         if extra_json:
             doc.update(extra_json)
         print(json.dumps(doc, indent=2))
@@ -256,9 +248,7 @@ def _emit_tables(tables: list[ReportTable], fmt: str, config: AnalysisConfig,
 
 
 def _report_findings(report: ValidationReport) -> None:
-    lines = [*(f"ERROR   {f}\n" for f in report.errors),
-             *(f"WARNING {f}\n" for f in report.warnings)]
-    sys.stderr.write("".join(lines))
+    sys.stderr.write("".join(f"{line}\n" for line in finding_lines(report)))
 
 
 def cmd_validate(config: AnalysisConfig, run: dict) -> int:
@@ -384,7 +374,14 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()  # here, so that a closed pipe raises inside the try
+    except BrokenPipeError:  # the reader of stdout is gone
+        # Keep the interpreter's final flush of stdout from raising again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_FAILURE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -9,8 +9,10 @@ by :func:`validate` without ever mutating or silently fixing the data.
 Record input has two routes with one set of checks. The library route
 builds every :class:`BibRecord` (:func:`parse_records`), then checks
 them (:func:`validate`) and bridges them to per-year aggregates
-(:func:`aggregate_records`). :func:`fold_records`, which the CLI uses,
-does all three in one pass over an open file: each row is parsed,
+(:func:`aggregate_records`). :func:`load`, which the CLI uses, reads an
+open file of either granularity once, with the granularity taken from
+the CSV header or first JSON element that every parse reads anyway. For
+records it does all three steps in that pass: each row is parsed,
 checked by the same record rules and counted into the same per-year
 accumulator, with no record kept. Record CSV is streamed, so its memory
 is O(years + findings); JSON is decoded whole. Every step reads its
@@ -54,9 +56,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-import re
 from collections import Counter
-from collections.abc import Container, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from operator import itemgetter
 from typing import BinaryIO, TextIO
 
@@ -124,22 +125,6 @@ def split_authors(raw: str) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _csv_header(reader, kind: str, required: tuple[str, ...]) -> list[str]:
-    try:
-        header = [h.strip() for h in next(reader)]
-    except StopIteration:
-        raise ParseError("empty input") from None
-    except csv.Error as exc:
-        raise ParseError(f"malformed CSV: {exc}", f"line {reader.line_num}") from None
-    missing = [f for f in required if f not in header]
-    if missing:
-        raise ParseError(f"{kind} CSV header is missing columns: {', '.join(missing)}", "line 1")
-    duplicates = sorted({h for h in header if header.count(h) > 1})
-    if duplicates:
-        raise ParseError(f"duplicate columns: {', '.join(duplicates)}", "line 1")
-    return header
-
-
 def _json_text(key: str, value: object) -> str | None:
     if value is None:
         return None
@@ -153,9 +138,16 @@ def _location(format: str, number: int) -> str:
     return f"{'line' if format == 'csv' else 'element'} {number}"
 
 
-def _rows(stream: TextIO, format: str, kind: str,
-          required: tuple[str, ...] = ()) -> Iterator[tuple[int, dict[str, int], list]]:
-    """Yield ``(number, columns, values)`` for each non-blank CSV row or JSON element.
+#: Granularity -> the name its messages give the input, and its required fields.
+_KIND = {"records": "record", "aggregates": "aggregate"}
+_REQUIRED = {"records": RECORD_FIELDS, "aggregates": AGGREGATE_FIELDS}
+_Rows = Iterator[tuple[int, dict[str, int], list]]
+
+
+def _rows(stream: TextIO, format: str, granularity: str | None = None) -> tuple[str, _Rows]:
+    """The granularity, given or read off the CSV header or first JSON
+    element, and ``(number, columns, values)`` for each non-blank CSV row or
+    JSON element, read on from there.
 
     ``number`` is the line or element :func:`_location` names, and
     ``values[columns[name]]`` the field's string or ``None`` (a JSON
@@ -164,23 +156,19 @@ def _rows(stream: TextIO, format: str, kind: str,
     ``None``. CSV rows share the header's ``columns``; JSON elements share
     one while their key order repeats. CSV is read from ``stream`` row by
     row, and ``number`` is the physical line a row ends on; JSON is decoded
-    whole. ``kind`` names the input in error messages.
+    whole.
     """
     if format == "csv":
         reader = csv.reader(stream)
-        header = _csv_header(reader, kind, required)
-        columns = {name: i for i, name in enumerate(header)}
         try:
-            for row in reader:
-                if not "".join(row).strip():
-                    continue
-                if len(row) != len(header):
-                    raise ParseError(f"expected {len(header)} fields, got {len(row)}",
-                                     f"line {reader.line_num}")
-                row.append(None)
-                yield reader.line_num, columns, row
+            names = header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise ParseError("empty input") from None
         except csv.Error as exc:
             raise ParseError(f"malformed CSV: {exc}", f"line {reader.line_num}") from None
+        duplicates = sorted({h for h in header if header.count(h) > 1})
+        if duplicates:
+            raise ParseError(f"duplicate columns: {', '.join(duplicates)}", "line 1")
     elif format == "json":
         try:
             data = json.loads(stream.read())
@@ -188,20 +176,55 @@ def _rows(stream: TextIO, format: str, kind: str,
             raise ParseError(f"invalid JSON: {exc}") from None
         except RecursionError:
             raise ParseError("invalid JSON: nested too deeply") from None
+        kind = _KIND.get(granularity, "input")
         if not isinstance(data, list):
             raise ParseError(f"{kind} JSON must be a top-level list")
-        keys: tuple | None = None
-        for index, obj in enumerate(data, start=1):
-            if not isinstance(obj, dict):
-                raise ParseError(f"{kind} element must be an object", f"element {index}")
-            if tuple(obj) != keys:
-                keys = tuple(obj)
-                columns = {key: i for i, key in enumerate(keys)}
-            values = [_json_text(key, value) for key, value in obj.items()]
-            values.append(None)
-            yield index, columns, values
+        names = next(_json_rows(data, kind), (0, {}, []))[1]  # element 1, checked
     else:
         raise ParseError(f"unknown input format: {format!r}")
+    if granularity is None:
+        if "papers" in names:
+            granularity = "aggregates"
+        elif "title" in names or "authors" in names:
+            granularity = "records"
+        else:
+            raise ParseError("cannot determine granularity from input header")
+    if format == "csv":
+        return granularity, _csv_rows(reader, header, granularity)
+    return granularity, _json_rows(data, _KIND[granularity])
+
+
+def _csv_rows(reader, header: list[str], granularity: str) -> _Rows:
+    """The rows after *header*, once it holds the granularity's required columns."""
+    missing = [f for f in _REQUIRED[granularity] if f not in header]
+    if missing:
+        raise ParseError(f"{_KIND[granularity]} CSV header is missing columns: "
+                         f"{', '.join(missing)}", "line 1")
+    columns = {name: i for i, name in enumerate(header)}
+    try:
+        for row in reader:
+            if not "".join(row).strip():
+                continue
+            if len(row) != len(header):
+                raise ParseError(f"expected {len(header)} fields, got {len(row)}",
+                                 f"line {reader.line_num}")
+            row.append(None)
+            yield reader.line_num, columns, row
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV: {exc}", f"line {reader.line_num}") from None
+
+
+def _json_rows(data: list, kind: str) -> _Rows:
+    keys: tuple | None = None
+    for index, obj in enumerate(data, start=1):
+        if not isinstance(obj, dict):
+            raise ParseError(f"{kind} element must be an object", f"element {index}")
+        if tuple(obj) != keys:
+            keys = tuple(obj)
+            columns = {key: i for i, key in enumerate(keys)}
+        values = [_json_text(key, value) for key, value in obj.items()]
+        values.append(None)
+        yield index, columns, values
 
 
 #: Record columns in the order :func:`_record_fields` checks them.
@@ -243,14 +266,14 @@ def _record_fields(location: str, raw: tuple) -> tuple:
             start_page, end_page, page_count)
 
 
-def _parsed_records(stream: TextIO, format: str) -> Iterator[tuple]:
-    """Yield the fields of each record in :class:`BibRecord` order, for
-    :func:`parse_records` and :func:`fold_records` alike: by the short
+def _parsed_records(rows: _Rows, format: str) -> Iterator[tuple]:
+    """Yield the fields of each record *rows* holds in :class:`BibRecord`
+    order, for :func:`parse_records` and :func:`load` alike: by the short
     path, or by :func:`_record_fields` for a row where that raises
     ValueError (a malformed or whitespace-only number) or finds a blank
     mandatory field or author list."""
     columns: dict[str, int] | None = None
-    for number, row_columns, values in _rows(stream, format, "record", RECORD_FIELDS):
+    for number, row_columns, values in rows:
         if row_columns is not columns:  # once for CSV, once per JSON key order
             columns = row_columns
             pick = itemgetter(*(columns.get(name, -1) for name in _RECORD_COLUMNS))
@@ -284,11 +307,11 @@ def _parsed_records(stream: TextIO, format: str) -> Iterator[tuple]:
 def parse_records(source: bytes | str, format: str = "csv") -> tuple[BibRecord, ...]:
     """Parse record-granularity input into its records, in input order.
 
-    The CLI does not build records: :func:`fold_records` streams the same
-    checks straight into per-year aggregates.
+    The CLI does not build records: :func:`load` streams the same checks
+    straight into per-year aggregates.
     """
-    records = tuple(BibRecord(*fields)
-                    for fields in _parsed_records(io.StringIO(_decode(source)), format))
+    _, rows = _rows(io.StringIO(_decode(source)), format, "records")
+    records = tuple(BibRecord(*fields) for fields in _parsed_records(rows, format))
     if not records:
         raise ParseError("empty dataset")
     return records
@@ -317,6 +340,15 @@ def _aggregate_from_fields(columns: dict[str, int], values: list,
     )
 
 
+def _aggregate_dataset(rows: _Rows, format: str) -> Dataset:
+    aggregates = [_aggregate_from_fields(columns, values, _location(format, number))
+                  for number, columns, values in rows]
+    if not aggregates:
+        raise ParseError("empty dataset")
+    aggregates.sort(key=lambda a: a.year)
+    return Dataset(tuple(aggregates))
+
+
 def parse_aggregates(source: bytes | str, format: str = "csv") -> Dataset:
     """Parse aggregate-granularity input, sorted ascending by year.
 
@@ -324,63 +356,22 @@ def parse_aggregates(source: bytes | str, format: str = "csv") -> Dataset:
     :func:`validate`, not here, so parse failures and validation
     findings stay distinguishable.
     """
-    aggregates = [_aggregate_from_fields(columns, values, _location(format, number))
-                  for number, columns, values in _rows(io.StringIO(_decode(source)), format,
-                                                       "aggregate", AGGREGATE_FIELDS)]
-    if not aggregates:
-        raise ParseError("empty dataset")
-    aggregates.sort(key=lambda a: a.year)
-    return Dataset(tuple(aggregates))
-
-
-_JSON_LIST_OPENING = re.compile(r"[ \t\n\r]*\[[ \t\n\r]*")
-
-
-def _first_json_object(text: str) -> dict | None:
-    """The first element of a JSON list, decoded on its own; ``None``
-    unless the text opens a list whose first element is an object."""
-    opening = _JSON_LIST_OPENING.match(text)
-    if opening is None:
-        return None
-    try:
-        first, _ = json.JSONDecoder().raw_decode(text, opening.end())
-    except (ValueError, RecursionError):
-        return None
-    return first if isinstance(first, dict) else None
-
-
-def _granularity_of(names: Container[str]) -> str | None:
-    if "papers" in names:
-        return "aggregates"
-    if "title" in names or "authors" in names:
-        return "records"
-    return None
+    _, rows = _rows(io.StringIO(_decode(source)), format, "aggregates")
+    return _aggregate_dataset(rows, format)
 
 
 def sniff_granularity(source: bytes | str, format: str = "csv") -> str:
-    """Guess records vs aggregates from the CSV header line or the first JSON object.
+    """Records vs aggregates, from the CSV header line or the first JSON element.
 
-    For CSV only the header line is decoded; the parse reports bad bytes
-    further on. For JSON the first element is decoded on its own; when
-    that settles nothing, the whole document is, so that its first fault
-    is the one reported.
+    For CSV only the first line is decoded; the parse reports bad bytes
+    further on. JSON is decoded whole, so its first fault is the one reported.
     """
     if format == "csv":
         # Keep the newline, so a multi-byte sequence it cuts short fails
         # with the message decoding the whole input would give.
         end = source.find(b"\n" if isinstance(source, bytes) else "\n")
-        head = _decode(source[:end + 1] if end >= 0 else source)
-        granularity = _granularity_of(_csv_header(csv.reader(io.StringIO(head)), "input", ()))
-    else:
-        text = _decode(source)
-        first = _first_json_object(text) if format == "json" else None
-        granularity = _granularity_of(first) if first is not None else None
-        if granularity is None:
-            columns = next(_rows(io.StringIO(text), format, "input"), (0, {}, []))[1]
-            granularity = _granularity_of(columns)
-    if granularity is None:
-        raise ParseError("cannot determine granularity from input header")
-    return granularity
+        source = source[:end + 1] if end >= 0 else source
+    return _rows(io.StringIO(_decode(source)), format)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +385,7 @@ def _validate_record(number: int, year: int, n_authors: int, start_page: int | N
                      both_author_sources: bool = False) -> None:
     """The record rules, on the values of record *number*; ``window=None`` skips ``year-window``.
 
-    The one statement of the rules: :func:`fold_records` and :func:`validate`
+    The one statement of the rules: :func:`load` and :func:`validate`
     call it for every record. ``record N`` is formatted only for a rule that
     fails, so a record that passes them all costs no string formatting.
     """
@@ -609,31 +600,35 @@ def aggregate_records(records: tuple[BibRecord, ...],
     return tally.dataset(), report
 
 
-def fold_records(source: BinaryIO, format: str = "csv",
-                 config: AnalysisConfig | None = None) -> tuple[Dataset, ValidationReport]:
-    """Parse, validate and bridge record input in one pass over an open binary file.
+def load(source: BinaryIO, format: str = "csv", config: AnalysisConfig | None = None,
+         granularity: str | None = None) -> tuple[Dataset, ValidationReport]:
+    """Parse and validate an open binary file of either granularity in one pass.
 
-    The result equals :func:`parse_records`, then :func:`validate`, then,
-    when the report has no errors, :func:`aggregate_records`, all three
-    with the same config and the bridge's warnings appended to the
-    report. No :class:`BibRecord` is built: CSV is read row by row, so
-    memory is O(years + findings); JSON is decoded whole.
+    *granularity* is ``"records"``, ``"aggregates"`` or ``None``: read it
+    off the CSV header or the first JSON element. Aggregates give
+    :func:`parse_aggregates`, then :func:`validate`. Records give
+    :func:`parse_records`, then :func:`validate`, then, when the report
+    has no errors, :func:`aggregate_records`, all three with the same
+    config and the bridge's warnings appended to the report. No
+    :class:`BibRecord` is built: CSV is read row by row, so memory is
+    O(years + findings); JSON is decoded whole. A clean row takes the
+    short parse; a row whose short parse raises, or finds a blank
+    mandatory field or author list, is parsed again by the precise parse,
+    which words every parse error. Every record, on either parse, goes
+    through the record rules (``_validate_record``); there is no second,
+    cheaper copy of them. With errors, the report has no bridge warnings
+    and the aggregates are incomplete.
 
-    A clean row takes the short parse; a row whose short parse raises, or
-    finds a blank mandatory field or author list, is parsed again by the
-    precise parse, which words every parse error. Every record, on either
-    parse, goes through the record rules (``_validate_record``); there is
-    no second, cheaper copy of them.
-
-    With errors, the report has no bridge warnings and the aggregates
-    are incomplete. A bad UTF-8 byte anywhere in the input takes
-    precedence over every other parse error, with the message that
-    decoding the whole input gives.
+    A bad UTF-8 byte anywhere in the input takes precedence over every
+    other parse error, with the message that decoding the whole input gives.
     """
     config = config or AnalysisConfig()
     text = io.TextIOWrapper(source, encoding="utf-8-sig", newline="\n")
     try:
-        return _fold(text, format, config)
+        granularity, rows = _rows(text, format, granularity)
+        if granularity == "records":
+            return _fold(_parsed_records(rows, format), config)
+        dataset = _aggregate_dataset(rows, format)
     except (ParseError, UnicodeDecodeError):
         # A decode error carries a position within the decoder's chunk,
         # and a row error may precede a bad byte: decode it all again.
@@ -642,9 +637,10 @@ def fold_records(source: BinaryIO, format: str = "csv",
         raise
     finally:
         text.detach()  # the caller owns and closes source
+    return dataset, validate(dataset, config)
 
 
-def _fold(text: TextIO, format: str, config: AnalysisConfig) -> tuple[Dataset, ValidationReport]:
+def _fold(records: Iterator[tuple], config: AnalysisConfig) -> tuple[Dataset, ValidationReport]:
     report = ValidationReport()
     tally = _YearTally(config.taxonomy)
     window = config.study_window
@@ -652,7 +648,7 @@ def _fold(text: TextIO, format: str, config: AnalysisConfig) -> tuple[Dataset, V
     def checked() -> Iterator[tuple[int, int, int | None, str, str]]:
         """The rows to bridge: every row, until a record rule fails."""
         for (year, title, subject, authors, author_count, _, _,
-             start, end, pages) in _parsed_records(text, format):
+             start, end, pages) in records:
             report.record_count += 1
             n_authors = len(authors) if author_count is None else author_count
             _validate_record(report.record_count, year, n_authors, start, end, pages,
@@ -702,14 +698,16 @@ def write_aggregates_csv(dataset: Dataset) -> str:
     return buf.getvalue()
 
 
+def finding_lines(report: ValidationReport) -> list[str]:
+    """One line per finding, errors first: ``ERROR   <finding>`` or ``WARNING <finding>``."""
+    return [*(f"ERROR   {f}" for f in report.errors), *(f"WARNING {f}" for f in report.warnings)]
+
+
 def findings_as_text(report: ValidationReport) -> str:
     """Plain-text form of a validation report."""
     lines = [f"records: {report.record_count}  years: {report.year_count}",
-             f"errors: {len(report.errors)}  warnings: {len(report.warnings)}"]
-    for finding in report.errors:
-        lines.append(f"ERROR   {finding}")
-    for finding in report.warnings:
-        lines.append(f"WARNING {finding}")
+             f"errors: {len(report.errors)}  warnings: {len(report.warnings)}",
+             *finding_lines(report)]
     return "\n".join(lines) + "\n"
 
 

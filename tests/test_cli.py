@@ -3,6 +3,9 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -250,9 +253,14 @@ def test_bad_utf8_after_the_csv_header_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: input is not valid UTF-8: ")
 
 
-def _demo_records_json():
-    rows = csv.DictReader(io.StringIO(demo_records_path().read_text(encoding="utf-8")))
+def _demo_json(path):
+    """A bundled demo CSV file as a JSON list of objects, every value a string."""
+    rows = csv.DictReader(io.StringIO(path.read_text(encoding="utf-8")))
     return json.dumps(list(rows)).encode()
+
+
+def _demo_records_json():
+    return _demo_json(demo_records_path())
 
 
 @pytest.mark.parametrize("name, raw", [
@@ -551,6 +559,39 @@ def test_schema_command(capsys):
     assert "year,volume,issue,title,authors,start_page,end_page,subject" in out
     assert "year,papers,a1,a2,a3,a4,a5plus" in out
     assert "subj:Scientometrics, Bibliometrics" in out
+
+
+@pytest.mark.parametrize("path", [demo_records_path(), demo_aggregates_path()],
+                         ids=["records", "aggregates"])
+def test_a_json_input_is_decoded_once(path, tmp_path, capsys, monkeypatch):
+    # json.loads makes one raw_decode call per document it decodes.
+    json_path = tmp_path / f"{path.stem}.json"
+    json_path.write_bytes(_demo_json(path))
+    calls = []
+
+    def counted(self, *args, real=json.JSONDecoder.raw_decode, **kwargs):
+        calls.append(args)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(json.JSONDecoder, "raw_decode", counted)
+    assert main(["analyze", "--input", str(json_path)]) == 0
+    assert capsys.readouterr().out
+    assert len(calls) == 1
+
+
+def test_a_closed_stdout_pipe_exits_1_without_a_traceback():
+    # As in `scientoscope analyze ... | head -1`, when head exits first:
+    # here the reader is gone before the first write.
+    src = Path(__file__).resolve().parents[1] / "src"
+    child = subprocess.Popen(
+        [sys.executable, "-c", "from scientoscope.cli import entry; entry()",
+         "analyze", "--input", AGG_PATH, "--format", "csv"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=dict(os.environ, PYTHONPATH=str(src)))
+    child.stdout.close()
+    stderr = child.stderr.read().decode()
+    assert child.wait(timeout=60) == 1
+    assert "Traceback" not in stderr
+    assert "Error" not in stderr
 
 
 def test_cli_binds_every_name_the_trace_harness_wraps():

@@ -1,6 +1,6 @@
 """Differential test: the streaming record fold against the precise route.
 
-The CLI loads record input with :func:`fold_records`, one pass that
+The CLI loads record input with :func:`load`, one pass that
 parses, validates and bridges. It sends a row to the precise parse only
 when the short parse cannot take it, and runs every row through the
 record rules, as :func:`validate` does. The
@@ -34,7 +34,7 @@ from scientoscope import (
 )
 from scientoscope import ingest
 from scientoscope.cli import main
-from scientoscope.ingest import MAX_COUNT, RECORD_FIELDS, fold_records
+from scientoscope.ingest import MAX_COUNT, RECORD_FIELDS, load
 
 DIFFERENTIAL = settings(max_examples=60, deadline=None, derandomize=True, database=None,
                         suppress_health_check=[HealthCheck.function_scoped_fixture,
@@ -154,7 +154,7 @@ def _precise_records(raw, format):
                                          tuple(values[columns.get(name, -1)]
                                                for name in ingest._RECORD_COLUMNS)))
         for number, columns, values in ingest._rows(io.StringIO(raw.decode()), format,
-                                                    "record", RECORD_FIELDS))
+                                                    "records")[1])
     if not records:
         raise ParseError("empty dataset")
     return records
@@ -183,7 +183,7 @@ def _assert_routes_agree(records, blanks, window):
     for format, raw in (("csv", _csv_bytes(records, blanks)),
                         ("json", _json_bytes(records, authors_as_text=False))):
         expected = _outcome(lambda: _precise_route(raw, format, config))
-        folded = _outcome(lambda: fold_records(io.BytesIO(raw), format, config))
+        folded = _outcome(lambda: load(io.BytesIO(raw), format, config, "records"))
         if isinstance(expected, str) or not expected[1].ok:
             folded = folded if isinstance(folded, str) else (None, folded[1])
         assert folded == expected
@@ -228,7 +228,8 @@ def test_csv_json_and_aggregate_forms_print_the_same_tables(drawn, tmp_path, cap
     assert len(results) == 1
     ((rc, out),) = results
     if rc == 0:
-        aggregated, _ = fold_records(io.BytesIO(inputs["records.csv"]), "csv", AnalysisConfig())
+        aggregated, _ = load(io.BytesIO(inputs["records.csv"]), "csv", AnalysisConfig(),
+                             "records")
         path = tmp_path / "aggregates.csv"
         path.write_text(write_aggregates_csv(aggregated), encoding="utf-8")
         assert main(["analyze", "--input", str(path)]) == 0

@@ -22,7 +22,7 @@ from scientoscope import (
 )
 from scientoscope import ingest
 from scientoscope.cli import demo_records_path, main
-from scientoscope.ingest import MAX_COUNT, fold_records
+from scientoscope.ingest import MAX_COUNT, load
 
 RECORD_HEADER = "year,volume,issue,title,authors,start_page,end_page,subject"
 AGG_HEADER = ("year,papers,a1,a2,a3,a4,a5plus,total_authors,p1to5,p6to10,pabove10,"
@@ -137,7 +137,7 @@ def test_each_record_rule_words_its_one_finding(fields, rule, message):
            + fields + "".join(f"\n{year},,,T,A,1,2,ICT,," for year in (2013, 2014, 2015))).encode()
     config = AnalysisConfig(study_window=(2012, 2015))
     expected = [Finding("record 2", rule, message)]
-    assert fold_records(io.BytesIO(raw), "csv", config)[1].errors == expected
+    assert load(io.BytesIO(raw), "csv", config, "records")[1].errors == expected
     assert validate(parse_records(raw), config).errors == expected
 
 
@@ -333,7 +333,7 @@ def _record_rows(n, years=10):
 
 
 def _fold_bytes(raw):
-    return fold_records(io.BytesIO(raw), "csv", AnalysisConfig())
+    return load(io.BytesIO(raw), "csv", AnalysisConfig(), "records")
 
 
 @pytest.mark.parametrize("flawed, precise, ok", [
@@ -411,9 +411,9 @@ def test_csv_error_in_the_header_names_its_physical_line():
            b"2013,,,T,A,1,2,ICT\n")
     message = ("line 2: malformed CSV: new-line character seen in unquoted field - "
                "do you need to open the file in universal-newline mode?")
-    for load in (_fold_bytes, parse_records):
+    for parse in (_fold_bytes, parse_records):
         with pytest.raises(ParseError) as raised:
-            load(raw)
+            parse(raw)
         assert str(raised.value) == message
 
 

@@ -1,15 +1,20 @@
 """Byte-identity of CLI output against committed snapshots.
 
 Each run's stdout, stderr and exit code must equal the files under
-``tests/snapshots/`` exactly. After an intended output change, rerun
-this module as a script to regenerate them::
+``tests/snapshots/`` exactly. The runs read the two demo files, and the
+demo records written as a JSON list of objects (:data:`RECORDS_JSON`,
+written to a temporary working directory). After an intended output
+change, rerun this module as a script to regenerate them::
 
     PYTHONPATH=src python tests/test_snapshots.py
 """
 
 import contextlib
+import csv
 import io
 import json
+import os
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -20,6 +25,8 @@ SNAPSHOT_DIR = Path(__file__).parent / "snapshots"
 EXIT_CODES = SNAPSHOT_DIR / "exit_codes.json"
 
 INPUTS = {"aggregates": demo_aggregates_path(), "records": demo_records_path()}
+#: The demo records as JSON, relative to the working directory of a run.
+RECORDS_JSON = "demo_small_records.json"
 
 RUNS = {
     f"analyze_{granularity}_{fmt}_{mode}": ["analyze", "--table", "all", "--input", str(path),
@@ -28,7 +35,18 @@ RUNS = {
     for fmt in ("text", "csv")
     for mode in ("paper", "standard")
 }
+RUNS.update({
+    f"analyze_records_json_text_{mode}": ["analyze", "--table", "all", "--input", RECORDS_JSON,
+                                          "--mode", mode]
+    for mode in ("paper", "standard")
+})
 RUNS["reproduce_paper_text"] = ["reproduce-paper"]
+
+
+def write_records_json(directory: Path) -> None:
+    """Write the demo records to *directory* as a JSON list of objects, every value a string."""
+    rows = csv.DictReader(io.StringIO(demo_records_path().read_text(encoding="utf-8")))
+    (directory / RECORDS_JSON).write_bytes(json.dumps(list(rows)).encode())
 
 
 def run_cli(argv: list[str]) -> tuple[str, str, int]:
@@ -43,8 +61,14 @@ def _read(path: Path) -> str:
     return path.read_bytes().decode("utf-8")
 
 
+@pytest.fixture
+def records_json(tmp_path, monkeypatch):
+    write_records_json(tmp_path)
+    monkeypatch.chdir(tmp_path)
+
+
 @pytest.mark.parametrize("name", sorted(RUNS))
-def test_output_matches_snapshot(name):
+def test_output_matches_snapshot(name, records_json):
     out, err, code = run_cli(RUNS[name])
     assert out == _read(SNAPSHOT_DIR / f"{name}.out")
     assert err == _read(SNAPSHOT_DIR / f"{name}.err")
@@ -54,8 +78,15 @@ def test_output_matches_snapshot(name):
 def regenerate() -> None:
     SNAPSHOT_DIR.mkdir(exist_ok=True)
     codes = {}
-    for name, argv in sorted(RUNS.items()):
-        out, err, codes[name] = run_cli(argv)
+    with tempfile.TemporaryDirectory() as directory:
+        write_records_json(Path(directory))
+        cwd = os.getcwd()
+        os.chdir(directory)
+        try:
+            runs = {name: run_cli(argv) for name, argv in sorted(RUNS.items())}
+        finally:
+            os.chdir(cwd)
+    for name, (out, err, codes[name]) in runs.items():
         (SNAPSHOT_DIR / f"{name}.out").write_text(out, encoding="utf-8", newline="")
         (SNAPSHOT_DIR / f"{name}.err").write_text(err, encoding="utf-8", newline="")
     EXIT_CODES.write_text(json.dumps(codes, indent=2, sort_keys=True) + "\n", encoding="utf-8")
