@@ -4,9 +4,9 @@ Commands::
 
     scientoscope validate        check an input file, print the findings
     scientoscope analyze         compute and render tables 1-8
-    scientoscope indicators      compute and render the indicator tables (3-6)
-    scientoscope reproduce-paper rebuild the bundled study and check every
-                                 value against the printed tables
+    scientoscope indicators      ``analyze`` with tables 3-6 by default
+    scientoscope reproduce-paper ``analyze`` of the bundled study, every
+                                 value then checked against the printed tables
     scientoscope schema          print the CSV/JSON input schemas
 
 The four input commands load through one pipeline: read, validate, and,
@@ -14,8 +14,11 @@ for accepted record input, bridge to per-year aggregates, folding the
 bridge's warnings into the validation report, in one pass that opens
 and decodes the input once (:func:`~scientoscope.ingest.load`). Unless
 ``--granularity`` is given, the granularity is read off the CSV header
-or the first JSON element. ``validate`` prints that report; the others
-write its findings to stderr and stop on any error.
+or the first JSON element. ``validate`` prints that report. The other
+three share one load-and-build (``_tables``): it writes the findings to
+stderr, stops on any error, and builds the tables. ``reproduce-paper``
+adds the conformance check. One dict (``_meta``) states each run, as
+the JSON ``meta`` object and as the text metadata line.
 
 Exit codes: 0 success, 1 validation/analysis/golden failure, 2 input or
 parse failure. Output is byte-identical for identical input and
@@ -28,6 +31,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterable
 from pathlib import Path
 
 from . import __version__
@@ -153,25 +157,21 @@ def _effective_options(args: argparse.Namespace) -> tuple[AnalysisConfig, dict]:
     return config, run
 
 
-def _policy(config: AnalysisConfig) -> DisplayPolicy:
-    return DisplayPolicy(absent_marker=config.absent_marker,
-                         totals_source=config.resolved("totals_source"))
-
-
-def _metadata_line(config: AnalysisConfig, run: dict) -> str:
-    line = f"# scientoscope {__version__} | mode={config.mode} | config={config.config_hash()}"
+def _meta(config: AnalysisConfig, run: dict) -> dict:
+    """The run's metadata: toolkit, mode, config hash, then the overrides
+    and the UTC time to the second, each only when there is one."""
+    meta = {
+        "toolkit": f"scientoscope {__version__}",
+        "mode": config.mode,
+        "config_hash": config.config_hash(),
+    }
     overrides = config.overrides()
     if overrides:
-        line += " | overrides: " + ",".join(f"{k}={v}" for k, v in sorted(overrides.items()))
+        meta["overrides"] = overrides
     if run["timestamp"]:
-        line += f" | {_timestamp()}"
-    return line
-
-
-def _timestamp() -> str:
-    """The current UTC time, to the second, in ISO 8601."""
-    from datetime import datetime, timezone  # only runs that print one import it
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+        from datetime import datetime, timezone  # only runs that print one import it
+        meta["timestamp"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
+    return meta
 
 
 def _print_effective_config(config: AnalysisConfig, run: dict) -> None:
@@ -209,8 +209,6 @@ _TABLE_BUILDERS = {
 
 
 def _table_numbers(spec: str) -> list[int]:
-    if spec == "all":
-        return list(range(1, 9))
     try:
         number = int(spec)
     except ValueError:
@@ -220,35 +218,37 @@ def _table_numbers(spec: str) -> list[int]:
     return [number]
 
 
-def _emit_tables(tables: list[ReportTable], fmt: str, config: AnalysisConfig,
-                 run: dict, extra_json: dict | None = None) -> None:
-    policy = _policy(config)
-    if fmt == "json":
-        meta: dict = {
-            "toolkit": f"scientoscope {__version__}",
-            "mode": config.mode,
-            "config_hash": config.config_hash(),
-        }
-        if config.overrides():
-            meta["overrides"] = config.overrides()
-        doc = {
-            "meta": meta,
-            "tables": [table_as_json_obj(t, policy) for t in tables],
-        }
-        if run["timestamp"]:
-            doc["meta"]["timestamp"] = _timestamp()
-        if extra_json:
-            doc.update(extra_json)
-        print(json.dumps(doc, indent=2))
+def _emit_tables(tables: list[ReportTable], config: AnalysisConfig, run: dict,
+                 extra_json: dict | None = None) -> None:
+    """Print the run's metadata and *tables* in the run's format; under
+    JSON, *extra_json* adds keys after ``tables``."""
+    policy = DisplayPolicy(absent_marker=config.absent_marker,
+                           totals_source=config.resolved("totals_source"))
+    meta = _meta(config, run)
+    if run["format"] == "json":
+        tables_json = [table_as_json_obj(t, policy) for t in tables]
+        print(json.dumps({"meta": meta, "tables": tables_json, **(extra_json or {})}, indent=2))
         return
-    print(_metadata_line(config, run))
+    line = f"# {meta['toolkit']} | mode={meta['mode']} | config={meta['config_hash']}"
+    if "overrides" in meta:
+        pairs = sorted(meta["overrides"].items())
+        line += " | overrides: " + ",".join(f"{k}={v}" for k, v in pairs)
+    if "timestamp" in meta:
+        line += f" | {meta['timestamp']}"
+    print(line)
     for table in tables:
         print()
-        sys.stdout.write(render(table, fmt, policy))
+        sys.stdout.write(render(table, run["format"], policy))
 
 
-def _report_findings(report: ValidationReport) -> None:
+def _tables(numbers: Iterable[int], config: AnalysisConfig, run: dict) -> list[ReportTable] | None:
+    """Load the input, write its findings to stderr, and build tables
+    *numbers*; ``None`` when the input has errors."""
+    dataset, report = _load(config, run)
     sys.stderr.write("".join(f"{line}\n" for line in finding_lines(report)))
+    if not report.ok:
+        return None
+    return [_TABLE_BUILDERS[n](dataset, config) for n in numbers]
 
 
 def cmd_validate(config: AnalysisConfig, run: dict) -> int:
@@ -260,43 +260,23 @@ def cmd_validate(config: AnalysisConfig, run: dict) -> int:
     return EXIT_OK if report.ok else EXIT_FAILURE
 
 
-def _analyze_tables(numbers: list[int], config: AnalysisConfig, run: dict) -> int:
-    dataset, report = _load(config, run)
-    _report_findings(report)
-    if not report.ok:
+def cmd_analyze(config: AnalysisConfig, run: dict, default: Iterable[int] = range(1, 9)) -> int:
+    numbers = default if run["table"] == "all" else _table_numbers(run["table"])
+    tables = _tables(numbers, config, run)
+    if tables is None:
         return EXIT_FAILURE
-    tables = [_TABLE_BUILDERS[n](dataset, config) for n in numbers]
-    _emit_tables(tables, run["format"], config, run)
+    _emit_tables(tables, config, run)
     return EXIT_OK
-
-
-def cmd_analyze(config: AnalysisConfig, run: dict) -> int:
-    return _analyze_tables(_table_numbers(run["table"]), config, run)
-
-
-def cmd_indicators(config: AnalysisConfig, run: dict) -> int:
-    numbers = _table_numbers(run["table"]) if run["table"] != "all" else [3, 4, 5, 6]
-    return _analyze_tables(numbers, config, run)
 
 
 def cmd_reproduce_paper(config: AnalysisConfig, run: dict) -> int:
     if not run["input"]:
         run = dict(run, input=str(demo_aggregates_path()))
-    dataset, report = _load(config, run)
-    _report_findings(report)
-    if not report.ok:
+    tables = _tables(range(1, 9), config, run)
+    if tables is None:
         return EXIT_FAILURE
-    tables = [_TABLE_BUILDERS[n](dataset, config) for n in range(1, 9)]
-
-    if config.mode != "paper":
-        _emit_tables(tables, run["format"], config, run)
-        print()
-        print("standard mode: golden comparison skipped")
-        return EXIT_OK
-
-    result = run_conformance(tables, config)
-    lines = conformance_lines(result)
-    if run["format"] == "json":
+    result = run_conformance(tables, config) if config.mode == "paper" else None
+    if result is not None and run["format"] == "json":
         extra = {
             "conformance": {
                 "passed": result.n_passed,
@@ -314,14 +294,13 @@ def cmd_reproduce_paper(config: AnalysisConfig, run: dict) -> int:
                 ],
             }
         }
-        _emit_tables(tables, "json", config, run, extra_json=extra)
+        _emit_tables(tables, config, run, extra)
     else:
-        _emit_tables(tables, run["format"], config, run)
-        print()
-        print("== golden conformance ==")
-        for line in lines:
-            print(line)
-    return EXIT_OK if result.ok else EXIT_FAILURE
+        tail = (["standard mode: golden comparison skipped"] if result is None
+                else ["== golden conformance ==", *conformance_lines(result)])
+        _emit_tables(tables, config, run)
+        print("\n" + "\n".join(tail))
+    return EXIT_OK if result is None or result.ok else EXIT_FAILURE
 
 
 def cmd_schema(config: AnalysisConfig, run: dict) -> int:
@@ -352,7 +331,7 @@ def cmd_schema(config: AnalysisConfig, run: dict) -> int:
 _COMMANDS = {
     "validate": cmd_validate,
     "analyze": cmd_analyze,
-    "indicators": cmd_indicators,
+    "indicators": lambda config, run: cmd_analyze(config, run, default=(3, 4, 5, 6)),
     "reproduce-paper": cmd_reproduce_paper,
     "schema": cmd_schema,
 }

@@ -361,15 +361,22 @@ def parse_aggregates(source: bytes | str, format: str = "csv") -> Dataset:
 
 
 def sniff_granularity(source: bytes | str, format: str = "csv") -> str:
-    """Records vs aggregates, from the CSV header line or the first JSON element.
+    """Records vs aggregates, from the CSV header or the first JSON element.
 
-    For CSV only the first line is decoded; the parse reports bad bytes
-    further on. JSON is decoded whole, so its first fault is the one reported.
+    For CSV only the whole logical header is decoded: it ends at the first
+    newline after an even number of ``"``, so a quoted column name may hold
+    a newline. The parse reports bad bytes further on. JSON is decoded
+    whole, so its first fault is the one reported.
     """
     if format == "csv":
+        # '"' is never part of a multi-byte UTF-8 sequence, so bytes count as text does.
+        newline, quote = (b"\n", b'"') if isinstance(source, bytes) else ("\n", '"')
+        start = quotes = 0
+        end = source.find(newline)
+        while end >= 0 and (quotes := quotes + source.count(quote, start, end)) % 2:
+            start, end = end, source.find(newline, end + 1)
         # Keep the newline, so a multi-byte sequence it cuts short fails
         # with the message decoding the whole input would give.
-        end = source.find(b"\n" if isinstance(source, bytes) else "\n")
         source = source[:end + 1] if end >= 0 else source
     return _rows(io.StringIO(_decode(source)), format)[0]
 
@@ -621,7 +628,17 @@ def load(source: BinaryIO, format: str = "csv", config: AnalysisConfig | None = 
 
     A bad UTF-8 byte anywhere in the input takes precedence over every
     other parse error, with the message that decoding the whole input gives.
+    A source that cannot seek, such as a pipe (``--input /dev/stdin``), is
+    read once into a temporary file first, so it gives the same results and
+    messages as a file, in the same memory.
     """
+    if not source.seekable():  # an error reads the input again, from the start
+        import shutil
+        import tempfile  # only unseekable input loads these
+        with tempfile.TemporaryFile() as spool:
+            shutil.copyfileobj(source, spool)
+            spool.seek(0)
+            return load(spool, format, config, granularity)
     config = config or AnalysisConfig()
     text = io.TextIOWrapper(source, encoding="utf-8-sig", newline="\n")
     try:

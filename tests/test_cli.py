@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -130,13 +131,22 @@ def test_analyze_byte_identical_runs(capsys):
     assert first == second
 
 
-def test_timestamp_is_opt_in(capsys):
+def test_timestamp_is_opt_in(tmp_path, capsys):
+    stamp = r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00"
     main(["analyze", "--input", AGG_PATH, "--table", "1"])
     line = capsys.readouterr().out.splitlines()[0]
     assert line.count("|") == 2  # version, mode, config hash only
     main(["analyze", "--input", AGG_PATH, "--table", "1", "--timestamp"])
     stamped = capsys.readouterr().out.splitlines()[0]
     assert stamped.count("|") == 3
+    assert re.fullmatch(stamp, stamped.rsplit(" | ", 1)[1])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"ci_variant": "stated"}))
+    main(["analyze", "--input", AGG_PATH, "--table", "1", "--timestamp", "--format", "json",
+          "--config", str(cfg)])
+    meta = json.loads(capsys.readouterr().out)["meta"]
+    assert list(meta) == ["toolkit", "mode", "config_hash", "overrides", "timestamp"]
+    assert re.fullmatch(stamp, meta["timestamp"])
 
 
 def test_config_file_and_flag_precedence(tmp_path, capsys):

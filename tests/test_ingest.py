@@ -3,6 +3,8 @@
 import csv
 import io
 import json
+import os
+import threading
 import tracemalloc
 from collections import Counter
 
@@ -21,7 +23,7 @@ from scientoscope import (
     write_aggregates_csv,
 )
 from scientoscope import ingest
-from scientoscope.cli import demo_records_path, main
+from scientoscope.cli import demo_aggregates_path, demo_records_path, main
 from scientoscope.ingest import MAX_COUNT, load
 
 RECORD_HEADER = "year,volume,issue,title,authors,start_page,end_page,subject"
@@ -308,6 +310,13 @@ def test_sniff_granularity():
         parse_records(raw)
 
 
+def test_sniff_granularity_reads_a_header_with_a_quoted_newline():
+    raw = 'year,"ti\ntle",authors\n2013,T,A\n'
+    assert sniff_granularity(raw) == sniff_granularity(raw.encode()) == "records"
+    with pytest.raises(ParseError, match="^line 1: record CSV header is missing columns"):
+        load(io.BytesIO(raw.encode()))  # which load reads as records too
+
+
 def test_parse_aggregates_json_round_trip(demo_dataset):
     objs = []
     for agg in demo_dataset.aggregates:
@@ -446,4 +455,61 @@ def test_record_input_loads_in_memory_that_does_not_grow_with_the_records(tmp_pa
     out = capsys.readouterr().out
     assert out.count("records: 20000  years: 10\nerrors: 0  warnings: 0\n") == 2
     assert "records: 2000  years: 10\nerrors: 0  warnings: 0\n" in out
+    assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+def _load_piped(raw: bytes):
+    """:func:`load` of *raw* read from a pipe, which a thread fills so no size blocks it."""
+    read_fd, write_fd = os.pipe()
+
+    def write() -> None:
+        with open(write_fd, "wb") as pipe:
+            pipe.write(raw)
+
+    writer = threading.Thread(target=write)
+    writer.start()
+    try:
+        with open(read_fd, "rb") as pipe:
+            return load(pipe)
+    finally:
+        writer.join()
+
+
+def _outcome(load_bytes, raw: bytes):
+    try:
+        return load_bytes(raw)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+_AGGREGATES = demo_aggregates_path().read_bytes()
+_ROW_ERROR = _AGGREGATES.replace(b"\n2013,", b"\n2013,x", 1)
+
+
+@pytest.mark.parametrize("raw, message", [
+    (_AGGREGATES, None),
+    (_ROW_ERROR, "ParseError: line 2: non-numeric papers: 'x"),
+    (_ROW_ERROR + b"2018,\xff\n", "ParseError: input is not valid UTF-8: 'utf-8' codec can't"),
+], ids=["valid", "row-error", "row-error-then-bad-byte"])
+def test_piped_input_loads_as_the_same_bytes_in_memory(raw, message):
+    expected = _outcome(lambda r: load(io.BytesIO(r)), raw)
+    assert _outcome(_load_piped, raw) == expected
+    if message:
+        assert expected.startswith(message)
+    else:
+        assert expected[1].ok
+
+
+def test_piped_record_input_loads_in_memory_that_does_not_grow_with_the_records():
+    raws = {n: (RECORD_HEADER + "\n" + _record_rows(n)).encode() for n in (2_000, 20_000)}
+    _load_piped(raws[20_000])  # fills the free lists first, as in the test above
+    peaks = []
+    for n, raw in raws.items():
+        tracemalloc.start()
+        try:
+            _, report = _load_piped(raw)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert (report.record_count, report.ok) == (n, True)
     assert peaks[1] < 1.5 * peaks[0], peaks

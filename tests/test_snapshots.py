@@ -2,8 +2,9 @@
 
 Each run's stdout, stderr and exit code must equal the files under
 ``tests/snapshots/`` exactly. The runs read the two demo files, and the
-demo records written as a JSON list of objects (:data:`RECORDS_JSON`,
-written to a temporary working directory). After an intended output
+demo records written as a JSON list of objects (:data:`RECORDS_JSON`),
+and one config file that overrides ``ci_variant`` (:data:`OVERRIDE_CONFIG`);
+both are written to a temporary working directory. After an intended output
 change, rerun this module as a script to regenerate them::
 
     PYTHONPATH=src python tests/test_snapshots.py
@@ -27,6 +28,8 @@ EXIT_CODES = SNAPSHOT_DIR / "exit_codes.json"
 INPUTS = {"aggregates": demo_aggregates_path(), "records": demo_records_path()}
 #: The demo records as JSON, relative to the working directory of a run.
 RECORDS_JSON = "demo_small_records.json"
+#: A config file with one indicator override, relative to the working directory of a run.
+OVERRIDE_CONFIG = "ci_stated.json"
 
 RUNS = {
     f"analyze_{granularity}_{fmt}_{mode}": ["analyze", "--table", "all", "--input", str(path),
@@ -40,13 +43,26 @@ RUNS.update({
                                           "--mode", mode]
     for mode in ("paper", "standard")
 })
+RUNS.update({
+    f"analyze_aggregates_{fmt}_paper": ["analyze", "--input", str(INPUTS["aggregates"]),
+                                        "--format", fmt]
+    for fmt in ("json", "markdown")
+})
+RUNS["indicators_aggregates_text_paper"] = ["indicators", "--input", str(INPUTS["aggregates"])]
+RUNS["analyze_aggregates_text_overrides"] = ["analyze", "--input", str(INPUTS["aggregates"]),
+                                             "--table", "4", "--config", OVERRIDE_CONFIG]
 RUNS["reproduce_paper_text"] = ["reproduce-paper"]
+RUNS["reproduce_paper_json"] = ["reproduce-paper", "--format", "json"]
+RUNS["reproduce_paper_text_standard"] = ["reproduce-paper", "--mode", "standard"]
 
 
-def write_records_json(directory: Path) -> None:
-    """Write the demo records to *directory* as a JSON list of objects, every value a string."""
+def write_inputs(directory: Path) -> None:
+    """Write to *directory* the demo records as a JSON list of objects, every
+    value a string, and the override config."""
     rows = csv.DictReader(io.StringIO(demo_records_path().read_text(encoding="utf-8")))
     (directory / RECORDS_JSON).write_bytes(json.dumps(list(rows)).encode())
+    (directory / OVERRIDE_CONFIG).write_text(json.dumps({"ci_variant": "stated"}),
+                                             encoding="utf-8")
 
 
 def run_cli(argv: list[str]) -> tuple[str, str, int]:
@@ -62,13 +78,13 @@ def _read(path: Path) -> str:
 
 
 @pytest.fixture
-def records_json(tmp_path, monkeypatch):
-    write_records_json(tmp_path)
+def inputs(tmp_path, monkeypatch):
+    write_inputs(tmp_path)
     monkeypatch.chdir(tmp_path)
 
 
 @pytest.mark.parametrize("name", sorted(RUNS))
-def test_output_matches_snapshot(name, records_json):
+def test_output_matches_snapshot(name, inputs):
     out, err, code = run_cli(RUNS[name])
     assert out == _read(SNAPSHOT_DIR / f"{name}.out")
     assert err == _read(SNAPSHOT_DIR / f"{name}.err")
@@ -79,7 +95,7 @@ def regenerate() -> None:
     SNAPSHOT_DIR.mkdir(exist_ok=True)
     codes = {}
     with tempfile.TemporaryDirectory() as directory:
-        write_records_json(Path(directory))
+        write_inputs(Path(directory))
         cwd = os.getcwd()
         os.chdir(directory)
         try:
