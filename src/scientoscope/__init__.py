@@ -44,7 +44,6 @@ from .model import (
 )
 from .report import (
     ColumnSpec,
-    DisplayPolicy,
     ReportTable,
     render,
     round_display,
@@ -59,7 +58,6 @@ __all__ = [
     "ColumnSpec",
     "DEFAULT_TAXONOMY",
     "Dataset",
-    "DisplayPolicy",
     "Finding",
     "ParseError",
     "ReportTable",

@@ -35,7 +35,7 @@ from collections.abc import Iterable
 from pathlib import Path
 
 from . import __version__
-from .config import AnalysisConfig, config_from_dict
+from .config import MODES, AnalysisConfig, config_from_dict
 from .distributions import (
     authorship_table,
     page_length_table,
@@ -46,6 +46,7 @@ from .golden import conformance_lines, run_conformance
 from .indicators import collaboration_table, egr_table, productivity_table, rgr_table
 from .ingest import (
     AGGREGATE_FIELDS,
+    GRANULARITIES,
     RECORD_FIELDS,
     finding_lines,
     findings_as_json,
@@ -56,11 +57,9 @@ from .ingest import (
 from .ingest import aggregate_records, parse_aggregates, parse_records  # noqa: F401
 from .ingest import sniff_granularity, validate  # noqa: F401
 from .model import Dataset, ParseError, ValidationReport
-from .report import DisplayPolicy, ReportTable, render, table_as_json_obj
+from .report import FORMATS, ReportTable, render, table_as_json_obj
 
 CONFIG_ENV_VAR = "SCIENTOSCOPE_CONFIG"
-FORMATS = ("text", "csv", "json", "markdown")
-GRANULARITIES = ("records", "aggregates")
 #: Config-file keys that set up the run rather than the analysis.
 _RUN_KEYS = ("input", "format", "table", "granularity", "timestamp")
 
@@ -84,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--input", type=Path, help="input CSV or JSON file")
     common.add_argument("--format", choices=FORMATS, default=None,
                         help="output format (default: text)")
-    common.add_argument("--mode", choices=("paper", "standard"), default=None,
+    common.add_argument("--mode", choices=MODES, default=None,
                         help="formula/display conventions (default: paper)")
     common.add_argument("--table", default=None,
                         help="table number 1-8 or 'all' (default: all)")
@@ -134,22 +133,24 @@ def _effective_options(args: argparse.Namespace) -> tuple[AnalysisConfig, dict]:
     unknown = sorted(set(file_cfg) - set(AnalysisConfig._fields) - set(_RUN_KEYS))
     if unknown:
         raise ValueError(f"unknown config key: {unknown[0]!r}")
-    merged = dict(file_cfg)
+    # A null is unset, and only a null: "" and 0 are values, checked as such.
+    merged = {"format": "text", "table": "all", "timestamp": False,
+              **{key: value for key, value in file_cfg.items() if value is not None}}
     for key in ("mode", "strict", *_RUN_KEYS):
         value = getattr(args, key, None)
         if value is not None:
             merged[key] = str(value) if key == "input" else value
-    if not isinstance(merged.get("input") or "", str):
+    if not isinstance(merged.get("input", ""), str):
         raise ValueError(f"invalid input: {merged['input']!r} (expected a path)")
-    if merged.get("timestamp") is not None and not isinstance(merged["timestamp"], bool):
+    if not isinstance(merged["timestamp"], bool):
         raise ValueError(f"invalid timestamp: {merged['timestamp']!r} (expected true or false)")
     config = config_from_dict(merged)
     run = {
         "input": merged.get("input"),
-        "format": merged.get("format") or "text",
-        "table": str(merged.get("table") or "all"),
+        "format": merged["format"],
+        "table": str(merged["table"]),
         "granularity": merged.get("granularity"),
-        "timestamp": bool(merged.get("timestamp")),
+        "timestamp": merged["timestamp"],
     }
     for key, valid in (("format", FORMATS), ("granularity", GRANULARITIES)):
         if run[key] is not None and run[key] not in valid:
@@ -222,11 +223,9 @@ def _emit_tables(tables: list[ReportTable], config: AnalysisConfig, run: dict,
                  extra_json: dict | None = None) -> None:
     """Print the run's metadata and *tables* in the run's format; under
     JSON, *extra_json* adds keys after ``tables``."""
-    policy = DisplayPolicy(absent_marker=config.absent_marker,
-                           totals_source=config.resolved("totals_source"))
     meta = _meta(config, run)
     if run["format"] == "json":
-        tables_json = [table_as_json_obj(t, policy) for t in tables]
+        tables_json = [table_as_json_obj(t, config) for t in tables]
         print(json.dumps({"meta": meta, "tables": tables_json, **(extra_json or {})}, indent=2))
         return
     line = f"# {meta['toolkit']} | mode={meta['mode']} | config={meta['config_hash']}"
@@ -238,7 +237,7 @@ def _emit_tables(tables: list[ReportTable], config: AnalysisConfig, run: dict,
     print(line)
     for table in tables:
         print()
-        sys.stdout.write(render(table, run["format"], policy))
+        sys.stdout.write(render(table, run["format"], config))
 
 
 def _tables(numbers: Iterable[int], config: AnalysisConfig, run: dict) -> list[ReportTable] | None:

@@ -5,6 +5,11 @@ display and formula conventions of the source study's published tables;
 ``standard`` uses the textbook formulations. Each indicator also has its
 own switch so a single convention can be overridden without leaving the
 top-level mode.
+
+:class:`AnalysisConfig` is the one settings object of a run. It checks
+every field in one place, however it is built, config files included
+(:func:`config_from_dict`); the loaders, table builders and renderers
+read it as it is.
 """
 
 from __future__ import annotations
@@ -54,12 +59,34 @@ _MODE_DEFAULTS = {
 }
 
 _SWITCHES = tuple(_MODE_DEFAULTS["paper"])
+MODES = tuple(_MODE_DEFAULTS)
 
 # Accepted values of ``mode`` and of each switch, in mode order.
 _VALID = {
-    "mode": tuple(_MODE_DEFAULTS),
+    "mode": MODES,
     **{name: tuple(defaults[name] for defaults in _MODE_DEFAULTS.values())
        for name in _SWITCHES},
+}
+
+
+def _window(value: Any) -> bool:
+    # Exactly two JSON integers: a float is not truncated, and true is no year.
+    return (isinstance(value, (list, tuple)) and len(value) == 2
+            and all(type(year) is int for year in value) and value[0] <= value[1])
+
+
+def _taxonomy(value: Any) -> bool:
+    return (isinstance(value, (list, tuple)) and all(isinstance(t, str) for t in value)
+            and "Others" in value and len(set(value)) == len(value))
+
+
+# Each field's test and the shape its error message asks for, in check order.
+_RULES = {
+    "strict": (lambda value: isinstance(value, bool), "true or false"),
+    "study_window": (_window, "[first, last]"),
+    "taxonomy": (_taxonomy, "distinct labels that include 'Others'"),
+    "absent_marker": (lambda value: isinstance(value, str), "a string"),
+    **{name: (valid.__contains__, f"one of {valid}") for name, valid in _VALID.items()},
 }
 
 
@@ -71,15 +98,23 @@ class AnalysisConfig(Checked, namedtuple(
 
     Per-indicator fields left as ``None`` follow the top-level ``mode``;
     explicit values override it and are echoed in output metadata.
+    Every construction path checks every field against ``_RULES``;
+    ``None`` passes only where it is the field's default. A list, as a
+    JSON config gives ``study_window`` and ``taxonomy``, is checked as
+    given and stored as a tuple.
     """
 
     __slots__ = ()
 
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        return tuple.__new__(cls, (tuple(v) if isinstance(v, list) else v for v in self))
+
     def _check(self) -> None:
-        for name, valid in _VALID.items():
+        for name, (test, shape) in _RULES.items():
             value = getattr(self, name)
-            if value is not None and value not in valid:
-                raise ValueError(f"invalid {name}: {value!r} (expected one of {valid})")
+            if not (value is None and self._field_defaults[name] is None or test(value)):
+                raise ValueError(f"invalid {name}: {value!r} (expected {shape})")
 
     def resolved(self, name: str) -> str:
         """Effective value of a per-indicator switch under the current mode."""
@@ -115,50 +150,11 @@ class AnalysisConfig(Checked, namedtuple(
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:12]
 
 
-def _window(value: Any) -> tuple[int, int]:
-    first, last = value
-    # Exactly two JSON integers: a float is not truncated, and true is no year.
-    if type(first) is not int or type(last) is not int or first > last:
-        raise ValueError(value)
-    return first, last
-
-
-def _taxonomy(value: Any) -> tuple[str, ...]:
-    labels = tuple(str(t) for t in value)
-    if "Others" not in labels or len(set(labels)) != len(labels):
-        raise ValueError(value)
-    return labels
-
-
-def _instance(kind: type) -> Any:
-    def check(value: Any) -> Any:
-        if not isinstance(value, kind):
-            raise TypeError(value)
-        return value
-    return check
-
-
-# Keys whose values are checked for shape: expected shape (for error
-# messages) and converter.
-_SHAPED = {
-    "strict": ("true or false", _instance(bool)),
-    "study_window": ("[first, last]", _window),
-    "taxonomy": ("distinct labels that include 'Others'", _taxonomy),
-    "absent_marker": ("a string", _instance(str)),
-}
-
-
 def config_from_dict(data: dict[str, Any]) -> AnalysisConfig:
-    """Build a config from file/CLI data, tolerating absent keys.
+    """Build a config from the known, non-null keys of file/CLI data.
 
-    A value of the wrong shape raises ``ValueError`` naming
-    the key and the shape it needs.
+    The constructor checks every value: a bad one raises ``ValueError``
+    naming the key and the shape it needs.
     """
-    known = {key: data[key] for key in AnalysisConfig._fields if data.get(key) is not None}
-    for key, (shape, convert) in _SHAPED.items():
-        if key in known:
-            try:
-                known[key] = convert(known[key])
-            except (TypeError, ValueError):
-                raise ValueError(f"invalid {key}: {known[key]!r} (expected {shape})") from None
-    return AnalysisConfig(**known)
+    return AnalysisConfig(**{key: data[key] for key in AnalysisConfig._fields
+                             if data.get(key) is not None})

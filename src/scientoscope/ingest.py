@@ -129,7 +129,7 @@ def _json_text(key: str, value: object) -> str | None:
     if value is None:
         return None
     if key == "authors" and isinstance(value, list):
-        return ";".join(str(v) for v in value)
+        return ";".join(str(v) for v in value if v is not None)  # null: no author
     return str(value)
 
 
@@ -140,6 +140,7 @@ def _location(format: str, number: int) -> str:
 
 #: Granularity -> the name its messages give the input, and its required fields.
 _KIND = {"records": "record", "aggregates": "aggregate"}
+GRANULARITIES = tuple(_KIND)
 _REQUIRED = {"records": RECORD_FIELDS, "aggregates": AGGREGATE_FIELDS}
 _Rows = Iterator[tuple[int, dict[str, int], list]]
 
@@ -508,7 +509,7 @@ def validate(data: Dataset | tuple[BibRecord, ...],
                              record.end_page, record.page_count, config.study_window, report,
                              both_author_sources=record.author_count is not None
                              and bool(record.authors))
-    report.year_count = len(years)
+    report.year_count = len(set(years))
     _check_year_gaps(years, report)
     for agg in aggregates:
         _validate_aggregate(agg, config, report)

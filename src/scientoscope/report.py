@@ -1,9 +1,12 @@
 """Render-ready tables and deterministic display formatting.
 
 All numeric cells are kept at full precision inside :class:`ReportTable`;
-rounding happens only at render time, under an explicit
-:class:`DisplayPolicy`. Rendering the same table twice with the same
-policy is byte-identical.
+rounding happens only at render time, always half-up. The renderers
+read the run's :class:`~scientoscope.config.AnalysisConfig` as it is:
+``absent_marker`` prints an absent cell, and ``totals_source =
+rounded_cells`` adds the CSV renderer's "(display)" columns (the table
+builders derive the footer totals themselves). Rendering the same table
+twice with the same config is byte-identical.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import math
 from collections import namedtuple
 from decimal import ROUND_HALF_UP, Context, Decimal
 
+from .config import AnalysisConfig
 from .model import Checked, Fieldwise
 
 CellValue = int | float | str | None
@@ -68,21 +72,6 @@ class ColumnSpec(Checked, namedtuple("ColumnSpec", "header kind decimals", defau
             raise ValueError(f"unknown column kind: {self.kind!r}")
 
 
-class DisplayPolicy(Checked, namedtuple("DisplayPolicy", "absent_marker totals_source",
-                                        defaults=("-", "full_precision"))):
-    """Display conventions: rounding is always half-up.
-
-    ``totals_source = rounded_cells`` only adds the CSV renderer's
-    "(display)" columns; the table builders derive the footer totals
-    themselves."""
-
-    __slots__ = ()
-
-    def _check(self) -> None:
-        if self.totals_source not in ("full_precision", "rounded_cells"):
-            raise ValueError(f"invalid totals_source: {self.totals_source!r}")
-
-
 class ReportTable(Fieldwise):
     """Headers, rows, optional footer, and footnotes for one table."""
 
@@ -120,9 +109,9 @@ class ReportTable(Fieldwise):
         return cells[headers.index(header)]
 
 
-def _cell_display(value: CellValue, spec: ColumnSpec, policy: DisplayPolicy) -> str:
+def _cell_display(value: CellValue, spec: ColumnSpec, config: AnalysisConfig) -> str:
     if value is None:
-        return policy.absent_marker
+        return config.absent_marker
     if spec.kind in ("year", "label"):
         return str(value)
     if spec.kind == "count":
@@ -130,31 +119,30 @@ def _cell_display(value: CellValue, spec: ColumnSpec, policy: DisplayPolicy) -> 
     return round_display(float(value), spec.decimals)
 
 
-def _display_grid(table: ReportTable, policy: DisplayPolicy) -> tuple[list[str], list[list[str]]]:
+def _display_grid(table: ReportTable, config: AnalysisConfig) -> tuple[list[str], list[list[str]]]:
     """Headers and all display rows (footer last if present)."""
     headers = [c.header for c in table.columns]
-    grid = [[_cell_display(v, c, policy) for v, c in zip(row, table.columns)] for row in table.rows]
+    grid = [[_cell_display(v, c, config) for v, c in zip(row, table.columns)] for row in table.rows]
     if table.footer is not None:
-        grid.append([_cell_display(v, c, policy) for v, c in zip(table.footer, table.columns)])
+        grid.append([_cell_display(v, c, config) for v, c in zip(table.footer, table.columns)])
     return headers, grid
 
 
-def render(table: ReportTable, format: str = "text", policy: DisplayPolicy | None = None) -> str:
-    """Render *table* in one of: text, csv, json, markdown."""
-    policy = policy or DisplayPolicy()
-    if format == "text":
-        return _render_text(table, policy)
-    if format == "csv":
-        return _render_csv(table, policy)
-    if format == "json":
-        return _render_json(table, policy)
-    if format == "markdown":
-        return _render_markdown(table, policy)
-    raise ValueError(f"unknown output format: {format!r}")
+#: What ``render`` reads when given no config: "-" for an absent cell and
+#: no "(display)" columns.
+_PLAIN = AnalysisConfig(totals_source="full_precision")
 
 
-def _render_text(table: ReportTable, policy: DisplayPolicy) -> str:
-    headers, grid = _display_grid(table, policy)
+def render(table: ReportTable, format: str = "text", config: AnalysisConfig | None = None) -> str:
+    """Render *table* in one of :data:`FORMATS`, under *config*'s
+    ``absent_marker`` and ``totals_source``."""
+    if format not in FORMATS:
+        raise ValueError(f"unknown output format: {format!r}")
+    return _RENDERERS[format](table, config or _PLAIN)
+
+
+def _render_text(table: ReportTable, config: AnalysisConfig) -> str:
+    headers, grid = _display_grid(table, config)
     widths = [len(h) for h in headers]
     for row in grid:
         for i, cell in enumerate(row):
@@ -180,13 +168,13 @@ def _render_text(table: ReportTable, policy: DisplayPolicy) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _render_csv(table: ReportTable, policy: DisplayPolicy) -> str:
+def _render_csv(table: ReportTable, config: AnalysisConfig) -> str:
     """CSV with full-precision numerics.
 
     Under ``totals_source = rounded_cells`` every real-valued column gets
     a parallel "<header> (display)" column carrying the rounded strings.
     """
-    dual = policy.totals_source == "rounded_cells"
+    dual = config.resolved("totals_source") == "rounded_cells"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
 
@@ -212,22 +200,22 @@ def _render_csv(table: ReportTable, policy: DisplayPolicy) -> str:
         for value, spec in zip(row, table.columns):
             out.append(raw(value, spec))
             if dual and spec.kind in ("percent", "ratio", "log"):
-                out.append(_cell_display(value, spec, policy))
+                out.append(_cell_display(value, spec, config))
         writer.writerow(out)
     return buf.getvalue()
 
 
-def _json_cell(value: CellValue, spec: ColumnSpec, policy: DisplayPolicy) -> object:
+def _json_cell(value: CellValue, spec: ColumnSpec, config: AnalysisConfig) -> object:
     if spec.kind in ("year", "label"):
         return value
-    return {"value": value, "display": _cell_display(value, spec, policy)}
+    return {"value": value, "display": _cell_display(value, spec, config)}
 
 
-def _render_json(table: ReportTable, policy: DisplayPolicy) -> str:
-    return json.dumps(table_as_json_obj(table, policy), indent=2) + "\n"
+def _render_json(table: ReportTable, config: AnalysisConfig) -> str:
+    return json.dumps(table_as_json_obj(table, config), indent=2) + "\n"
 
 
-def table_as_json_obj(table: ReportTable, policy: DisplayPolicy) -> dict:
+def table_as_json_obj(table: ReportTable, config: AnalysisConfig) -> dict:
     """JSON object form: numeric cells carry both full-precision value
     and display string; key order follows column declaration order."""
     obj: dict = {
@@ -236,18 +224,18 @@ def table_as_json_obj(table: ReportTable, policy: DisplayPolicy) -> dict:
             {"header": c.header, "kind": c.kind, "decimals": c.decimals} for c in table.columns
         ],
         "rows": [
-            [_json_cell(v, c, policy) for v, c in zip(row, table.columns)] for row in table.rows
+            [_json_cell(v, c, config) for v, c in zip(row, table.columns)] for row in table.rows
         ],
     }
     if table.footer is not None:
-        obj["footer"] = [_json_cell(v, c, policy) for v, c in zip(table.footer, table.columns)]
+        obj["footer"] = [_json_cell(v, c, config) for v, c in zip(table.footer, table.columns)]
     if table.notes:
         obj["notes"] = list(table.notes)
     return obj
 
 
-def _render_markdown(table: ReportTable, policy: DisplayPolicy) -> str:
-    headers, grid = _display_grid(table, policy)
+def _render_markdown(table: ReportTable, config: AnalysisConfig) -> str:
+    headers, grid = _display_grid(table, config)
     lines = [f"### {table.title}", ""]
     lines.append("| " + " | ".join(headers) + " |")
     aligns = ["---" if c.kind == "label" else "---:" for c in table.columns]
@@ -257,3 +245,13 @@ def _render_markdown(table: ReportTable, policy: DisplayPolicy) -> str:
     for note in table.notes:
         lines.append(f"*{note}*")
     return "\n".join(lines) + "\n"
+
+
+_RENDERERS = {
+    "text": _render_text,
+    "csv": _render_csv,
+    "json": _render_json,
+    "markdown": _render_markdown,
+}
+#: The output formats, in the order the CLI lists them.
+FORMATS = tuple(_RENDERERS)

@@ -382,7 +382,22 @@ def test_config_run_value_checked_before_input_is_read(key, value, valid, tmp_pa
     assert (out, err) == ("", f"error: invalid {key}: {value!r} (expected one of {valid})\n")
 
 
-@pytest.mark.parametrize("taxonomy", [["A", "A", "Others"], ["A", "B"]])
+@pytest.mark.parametrize("flags, data, code, message", [
+    (["--table", ""], {}, 2, "invalid table selection: '' (expected 1-8 or 'all')"),
+    ([], {"table": 0}, 2, "table number out of range: 0 (expected 1-8)"),
+    ([], {"table": ""}, 2, "invalid table selection: '' (expected 1-8 or 'all')"),
+    ([], {"format": ""}, 1,
+     "invalid format: '' (expected one of ('text', 'csv', 'json', 'markdown'))"),
+    ([], {"input": 0}, 1, "invalid input: 0 (expected a path)"),
+])
+def test_a_falsy_run_value_is_a_value_not_unset(flags, data, code, message, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"input": AGG_PATH, **data}))
+    assert main(["analyze", *flags, "--config", str(cfg)]) == code
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("taxonomy", [["A", "A", "Others"], ["A", "B"], ["Others", 1]])
 def test_config_taxonomy_needs_distinct_labels_and_others(taxonomy, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"taxonomy": taxonomy}))

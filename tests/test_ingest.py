@@ -156,6 +156,25 @@ def test_parse_records_json_string_authors():
     assert rec.authors == ("Kumar, A.", "Singh, B.")
 
 
+@pytest.mark.parametrize("authors, names", [(["A", None], ("A",)),
+                                            ([None, "B", None], ("B",)),
+                                            ([None], None)])
+def test_a_null_in_a_json_author_list_is_no_author(authors, names):
+    # As a blank name in a CSV list ("A;") is none.
+    data = json.dumps([{"year": 2013, "title": "T", "subject": "S", "authors": authors}]).encode()
+    if names is None:
+        message = "element 1: missing mandatory field 'authors' (or 'author_count')"
+        for parse in (lambda: parse_records(data, "json"), lambda: load(io.BytesIO(data), "json")):
+            with pytest.raises(ParseError) as caught:
+                parse()
+            assert str(caught.value) == message
+        return
+    (rec,) = parse_records(data, "json")
+    assert rec.authors == names
+    dataset, report = load(io.BytesIO(data), "json")
+    assert report.ok and dataset.aggregates[0].total_authors == 1
+
+
 def test_parse_aggregates_sorted_and_consistent():
     text = (AGG_HEADER + "\n"
             "2014,2,1,1,0,0,0,3,1,1,0,1,1\n"
@@ -176,6 +195,18 @@ def test_validate_duplicate_year():
             "2013,1,1,0,0,0,0,1,1,0,0,1,0\n")
     report = validate(parse_aggregates(text))
     assert any(f.rule == "duplicate-year" for f in report.errors)
+
+
+def test_validate_counts_a_duplicated_aggregate_year_once(tmp_path, capsys):
+    # As the record route counts distinct years.
+    path = tmp_path / "agg.csv"
+    path.write_text(AGG_HEADER + "\n"
+                    "2013,1,1,0,0,0,0,1,1,0,0,1,0\n"
+                    "2013,1,1,0,0,0,0,1,1,0,0,1,0\n"
+                    "2014,1,1,0,0,0,0,1,1,0,0,1,0\n")
+    assert validate(parse_aggregates(path.read_text())).year_count == 2
+    assert main(["validate", "--input", str(path)]) == 1
+    assert capsys.readouterr().out.startswith("records: 0  years: 2\n")
 
 
 def test_validate_year_gap():

@@ -9,7 +9,6 @@ import pytest
 from scientoscope import (
     AnalysisConfig,
     ColumnSpec,
-    DisplayPolicy,
     ReportTable,
     aggregate_records,
     render,
@@ -155,12 +154,32 @@ def test_csv_full_precision_round_trip():
 
 
 def test_csv_dual_channel_under_rounded_cells():
-    policy = DisplayPolicy(totals_source="rounded_cells")
-    out = render(_sample_table(), "csv", policy)
+    out = render(_sample_table(), "csv", AnalysisConfig(totals_source="rounded_cells"))
     parsed = list(csv.reader(io.StringIO(out)))
     assert parsed[0] == ["Year", "Papers", "DC", "DC (display)"]
     assert float(parsed[1][2]) == 19 / 33
     assert parsed[1][3] == "0.58"
+
+
+@pytest.mark.parametrize("fmt", ["text", "csv", "json", "markdown"])
+def test_render_reads_absent_marker_and_totals_source_off_the_config(fmt):
+    table = ReportTable("T", [ColumnSpec("Year", "year"), ColumnSpec("DC", "ratio", 2)],
+                        rows=[[2013, None], [2014, 0.5]])
+
+    def out(**fields):
+        return render(table, fmt, AnalysisConfig(**fields))
+
+    # Without a config: "-" for an absent cell, and no "(display)" columns.
+    assert render(table, fmt) == out(totals_source="full_precision")
+    # A CSV prints the marker only in its "(display)" columns.
+    assert "n/a" in out(absent_marker="n/a", totals_source="rounded_cells")
+    assert ("n/a" in out(absent_marker="n/a", totals_source="full_precision")) == (fmt != "csv")
+    # totals_source, set or resolved from the mode, adds those columns to CSV only.
+    dual = [out(mode="paper"), out(mode="standard", totals_source="rounded_cells")]
+    single = [out(mode="standard"), out(mode="paper", totals_source="full_precision")]
+    assert all(("DC (display)" in o) == (fmt == "csv") for o in dual)
+    assert not any("(display)" in o for o in single)
+    assert (dual[0] == single[0]) == (fmt != "csv")
 
 
 def test_json_carries_value_and_display(demo_dataset, paper_config):

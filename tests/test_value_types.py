@@ -12,12 +12,12 @@ import pytest
 from scientoscope import (
     AnalysisConfig,
     ColumnSpec,
-    DisplayPolicy,
     Finding,
     ReportTable,
     ValidationReport,
     YearAggregate,
 )
+from scientoscope.config import config_from_dict
 from scientoscope.golden import CheckOutcome, ConformanceResult, GoldenCheck
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -40,7 +40,16 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_datetime():
     (AnalysisConfig(), "rgr_mode", "log",
      "invalid rgr_mode: 'log' (expected one of ('paper', 'standard'))"),
     (ColumnSpec("N"), "kind", "pie", "unknown column kind: 'pie'"),
-    (DisplayPolicy(), "totals_source", "rounded", "invalid totals_source: 'rounded'"),
+    (AnalysisConfig(), "totals_source", "rounded",
+     "invalid totals_source: 'rounded' (expected one of ('rounded_cells', 'full_precision'))"),
+    (AnalysisConfig(), "strict", "no", "invalid strict: 'no' (expected true or false)"),
+    (AnalysisConfig(), "study_window", (2017, 2013),
+     "invalid study_window: (2017, 2013) (expected [first, last])"),
+    (AnalysisConfig(), "taxonomy", ("A",),
+     "invalid taxonomy: ('A',) (expected distinct labels that include 'Others')"),
+    (AnalysisConfig(), "absent_marker", None, "invalid absent_marker: None (expected a string)"),
+    (AnalysisConfig(), "mode", None,
+     "invalid mode: None (expected one of ('paper', 'standard'))"),
 ])
 def test_a_bad_value_raises_on_every_construction_path(value, field, bad, message):
     cls = type(value)
@@ -48,11 +57,24 @@ def test_a_bad_value_raises_on_every_construction_path(value, field, bad, messag
     for build in (lambda: cls(**{**value._asdict(), field: bad}),
                   lambda: cls(*changed),
                   lambda: cls._make(changed),
-                  lambda: value._replace(**{field: bad})):
+                  lambda: value._replace(**{field: bad}),
+                  # A config file's null means unset, so only a non-null value reaches the check.
+                  *([lambda: config_from_dict({**value._asdict(), field: bad})]
+                    if cls is AnalysisConfig and bad is not None else [])):
         with pytest.raises(ValueError) as caught:
             build()
         assert str(caught.value) == message
     assert type(value._replace()) is cls and value._replace() == value
+
+
+def test_a_config_stores_a_list_as_a_tuple_on_every_construction_path():
+    expected = AnalysisConfig(study_window=(2013, 2017), taxonomy=("ICT", "Others"))
+    lists = {"study_window": [2013, 2017], "taxonomy": ["ICT", "Others"]}
+    for config in (AnalysisConfig(**lists), config_from_dict(lists),
+                   AnalysisConfig._make(dict(AnalysisConfig()._asdict(), **lists).values()),
+                   AnalysisConfig()._replace(**lists)):
+        assert config == expected and type(config.study_window) is type(config.taxonomy) is tuple
+        assert config.config_hash() == expected.config_hash()
 
 
 def test_year_aggregates_built_with_the_default_do_not_share_subject_counts():
