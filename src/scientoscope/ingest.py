@@ -21,10 +21,16 @@ is O(years + findings); JSON is decoded whole. Every step reads its
 
 Each record rule is stated once, in ``_validate_record``, which both
 routes call for every record; it formats a location only for a rule
-that fails. Clean rows take a short parse that converts with bare
-``int()`` and builds no location string. A row it cannot take goes to
-the precise parse, ``_record_fields``, the only code that words a parse
-message, so both parses give the same fields and errors.
+that fails. Clean rows take a short parse that builds no location
+string and looks each numeral up in a memo of ``int()`` results, local
+to one parse. Years, volumes, issues and pages repeat, so most lookups
+hit. After ``_MEMO_SIZE`` misses the parse converts each numeral as it
+is read, as it would without the memo, so input whose numerals seldom
+repeat is not slowed; the memo keeps only numerals of at most
+``_MEMO_WIDTH`` characters, under about 1 MB whatever the input. A row
+the short parse cannot take goes to the precise parse,
+``_record_fields``, the only code that words a parse message, so both
+parses give the same fields and errors.
 
 CSV schemas
 -----------
@@ -125,11 +131,37 @@ def split_authors(raw: str) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _json_text(key: str, value: object) -> str | None:
-    if value is None:
-        return None
-    if key == "authors" and isinstance(value, list):
-        return ";".join(str(v) for v in value if v is not None)  # null: no author
+#: Record fields whose JSON value stands for text.
+_JSON_TEXT = frozenset(("title", "subject", "authors"))
+
+
+def _text(value: object, what: str, expected: str = "text") -> str:
+    """A JSON scalar as text: a number reads as its digits. An array or
+    object is a ValueError that names *what* it was given as."""
+    if isinstance(value, (list, dict)):
+        try:
+            shown = json.dumps(value, ensure_ascii=False)
+        except RecursionError:  # nested about as deeply as the decoder allows
+            shown = "[...]" if isinstance(value, list) else "{...}"
+        raise ValueError(f"invalid {what}: {shown} (expected {expected})")
+    return str(value)
+
+
+def _json_text(key: str, value: object, record: bool) -> str | None:
+    """The CSV cell a JSON value stands for. In a *record*, an ``authors``
+    list is joined by ";", so a ";" inside an entry still splits it, and an
+    array or object as title, subject or author is a ValueError."""
+    if value is None or isinstance(value, str):
+        return value
+    if record and key in _JSON_TEXT:
+        if key != "authors":
+            return _text(value, key)
+        if not isinstance(value, list):
+            return _text(value, key, "text or a list of text")
+        try:
+            return ";".join(value)
+        except TypeError:  # an entry that is not a string
+            return ";".join(_text(v, "author") for v in value if v is not None)  # null: no author
     return str(value)
 
 
@@ -151,13 +183,13 @@ def _rows(stream: TextIO, format: str, granularity: str | None = None) -> tuple[
     JSON element, read on from there.
 
     ``number`` is the line or element :func:`_location` names, and
-    ``values[columns[name]]`` the field's string or ``None`` (a JSON
-    ``authors`` list is joined by ";"). Every ``values`` ends in a ``None``
-    pad, so ``values[columns.get(name, -1)]`` reads an absent field as
-    ``None``. CSV rows share the header's ``columns``; JSON elements share
-    one while their key order repeats. CSV is read from ``stream`` row by
-    row, and ``number`` is the physical line a row ends on; JSON is decoded
-    whole.
+    ``values[columns[name]]`` the field's string or ``None``, as
+    :func:`_json_text` gives it for JSON. Every ``values`` ends in a
+    ``None`` pad, so ``values[columns.get(name, -1)]`` reads an absent
+    field as ``None``. CSV rows share the header's ``columns``; JSON
+    elements share one while their key order repeats. CSV is read from
+    ``stream`` row by row, and ``number`` is the physical line a row ends
+    on; JSON is decoded whole.
     """
     if format == "csv":
         reader = csv.reader(stream)
@@ -202,12 +234,14 @@ def _csv_rows(reader, header: list[str], granularity: str) -> _Rows:
         raise ParseError(f"{_KIND[granularity]} CSV header is missing columns: "
                          f"{', '.join(missing)}", "line 1")
     columns = {name: i for i, name in enumerate(header)}
+    width = len(header)
     try:
         for row in reader:
-            if not "".join(row).strip():
+            # A full-width row whose first cell is not blank is not blank.
+            if (len(row) != width or not row[0].strip()) and not "".join(row).strip():
                 continue
-            if len(row) != len(header):
-                raise ParseError(f"expected {len(header)} fields, got {len(row)}",
+            if len(row) != width:
+                raise ParseError(f"expected {width} fields, got {len(row)}",
                                  f"line {reader.line_num}")
             row.append(None)
             yield reader.line_num, columns, row
@@ -217,13 +251,17 @@ def _csv_rows(reader, header: list[str], granularity: str) -> _Rows:
 
 def _json_rows(data: list, kind: str) -> _Rows:
     keys: tuple | None = None
+    record = kind == "record"
     for index, obj in enumerate(data, start=1):
         if not isinstance(obj, dict):
             raise ParseError(f"{kind} element must be an object", f"element {index}")
         if tuple(obj) != keys:
             keys = tuple(obj)
             columns = {key: i for i, key in enumerate(keys)}
-        values = [_json_text(key, value) for key, value in obj.items()]
+        try:
+            values = [_json_text(key, value, record) for key, value in obj.items()]
+        except ValueError as exc:
+            raise ParseError(str(exc), f"element {index}") from None
         values.append(None)
         yield index, columns, values
 
@@ -267,12 +305,45 @@ def _record_fields(location: str, raw: tuple) -> tuple:
             start_page, end_page, page_count)
 
 
+#: Bounds of the short parse's numeral memo. It converts at most
+#: ``_MEMO_SIZE`` numerals and remembers those of at most ``_MEMO_WIDTH``
+#: characters, which keeps it under about 1 MB.
+_MEMO_SIZE = 8192
+_MEMO_WIDTH = 12
+
+
+class _Ints(dict):
+    """Numeral -> ``int(numeral)``, remembered for a numeral of at most
+    ``_MEMO_WIDTH`` characters. ``misses`` counts the numerals it was
+    asked to convert. A ValueError raises as ``int()`` raises it, and
+    nothing is stored for it."""
+
+    __slots__ = ("misses",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.misses = 0
+
+    def __missing__(self, raw: str) -> int:
+        self.misses += 1
+        value = int(raw)
+        if len(raw) <= _MEMO_WIDTH:
+            self[raw] = value
+        return value
+
+
 def _parsed_records(rows: _Rows, format: str) -> Iterator[tuple]:
     """Yield the fields of each record *rows* holds in :class:`BibRecord`
     order, for :func:`parse_records` and :func:`load` alike: by the short
     path, or by :func:`_record_fields` for a row where that raises
     ValueError (a malformed or whitespace-only number) or finds a blank
-    mandatory field or author list."""
+    mandatory field or author list. The short path looks its numerals up
+    in one :class:`_Ints` memo, made for this call, until the memo has
+    missed ``_MEMO_SIZE`` times. From then on it converts each numeral as
+    it is read, so a parse whose numerals seldom repeat costs no more than
+    plain ``int()`` beyond those first misses."""
+    ints = _Ints()
+    memo = ints.__getitem__
     columns: dict[str, int] | None = None
     for number, row_columns, values in rows:
         if row_columns is not columns:  # once for CSV, once per JSON key order
@@ -281,14 +352,16 @@ def _parsed_records(rows: _Rows, format: str) -> Iterator[tuple]:
         raw = pick(values)
         (year, title, subject, author_count, authors,
          start_page, end_page, page_count, volume, issue) = raw
+        # After _MEMO_SIZE misses the numerals repeat too seldom for the memo to pay.
+        convert = memo if ints.misses < _MEMO_SIZE else int
         try:
-            year = int(year) if year else None
-            author_count = int(author_count) if author_count else None
-            start_page = int(start_page) if start_page else None
-            end_page = int(end_page) if end_page else None
-            page_count = int(page_count) if page_count else None
-            volume = int(volume) if volume else None
-            issue = int(issue) if issue else None
+            year = convert(year) if year else None
+            author_count = convert(author_count) if author_count else None
+            start_page = convert(start_page) if start_page else None
+            end_page = convert(end_page) if end_page else None
+            page_count = convert(page_count) if page_count else None
+            volume = convert(volume) if volume else None
+            issue = convert(issue) if issue else None
         except ValueError:
             clean = False
         else:

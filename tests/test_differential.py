@@ -10,14 +10,22 @@ reference route runs every row through the precise parse
 every edge input and flaw below with and without a study window, both
 routes must give equal aggregates, equal findings and equal parse
 errors, and :func:`parse_records` must build the records the precise
-parse builds. The CSV and JSON forms of a set must print the same
+parse builds. The short parse looks numerals up in a memo until it has
+missed a bounded number of times, then converts them with plain
+``int()``, so the drawn sets and the edges and flaws run under the
+shipped bound, a bound a parse reaches after its first rows, and a
+bound of nothing; one set repeats odd numerals so that the memo answers
+them. The CSV and JSON forms of a set must print the same
 tables, and so must the aggregate CSV of an accepted set. The settings
 are deterministic, like ``tests/test_fuzz.py``.
 """
 
 import csv
+import importlib.util
 import io
 import json
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -35,6 +43,11 @@ from scientoscope import (
 from scientoscope import ingest
 from scientoscope.cli import main
 from scientoscope.ingest import MAX_COUNT, RECORD_FIELDS, load
+
+_GEN_SPEC = importlib.util.spec_from_file_location(
+    "bench_gen", Path(__file__).resolve().parents[1] / "bench" / "gen.py")
+gen = sys.modules["bench_gen"] = importlib.util.module_from_spec(_GEN_SPEC)  # for dataclass
+_GEN_SPEC.loader.exec_module(gen)
 
 DIFFERENTIAL = settings(max_examples=60, deadline=None, derandomize=True, database=None,
                         suppress_health_check=[HealthCheck.function_scoped_fixture,
@@ -86,6 +99,14 @@ EDGES = (
 )
 
 
+# An array or object where JSON text belongs. CSV has no such value: its
+# form of the record holds the value's Python text, which parses.
+JSON_FLAWS = (
+    {"title": [1, 2]}, {"subject": {"a": 1}}, {"authors": [["A", "B"]]},
+    {"authors": [{"n": 1}]}, {"authors": {"n": 1}, "author_count": 2},
+)
+
+
 # Flaws injected into a clean record: validation errors, then parse errors.
 FLAWS = (
     {"start_page": 9, "end_page": 4},  # reversed span
@@ -107,16 +128,17 @@ FLAWS = (
     {"year": "x"}, {"issue": "9" * 5000}, {"author_count": "x"}, {"page_count": "x"},
     {"authors": " ", "author_count": None}, {"authors": ";", "author_count": None},
     {"title": "\u2003 \t"}, {"subject": "\u00a0"}, {"title": None}, {"subject": None},
+    *JSON_FLAWS,
 )
 
 
 @st.composite
-def record_sets(draw):
-    """Clean records with up to two flaws, and for each record the blank
-    row that comes before it in the CSV form, or ``None``."""
+def record_sets(draw, flaws=FLAWS):
+    """Clean records with up to two of the *flaws*, and for each record the
+    blank row that comes before it in the CSV form, or ``None``."""
     records = draw(st.lists(clean_record(), min_size=1, max_size=10))
     for index, flaw in draw(st.lists(st.tuples(st.integers(0, len(records) - 1),
-                                               st.sampled_from(FLAWS)), max_size=2)):
+                                               st.sampled_from(flaws)), max_size=2)):
         records[index].update(flaw)
     blanks = draw(st.lists(st.sampled_from([None, None, [], [""] * len(COLUMNS), [" ", "  "]]),
                            min_size=len(records), max_size=len(records)))
@@ -125,7 +147,7 @@ def record_sets(draw):
 
 def _authors_text(rec):
     authors = rec["authors"]
-    return authors if isinstance(authors, str) else "; ".join(authors)
+    return authors if isinstance(authors, str) else "; ".join(map(str, authors))
 
 
 def _csv_bytes(records, blanks):
@@ -191,10 +213,18 @@ def _assert_routes_agree(records, blanks, window):
                 == _outcome(lambda: _precise_records(raw, format)))
 
 
+# The short parse's memo bounds: as shipped, so numerals hit and miss it;
+# a few misses, so a parse turns to plain int() after its first rows; and
+# none, so every numeral is converted by plain int().
+MEMO_SIZES = (ingest._MEMO_SIZE, 5, 0)
+
+
 @DIFFERENTIAL
 @given(record_sets(), st.none() | st.just((2012, 2015)))
-def test_fold_equals_parse_validate_and_bridge(drawn, window):
-    _assert_routes_agree(*drawn, window)
+def test_fold_equals_parse_validate_and_bridge(monkeypatch, drawn, window):
+    for size in MEMO_SIZES:
+        monkeypatch.setattr(ingest, "_MEMO_SIZE", size)
+        _assert_routes_agree(*drawn, window)
 
 
 # Four clean records over 2012-2015, the second one overridden, with a
@@ -206,14 +236,27 @@ _BLANKS = [None, None, [""] * len(COLUMNS), []]
 
 @pytest.mark.parametrize("window", [None, (2012, 2015), (2013, 2014)])
 @pytest.mark.parametrize("override", EDGES + FLAWS)
-def test_every_edge_and_flaw_agrees_on_both_routes(override, window):
+def test_every_edge_and_flaw_agrees_on_both_routes(monkeypatch, override, window):
     records = [dict(rec) for rec in _BASE]
     records[1].update(override)
-    _assert_routes_agree(records, _BLANKS, window)
+    for size in MEMO_SIZES:
+        monkeypatch.setattr(ingest, "_MEMO_SIZE", size)
+        _assert_routes_agree(records, _BLANKS, window)
+
+
+@pytest.mark.parametrize("window", [None, (2012, 2015)])
+def test_odd_numerals_that_repeat_agree_on_both_routes(window):
+    # Each odd numeral recurs in several records and fields, so the memo
+    # answers most of its lookups, and the precise parse is compared with them.
+    odd = (" 12 ", "12", "+5", "1_0", "\u0663")
+    records = [dict(_BASE[i % 4], volume=odd[i % 5], issue=odd[(i + 1) % 5],
+                    author_count=odd[(i + 2) % 5], start_page=odd[2 + i % 3],
+                    end_page=odd[i % 2]) for i in range(15)]
+    _assert_routes_agree(records, [None] * len(records), window)
 
 
 @DIFFERENTIAL
-@given(drawn=record_sets())
+@given(drawn=record_sets([f for f in FLAWS if f not in JSON_FLAWS]))
 def test_csv_json_and_aggregate_forms_print_the_same_tables(drawn, tmp_path, capsys):
     records, blanks = drawn
     inputs = {"records.csv": _csv_bytes(records, blanks),
@@ -234,3 +277,22 @@ def test_csv_json_and_aggregate_forms_print_the_same_tables(drawn, tmp_path, cap
         path.write_text(write_aggregates_csv(aggregated), encoding="utf-8")
         assert main(["analyze", "--input", str(path)]) == 0
         assert capsys.readouterr().out == out
+
+
+@pytest.mark.parametrize("format", ["csv", "json"])
+@pytest.mark.parametrize("knobs", [
+    {},
+    {"missing_pages": 0.2, "unknown_subjects": 0.1, "count_only": 0.1},  # records_json_dirty's
+], ids=["default", "dirty"])
+def test_the_benchmark_inputs_load_as_the_precise_route_reads_them(tmp_path, knobs, format):
+    # The benchmark's generator, at a small size: the input family the
+    # short parse and its memo are timed on.
+    drawn = gen.generate(gen.Knobs(records=500, **knobs), seed=1)
+    path = tmp_path / f"records.{format}"
+    (gen.write_records_json if format == "json" else gen.write_records_csv)(drawn, str(path))
+    raw = path.read_bytes()
+    config = AnalysisConfig()
+    expected = _precise_route(raw, format, config)
+    assert expected[1].ok and expected[1].record_count == 500
+    assert load(io.BytesIO(raw), format, config) == expected
+    assert parse_records(raw, format) == _precise_records(raw, format)

@@ -9,6 +9,8 @@ import tracemalloc
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scientoscope import (
     AnalysisConfig,
@@ -173,6 +175,59 @@ def test_a_null_in_a_json_author_list_is_no_author(authors, names):
     assert rec.authors == names
     dataset, report = load(io.BytesIO(data), "json")
     assert report.ok and dataset.aggregates[0].total_authors == 1
+
+
+def _parse_error_on_both_routes(data: bytes, format: str) -> str:
+    """The ParseError message :func:`parse_records` and :func:`load` both give for *data*."""
+    messages = set()
+    for parse in (lambda: parse_records(data, format), lambda: load(io.BytesIO(data), format)):
+        with pytest.raises(ParseError) as caught:
+            parse()
+        messages.add(str(caught.value))
+    (message,) = messages
+    return message
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"authors": [["A", "B"]]}, 'invalid author: ["A", "B"] (expected text)'),
+    ({"authors": ["A", {"n": 1}]}, 'invalid author: {"n": 1} (expected text)'),
+    ({"authors": {"n": 1}, "author_count": 1},
+     'invalid authors: {"n": 1} (expected text or a list of text)'),
+    ({"title": [1, 2]}, "invalid title: [1, 2] (expected text)"),
+    ({"subject": {"a": 1}}, 'invalid subject: {"a": 1} (expected text)'),
+    ({"title": ["Ω"]}, 'invalid title: ["Ω"] (expected text)'),
+])
+def test_a_json_array_or_object_as_record_text_is_a_parse_error(fields, message):
+    # It used to become its Python text: a title '[1, 2]', an author "['A', 'B']".
+    records = [{"year": 2013, "title": "T", "subject": "ICT", "authors": ["A"]} for _ in range(2)]
+    records[1].update(fields)
+    data = json.dumps(records).encode()
+    assert _parse_error_on_both_routes(data, "json") == f"element 2: {message}"
+
+
+def test_json_text_that_is_not_an_array_or_object_reads_as_before():
+    # Numbers read as their digits, and a ";" inside an author entry still splits it.
+    data = json.dumps([{"year": 2013, "title": 7, "subject": "ICT", "authors": ["Kumar; A.", 3],
+                        "keywords": [["x"]], "volume": 2}]).encode()
+    (rec,) = parse_records(data, "json")
+    assert (rec.title, rec.authors, rec.volume) == ("7", ("Kumar", "A.", "3"), 2)
+    assert load(io.BytesIO(data), "json")[1].ok
+    numeric = data.replace(b'"volume": 2', b'"volume": [2]')
+    assert _parse_error_on_both_routes(numeric, "json") == "element 1: non-numeric volume: '[2]'"
+
+
+def test_a_json_title_nested_as_deeply_as_the_decoder_allows_is_a_parse_error():
+    # Printing the value in the message nests one level deeper than decoding it.
+    for depth in range(1000, 0, -1):
+        data = ('[{"year": 2013, "subject": "ICT", "authors": "A", "title": '
+                + "[" * depth + "]" * depth + "}]").encode()
+        for parse in (lambda: parse_records(data, "json"), lambda: load(io.BytesIO(data), "json")):
+            with pytest.raises(ParseError) as caught:
+                parse()
+            if "nested too deeply" not in str(caught.value):
+                assert str(caught.value).startswith("element 1: invalid title: [")
+                return
+    raise AssertionError("no depth decoded")
 
 
 def test_parse_aggregates_sorted_and_consistent():
@@ -445,6 +500,36 @@ def test_csv_error_names_the_physical_line_after_quoted_newlines(last_row, messa
     assert str(parsed.value) == message
 
 
+@pytest.mark.parametrize("row, message", [
+    (",,,,,,,", None),  # separators only
+    (" ,\t, ,\u3000,  , , ,\u00a0", None),  # whitespace only, full width
+    ("   ", None),  # whitespace only, one field
+    (",,", None),  # short and blank
+    (",1,2,T,A,1,2,ICT", "line 3: missing mandatory field 'year'"),
+    (" ,1,2,T,A,1,2,ICT", "line 3: missing mandatory field 'year'"),
+    (",,,T,A", "line 3: expected 8 fields, got 5"),
+], ids=["separators", "whitespace", "whitespace-short", "short", "full-width-values",
+        "full-width-values-space", "short-values"])
+def test_a_blank_row_is_skipped_and_a_row_with_values_is_parsed(row, message):
+    rows = ["2013,1,2,T,A,1,2,ICT\n", row + "\n", "2014,1,2,T,B,3,9,ICT\n"]
+    raw = (RECORD_HEADER + "\n" + "".join(rows)).encode()
+    if message is None:
+        without = (RECORD_HEADER + "\n" + rows[0] + rows[2]).encode()
+        assert parse_records(raw) == parse_records(without)
+        assert _fold_bytes(raw) == _fold_bytes(without)
+        return
+    for parse in (_fold_bytes, parse_records):
+        with pytest.raises(ParseError) as raised:
+            parse(raw)
+        assert str(raised.value) == message
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.text(alphabet=";  \t\u3000ab", max_size=12))
+def test_split_authors_drops_blank_names_after_trimming(raw):
+    assert ingest.split_authors(raw) == tuple(filter(None, map(str.strip, raw.split(";"))))
+
+
 def test_csv_error_in_the_header_names_its_physical_line():
     # The header's quoted newline puts its stray carriage return on line 2.
     raw = (b'year,"vol\nume",issue,title,authors,start_page,end_page,sub\rject\n'
@@ -544,3 +629,32 @@ def test_piped_record_input_loads_in_memory_that_does_not_grow_with_the_records(
             tracemalloc.stop()
         assert (report.record_count, report.ok) == (n, True)
     assert peaks[1] < 1.5 * peaks[0], peaks
+
+
+def test_numerals_that_never_repeat_load_in_memory_that_does_not_grow():
+    # The short parse's numeral memo converts at most ingest._MEMO_SIZE
+    # numerals and keeps those of at most ingest._MEMO_WIDTH characters,
+    # about 1 MB. Here it reaches that bound at both sizes: every row brings
+    # two new short numerals (its pages) and two 300-digit ones, too long to
+    # keep.
+    def raw(n):
+        long = "1" + "0" * 290
+        rows = "".join(f"{2000 + i % 10},{long}{i:09d},{long}{i + n:09d},T,A,"
+                       f"{5 * i + 1},{5 * i + 3},ICT\n" for i in range(n))
+        return (RECORD_HEADER + "\n" + rows).encode()
+
+    small, large = 4_500, 20_000
+    assert 2 * small > ingest._MEMO_SIZE and 300 > ingest._MEMO_WIDTH
+    raws = {n: raw(n) for n in (small, large)}
+    _fold_bytes(raws[large])  # fills the free lists first, as in the tests above
+    peaks = []
+    for n, data in raws.items():
+        tracemalloc.start()
+        try:
+            _, report = _fold_bytes(data)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert (report.record_count, report.ok) == (n, True)
+    assert peaks[1] < 1.5 * peaks[0], peaks
+    assert max(peaks) < 2_000_000, peaks
