@@ -6,31 +6,33 @@ missing mandatory fields, non-numeric values) raise :class:`ParseError`;
 semantic problems (bin sums, year gaps, window violations) are reported
 by :func:`validate` without ever mutating or silently fixing the data.
 
-Record input has two routes with one set of checks. The library route
-builds every :class:`BibRecord` (:func:`parse_records`), then checks
-them (:func:`validate`) and bridges them to per-year aggregates
-(:func:`aggregate_records`). :func:`load`, which the CLI uses, reads an
-open file of either granularity once, with the granularity taken from
-the CSV header or first JSON element that every parse reads anyway. For
-records it does all three steps in that pass: each row is parsed,
-checked by the same record rules and counted into the same per-year
-accumulator, with no record kept. Record CSV is streamed, so its memory
-is O(years + findings); JSON is decoded whole. Every step reads its
-``strict``, ``study_window`` and ``taxonomy`` from one
+Record input has one set of checks and one count. :func:`load`, which
+the CLI uses, reads an open file of either granularity once, with the
+granularity taken from the CSV header or first JSON element that every
+parse reads anyway. For records, one loop parses each row, checks it by
+the record rules and counts it into the per-year accumulator, with no
+record kept. Record CSV is streamed, so its memory is O(years +
+findings); JSON is decoded whole. The library route is the precise
+reference that loop is tested against: it builds every
+:class:`BibRecord` by the precise parse (:func:`parse_records`), then
+checks them (:func:`validate`) and bridges them to per-year aggregates
+(:func:`aggregate_records`). Every step reads its ``strict``,
+``study_window`` and ``taxonomy`` from one
 :class:`~scientoscope.config.AnalysisConfig`.
 
-Each record rule is stated once, in ``_validate_record``, which both
-routes call for every record; it formats a location only for a rule
-that fails. Clean rows take a short parse that builds no location
-string and looks each numeral up in a memo of ``int()`` results, local
-to one parse. Years, volumes, issues and pages repeat, so most lookups
-hit. After ``_MEMO_SIZE`` misses the parse converts each numeral as it
-is read, as it would without the memo, so input whose numerals seldom
+Each record rule is stated once, in ``_validate_record``, and the
+bridge count once, in ``_YearTally.add``; both routes call them for
+every record. A record rule formats a location only when it fails. The
+loop takes each row by a short parse that builds no location string and
+looks each numeral up in a memo of ``int()`` results, local to one
+load. Years, volumes, issues and pages repeat, so most lookups hit.
+After ``_MEMO_SIZE`` misses the parse converts each numeral as it is
+read, as it would without the memo, so input whose numerals seldom
 repeat is not slowed; the memo keeps only numerals of at most
 ``_MEMO_WIDTH`` characters, under about 1 MB whatever the input. A row
 the short parse cannot take goes to the precise parse,
 ``_record_fields``, the only code that words a parse message, so both
-parses give the same fields and errors.
+routes give the same fields and errors.
 
 CSV schemas
 -----------
@@ -136,9 +138,9 @@ _JSON_TEXT = frozenset(("title", "subject", "authors"))
 
 
 def _text(value: object, what: str, expected: str = "text") -> str:
-    """A JSON scalar as text: a number reads as its digits. An array or
-    object is a ValueError that names *what* it was given as."""
-    if isinstance(value, (list, dict)):
+    """A JSON number as text: it reads as its digits. An array, object or
+    boolean is a ValueError that names *what* it was given as."""
+    if isinstance(value, (list, dict, bool)):
         try:
             shown = json.dumps(value, ensure_ascii=False)
         except RecursionError:  # nested about as deeply as the decoder allows
@@ -150,7 +152,7 @@ def _text(value: object, what: str, expected: str = "text") -> str:
 def _json_text(key: str, value: object, record: bool) -> str | None:
     """The CSV cell a JSON value stands for. In a *record*, an ``authors``
     list is joined by ";", so a ";" inside an entry still splits it, and an
-    array or object as title, subject or author is a ValueError."""
+    array, object or boolean as title, subject or author is a ValueError."""
     if value is None or isinstance(value, str):
         return value
     if record and key in _JSON_TEXT:
@@ -332,60 +334,18 @@ class _Ints(dict):
         return value
 
 
-def _parsed_records(rows: _Rows, format: str) -> Iterator[tuple]:
-    """Yield the fields of each record *rows* holds in :class:`BibRecord`
-    order, for :func:`parse_records` and :func:`load` alike: by the short
-    path, or by :func:`_record_fields` for a row where that raises
-    ValueError (a malformed or whitespace-only number) or finds a blank
-    mandatory field or author list. The short path looks its numerals up
-    in one :class:`_Ints` memo, made for this call, until the memo has
-    missed ``_MEMO_SIZE`` times. From then on it converts each numeral as
-    it is read, so a parse whose numerals seldom repeat costs no more than
-    plain ``int()`` beyond those first misses."""
-    ints = _Ints()
-    memo = ints.__getitem__
-    columns: dict[str, int] | None = None
-    for number, row_columns, values in rows:
-        if row_columns is not columns:  # once for CSV, once per JSON key order
-            columns = row_columns
-            pick = itemgetter(*(columns.get(name, -1) for name in _RECORD_COLUMNS))
-        raw = pick(values)
-        (year, title, subject, author_count, authors,
-         start_page, end_page, page_count, volume, issue) = raw
-        # After _MEMO_SIZE misses the numerals repeat too seldom for the memo to pay.
-        convert = memo if ints.misses < _MEMO_SIZE else int
-        try:
-            year = convert(year) if year else None
-            author_count = convert(author_count) if author_count else None
-            start_page = convert(start_page) if start_page else None
-            end_page = convert(end_page) if end_page else None
-            page_count = convert(page_count) if page_count else None
-            volume = convert(volume) if volume else None
-            issue = convert(issue) if issue else None
-        except ValueError:
-            clean = False
-        else:
-            title = title.strip() if title else ""
-            subject = subject.strip() if subject else ""
-            names = split_authors(authors) if author_count is None and authors else None
-            clean = year is not None and title and subject and (names or author_count is not None)
-        if not clean:
-            yield _record_fields(_location(format, number), raw)
-            continue
-        if page_count is None and start_page is not None and end_page is not None:
-            page_count = end_page - start_page + 1 if end_page >= start_page else None
-        yield (year, title, subject, names, author_count,
-               volume, issue, start_page, end_page, page_count)
-
-
 def parse_records(source: bytes | str, format: str = "csv") -> tuple[BibRecord, ...]:
     """Parse record-granularity input into its records, in input order.
 
-    The CLI does not build records: :func:`load` streams the same checks
-    straight into per-year aggregates.
+    Every record takes the precise parse: this is the reference that
+    :func:`load`, the CLI's path, which builds no records, is tested against.
     """
     _, rows = _rows(io.StringIO(_decode(source)), format, "records")
-    records = tuple(BibRecord(*fields) for fields in _parsed_records(rows, format))
+    records = tuple(
+        BibRecord(*_record_fields(_location(format, number),
+                                  tuple(values[columns.get(name, -1)]
+                                        for name in _RECORD_COLUMNS)))
+        for number, columns, values in rows)
     if not records:
         raise ParseError("empty dataset")
     return records
@@ -600,10 +560,11 @@ _TOP_PAGES = max(lo if hi is None else hi for _, _, lo, hi in PAGE_BINS) + 1
 _PAGE_BIN_OF = tuple(next((i for i, (_, _, lo, hi) in enumerate(PAGE_BINS)
                            if lo <= n and (hi is None or n <= hi)), None)
                      for n in range(_TOP_PAGES + 1))
+_POOLED = POOLED_BIN_AUTHOR_VALUE - 1  # the open authorship bin's index
 
 
 class _YearTally:
-    """Per-year accumulator of the record bridge.
+    """Per-year accumulator of the record bridge, which :meth:`add` states.
 
     Author counts of 5 or more pool into the open 5+ bin while the
     author total keeps the exact sum. Records without page information
@@ -613,6 +574,7 @@ class _YearTally:
 
     def __init__(self, taxonomy: tuple[str, ...]):
         self._taxonomy = taxonomy
+        self._known = frozenset(taxonomy)
         #: year -> [papers, total authors, authorship bins, page bins, subject counts]
         self.counts: dict[int, list] = {}
         self.warnings: list[Finding] = []
@@ -625,34 +587,32 @@ class _YearTally:
                                           dict.fromkeys(self._taxonomy, 0)]
         return counts
 
-    def add_all(self, rows: Iterable[tuple[int, int, int | None, str, str]]) -> None:
-        """Count each ``(year, n_authors, page_count, subject, title)`` row."""
-        known = frozenset(self._taxonomy)
-        get_counts, warn = self.counts.get, self.warnings.append
-        pooled = POOLED_BIN_AUTHOR_VALUE - 1  # the open bin's index
-        for year, n_authors, page_count, subject, title in rows:
-            counts = get_counts(year) or self.year(year)
-            counts[0] += 1
-            counts[1] += n_authors
-            counts[2][n_authors - 1 if n_authors <= pooled else pooled] += 1
-            if page_count is None:
-                warn(Finding(f"{year}: {title!r}", "missing-pages",
-                             "no page information; excluded from page bins"))
+    def add(self, year: int, n_authors: int, page_count: int | None, subject: str,
+            title: str) -> None:
+        """Count one record: the one statement of the bridge."""
+        counts = self.counts.get(year) or self.year(year)
+        counts[0] += 1
+        counts[1] += n_authors
+        counts[2][n_authors - 1 if n_authors <= _POOLED else _POOLED] += 1
+        if page_count is None:
+            self.warnings.append(Finding(f"{year}: {title!r}", "missing-pages",
+                                         "no page information; excluded from page bins"))
+        else:
+            i = (_PAGE_BIN_OF[page_count if page_count < _TOP_PAGES else _TOP_PAGES]
+                 if page_count >= 0 else None)
+            if i is None:
+                self.warnings.append(Finding(f"{year}: {title!r}", "page-bin-range",
+                                             f"page count {page_count} fits no page bin"))
             else:
-                i = (_PAGE_BIN_OF[page_count if page_count < _TOP_PAGES else _TOP_PAGES]
-                     if page_count >= 0 else None)
-                if i is None:
-                    warn(Finding(f"{year}: {title!r}", "page-bin-range",
-                                 f"page count {page_count} fits no page bin"))
-                else:
-                    counts[3][i] += 1
-            subjects = counts[4]
-            if subject in known:
-                subjects[subject] += 1
-            else:
-                warn(Finding(f"{year}: {title!r}", "unknown-subject",
-                             f"subject {subject!r} not in taxonomy; counted under 'Others'"))
-                subjects["Others"] = subjects.get("Others", 0) + 1
+                counts[3][i] += 1
+        subjects = counts[4]
+        if subject in self._known:
+            subjects[subject] += 1
+        else:
+            self.warnings.append(Finding(
+                f"{year}: {title!r}", "unknown-subject",
+                f"subject {subject!r} not in taxonomy; counted under 'Others'"))
+            subjects["Others"] = subjects.get("Others", 0) + 1
 
     def dataset(self) -> Dataset:
         return Dataset(tuple(
@@ -675,7 +635,8 @@ def aggregate_records(records: tuple[BibRecord, ...],
     The result is independent of record order.
     """
     tally = _YearTally((config or AnalysisConfig()).taxonomy)
-    tally.add_all((r.year, r.n_authors, r.page_count, r.subject, r.title) for r in records)
+    for r in records:
+        tally.add(r.year, r.n_authors, r.page_count, r.subject, r.title)
     report = ValidationReport(warnings=tally.sorted_warnings(),
                               record_count=len(records), year_count=len(tally.counts))
     return tally.dataset(), report
@@ -687,18 +648,19 @@ def load(source: BinaryIO, format: str = "csv", config: AnalysisConfig | None = 
 
     *granularity* is ``"records"``, ``"aggregates"`` or ``None``: read it
     off the CSV header or the first JSON element. Aggregates give
-    :func:`parse_aggregates`, then :func:`validate`. Records give
+    :func:`parse_aggregates`, then :func:`validate`. Records give what
     :func:`parse_records`, then :func:`validate`, then, when the report
-    has no errors, :func:`aggregate_records`, all three with the same
+    has no errors, :func:`aggregate_records` give, all three with the same
     config and the bridge's warnings appended to the report. No
-    :class:`BibRecord` is built: CSV is read row by row, so memory is
-    O(years + findings); JSON is decoded whole. A clean row takes the
-    short parse; a row whose short parse raises, or finds a blank
-    mandatory field or author list, is parsed again by the precise parse,
-    which words every parse error. Every record, on either parse, goes
-    through the record rules (``_validate_record``); there is no second,
-    cheaper copy of them. With errors, the report has no bridge warnings
-    and the aggregates are incomplete.
+    :class:`BibRecord` is built: one loop parses, checks and counts each
+    row, so for CSV, read row by row, memory is O(years + findings); JSON
+    is decoded whole. A clean row takes the short parse; a row whose short
+    parse raises, or finds a blank mandatory field or author list, is
+    parsed again by the precise parse, which words every parse error.
+    Every record, on either parse, goes through the record rules
+    (``_validate_record``) and the bridge count (``_YearTally.add``);
+    there is no second, cheaper copy of them. With errors, the report has
+    no bridge warnings and the aggregates are incomplete.
 
     A bad UTF-8 byte anywhere in the input takes precedence over every
     other parse error, with the message that decoding the whole input gives.
@@ -718,7 +680,7 @@ def load(source: BinaryIO, format: str = "csv", config: AnalysisConfig | None = 
     try:
         granularity, rows = _rows(text, format, granularity)
         if granularity == "records":
-            return _fold(_parsed_records(rows, format), config)
+            return _fold(rows, format, config)
         dataset = _aggregate_dataset(rows, format)
     except (ParseError, UnicodeDecodeError):
         # A decode error carries a position within the decoder's chunk,
@@ -731,25 +693,55 @@ def load(source: BinaryIO, format: str = "csv", config: AnalysisConfig | None = 
     return dataset, validate(dataset, config)
 
 
-def _fold(records: Iterator[tuple], config: AnalysisConfig) -> tuple[Dataset, ValidationReport]:
+def _fold(rows: _Rows, format: str, config: AnalysisConfig) -> tuple[Dataset, ValidationReport]:
+    """Parse, check and count each record *rows* holds, in one loop: by
+    the short parse, with the memo the module docstring describes, or by
+    :func:`_record_fields` for a row where that raises ValueError (a
+    malformed or whitespace-only number) or finds a blank mandatory field
+    or author list."""
     report = ValidationReport()
     tally = _YearTally(config.taxonomy)
     window = config.study_window
-
-    def checked() -> Iterator[tuple[int, int, int | None, str, str]]:
-        """The rows to bridge: every row, until a record rule fails."""
-        for (year, title, subject, authors, author_count, _, _,
-             start, end, pages) in records:
-            report.record_count += 1
-            n_authors = len(authors) if author_count is None else author_count
-            _validate_record(report.record_count, year, n_authors, start, end, pages,
-                             window, report)
-            if report.errors:
-                tally.year(year)  # no bridge will run; the year still counts for year-gap
-            else:
-                yield year, n_authors, pages, subject, title
-
-    tally.add_all(checked())
+    ints = _Ints()
+    memo = ints.__getitem__
+    columns: dict[str, int] | None = None
+    for number, row_columns, values in rows:
+        if row_columns is not columns:  # once for CSV, once per JSON key order
+            columns = row_columns
+            pick = itemgetter(*(columns.get(name, -1) for name in _RECORD_COLUMNS))
+        raw = pick(values)
+        (year, title, subject, author_count, authors,
+         start_page, end_page, page_count, volume, issue) = raw
+        # After _MEMO_SIZE misses the numerals repeat too seldom for the memo to pay.
+        convert = memo if ints.misses < _MEMO_SIZE else int
+        try:
+            year = convert(year) if year else None
+            author_count = convert(author_count) if author_count else None
+            start_page = convert(start_page) if start_page else None
+            end_page = convert(end_page) if end_page else None
+            page_count = convert(page_count) if page_count else None
+            volume = convert(volume) if volume else None
+            issue = convert(issue) if issue else None
+        except ValueError:
+            clean = False
+        else:
+            title = title.strip() if title else ""
+            subject = subject.strip() if subject else ""
+            names = split_authors(authors) if author_count is None and authors else None
+            clean = year is not None and title and subject and (names or author_count is not None)
+        if not clean:
+            (year, title, subject, names, author_count, _, _,
+             start_page, end_page, page_count) = _record_fields(_location(format, number), raw)
+        elif page_count is None and start_page is not None and end_page is not None:
+            page_count = end_page - start_page + 1 if end_page >= start_page else None
+        n_authors = len(names) if author_count is None else author_count
+        report.record_count += 1
+        _validate_record(report.record_count, year, n_authors, start_page, end_page,
+                         page_count, window, report)
+        if report.errors:
+            tally.year(year)  # no bridge will run; the year still counts for year-gap
+        else:
+            tally.add(year, n_authors, page_count, subject, title)
     if not report.record_count:
         raise ParseError("empty dataset")
     report.year_count = len(tally.counts)

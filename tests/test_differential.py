@@ -1,23 +1,23 @@
 """Differential test: the streaming record fold against the precise route.
 
-The CLI loads record input with :func:`load`, one pass that
-parses, validates and bridges. It sends a row to the precise parse only
+The CLI loads record input with :func:`load`, one loop that parses,
+validates and bridges each row. It sends a row to the precise parse only
 when the short parse cannot take it, and runs every row through the
-record rules, as :func:`validate` does. The
-reference route runs every row through the precise parse
-(``ingest._record_fields``), then through :func:`validate` and
+record rules and the bridge count. The reference route is the library's:
+:func:`parse_records`, which runs every row through the precise parse
+(``ingest._record_fields``), then :func:`validate` and
 :func:`aggregate_records`. For small generated record sets, and for
 every edge input and flaw below with and without a study window, both
 routes must give equal aggregates, equal findings and equal parse
-errors, and :func:`parse_records` must build the records the precise
-parse builds. The short parse looks numerals up in a memo until it has
-missed a bounded number of times, then converts them with plain
-``int()``, so the drawn sets and the edges and flaws run under the
-shipped bound, a bound a parse reaches after its first rows, and a
-bound of nothing; one set repeats odd numerals so that the memo answers
-them. The CSV and JSON forms of a set must print the same
-tables, and so must the aggregate CSV of an accepted set. The settings
-are deterministic, like ``tests/test_fuzz.py``.
+errors; one case leaves the short parse for a valid row between clean
+ones, so the fold switches parses and back. The short parse looks
+numerals up in a memo until it has missed a bounded number of times,
+then converts them with plain ``int()``, so the drawn sets and the edges
+and flaws run under the shipped bound, a bound a parse reaches after its
+first rows, and a bound of nothing; one set repeats odd numerals so that
+the memo answers them. The CSV and JSON forms of a set must print the
+same tables, and so must the aggregate CSV of an accepted set. The
+settings are deterministic, like ``tests/test_fuzz.py``.
 """
 
 import csv
@@ -33,7 +33,6 @@ from hypothesis import strategies as st
 
 from scientoscope import (
     AnalysisConfig,
-    BibRecord,
     ParseError,
     aggregate_records,
     parse_records,
@@ -99,11 +98,13 @@ EDGES = (
 )
 
 
-# An array or object where JSON text belongs. CSV has no such value: its
-# form of the record holds the value's Python text, which parses.
+# An array, object or boolean where JSON text belongs. CSV has no such
+# value: its form of the record holds the value's Python text, which parses.
 JSON_FLAWS = (
     {"title": [1, 2]}, {"subject": {"a": 1}}, {"authors": [["A", "B"]]},
     {"authors": [{"n": 1}]}, {"authors": {"n": 1}, "author_count": 2},
+    {"title": True}, {"subject": False}, {"authors": ["A", True]},
+    {"authors": False, "author_count": 2},
 )
 
 
@@ -147,7 +148,7 @@ def record_sets(draw, flaws=FLAWS):
 
 def _authors_text(rec):
     authors = rec["authors"]
-    return authors if isinstance(authors, str) else "; ".join(map(str, authors))
+    return "; ".join(map(str, authors)) if isinstance(authors, (list, dict)) else str(authors)
 
 
 def _csv_bytes(records, blanks):
@@ -169,22 +170,9 @@ def _json_bytes(records, authors_as_text):
     return json.dumps(objs).encode()
 
 
-def _precise_records(raw, format):
-    """:func:`parse_records` with every row through the precise parse."""
-    records = tuple(
-        BibRecord(*ingest._record_fields(ingest._location(format, number),
-                                         tuple(values[columns.get(name, -1)]
-                                               for name in ingest._RECORD_COLUMNS)))
-        for number, columns, values in ingest._rows(io.StringIO(raw.decode()), format,
-                                                    "records")[1])
-    if not records:
-        raise ParseError("empty dataset")
-    return records
-
-
 def _precise_route(raw, format, config):
-    """The precise parse -> validate -> aggregate_records, as the CLI once ran them."""
-    records = _precise_records(raw, format)
+    """parse_records -> validate -> aggregate_records, as the CLI once ran them."""
+    records = parse_records(raw, format)
     report = validate(records, config)
     if not report.ok:
         return None, report
@@ -209,8 +197,6 @@ def _assert_routes_agree(records, blanks, window):
         if isinstance(expected, str) or not expected[1].ok:
             folded = folded if isinstance(folded, str) else (None, folded[1])
         assert folded == expected
-        assert (_outcome(lambda: parse_records(raw, format))
-                == _outcome(lambda: _precise_records(raw, format)))
 
 
 # The short parse's memo bounds: as shipped, so numerals hit and miss it;
@@ -232,10 +218,13 @@ def test_fold_equals_parse_validate_and_bridge(monkeypatch, drawn, window):
 _BASE = tuple({"year": year, "volume": 1, "issue": 2, "title": "T", "authors": ["A", "B"],
                "subject": "ICT", "start_page": 1, "end_page": 6} for year in range(2012, 2016))
 _BLANKS = [None, None, [""] * len(COLUMNS), []]
+# A valid row with " " in each of its empty optional cells: the fold
+# takes the precise parse for it, between rows on the short parse.
+SPACED = {"author_count": " ", "page_count": " "}
 
 
 @pytest.mark.parametrize("window", [None, (2012, 2015), (2013, 2014)])
-@pytest.mark.parametrize("override", EDGES + FLAWS)
+@pytest.mark.parametrize("override", EDGES + FLAWS + (SPACED,))
 def test_every_edge_and_flaw_agrees_on_both_routes(monkeypatch, override, window):
     records = [dict(rec) for rec in _BASE]
     records[1].update(override)
@@ -295,4 +284,3 @@ def test_the_benchmark_inputs_load_as_the_precise_route_reads_them(tmp_path, kno
     expected = _precise_route(raw, format, config)
     assert expected[1].ok and expected[1].record_count == 500
     assert load(io.BytesIO(raw), format, config) == expected
-    assert parse_records(raw, format) == _precise_records(raw, format)

@@ -196,9 +196,15 @@ def _parse_error_on_both_routes(data: bytes, format: str) -> str:
     ({"title": [1, 2]}, "invalid title: [1, 2] (expected text)"),
     ({"subject": {"a": 1}}, 'invalid subject: {"a": 1} (expected text)'),
     ({"title": ["Ω"]}, 'invalid title: ["Ω"] (expected text)'),
+    ({"title": True}, "invalid title: true (expected text)"),
+    ({"subject": False}, "invalid subject: false (expected text)"),
+    ({"authors": ["A", True]}, "invalid author: true (expected text)"),
+    ({"authors": False, "author_count": 1},
+     "invalid authors: false (expected text or a list of text)"),
 ])
 def test_a_json_array_or_object_as_record_text_is_a_parse_error(fields, message):
-    # It used to become its Python text: a title '[1, 2]', an author "['A', 'B']".
+    # It used to become its Python text: a title '[1, 2]', an author "['A', 'B']",
+    # a title 'True'.
     records = [{"year": 2013, "title": "T", "subject": "ICT", "authors": ["A"]} for _ in range(2)]
     records[1].update(fields)
     data = json.dumps(records).encode()
@@ -214,6 +220,8 @@ def test_json_text_that_is_not_an_array_or_object_reads_as_before():
     assert load(io.BytesIO(data), "json")[1].ok
     numeric = data.replace(b'"volume": 2', b'"volume": [2]')
     assert _parse_error_on_both_routes(numeric, "json") == "element 1: non-numeric volume: '[2]'"
+    boolean = data.replace(b'"year": 2013', b'"year": true')  # a number, not text
+    assert _parse_error_on_both_routes(boolean, "json") == "element 1: non-numeric year: 'True'"
 
 
 def test_a_json_title_nested_as_deeply_as_the_decoder_allows_is_a_parse_error():
