@@ -96,19 +96,23 @@ class AnalysisConfig(Checked, namedtuple(
         defaults=("paper", None, None, None, None, None, False, None, DEFAULT_TAXONOMY, "-"))):
     """Mode switches and structural settings for one analysis run.
 
-    Per-indicator fields left as ``None`` follow the top-level ``mode``;
-    explicit values override it and are echoed in output metadata.
     Every construction path checks every field against ``_RULES``;
-    ``None`` passes only where it is the field's default. A list, as a
-    JSON config gives ``study_window`` and ``taxonomy``, is checked as
-    given and stored as a tuple.
+    ``None`` passes only where it is the field's default. A per-indicator
+    switch left ``None`` then takes its ``mode``'s value, so configs that
+    run the same way are equal. A switch is fixed when the config is
+    built: ``_replace(mode=...)`` keeps the switches, which then show as
+    overrides; build a new config to change the mode. A list, as a JSON
+    config gives ``study_window`` and ``taxonomy``, is stored as a tuple.
     """
 
     __slots__ = ()
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        return tuple.__new__(cls, (tuple(v) if isinstance(v, list) else v for v in self))
+        switches = _MODE_DEFAULTS[self.mode]
+        return tuple.__new__(cls, (
+            switches.get(name) if v is None else tuple(v) if isinstance(v, list) else v
+            for name, v in zip(cls._fields, self)))
 
     def _check(self) -> None:
         for name, (test, shape) in _RULES.items():
@@ -116,18 +120,11 @@ class AnalysisConfig(Checked, namedtuple(
             if not (value is None and self._field_defaults[name] is None or test(value)):
                 raise ValueError(f"invalid {name}: {value!r} (expected {shape})")
 
-    def resolved(self, name: str) -> str:
-        """Effective value of a per-indicator switch under the current mode."""
-        explicit = getattr(self, name)
-        if explicit is not None:
-            return explicit
-        return _MODE_DEFAULTS[self.mode][name]
-
     def to_dict(self) -> dict[str, Any]:
         """Effective configuration as a plain dict (for display and hashing)."""
         return {
             "mode": self.mode,
-            **{name: self.resolved(name) for name in _SWITCHES},
+            **{name: getattr(self, name) for name in _SWITCHES},
             "strict": self.strict,
             "study_window": list(self.study_window) if self.study_window else None,
             "taxonomy": list(self.taxonomy),
@@ -137,12 +134,8 @@ class AnalysisConfig(Checked, namedtuple(
 
     def overrides(self) -> dict[str, str]:
         """Per-indicator switches that depart from the mode's defaults."""
-        out = {}
-        for name in _SWITCHES:
-            explicit = getattr(self, name)
-            if explicit is not None and explicit != _MODE_DEFAULTS[self.mode][name]:
-                out[name] = explicit
-        return out
+        return {name: getattr(self, name) for name, default in _MODE_DEFAULTS[self.mode].items()
+                if getattr(self, name) != default}
 
     def config_hash(self) -> str:
         """Short stable digest of the effective configuration."""

@@ -309,7 +309,7 @@ def _printed_cell(check: GoldenCheck, tables: list[ReportTable],
     if (check.table, check.cell) == (5, "CAGR %"):
         # The one golden value printed in a note rather than a cell.
         papers = [table.cell(str(row[0]), "Papers") for row in table.rows]
-        return cagr(papers[0], papers[-1], len(papers), config.resolved("cagr_mode"))
+        return cagr(papers[0], papers[-1], len(papers), config.cagr_mode)
     row, _, column = check.cell.partition(" / ")
     return table.cell(row, _HEADERS[check.table].get(column, column))
 

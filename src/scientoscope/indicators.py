@@ -81,7 +81,7 @@ def collaboration_table(dataset: Dataset, config: AnalysisConfig | None = None) 
     equals the column sum.
     """
     config = config or AnalysisConfig()
-    variant = config.resolved("ci_variant")
+    variant = config.ci_variant
     aggregates = dataset.aggregates
     rows = [[a.year, a.single, a.multiple, a.single + a.multiple,
              collaborative_index(a.single, a.multiple, authors=a.total_authors, variant=variant),
@@ -144,7 +144,7 @@ def productivity_table(dataset: Dataset, config: AnalysisConfig | None = None) -
     ratios = [author_productivity(a.papers, a.total_authors) for a in aggregates]
     total_papers = sum(a.papers for a in aggregates)
     total_authors = sum(a.total_authors for a in aggregates)
-    if config.resolved("totals_source") == "rounded_cells":
+    if config.totals_source == "rounded_cells":
         total_aapp = sum(round_half_up(aapp, 2) for aapp, _ in ratios)
         total_ppa = sum(round_half_up(ppa, 2) for _, ppa in ratios)
         note = "Totals row sums the displayed yearly values."
@@ -233,15 +233,15 @@ def cagr(first: int, last: int, years: int, mode: str = "paper_years") -> float:
 def egr_table(dataset: Dataset, config: AnalysisConfig | None = None) -> ReportTable:
     config = config or AnalysisConfig()
     series = dataset.papers_by_year
-    rows = exponential_growth(series, config.resolved("egr_mode"))
+    rows = exponential_growth(series, config.egr_mode)
     first_year, last_year = series[0][0], series[-1][0]
-    growth_pct = cagr(series[0][1], series[-1][1], len(series), config.resolved("cagr_mode"))
+    growth_pct = cagr(series[0][1], series[-1][1], len(series), config.cagr_mode)
 
     rates = [egr for _, _, egr in rows if egr is not None]
     # The source study's totals row adds the rounded yearly values.
-    if config.resolved("totals_source") == "rounded_cells":
+    if config.totals_source == "rounded_cells":
         rates = [round_half_up(egr, 2) for egr in rates]
-    n_periods = _cagr_periods(len(series), config.resolved("cagr_mode"))
+    n_periods = _cagr_periods(len(series), config.cagr_mode)
     return ReportTable(
         title="Exponential growth rate of publications",
         columns=[
@@ -304,11 +304,11 @@ def relative_growth(series: list[tuple[int, int]],
 def rgr_table(dataset: Dataset, config: AnalysisConfig | None = None) -> ReportTable:
     config = config or AnalysisConfig()
     series = dataset.papers_by_year
-    rows = relative_growth(series, config.resolved("rgr_mode"))
+    rows = relative_growth(series, config.rgr_mode)
     rates = [r for *_, r, _ in rows if r is not None]
     times = [dt for *_, dt in rows if dt is not None]
     notes = ["Dt = ln 2 / R; footer shows arithmetic means of R and Dt."]
-    if config.resolved("rgr_mode") == "paper":
+    if config.rgr_mode == "paper":
         notes.append("R compares successive yearly counts at 2-decimal precision; "
                      "the final row measures the last year against the cumulative total.")
     else:

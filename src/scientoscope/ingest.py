@@ -61,6 +61,7 @@ names, one object per record/aggregate, in a top-level list.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import io
 import json
@@ -179,7 +180,8 @@ _REQUIRED = {"records": RECORD_FIELDS, "aggregates": AGGREGATE_FIELDS}
 _Rows = Iterator[tuple[int, dict[str, int], list]]
 
 
-def _rows(stream: TextIO, format: str, granularity: str | None = None) -> tuple[str, _Rows]:
+def _rows(stream: TextIO | Iterator[str], format: str,
+          granularity: str | None = None) -> tuple[str, _Rows]:
     """The granularity, given or read off the CSV header or first JSON
     element, and ``(number, columns, values)`` for each non-blank CSV row or
     JSON element, read on from there.
@@ -190,8 +192,8 @@ def _rows(stream: TextIO, format: str, granularity: str | None = None) -> tuple[
     ``None`` pad, so ``values[columns.get(name, -1)]`` reads an absent
     field as ``None``. CSV rows share the header's ``columns``; JSON
     elements share one while their key order repeats. CSV is read from
-    ``stream`` row by row, and ``number`` is the physical line a row ends
-    on; JSON is decoded whole.
+    ``stream``, or its lines, row by row, and ``number`` is the physical
+    line a row ends on; JSON is decoded whole.
     """
     if format == "csv":
         reader = csv.reader(stream)
@@ -206,7 +208,7 @@ def _rows(stream: TextIO, format: str, granularity: str | None = None) -> tuple[
             raise ParseError(f"duplicate columns: {', '.join(duplicates)}", "line 1")
     elif format == "json":
         try:
-            data = json.loads(stream.read())
+            data = json.loads(stream.read(), parse_float=str)
         except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
             raise ParseError(f"invalid JSON: {exc}") from None
         except RecursionError:
@@ -397,21 +399,17 @@ def parse_aggregates(source: bytes | str, format: str = "csv") -> Dataset:
 def sniff_granularity(source: bytes | str, format: str = "csv") -> str:
     """Records vs aggregates, from the CSV header or the first JSON element.
 
-    For CSV only the whole logical header is decoded: it ends at the first
-    newline after an even number of ``"``, so a quoted column name may hold
-    a newline. The parse reports bad bytes further on. JSON is decoded
-    whole, so its first fault is the one reported.
+    CSV bytes are decoded only as far as the csv module reads the header,
+    so the parse reports bad bytes further on, and a bad byte within it
+    gets the whole input's message. JSON is decoded whole, so its first
+    fault is the one reported.
     """
-    if format == "csv":
-        # '"' is never part of a multi-byte UTF-8 sequence, so bytes count as text does.
-        newline, quote = (b"\n", b'"') if isinstance(source, bytes) else ("\n", '"')
-        start = quotes = 0
-        end = source.find(newline)
-        while end >= 0 and (quotes := quotes + source.count(quote, start, end)) % 2:
-            start, end = end, source.find(newline, end + 1)
-        # Keep the newline, so a multi-byte sequence it cuts short fails
-        # with the message decoding the whole input would give.
-        source = source[:end + 1] if end >= 0 else source
+    if format == "csv" and isinstance(source, bytes):
+        try:
+            return _rows(codecs.iterdecode(io.BytesIO(source), "utf-8-sig"), format)[0]
+        except UnicodeDecodeError:
+            _decode(source)  # the first bad byte is the one hit: raises its message
+            raise
     return _rows(io.StringIO(_decode(source)), format)[0]
 
 

@@ -174,7 +174,7 @@ def _render_csv(table: ReportTable, config: AnalysisConfig) -> str:
     Under ``totals_source = rounded_cells`` every real-valued column gets
     a parallel "<header> (display)" column carrying the rounded strings.
     """
-    dual = config.resolved("totals_source") == "rounded_cells"
+    dual = config.totals_source == "rounded_cells"
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
 
@@ -234,14 +234,16 @@ def table_as_json_obj(table: ReportTable, config: AnalysisConfig) -> dict:
     return obj
 
 
+def _markdown_row(cells: list[str]) -> str:
+    # A "|" in a cell would end it early.
+    return "| " + " | ".join(cell.replace("|", r"\|") for cell in cells) + " |"
+
+
 def _render_markdown(table: ReportTable, config: AnalysisConfig) -> str:
     headers, grid = _display_grid(table, config)
-    lines = [f"### {table.title}", ""]
-    lines.append("| " + " | ".join(headers) + " |")
-    aligns = ["---" if c.kind == "label" else "---:" for c in table.columns]
-    lines.append("| " + " | ".join(aligns) + " |")
-    for row in grid:
-        lines.append("| " + " | ".join(row) + " |")
+    lines = [f"### {table.title}", "", _markdown_row(headers)]
+    lines.append(_markdown_row(["---" if c.kind == "label" else "---:" for c in table.columns]))
+    lines.extend(map(_markdown_row, grid))
     for note in table.notes:
         lines.append(f"*{note}*")
     return "\n".join(lines) + "\n"

@@ -222,6 +222,14 @@ def test_json_text_that_is_not_an_array_or_object_reads_as_before():
     assert _parse_error_on_both_routes(numeric, "json") == "element 1: non-numeric volume: '[2]'"
     boolean = data.replace(b'"year": 2013', b'"year": true')  # a number, not text
     assert _parse_error_on_both_routes(boolean, "json") == "element 1: non-numeric year: 'True'"
+    # A float reads as written, not as the float it decodes to.
+    floats = data.replace(b'"title": 7', b'"title": 1e2').replace(b'3]', b'3.50]')
+    (rec,) = parse_records(floats, "json")
+    assert (rec.title, rec.authors) == ("1e2", ("Kumar", "A.", "3.50"))
+    dataset, report = load(io.BytesIO(floats), "json")
+    assert report.ok and dataset.aggregates[0].total_authors == 3
+    exponent = data.replace(b'"year": 2013', b'"year": 1e3')
+    assert _parse_error_on_both_routes(exponent, "json") == "element 1: non-numeric year: '1e3'"
 
 
 def test_a_json_title_nested_as_deeply_as_the_decoder_allows_is_a_parse_error():
@@ -402,6 +410,8 @@ def test_sniff_granularity():
     assert sniff_granularity(raw) == "records"
     with pytest.raises(ParseError, match="input is not valid UTF-8"):
         parse_records(raw)
+    # A '"' inside an unquoted header cell is literal, so the header ends at its newline.
+    assert sniff_granularity(b'year,ti"tle,authors\n\xff\n') == "records"
 
 
 def test_sniff_granularity_reads_a_header_with_a_quoted_newline():

@@ -182,6 +182,19 @@ def test_render_reads_absent_marker_and_totals_source_off_the_config(fmt):
     assert (dual[0] == single[0]) == (fmt != "csv")
 
 
+def test_markdown_escapes_a_pipe_in_a_header_or_cell(demo_records):
+    table = ReportTable("T", [ColumnSpec("Sub|ject", "label"), ColumnSpec("N")], rows=[["A|B", 1]])
+    assert render(table, "markdown").splitlines()[2:] == [
+        r"| Sub\|ject | N |", "| --- | ---: |", r"| A\|B | 1 |"]
+    # A taxonomy label with a "|" keeps every subject row as wide as its header.
+    config = AnalysisConfig(taxonomy=("A|B", "Others"))
+    dataset, _ = aggregate_records(demo_records, config)
+    lines = render(subject_table(dataset, config.taxonomy), "markdown", config).splitlines()
+    rows = [line.replace("\\|", "") for line in lines if line.startswith("|")]
+    assert any("A\\|B" in line for line in lines)
+    assert {row.count("|") for row in rows} == {rows[0].count("|")}
+
+
 def test_json_carries_value_and_display(demo_dataset, paper_config):
     doc = json.loads(render(egr_table(demo_dataset, paper_config), "json"))
     assert doc["title"]

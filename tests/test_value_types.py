@@ -77,6 +77,51 @@ def test_a_config_stores_a_list_as_a_tuple_on_every_construction_path():
         assert config.config_hash() == expected.config_hash()
 
 
+PAPER = {"ci_variant": "printed", "egr_mode": "paper", "cagr_mode": "paper_years",
+         "rgr_mode": "paper", "totals_source": "rounded_cells"}
+STANDARD = {"ci_variant": "stated", "egr_mode": "log", "cagr_mode": "intervals",
+            "rgr_mode": "standard", "totals_source": "full_precision"}
+
+
+@pytest.mark.parametrize("fields, switches", [
+    ({}, PAPER),
+    ({"mode": "standard"}, STANDARD),
+    ({"ci_variant": "stated", "totals_source": "full_precision"},
+     {**PAPER, "ci_variant": "stated", "totals_source": "full_precision"}),
+    ({"mode": "standard", "rgr_mode": "paper"}, {**STANDARD, "rgr_mode": "paper"}),
+])
+def test_every_switch_holds_its_effective_value_on_every_construction_path(fields, switches):
+    given = {**AnalysisConfig._field_defaults, **fields}
+    for config in (AnalysisConfig(**fields), AnalysisConfig(*given.values()),
+                   AnalysisConfig._make(given.values()), config_from_dict(fields),
+                   AnalysisConfig(mode=given["mode"])._replace(**fields)):
+        assert {name: getattr(config, name) for name in switches} == switches
+
+
+@pytest.mark.parametrize("implicit, explicit", [
+    (AnalysisConfig(), AnalysisConfig(ci_variant="printed")),
+    (AnalysisConfig(), AnalysisConfig(**PAPER)),
+    (AnalysisConfig(mode="standard"), AnalysisConfig(mode="standard", **STANDARD)),
+    (AnalysisConfig(mode="standard", rgr_mode="paper"),
+     config_from_dict({"mode": "standard", "rgr_mode": "paper",
+                       "totals_source": "full_precision"})),
+])
+def test_configs_that_run_the_same_way_are_equal(implicit, explicit):
+    assert implicit == explicit and hash(implicit) == hash(explicit)
+    assert implicit.config_hash() == explicit.config_hash()
+    assert implicit.to_dict() == explicit.to_dict()
+
+
+def test_overrides_list_the_switches_that_depart_from_the_mode():
+    assert AnalysisConfig(mode="standard", ci_variant="printed").overrides() == {
+        "ci_variant": "printed"}
+    assert AnalysisConfig(mode="standard", ci_variant="stated").overrides() == {}
+    assert AnalysisConfig(**PAPER).overrides() == {}
+    # A switch is fixed when the config is built: a new mode keeps the old switches.
+    moved = AnalysisConfig()._replace(mode="standard")
+    assert moved.overrides() == PAPER and moved != AnalysisConfig(mode="standard")
+
+
 def test_year_aggregates_built_with_the_default_do_not_share_subject_counts():
     first = YearAggregate(2013, 1, (1, 0, 0, 0, 0), (1, 0, 0))
     second = YearAggregate(2014, 1, (1, 0, 0, 0, 0), (1, 0, 0))
