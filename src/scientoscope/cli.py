@@ -28,6 +28,8 @@ configuration; timestamps appear only under ``--timestamp``.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -42,7 +44,7 @@ from .distributions import (
     subject_table,
     year_distribution_table,
 )
-from .golden import conformance_lines, run_conformance
+from .golden import conformance_json, conformance_lines, run_conformance
 from .indicators import collaboration_table, egr_table, productivity_table, rgr_table
 from .ingest import (
     AGGREGATE_FIELDS,
@@ -120,8 +122,10 @@ def _load_file_config(args: argparse.Namespace) -> dict:
         return {}
     try:
         data = json.loads(path.read_text(encoding="utf-8-sig"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON, bytes or integer digits
         raise ParseError(f"cannot read config file {path}: {exc}") from exc
+    except RecursionError:
+        raise ParseError(f"cannot read config file {path}: nested too deeply") from None
     if not isinstance(data, dict):
         raise ParseError(f"config file {path} must contain a JSON object")
     return data
@@ -173,14 +177,6 @@ def _meta(config: AnalysisConfig, run: dict) -> dict:
         from datetime import datetime, timezone  # only runs that print one import it
         meta["timestamp"] = datetime.now(timezone.utc).isoformat(timespec="seconds")
     return meta
-
-
-def _print_effective_config(config: AnalysisConfig, run: dict) -> None:
-    print(json.dumps({
-        "analysis": config.to_dict(),
-        "run": run,
-        "config_hash": config.config_hash(),
-    }, indent=2, sort_keys=True))
 
 
 def _load(config: AnalysisConfig, run: dict) -> tuple[Dataset, ValidationReport]:
@@ -275,37 +271,25 @@ def cmd_reproduce_paper(config: AnalysisConfig, run: dict) -> int:
     if tables is None:
         return EXIT_FAILURE
     result = run_conformance(tables, config) if config.mode == "paper" else None
-    if result is not None and run["format"] == "json":
-        extra = {
-            "conformance": {
-                "passed": result.n_passed,
-                "failed": result.n_failed,
-                "exempted": result.n_exempt,
-                "checks": [
-                    {
-                        "name": o.check.name,
-                        "status": o.status,
-                        "expected": o.check.expected,
-                        "actual": o.actual,
-                        **({"problem": o.problem} if o.problem is not None else {}),
-                    }
-                    for o in result.outcomes
-                ],
-            }
-        }
-        _emit_tables(tables, config, run, extra)
+    if run["format"] == "json":
+        _emit_tables(tables, config, run, {"conformance": conformance_json(result)})
     else:
-        tail = (["standard mode: golden comparison skipped"] if result is None
-                else ["== golden conformance ==", *conformance_lines(result)])
         _emit_tables(tables, config, run)
-        print("\n" + "\n".join(tail))
+        print("\n" + "\n".join(conformance_lines(result)))
     return EXIT_OK if result is None or result.ok else EXIT_FAILURE
 
 
+def _csv_line(names: Iterable[str]) -> str:
+    """*names* as one CSV row, quoted as the parse reads them back."""
+    line = io.StringIO()
+    csv.writer(line, lineterminator="").writerow(names)
+    return line.getvalue()
+
+
 def cmd_schema(config: AnalysisConfig, run: dict) -> int:
-    record_header = ",".join(RECORD_FIELDS) + "[,author_count][,page_count]"
-    aggregate_header = ",".join([*AGGREGATE_FIELDS,
-                                 *(f"subj:{label}" for label in config.taxonomy)])
+    record_header = _csv_line(RECORD_FIELDS) + "[,author_count][,page_count]"
+    aggregate_header = _csv_line([*AGGREGATE_FIELDS,
+                                  *(f"subj:{label}" for label in config.taxonomy)])
     if run["format"] == "json":
         print(json.dumps({
             "records_csv": record_header,
@@ -341,7 +325,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config, run = _effective_options(args)
         if args.show_config:
-            _print_effective_config(config, run)
+            print(json.dumps({"analysis": config.to_dict(), "run": run,
+                              "config_hash": config.config_hash()}, indent=2, sort_keys=True))
         return _COMMANDS[args.command](config, run)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,7 +14,10 @@ A handful of printed cells contradict the source tables' own arithmetic
 Those cells are carried as *exemptions*: they are still compared and
 reported with both the printed and the computed value, but they do not
 count as failures, since no computation from the printed inputs can
-reproduce them. Every exemption is listed in the conformance output.
+reproduce them. Every exemption is listed in the conformance section,
+which :func:`conformance_lines` builds as text and :func:`conformance_json`
+as the JSON ``conformance`` object. Given ``None`` in place of a result
+(no comparison ran, as in standard mode), each says so.
 """
 
 from __future__ import annotations
@@ -163,18 +166,11 @@ class GoldenCheck(namedtuple("GoldenCheck", "table cell expected tol display_dec
         return f"table {self.table} / {self.cell}"
 
 
-class CheckOutcome(namedtuple("CheckOutcome", "check actual matched problem", defaults=(None,))):
-    """A check's result; ``problem`` says why its address resolved to no cell."""
+class CheckOutcome(namedtuple("CheckOutcome", "check actual status problem", defaults=(None,))):
+    """A check's result: ``status`` is ``pass``, ``fail`` or ``exempt``, and
+    ``problem`` says why its address resolved to no cell."""
 
     __slots__ = ()
-
-    @property
-    def status(self) -> str:
-        if self.problem is not None:
-            return "fail"
-        if self.check.exempt:
-            return "exempt"
-        return "pass" if self.matched else "fail"
 
 
 class ConformanceResult(Fieldwise):
@@ -333,9 +329,9 @@ def check_outcome(check: GoldenCheck, tables: list[ReportTable],
     try:
         actual = _printed_cell(check, tables, config)
     except LookupError as exc:
-        return CheckOutcome(check=check, actual=None, matched=False,
-                            problem=f"table {check.table} has {exc}")
-    return CheckOutcome(check=check, actual=actual, matched=_matches(check, actual))
+        return CheckOutcome(check, None, "fail", f"table {check.table} has {exc}")
+    status = "exempt" if check.exempt else "pass" if _matches(check, actual) else "fail"
+    return CheckOutcome(check, actual, status)
 
 
 def run_conformance(tables: list[ReportTable], config: AnalysisConfig) -> ConformanceResult:
@@ -352,10 +348,13 @@ def _show(value: object) -> str:
     return str(value)
 
 
-def conformance_lines(result: ConformanceResult, verbose: bool = False) -> list[str]:
-    """Human-readable conformance report; failures and exemptions always
-    shown, passes only when *verbose*."""
-    lines = []
+def conformance_lines(result: ConformanceResult | None, verbose: bool = False) -> list[str]:
+    """The text conformance section: failures and exemptions always shown,
+    passes only when *verbose*. ``None`` (no comparison was run, as in
+    standard mode) gives the line that says so."""
+    if result is None:
+        return ["standard mode: golden comparison skipped"]
+    lines = ["== golden conformance =="]
     for outcome in result.outcomes:
         check = outcome.check
         if outcome.status == "pass":
@@ -371,3 +370,16 @@ def conformance_lines(result: ConformanceResult, verbose: bool = False) -> list[
     lines.append(f"golden checks: {result.n_passed} passed, {result.n_failed} failed, "
                  f"{result.n_exempt} exempted (source-table arithmetic)")
     return lines
+
+
+def conformance_json(result: ConformanceResult | None) -> dict | None:
+    """The JSON conformance section: the three counts, then every check
+    with its status, its printed and computed value and, for an address
+    with no cell, the problem. ``None`` when no comparison was run."""
+    if result is None:
+        return None
+    checks = [{"name": o.check.name, "status": o.status, "expected": o.check.expected,
+               "actual": o.actual, **({"problem": o.problem} if o.problem is not None else {})}
+              for o in result.outcomes]
+    return {"passed": result.n_passed, "failed": result.n_failed, "exempted": result.n_exempt,
+            "checks": checks}

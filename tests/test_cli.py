@@ -22,6 +22,7 @@ from scientoscope import (
 from scientoscope.cli import demo_aggregates_path, demo_records_path, main
 from scientoscope.config import config_from_dict
 from scientoscope.golden import GoldenCheck, check_outcome
+from scientoscope.ingest import RECORD_FIELDS
 
 AGG_PATH = str(demo_aggregates_path())
 REC_PATH = str(demo_records_path())
@@ -333,6 +334,20 @@ def test_a_config_file_may_start_with_a_byte_order_mark(tmp_path, capsys):
     assert results[1] == results[0]
 
 
+@pytest.mark.parametrize("raw, message", [
+    (b"[" * 100_000, "nested too deeply"),
+    (b'{"mode": ' + b"9" * 5000 + b"}", "Exceeds the limit (4300 digits) for integer string"),
+    (b'{"mode": "pa\xffper"}', "'utf-8' codec can't decode byte 0xff in position 12"),
+], ids=["nested", "digits", "bad-byte"])
+def test_a_config_file_the_decoder_cannot_read_exits_2(raw, message, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(raw)
+    assert main(["analyze", "--input", AGG_PATH, "--config", str(cfg)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"error: cannot read config file {cfg}: {message}")
+
+
 def test_config_env_var_fallback(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "env_cfg.json"
     cfg.write_text(json.dumps({"mode": "standard"}))
@@ -389,6 +404,7 @@ def test_config_run_value_checked_before_input_is_read(key, value, valid, tmp_pa
     ([], {"format": ""}, 1,
      "invalid format: '' (expected one of ('text', 'csv', 'json', 'markdown'))"),
     ([], {"input": 0}, 1, "invalid input: 0 (expected a path)"),
+    ([], {"input": None}, 2, "no input file given (use --input)"),  # null is unset
 ])
 def test_a_falsy_run_value_is_a_value_not_unset(flags, data, code, message, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
@@ -584,6 +600,35 @@ def test_schema_command(capsys):
     assert "year,volume,issue,title,authors,start_page,end_page,subject" in out
     assert "year,papers,a1,a2,a3,a4,a5plus" in out
     assert "subj:Scientometrics, Bibliometrics" in out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_schema_headers_read_back_as_csv(fmt, capsys):
+    assert main(["schema", "--format", fmt]) == 0
+    out = capsys.readouterr().out
+    if fmt == "json":
+        doc = json.loads(out)
+        record_header, aggregate_header = doc["records_csv"], doc["aggregates_csv"]
+    else:
+        lines = out.splitlines()
+        record_header, aggregate_header = lines[1].strip(), lines[3].strip()
+    assert record_header.endswith("[,author_count][,page_count]")
+    assert next(csv.reader([record_header.partition("[")[0]])) == list(RECORD_FIELDS)
+    # The header and one row of zeros parse back with every taxonomy label.
+    width = len(next(csv.reader([aggregate_header])))
+    dataset = parse_aggregates(aggregate_header + "\n2013" + ",0" * (width - 1) + "\n")
+    assert list(dataset.aggregates[0].subject_counts) == list(AnalysisConfig().taxonomy)
+
+
+@pytest.mark.parametrize("command", ["analyze", "indicators", "reproduce-paper", "validate",
+                                     "schema"])
+@pytest.mark.parametrize("mode", ["paper", "standard"])
+@pytest.mark.parametrize("path", [AGG_PATH, REC_PATH], ids=["aggregates", "records"])
+def test_json_output_is_one_document(command, mode, path, capsys):
+    main([command, "--format", "json", "--mode", mode, "--input", path])
+    doc = json.loads(capsys.readouterr().out)  # raises on anything after the document
+    if command == "reproduce-paper":
+        assert (doc["conformance"] is None) == (mode == "standard")
 
 
 @pytest.mark.parametrize("path", [demo_records_path(), demo_aggregates_path()],

@@ -219,6 +219,25 @@ def test_relative_growth_two_equal_years():
     assert last_dt == pytest.approx(1.0, abs=0.01)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: collaborative_index(0, 0, authors=0, variant="stated"),
+     "CI (stated) undefined: no papers"),
+    (lambda: collaborative_index(1, 1, variant="mean"), "unknown CI variant: 'mean'"),
+    (lambda: exponential_growth([(2013, 1), (2014, 2)], "linear"), "unknown EGR mode: 'linear'"),
+    (lambda: exponential_growth([(2013, 1), (2014, 0)], "log"),
+     "log EGR undefined: zero papers in year 2014"),
+    (lambda: cagr(1, 2, 5, "months"), "unknown CAGR mode: 'months'"),
+    (lambda: cagr(0, 2, 5), "CAGR requires positive first and last counts"),
+    (lambda: cagr(1, -2, 5), "CAGR requires positive first and last counts"),
+    (lambda: relative_growth([(2013, 1), (2014, 2)], "log"), "unknown RGR mode: 'log'"),
+], ids=["ci-no-papers", "ci-variant", "egr-mode", "log-egr-zero", "cagr-mode",
+        "cagr-zero-first", "cagr-negative-last", "rgr-mode"])
+def test_each_guard_raises_its_message(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message
+
+
 def test_relative_growth_preconditions():
     with pytest.raises(ValueError, match="at least two"):
         relative_growth([(2013, 5)], "paper")

@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 from scientoscope import (
     AnalysisConfig,
     BibRecord,
+    Dataset,
     Finding,
     ParseError,
+    YearAggregate,
     aggregate_records,
     parse_aggregates,
     parse_records,
@@ -412,6 +414,23 @@ def test_sniff_granularity():
         parse_records(raw)
     # A '"' inside an unquoted header cell is literal, so the header ends at its newline.
     assert sniff_granularity(b'year,ti"tle,authors\n\xff\n') == "records"
+
+
+@pytest.mark.parametrize("parse", [
+    parse_records, parse_aggregates, sniff_granularity,
+    lambda raw, format: load(io.BytesIO(raw), format),
+], ids=["parse_records", "parse_aggregates", "sniff_granularity", "load"])
+def test_an_unknown_input_format_is_a_parse_error(parse):
+    with pytest.raises(ParseError) as raised:
+        parse((RECORD_HEADER + "\n2013,,,T,A,1,2,ICT\n").encode(), "xml")
+    assert str(raised.value) == "unknown input format: 'xml'"
+
+
+def test_a_built_aggregate_without_five_authorship_bins_fails_bin_shape():
+    # The parse always gives five bins; a hand-built aggregate may not.
+    aggregate = YearAggregate(2013, 1, (1, 0, 0, 0), (1, 0, 0), {"Others": 1}, 1)
+    assert [f for f in validate(Dataset((aggregate,))).errors if f.rule == "bin-shape"] == [
+        Finding("2013", "bin-shape", "expected 5 authorship bins, got 4")]
 
 
 def test_sniff_granularity_reads_a_header_with_a_quoted_newline():

@@ -3,12 +3,16 @@
 Every case runs ``validate`` through :func:`cli.main` three ways: with
 the granularity sniffed, with ``--granularity records`` and with
 ``--granularity aggregates``. Each must exit 2 with nothing on stdout
-and the one ``error:`` line given here on stderr.
+and the one ``error:`` line given here on stderr. The library routes,
+:func:`parse_records` and :func:`parse_aggregates`, raise the message
+the CLI gives under ``--granularity records`` and ``aggregates``.
 """
 
 import pytest
 
+from scientoscope import parse_aggregates, parse_records, sniff_granularity
 from scientoscope.cli import main
+from scientoscope.model import ParseError
 
 RECORD_HEADER = "year,volume,issue,title,authors,start_page,end_page,subject"
 AGG_HEADER = "year,papers,a1,a2,a3,a4,a5plus,total_authors,p1to5,p6to10,pabove10,subj:ICT"
@@ -23,6 +27,8 @@ LONE_CR = ("line 1: malformed CSV: new-line character seen in unquoted field - "
 NO_YEAR = "element 1: missing mandatory field 'year'"
 BAD_BYTE = ("input is not valid UTF-8: 'utf-8' codec can't decode byte 0xfe in position 107: "
             "invalid start byte")
+BAD_HEADER_BYTE = ("input is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in position 7: "
+                   "invalid start byte")
 
 
 def _same(message):
@@ -68,6 +74,7 @@ CASES = [
      *_same("invalid JSON: Expecting ',' delimiter: line 1 column 29 (char 28)")),
     ("bad-byte-after-row-error.csv",
      (AGG_HEADER + "\n2013,x,0,0,0,0,0,,0,0,0,0\n").encode() + b"2014,\xfe\n", *_same(BAD_BYTE)),
+    ("bad-byte-in-header.csv", b"year,ti\xfftle,authors\n2013,T,A\n", *_same(BAD_HEADER_BYTE)),
 ]
 
 
@@ -82,3 +89,16 @@ def test_each_header_and_first_element_fault_keeps_its_message(name, raw, messag
                                ["--granularity", "aggregates"]), messages):
         assert main(["validate", "--input", str(path), *flags]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
+    format = "json" if name.endswith(".json") else "csv"
+    for parse, message in zip((parse_records, parse_aggregates), messages[1:]):
+        with pytest.raises(ParseError) as raised:
+            parse(raw, format)
+        assert str(raised.value) == message
+
+
+def test_a_bad_byte_in_the_csv_header_gets_the_whole_input_message():
+    # The sniff decodes only the header's lines, yet words the fault as a
+    # decode of the whole input does.
+    with pytest.raises(ParseError) as raised:
+        sniff_granularity(b"year,ti\xfftle,authors\n2013,T,A\n")
+    assert str(raised.value) == BAD_HEADER_BYTE

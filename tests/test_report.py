@@ -110,6 +110,18 @@ def test_row_width_is_enforced():
         ReportTable(title="Bad", columns=[ColumnSpec("A", "count")], rows=[[1, 2]])
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: round_display(1.0, -1), "decimals must be >= 0"),
+    (lambda: round_half_up(1.0, -2), "decimals must be >= 0"),
+    (lambda: ReportTable("Bad", [ColumnSpec("A"), ColumnSpec("B")], rows=[], footer=[1]),
+     "footer has 1 cells, expected 2"),
+], ids=["display-decimals", "half-up-decimals", "footer-width"])
+def test_each_guard_raises_its_message(call, message):
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value) == message
+
+
 def test_text_render_demo_dc_column(demo_dataset, paper_config):
     text = render(collaboration_table(demo_dataset, paper_config), "text")
     for value in ("0.58", "0.67", "0.75", "0.76", "0.69"):

@@ -143,7 +143,8 @@ def test_immutable_value_types_are_named_tuples():
 def test_mutable_value_types_keep_their_equality_and_repr():
     report = ValidationReport(errors=[Finding("record 1", "r", "m")], record_count=2, year_count=1)
     table = ReportTable("T", [ColumnSpec("N")], rows=[[1]], notes=["n"])
-    result = ConformanceResult([CheckOutcome(GoldenCheck(1, "2013 / papers", 33, tol=0), 33, True)])
+    result = ConformanceResult([CheckOutcome(GoldenCheck(1, "2013 / papers", 33, tol=0),
+                                             33, "pass")])
     # The reprs their dataclass forms printed.
     assert repr(report) == ("ValidationReport(errors=[Finding(location='record 1', rule='r', "
                             "message='m')], warnings=[], record_count=2, year_count=1)")
@@ -151,7 +152,7 @@ def test_mutable_value_types_keep_their_equality_and_repr():
                            "decimals=2)], rows=[[1]], footer=None, notes=['n'])")
     assert repr(result) == (
         "ConformanceResult(outcomes=[CheckOutcome(check=GoldenCheck(table=1, cell='2013 / papers', "
-        "expected=33, tol=0, display_decimals=None), actual=33, matched=True, problem=None)])")
+        "expected=33, tol=0, display_decimals=None), actual=33, status='pass', problem=None)])")
     for value in (report, table, result):
         same = eval(repr(value))
         assert same == value and not same != value
