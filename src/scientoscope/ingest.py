@@ -12,7 +12,10 @@ granularity taken from the CSV header or first JSON element that every
 parse reads anyway. For records, one loop parses each row, checks it by
 the record rules and counts it into the per-year accumulator, with no
 record kept. Record CSV is streamed, so its memory is O(years +
-findings); JSON is decoded whole. The library route is the precise
+findings); JSON is decoded whole. A record CSV file large enough is cut
+at row boundaries and folded in parts at once, one per usable CPU, and
+the parts' counts are added up (see :func:`load` and
+:mod:`scientoscope.split`). The library route is the precise
 reference that loop is tested against: it builds every
 :class:`BibRecord` by the precise parse (:func:`parse_records`), then
 checks them (:func:`validate`) and bridges them to per-year aggregates
@@ -24,12 +27,12 @@ Each record rule is stated once, in ``_validate_record``, and the
 bridge count once, in ``_YearTally.add``; both routes call them for
 every record. A record rule formats a location only when it fails. The
 loop takes each row by a short parse that builds no location string and
-looks each numeral up in a memo of ``int()`` results, local to one
-load. Years, volumes, issues and pages repeat, so most lookups hit.
-After ``_MEMO_SIZE`` misses the parse converts each numeral as it is
-read, as it would without the memo, so input whose numerals seldom
-repeat is not slowed; the memo keeps only numerals of at most
-``_MEMO_WIDTH`` characters, under about 1 MB whatever the input. A row
+looks each numeral up in a memo of ``int()`` results, one per load or
+per part of a split load. Years, volumes, issues and pages repeat, so
+most lookups hit. After ``_MEMO_SIZE`` misses the parse converts each
+numeral as it is read, as it would without the memo, so input whose
+numerals seldom repeat is not slowed; the memo keeps only numerals of at
+most ``_MEMO_WIDTH`` characters, under about 1 MB whatever the input. A row
 the short parse cannot take goes to the precise parse,
 ``_record_fields``, the only code that words a parse message, so both
 routes give the same fields and errors.
@@ -197,15 +200,7 @@ def _rows(stream: TextIO | Iterator[str], format: str,
     """
     if format == "csv":
         reader = csv.reader(stream)
-        try:
-            names = header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ParseError("empty input") from None
-        except csv.Error as exc:
-            raise ParseError(f"malformed CSV: {exc}", f"line {reader.line_num}") from None
-        duplicates = sorted({h for h in header if header.count(h) > 1})
-        if duplicates:
-            raise ParseError(f"duplicate columns: {', '.join(duplicates)}", "line 1")
+        names = header = _csv_header(reader)
     elif format == "json":
         try:
             data = json.loads(stream.read(), parse_float=str)
@@ -220,19 +215,40 @@ def _rows(stream: TextIO | Iterator[str], format: str,
     else:
         raise ParseError(f"unknown input format: {format!r}")
     if granularity is None:
-        if "papers" in names:
-            granularity = "aggregates"
-        elif "title" in names or "authors" in names:
-            granularity = "records"
-        else:
-            raise ParseError("cannot determine granularity from input header")
+        granularity = _granularity(names)
     if format == "csv":
         return granularity, _csv_rows(reader, header, granularity)
     return granularity, _json_rows(data, _KIND[granularity])
 
 
-def _csv_rows(reader, header: list[str], granularity: str) -> _Rows:
-    """The rows after *header*, once it holds the granularity's required columns."""
+def _csv_header(reader) -> list[str]:
+    """The header row *reader* reads first: its names, stripped and distinct."""
+    try:
+        header = [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise ParseError("empty input") from None
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV: {exc}", f"line {reader.line_num}") from None
+    duplicates = sorted({h for h in header if header.count(h) > 1})
+    if duplicates:
+        raise ParseError(f"duplicate columns: {', '.join(duplicates)}", "line 1")
+    return header
+
+
+def _granularity(names: Iterable[str]) -> str:
+    """The granularity the names of a CSV header or first JSON element show."""
+    if "papers" in names:
+        return "aggregates"
+    if "title" in names or "authors" in names:
+        return "records"
+    raise ParseError("cannot determine granularity from input header")
+
+
+def _csv_rows(reader, header: list[str], granularity: str, last: list | None = None) -> _Rows:
+    """The rows after *header*, once it holds the granularity's required
+    columns. A part of a split file (see :mod:`scientoscope.split`) gives the
+    row *last* it must end with, which is not yielded: a part that ends
+    otherwise, or holds a row after it, is a ParseError."""
     missing = [f for f in _REQUIRED[granularity] if f not in header]
     if missing:
         raise ParseError(f"{_KIND[granularity]} CSV header is missing columns: "
@@ -245,12 +261,16 @@ def _csv_rows(reader, header: list[str], granularity: str) -> _Rows:
             if (len(row) != width or not row[0].strip()) and not "".join(row).strip():
                 continue
             if len(row) != width:
+                if row == last and next(reader, None) is None:
+                    return
                 raise ParseError(f"expected {width} fields, got {len(row)}",
                                  f"line {reader.line_num}")
             row.append(None)
             yield reader.line_num, columns, row
     except csv.Error as exc:
         raise ParseError(f"malformed CSV: {exc}", f"line {reader.line_num}") from None
+    if last is not None:
+        raise ParseError("the part ends inside a row")
 
 
 def _json_rows(data: list, kind: str) -> _Rows:
@@ -612,6 +632,23 @@ class _YearTally:
                 f"subject {subject!r} not in taxonomy; counted under 'Others'"))
             subjects["Others"] = subjects.get("Others", 0) + 1
 
+    def merge(self, counts: dict[int, list], warnings: list[tuple]) -> None:
+        """Add the ``counts`` and the warnings, as plain tuples, of another
+        tally of the same taxonomy. A label this tally's year lacks, only
+        ever "Others" outside the taxonomy, comes after its labels, as
+        :meth:`add` puts it."""
+        for year, (papers, total_authors, bins, pages, subjects) in counts.items():
+            mine = self.year(year)
+            mine[0] += papers
+            mine[1] += total_authors
+            for i, n in enumerate(bins):
+                mine[2][i] += n
+            for i, n in enumerate(pages):
+                mine[3][i] += n
+            for label, n in subjects.items():
+                mine[4][label] = mine[4].get(label, 0) + n
+        self.warnings += map(Finding._make, warnings)
+
     def dataset(self) -> Dataset:
         return Dataset(tuple(
             YearAggregate(year=year, papers=papers, authorship_bins=tuple(bins),
@@ -665,6 +702,25 @@ def load(source: BinaryIO, format: str = "csv", config: AnalysisConfig | None = 
     A source that cannot seek, such as a pipe (``--input /dev/stdin``), is
     read once into a temporary file first, so it gives the same results and
     messages as a file, in the same memory.
+
+    A record CSV file is folded in parts (:mod:`scientoscope.split`) when
+    it holds at least ``split._SPLIT_BYTES`` (1 MiB) per part, one part per
+    usable CPU (``os.sched_getaffinity``), at least two, and the process
+    can fork (POSIX) and runs one thread. The file is cut at the first
+    ``\\n`` from each k/N of its size; this process folds the first part
+    and a forked child each other, all read by ``os.pread``. A quoted field
+    may hold a ``\\n``, so each part but the last is read with one line
+    more, which parses as a one-cell row no valid record CSV holds: the cut
+    fell between rows only if that line comes back as the part's last row.
+    Each child sends its record count, year counts and bridge warnings
+    through a pipe (``marshal``), and they are added to this part's in part
+    order before the year-gap rule runs and the warnings are sorted: the
+    result is the serial fold's. When any part fails (a parse or decode
+    error, a record rule, a cut inside a row, a child that fails or is
+    killed), every child is reaped and the whole input is loaded serially,
+    so every message and location is the serial route's. Memory is
+    O(parts * (years + findings)). JSON and aggregate input are always
+    read whole.
     """
     if not source.seekable():  # an error reads the input again, from the start
         import shutil
@@ -674,11 +730,16 @@ def load(source: BinaryIO, format: str = "csv", config: AnalysisConfig | None = 
             spool.seek(0)
             return load(spool, format, config, granularity)
     config = config or AnalysisConfig()
+    if format == "csv":
+        from .split import fold_parts  # only CSV input compiles and loads it
+        folded = fold_parts(source, config, granularity)
+        if folded is not None:
+            return _folded(*folded)
     text = io.TextIOWrapper(source, encoding="utf-8-sig", newline="\n")
     try:
         granularity, rows = _rows(text, format, granularity)
         if granularity == "records":
-            return _fold(rows, format, config)
+            return _folded(*_fold(rows, format, config))
         dataset = _aggregate_dataset(rows, format)
     except (ParseError, UnicodeDecodeError):
         # A decode error carries a position within the decoder's chunk,
@@ -691,12 +752,13 @@ def load(source: BinaryIO, format: str = "csv", config: AnalysisConfig | None = 
     return dataset, validate(dataset, config)
 
 
-def _fold(rows: _Rows, format: str, config: AnalysisConfig) -> tuple[Dataset, ValidationReport]:
+def _fold(rows: _Rows, format: str,
+          config: AnalysisConfig) -> tuple[ValidationReport, _YearTally]:
     """Parse, check and count each record *rows* holds, in one loop: by
     the short parse, with the memo the module docstring describes, or by
     :func:`_record_fields` for a row where that raises ValueError (a
     malformed or whitespace-only number) or finds a blank mandatory field
-    or author list."""
+    or author list. :func:`_folded` finishes what it returns."""
     report = ValidationReport()
     tally = _YearTally(config.taxonomy)
     window = config.study_window
@@ -740,6 +802,13 @@ def _fold(rows: _Rows, format: str, config: AnalysisConfig) -> tuple[Dataset, Va
             tally.year(year)  # no bridge will run; the year still counts for year-gap
         else:
             tally.add(year, n_authors, page_count, subject, title)
+    return report, tally
+
+
+def _folded(report: ValidationReport, tally: _YearTally) -> tuple[Dataset, ValidationReport]:
+    """The dataset and report of a fold of the whole input, once the
+    year-gap rule has run and, when no rule failed, with the bridge's
+    warnings sorted."""
     if not report.record_count:
         raise ParseError("empty dataset")
     report.year_count = len(tally.counts)

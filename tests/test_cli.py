@@ -664,6 +664,22 @@ def test_a_closed_stdout_pipe_exits_1_without_a_traceback():
     assert "Error" not in stderr
 
 
+def test_importing_the_cli_loads_no_process_or_thread_machinery():
+    # The split load forks with os and sends with marshal, both loaded at
+    # start-up, and its module is imported by a CSV load alone. Run without
+    # site, which may load threading itself.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import scientoscope.cli\n"
+            "print(sorted({'multiprocessing', 'concurrent.futures', 'pickle', 'threading',\n"
+            "              'scientoscope.split'} & (set(sys.modules) - before)),\n"
+            "      'threading' in before)")
+    child = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                           env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    assert child.stdout == "[] False\n"
+
+
 def test_cli_binds_every_name_the_trace_harness_wraps():
     # bench/trace_child.py stops every traced run when one of these names
     # is gone from cli; it is compiled from source here, so nothing is written.

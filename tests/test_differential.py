@@ -18,14 +18,30 @@ first rows, and a bound of nothing; one set repeats odd numerals so that
 the memo answers them. The CSV and JSON forms of a set must print the
 same tables, and so must the aggregate CSV of an accepted set. The
 settings are deterministic, like ``tests/test_fuzz.py``.
+
+:func:`load` of a large record CSV file folds it in parts, the first in
+this process and each other in a forked child (``scientoscope.split``).
+Every CSV above is also loaded from a file split into 2 and into 3
+parts, by a ``_SPLIT_BYTES`` small enough for it, and must give what
+:func:`load` of the same bytes in memory, which is never split, gives. Dedicated cases put a quoted
+line break, blank lines or CRLF line ends at a cut, a fault in the last
+part, or a fault in a part's child, and check that no child outlives
+the load.
 """
 
 import csv
 import importlib.util
 import io
 import json
+import marshal
+import os
+import signal
+import subprocess
 import sys
+import time
+from collections import Counter
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -39,8 +55,8 @@ from scientoscope import (
     validate,
     write_aggregates_csv,
 )
-from scientoscope import ingest
-from scientoscope.cli import main
+from scientoscope import ingest, split
+from scientoscope.cli import demo_aggregates_path, main
 from scientoscope.ingest import MAX_COUNT, RECORD_FIELDS, load
 
 _GEN_SPEC = importlib.util.spec_from_file_location(
@@ -188,15 +204,29 @@ def _outcome(route):
         return str(exc)
 
 
-def _assert_routes_agree(records, blanks, window):
+def _load_split(raw, parts, config, tmp_path, granularity="records"):
+    """:func:`load` of *raw* from a file in *tmp_path*, split into *parts*
+    parts: one usable CPU per part, and a ``_SPLIT_BYTES`` they all reach."""
+    path = tmp_path / "split.csv"
+    path.write_bytes(raw)
+    with pytest.MonkeyPatch.context() as patch, path.open("rb") as source:
+        patch.setattr(split, "_SPLIT_BYTES", max(1, len(raw) // parts))
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(parts)))
+        return _outcome(lambda: load(source, "csv", config, granularity))
+
+
+def _assert_routes_agree(records, blanks, window, tmp_path):
     config = AnalysisConfig(study_window=window)
     for format, raw in (("csv", _csv_bytes(records, blanks)),
                         ("json", _json_bytes(records, authors_as_text=False))):
         expected = _outcome(lambda: _precise_route(raw, format, config))
-        folded = _outcome(lambda: load(io.BytesIO(raw), format, config, "records"))
+        serial = folded = _outcome(lambda: load(io.BytesIO(raw), format, config, "records"))
         if isinstance(expected, str) or not expected[1].ok:
             folded = folded if isinstance(folded, str) else (None, folded[1])
         assert folded == expected
+        if format == "csv":
+            for parts in (2, 3):
+                assert _load_split(raw, parts, config, tmp_path) == serial
 
 
 # The short parse's memo bounds: as shipped, so numerals hit and miss it;
@@ -207,10 +237,10 @@ MEMO_SIZES = (ingest._MEMO_SIZE, 5, 0)
 
 @DIFFERENTIAL
 @given(record_sets(), st.none() | st.just((2012, 2015)))
-def test_fold_equals_parse_validate_and_bridge(monkeypatch, drawn, window):
+def test_fold_equals_parse_validate_and_bridge(monkeypatch, tmp_path, drawn, window):
     for size in MEMO_SIZES:
         monkeypatch.setattr(ingest, "_MEMO_SIZE", size)
-        _assert_routes_agree(*drawn, window)
+        _assert_routes_agree(*drawn, window, tmp_path)
 
 
 # Four clean records over 2012-2015, the second one overridden, with a
@@ -225,23 +255,23 @@ SPACED = {"author_count": " ", "page_count": " "}
 
 @pytest.mark.parametrize("window", [None, (2012, 2015), (2013, 2014)])
 @pytest.mark.parametrize("override", EDGES + FLAWS + (SPACED,))
-def test_every_edge_and_flaw_agrees_on_both_routes(monkeypatch, override, window):
+def test_every_edge_and_flaw_agrees_on_both_routes(monkeypatch, tmp_path, override, window):
     records = [dict(rec) for rec in _BASE]
     records[1].update(override)
     for size in MEMO_SIZES:
         monkeypatch.setattr(ingest, "_MEMO_SIZE", size)
-        _assert_routes_agree(records, _BLANKS, window)
+        _assert_routes_agree(records, _BLANKS, window, tmp_path)
 
 
 @pytest.mark.parametrize("window", [None, (2012, 2015)])
-def test_odd_numerals_that_repeat_agree_on_both_routes(window):
+def test_odd_numerals_that_repeat_agree_on_both_routes(tmp_path, window):
     # Each odd numeral recurs in several records and fields, so the memo
     # answers most of its lookups, and the precise parse is compared with them.
     odd = (" 12 ", "12", "+5", "1_0", "\u0663")
     records = [dict(_BASE[i % 4], volume=odd[i % 5], issue=odd[(i + 1) % 5],
                     author_count=odd[(i + 2) % 5], start_page=odd[2 + i % 3],
                     end_page=odd[i % 2]) for i in range(15)]
-    _assert_routes_agree(records, [None] * len(records), window)
+    _assert_routes_agree(records, [None] * len(records), window, tmp_path)
 
 
 @DIFFERENTIAL
@@ -284,3 +314,235 @@ def test_the_benchmark_inputs_load_as_the_precise_route_reads_them(tmp_path, kno
     expected = _precise_route(raw, format, config)
     assert expected[1].ok and expected[1].record_count == 500
     assert load(io.BytesIO(raw), format, config) == expected
+
+
+# ---------------------------------------------------------------------------
+# The split route: dedicated cases
+# ---------------------------------------------------------------------------
+
+HEADER = ",".join(RECORD_FIELDS) + "\n"
+_ROWS = "".join(f"{2012 + i % 4},{i % 9 + 1},{i % 4 + 1},Title {i},A; B,{i + 1},{i + 6},"
+                f"{('ICT', 'Zoology')[i % 2]}\n" for i in range(8))
+
+
+@pytest.fixture
+def route(monkeypatch):
+    """The forks and the folds that loads make in this process: a split
+    forks a child per part but the first, and the serial load after a
+    part fails folds a second time."""
+    counts = Counter()
+    fork, fold = os.fork, ingest._fold
+
+    def counted_fork():
+        counts["forks"] += 1
+        return fork()
+
+    def counted_fold(*args):
+        counts["folds"] += 1
+        return fold(*args)
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    monkeypatch.setattr(ingest, "_fold", counted_fold)
+    return counts
+
+
+def _cut_after(prefix, suffix, tmp_path):
+    """*prefix*, *suffix* and a padded last row, sized so that a split into
+    two parts cuts right after *prefix*, which ends with a line break."""
+    size = 2 * len(prefix.encode()) - 2  # the cut is then sought from prefix's last byte
+    pad = size - len((prefix + suffix + "2015,,,,A,1,2,ICT\n").encode())
+    assert prefix.endswith("\n") and pad > 0
+    raw = (prefix + suffix + f"2015,,,{'T' * pad},A,1,2,ICT\n").encode()
+    path = tmp_path / "cut.csv"
+    path.write_bytes(raw)
+    with pytest.MonkeyPatch.context() as patch, path.open("rb") as source:
+        patch.setattr(split, "_SPLIT_BYTES", 1)
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert split._cuts(source) == [0, len(prefix.encode()), size]
+    return raw
+
+
+def _serial(raw, config=AnalysisConfig()):
+    return _outcome(lambda: load(io.BytesIO(raw), "csv", config, "records"))
+
+
+def _assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+def test_a_clean_split_folds_each_part_once_and_gives_the_serial_result(tmp_path, route, parts):
+    raw = (HEADER + _ROWS * 6).encode()
+    folded = _load_split(raw, parts, AnalysisConfig(), tmp_path)
+    assert route == {"forks": parts - 1, "folds": 1}
+    assert folded == _serial(raw)
+    assert folded[1].ok and folded[1].warnings  # unknown subjects: the merge keeps warnings
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("column", ["title", "subject"])
+def test_a_quoted_line_break_at_the_cut_falls_back_to_the_serial_load(tmp_path, route, column):
+    # The cut falls inside a quoted field, so the part before it ends
+    # inside a row and its split row is read into that field. A subject
+    # is the last cell, so the row it ends still has every field, and the
+    # rest of this one reads as a row of its own after the cut.
+    left, right = ('2013,,,"Two\n', 'lines",A,1,5,ICT\n') if column == "title" else \
+        ('2013,,,T,A,1,5,"Open\n', '2014,,,T,A,1,5,ICT"\n')
+    raw = _cut_after(HEADER + _ROWS * 2 + left, right + _ROWS, tmp_path)
+    folded = _load_split(raw, 2, AnalysisConfig(), tmp_path)
+    assert route == {"forks": 1, "folds": 2}
+    assert folded == _serial(raw)
+
+
+@pytest.mark.parametrize("at_cut", [
+    ("\n", ""), ("", "\n"), ("  \n", "\t\n"), (",,,,,,,\n", " , ,,\u3000,,,,\n"), ("\n\n", "\n\n"),
+], ids=["blank-before", "blank-after", "whitespace", "separators", "several"])
+def test_blank_lines_at_the_cut_are_skipped_as_the_serial_load_skips_them(tmp_path, route,
+                                                                             at_cut):
+    before, after = at_cut
+    raw = _cut_after(HEADER + _ROWS * 2 + before, after + _ROWS, tmp_path)
+    folded = _load_split(raw, 2, AnalysisConfig(), tmp_path)
+    assert route == {"forks": 1, "folds": 1}
+    assert folded == _serial(raw)
+
+
+def test_crlf_line_ends_split_as_they_load_whole(tmp_path, route):
+    raw = (HEADER + _ROWS * 6).replace("\n", "\r\n").encode()
+    folded = _load_split(raw, 3, AnalysisConfig(), tmp_path)
+    assert route == {"forks": 2, "folds": 1}
+    assert folded == _serial(raw)
+    assert folded[1].record_count == 48
+
+
+@pytest.mark.parametrize("last", [
+    b"2015,,,T\xff,A,1,2,ICT\n",  # a bad byte: the whole input's message
+    b"2015,,,T,A,q,2,ICT\n",  # the line of a parse error
+    b"2015,,,T,A,1,2\n",  # a ragged row
+    b"2015,,,T,A,9,4,ICT\n",  # a rule error, with its record number
+    b"\x1escientoscope-split\x1e\n",  # the split row in the input itself
+], ids=["bad-byte", "parse", "ragged", "rule", "split-row"])
+@pytest.mark.parametrize("parts", [2, 3])
+def test_a_fault_in_the_last_part_gives_the_serial_outcome(tmp_path, route, last, parts):
+    raw = (HEADER + _ROWS * 6).encode() + last
+    folded = _load_split(raw, parts, AnalysisConfig(), tmp_path)
+    assert route["forks"] == parts - 1
+    assert folded == _serial(raw)
+    assert isinstance(folded, str) or not folded[1].ok
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("before, after", [
+    (_ROWS + "\x1escientoscope-split\x1e\n", _ROWS),  # just before the cut
+    (_ROWS + "\x1escientoscope-split\x1e\n" + _ROWS, ""),  # inside the first part
+], ids=["before-the-cut", "inside-a-part"])
+def test_the_split_row_in_the_input_is_the_serial_parse_error(tmp_path, route, before, after):
+    raw = _cut_after(HEADER + _ROWS + before, after, tmp_path)
+    folded = _load_split(raw, 2, AnalysisConfig(), tmp_path)
+    assert route["forks"] == 1
+    assert folded == _serial(raw) == "line 18: expected 8 fields, got 1"
+
+
+def test_a_fault_in_the_first_part_stops_the_children(tmp_path, route):
+    raw = (HEADER + "2013,,,T,A,q,2,ICT\n" + _ROWS * 6).encode()
+    folded = _load_split(raw, 3, AnalysisConfig(), tmp_path)
+    assert route == {"forks": 2, "folds": 2}
+    assert folded == _serial(raw)
+    _assert_no_child_left()
+
+
+def test_aggregate_csv_is_never_split(tmp_path, route):
+    raw = demo_aggregates_path().read_bytes()
+    folded = _load_split(raw, 2, AnalysisConfig(), tmp_path, granularity=None)
+    assert not route  # no fork, and the aggregate parse folds no record
+    assert folded == load(io.BytesIO(raw))
+
+
+@pytest.mark.parametrize("failure", ["child-killed", "child-exits-1", "short-message"])
+def test_a_failed_child_falls_back_to_the_serial_load_and_is_reaped(monkeypatch, tmp_path, route,
+                                                                    failure):
+    raw = (HEADER + _ROWS * 6).encode()
+    parent, fold = os.getpid(), ingest._fold
+
+    def killed(*args):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return fold(*args)
+
+    def refused(obj):
+        raise RuntimeError("not sent")
+
+    name, value = {
+        "child-killed": ("_fold", killed),
+        "child-exits-1": ("marshal", SimpleNamespace(dumps=refused, loads=marshal.loads)),
+        "short-message": ("marshal", SimpleNamespace(dumps=lambda obj: marshal.dumps(obj)[:-1],
+                                                     loads=marshal.loads)),
+    }[failure]
+    monkeypatch.setattr(split if name == "marshal" else ingest, name, value)
+    assert _load_split(raw, 3, AnalysisConfig(), tmp_path) == _serial(raw)
+    assert route["forks"] == 2
+    _assert_no_child_left()
+
+
+def test_a_parent_part_that_raises_kills_and_reaps_every_child(monkeypatch, tmp_path):
+    # Each child would fold for 20 s: only a kill lets the load end sooner.
+    raw = (HEADER + _ROWS * 6).encode()
+    parent, fold = os.getpid(), ingest._fold
+
+    def interrupted(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(20)
+        return fold(*args)
+
+    monkeypatch.setattr(ingest, "_fold", interrupted)
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        _load_split(raw, 3, AnalysisConfig(), tmp_path)
+    assert time.monotonic() - start < 10
+    _assert_no_child_left()
+
+
+def test_merged_subject_labels_keep_the_taxonomy_order_with_others_last():
+    # No AnalysisConfig holds a taxonomy without "Others", so the tally is
+    # built directly: "Others" is added to a year when its first unknown
+    # subject is counted, and a merge must put it where that left it.
+    taxonomy = ("ICT", "Webometrics")
+    first = [(2013, "ICT"), (2014, "Zoology"), (2014, "ICT")]
+    second = [(2013, "Botany"), (2013, "Webometrics"), (2015, "ICT")]
+    whole, merged, other = (ingest._YearTally(taxonomy) for _ in range(3))
+    for tally, records in ((whole, first + second), (merged, first), (other, second)):
+        for year, subject in records:
+            tally.add(year, 2, 5, subject, "T")
+    merged.merge(marshal.loads(marshal.dumps(other.counts)),
+                 marshal.loads(marshal.dumps(list(map(tuple, other.warnings)))))
+    assert merged.dataset() == whole.dataset()
+    assert merged.sorted_warnings() == whole.sorted_warnings()
+    assert [list(agg.subject_counts) for agg in merged.dataset().aggregates] == [
+        ["ICT", "Webometrics", "Others"]] * 2 + [["ICT", "Webometrics"]]
+
+
+@pytest.mark.parametrize("command", [["validate"], ["analyze", "--table", "all"]])
+def test_the_cli_prints_the_same_for_a_split_and_a_serial_load(tmp_path, command):
+    # Above two real _SPLIT_BYTES, so the file splits on two usable CPUs;
+    # pinned to one CPU it loads whole. communicate() returns only once no
+    # process holds the pipes, so no child of the CLI outlives it.
+    path = tmp_path / "records.csv"
+    drawn = gen.generate(gen.Knobs(records=20_000, missing_pages=0.2, unknown_subjects=0.1,
+                                   count_only=0.1), seed=1)
+    gen.write_records_csv(drawn, str(path))
+    assert path.stat().st_size >= 2 * split._SPLIT_BYTES
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+    def run(cpus):
+        child = subprocess.Popen(
+            [sys.executable, "-c", "from scientoscope.cli import entry; entry()", *command,
+             "--input", str(path)], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            preexec_fn=lambda: os.sched_setaffinity(0, cpus))
+        out, err = child.communicate(timeout=120)
+        return child.returncode, out, err
+
+    cpus = os.sched_getaffinity(0)
+    code, out, err = run(cpus)
+    assert (code, out, err) == run({min(cpus)})
+    assert code == 0 and (out + err).count(b"WARNING [") == 6018
