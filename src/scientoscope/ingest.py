@@ -14,13 +14,12 @@ the record rules and counts it into the per-year accumulator, with no
 record kept. Record CSV is streamed, so its memory is O(years +
 findings); JSON is decoded whole. A record CSV file large enough is cut
 at row boundaries and folded in parts at once, one per usable CPU, and
-the parts' counts are added up (see :func:`load` and
-:mod:`scientoscope.split`). The library route is the precise
-reference that loop is tested against: it builds every
-:class:`BibRecord` by the precise parse (:func:`parse_records`), then
-checks them (:func:`validate`) and bridges them to per-year aggregates
-(:func:`aggregate_records`). Every step reads its ``strict``,
-``study_window`` and ``taxonomy`` from one
+the parts' counts are added up (see :mod:`scientoscope.split`). The
+library route is the precise reference that loop is tested against: it
+builds every :class:`BibRecord` by the precise parse
+(:func:`parse_records`), then checks them (:func:`validate`) and bridges
+them to per-year aggregates (:func:`aggregate_records`). Every step
+reads its ``strict``, ``study_window`` and ``taxonomy`` from one
 :class:`~scientoscope.config.AnalysisConfig`.
 
 Each record rule is stated once, in ``_validate_record``, and the
@@ -244,11 +243,9 @@ def _granularity(names: Iterable[str]) -> str:
     raise ParseError("cannot determine granularity from input header")
 
 
-def _csv_rows(reader, header: list[str], granularity: str, last: list | None = None) -> _Rows:
+def _csv_rows(reader, header: list[str], granularity: str) -> _Rows:
     """The rows after *header*, once it holds the granularity's required
-    columns. A part of a split file (see :mod:`scientoscope.split`) gives the
-    row *last* it must end with, which is not yielded: a part that ends
-    otherwise, or holds a row after it, is a ParseError."""
+    columns."""
     missing = [f for f in _REQUIRED[granularity] if f not in header]
     if missing:
         raise ParseError(f"{_KIND[granularity]} CSV header is missing columns: "
@@ -261,16 +258,12 @@ def _csv_rows(reader, header: list[str], granularity: str, last: list | None = N
             if (len(row) != width or not row[0].strip()) and not "".join(row).strip():
                 continue
             if len(row) != width:
-                if row == last and next(reader, None) is None:
-                    return
                 raise ParseError(f"expected {width} fields, got {len(row)}",
                                  f"line {reader.line_num}")
             row.append(None)
             yield reader.line_num, columns, row
     except csv.Error as exc:
         raise ParseError(f"malformed CSV: {exc}", f"line {reader.line_num}") from None
-    if last is not None:
-        raise ParseError("the part ends inside a row")
 
 
 def _json_rows(data: list, kind: str) -> _Rows:
@@ -703,24 +696,10 @@ def load(source: BinaryIO, format: str = "csv", config: AnalysisConfig | None = 
     read once into a temporary file first, so it gives the same results and
     messages as a file, in the same memory.
 
-    A record CSV file is folded in parts (:mod:`scientoscope.split`) when
-    it holds at least ``split._SPLIT_BYTES`` (1 MiB) per part, one part per
-    usable CPU (``os.sched_getaffinity``), at least two, and the process
-    can fork (POSIX) and runs one thread. The file is cut at the first
-    ``\\n`` from each k/N of its size; this process folds the first part
-    and a forked child each other, all read by ``os.pread``. A quoted field
-    may hold a ``\\n``, so each part but the last is read with one line
-    more, which parses as a one-cell row no valid record CSV holds: the cut
-    fell between rows only if that line comes back as the part's last row.
-    Each child sends its record count, year counts and bridge warnings
-    through a pipe (``marshal``), and they are added to this part's in part
-    order before the year-gap rule runs and the warnings are sorted: the
-    result is the serial fold's. When any part fails (a parse or decode
-    error, a record rule, a cut inside a row, a child that fails or is
-    killed), every child is reaped and the whole input is loaded serially,
-    so every message and location is the serial route's. Memory is
-    O(parts * (years + findings)). JSON and aggregate input are always
-    read whole.
+    A record CSV file of at least 1 MiB per usable CPU, at least two, is
+    folded in parts at once (:mod:`scientoscope.split` says how); JSON and
+    aggregate input are always read whole. The result, or the error, is
+    always the serial load's.
     """
     if not source.seekable():  # an error reads the input again, from the start
         import shutil

@@ -1,13 +1,28 @@
 """Fold a large record CSV file on every usable CPU.
 
 :func:`~scientoscope.ingest.load` imports this module for CSV input
-only, so no other run compiles or loads it. :func:`fold_parts` cuts the
-file at row boundaries, folds the first part in this process and each
-other in a forked child, and adds the children's counts to its own, as
-``load``'s docstring describes. Beyond what ``ingest`` imports it needs
-only ``os`` and ``marshal``, which every interpreter loads at start-up.
-It falls back by returning ``None``, and ``load`` then reads the whole
-input serially.
+only, so no other run compiles or loads it. Beyond what ``ingest``
+imports it needs only ``os`` and ``marshal``, which every interpreter
+loads at start-up.
+
+A file is split when it holds at least ``_SPLIT_BYTES`` (1 MiB) per
+part, one part per usable CPU (``os.sched_getaffinity``), at least two,
+and the process can fork (POSIX) and runs one thread. :func:`_cuts` cuts
+it at the first ``\\n`` from each k/N of its size, and a repeated cut
+makes no part. This process folds the first part and a forked child
+each other, all read by ``os.pread``. A quoted field may hold a ``\\n``,
+so each part but the last is read by a strict ``csv.reader``, which
+raises at end of data inside a quoted field: a part that ends without
+error ends between rows. Each child sends its record count, year counts
+and bridge warnings through a pipe (``marshal``), and they are added to
+this part's in part order before the year-gap rule runs and the
+warnings are sorted, so the result is the serial fold's. When any part
+fails (a parse or decode error, a record rule, a cut inside a quoted
+field, text after a closing quote, which only a strict reader refuses,
+a child that fails or is killed), every child is reaped and
+:func:`fold_parts` returns ``None``, and ``load`` reads the whole input
+serially, so every message and location is the serial route's. Memory
+is O(parts * (years + findings)).
 """
 
 from __future__ import annotations
@@ -27,16 +42,14 @@ from .model import ParseError, ValidationReport
 #: twice this is folded whole: a fork and a merge would cost more than
 #: they save.
 _SPLIT_BYTES = 1 << 20
-#: The row each part but the last ends with, on a line of its own.
-_SPLIT_ROW = ["\x1escientoscope-split\x1e"]
-_SPLIT_LINE = f"{_SPLIT_ROW[0]}\n".encode()
 
 
 def _cuts(source: BinaryIO) -> list[int] | None:
     """Offsets that cut *source*, from its position to its end, into one
     part per usable CPU, each of at least ``_SPLIT_BYTES`` and each but the
-    last ending on a ``\\n``; ``None`` when that makes fewer than two parts
-    or the process cannot fork safely (no fork, or another thread)."""
+    last ending on a ``\\n``, with no repeated cut; ``None`` when that makes
+    fewer than two parts or the process cannot fork safely (no fork, or
+    another thread)."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return None
     try:
@@ -45,35 +58,33 @@ def _cuts(source: BinaryIO) -> list[int] | None:
         threads = len(os.listdir("/proc/self/task"))
     except OSError:  # no file descriptor (io.BytesIO), or no /proc
         return None
-    parts = min(len(os.sched_getaffinity(0)), (size - start) // _SPLIT_BYTES)
-    if parts < 2 or threads != 1:
+    if threads != 1:
         return None
+    parts = min(len(os.sched_getaffinity(0)), (size - start) // _SPLIT_BYTES)
     cuts = [start]
     for k in range(1, parts):
         at = start + (size - start) * k // parts
         while (block := os.pread(fd, 1 << 16, at)) and b"\n" not in block:
             at += len(block)
         cuts.append(at + block.index(b"\n") + 1 if block else size)
-    return [*cuts, size]
+    cuts = sorted({*cuts, size})  # a row longer than a part repeats a cut
+    return cuts if len(cuts) > 2 else None
 
 
 class _Part(io.RawIOBase):
     """Bytes *start* to *end* of the file *fd*, read by ``os.pread`` so that
-    no two parts share a file offset, then the bytes *tail*."""
+    no two parts share a file offset."""
 
-    def __init__(self, fd: int, start: int, end: int, tail: bytes):
+    def __init__(self, fd: int, start: int, end: int):
         super().__init__()
-        self._fd, self._at, self._end, self._tail = fd, start, end, tail
+        self._fd, self._at, self._end = fd, start, end
 
     def readable(self) -> bool:
         return True
 
     def readinto(self, buffer) -> int:
         data = os.pread(self._fd, min(len(buffer), self._end - self._at), self._at)
-        if data:
-            self._at += len(data)
-        else:
-            data, self._tail = self._tail, b""
+        self._at += len(data)
         buffer[:len(data)] = data
         return len(data)
 
@@ -81,28 +92,27 @@ class _Part(io.RawIOBase):
 def fold_parts(source: BinaryIO, config: AnalysisConfig,
                granularity: str | None) -> tuple[ValidationReport, ingest._YearTally] | None:
     """Fold record CSV *source* in the parts :func:`_cuts` gives, the first
-    here and each other in a forked child, as
-    :func:`~scientoscope.ingest.load` describes; ``None`` when the file is
-    not split or a part fails."""
+    here and each other in a forked child, as the module docstring
+    describes; ``None`` when the file is not split or a part fails."""
     cuts = _cuts(source)
     if cuts is None:
         return None
     fd = source.fileno()
 
-    def part(k: int) -> tuple:
-        """A csv reader of part *k* and the row that must end it, if any."""
-        tail = _SPLIT_LINE if cuts[k + 1] < cuts[-1] else b""
-        text = io.TextIOWrapper(_Part(fd, cuts[k], cuts[k + 1], tail),
+    def part(k: int):
+        """A csv reader of part *k*, strict unless it is the last, so that a
+        part cut inside a quoted field raises at its end."""
+        text = io.TextIOWrapper(_Part(fd, cuts[k], cuts[k + 1]),
                                 encoding="utf-8" if k else "utf-8-sig", newline="\n")
-        return csv.reader(text), _SPLIT_ROW if tail else None
+        return csv.reader(text, strict=cuts[k + 1] < cuts[-1])
 
-    def fold(reader, last: list | None) -> tuple[ValidationReport, ingest._YearTally]:
-        return ingest._fold(ingest._csv_rows(reader, header, "records", last), "csv", config)
+    def fold(reader) -> tuple[ValidationReport, ingest._YearTally]:
+        return ingest._fold(ingest._csv_rows(reader, header, "records"), "csv", config)
 
     children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
     messages: list[bytes] = []
     try:
-        reader, last = part(0)
+        reader = part(0)
         header = ingest._csv_header(reader)
         if granularity is None:
             granularity = ingest._granularity(header)
@@ -120,7 +130,7 @@ def fold_parts(source: BinaryIO, config: AnalysisConfig,
                 code = 1
                 try:
                     os.close(read)
-                    report, tally = fold(*part(k))
+                    report, tally = fold(part(k))
                     if not report.errors:
                         with open(write, "wb") as pipe:
                             pipe.write(marshal.dumps((report.record_count, tally.counts,
@@ -130,7 +140,7 @@ def fold_parts(source: BinaryIO, config: AnalysisConfig,
                     os._exit(code)
             os.close(write)
             children.append((pid, read))
-        report, tally = fold(reader, last)
+        report, tally = fold(reader)
         if report.errors:
             return None
         messages = [open(read, "rb", buffering=0, closefd=False).readall()

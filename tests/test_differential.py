@@ -23,10 +23,11 @@ settings are deterministic, like ``tests/test_fuzz.py``.
 this process and each other in a forked child (``scientoscope.split``).
 Every CSV above is also loaded from a file split into 2 and into 3
 parts, by a ``_SPLIT_BYTES`` small enough for it, and must give what
-:func:`load` of the same bytes in memory, which is never split, gives. Dedicated cases put a quoted
-line break, blank lines or CRLF line ends at a cut, a fault in the last
-part, or a fault in a part's child, and check that no child outlives
-the load.
+:func:`load` of the same bytes in memory, which is never split, gives.
+Dedicated cases put a quoted line break, blank lines or CRLF line ends
+at a cut, a row only a strict reader refuses in the first or the last
+part, a row longer than a part, a fault in the last part, or a fault in
+a part's child, and check that no child outlives the load.
 """
 
 import csv
@@ -383,10 +384,10 @@ def test_a_clean_split_folds_each_part_once_and_gives_the_serial_result(tmp_path
 
 @pytest.mark.parametrize("column", ["title", "subject"])
 def test_a_quoted_line_break_at_the_cut_falls_back_to_the_serial_load(tmp_path, route, column):
-    # The cut falls inside a quoted field, so the part before it ends
-    # inside a row and its split row is read into that field. A subject
-    # is the last cell, so the row it ends still has every field, and the
-    # rest of this one reads as a row of its own after the cut.
+    # The cut falls inside a quoted field, so the strict reader of the
+    # part before it reaches its end inside that field and raises. A
+    # subject is the last cell, so the row it ends still has every field,
+    # and the rest of this one reads as a row of its own after the cut.
     left, right = ('2013,,,"Two\n', 'lines",A,1,5,ICT\n') if column == "title" else \
         ('2013,,,T,A,1,5,"Open\n', '2014,,,T,A,1,5,ICT"\n')
     raw = _cut_after(HEADER + _ROWS * 2 + left, right + _ROWS, tmp_path)
@@ -407,6 +408,42 @@ def test_blank_lines_at_the_cut_are_skipped_as_the_serial_load_skips_them(tmp_pa
     assert folded == _serial(raw)
 
 
+@pytest.mark.parametrize("part, folds", [(0, 2), (1, 1)], ids=["first", "last"])
+def test_a_row_only_a_strict_reader_refuses_gives_the_serial_outcome(tmp_path, route, part,
+                                                                     folds):
+    # Text after a closing quote is kept by the serial reader. The strict
+    # reader of a part but the last refuses it, so that part falls back to
+    # the serial load; the last part is read as the serial load reads it.
+    row = '2013,,,"T"x,A,1,5,ICT\n'
+    before, after = (_ROWS + row, "") if part == 0 else ("", row)
+    raw = _cut_after(HEADER + _ROWS + before, after + _ROWS, tmp_path)
+    folded = _load_split(raw, 2, AnalysisConfig(), tmp_path)
+    assert route == {"forks": 1, "folds": folds}
+    assert folded == _serial(raw)
+    assert folded[1].ok and folded[1].record_count == raw.count(b"\n") - 1  # "Tx" kept
+
+
+@pytest.mark.parametrize("where", ["middle", "end"])
+def test_a_row_longer_than_a_part_makes_no_empty_part(tmp_path, route, where):
+    # Four CPUs, and every cut but the last is sought inside the long row,
+    # so they all fall after it: one cut then, or none when it ends the file.
+    long_row = f"2013,,,{'T' * 3000},A,1,5,ICT\n"
+    raw = (HEADER + _ROWS + long_row + (_ROWS if where == "middle" else "")).encode()
+    path = tmp_path / "long.csv"
+    path.write_bytes(raw)
+    with pytest.MonkeyPatch.context() as patch, path.open("rb") as source:
+        patch.setattr(split, "_SPLIT_BYTES", 1)
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+        cuts = split._cuts(source)
+    end = len((HEADER + _ROWS + long_row).encode())
+    assert cuts == ([0, end, len(raw)] if where == "middle" else None)
+    folded = _load_split(raw, 4, AnalysisConfig(), tmp_path)
+    assert (route["forks"], route["folds"]) == (len(cuts) - 2 if cuts else 0, 1)
+    assert folded == _serial(raw)
+    assert folded[1].ok
+    _assert_no_child_left()
+
+
 def test_crlf_line_ends_split_as_they_load_whole(tmp_path, route):
     raw = (HEADER + _ROWS * 6).replace("\n", "\r\n").encode()
     folded = _load_split(raw, 3, AnalysisConfig(), tmp_path)
@@ -420,7 +457,7 @@ def test_crlf_line_ends_split_as_they_load_whole(tmp_path, route):
     b"2015,,,T,A,q,2,ICT\n",  # the line of a parse error
     b"2015,,,T,A,1,2\n",  # a ragged row
     b"2015,,,T,A,9,4,ICT\n",  # a rule error, with its record number
-    b"\x1escientoscope-split\x1e\n",  # the split row in the input itself
+    b"\x1escientoscope-split\x1e\n",  # a one-cell row, as a ragged row is
 ], ids=["bad-byte", "parse", "ragged", "rule", "split-row"])
 @pytest.mark.parametrize("parts", [2, 3])
 def test_a_fault_in_the_last_part_gives_the_serial_outcome(tmp_path, route, last, parts):
@@ -437,6 +474,7 @@ def test_a_fault_in_the_last_part_gives_the_serial_outcome(tmp_path, route, last
     (_ROWS + "\x1escientoscope-split\x1e\n" + _ROWS, ""),  # inside the first part
 ], ids=["before-the-cut", "inside-a-part"])
 def test_the_split_row_in_the_input_is_the_serial_parse_error(tmp_path, route, before, after):
+    # A one-cell row: no value ends a part early, so both routes reject it alike.
     raw = _cut_after(HEADER + _ROWS + before, after, tmp_path)
     folded = _load_split(raw, 2, AnalysisConfig(), tmp_path)
     assert route["forks"] == 1
