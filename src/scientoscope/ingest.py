@@ -12,9 +12,8 @@ granularity taken from the CSV header or first JSON element that every
 parse reads anyway. For records, one loop parses each row, checks it by
 the record rules and counts it into the per-year accumulator, with no
 record kept. Record CSV is streamed, so its memory is O(years +
-findings); JSON is decoded whole. A record CSV file large enough is cut
-at row boundaries and folded in parts at once, one per usable CPU, and
-the parts' counts are added up (see :mod:`scientoscope.split`). The
+findings); JSON is decoded whole. A large record CSV file is folded in
+parts at once, one per usable CPU, as the section below says. The
 library route is the precise reference that loop is tested against: it
 builds every :class:`BibRecord` by the precise parse
 (:func:`parse_records`), then checks them (:func:`validate`) and bridges
@@ -35,6 +34,30 @@ most ``_MEMO_WIDTH`` characters, under about 1 MB whatever the input. A row
 the short parse cannot take goes to the precise parse,
 ``_record_fields``, the only code that words a parse message, so both
 routes give the same fields and errors.
+
+Record CSV on every CPU
+-----------------------
+A record CSV file is split when it holds at least ``_SPLIT_BYTES``
+(1 MiB) per part, one part per usable CPU (``os.sched_getaffinity``),
+at least two, and the process can fork (POSIX) and runs one thread.
+:func:`_cuts` cuts it at the first ``\\n`` from each k/N of its size,
+and a repeated cut makes no part. This process folds the first part and
+a forked child each other, all read by ``os.pread``. A quoted field may
+hold a ``\\n``, so each part but the last is read by a strict
+``csv.reader``, which raises at end of data inside a quoted field: a
+part that ends without error ends between rows. Each child sends its
+record count, year counts, bridge warnings and rule errors through a
+pipe (``marshal``), and :func:`_fold_parts` merges them into this
+part's in part order. A ``record N`` is renumbered by the records of
+the parts before it, and once the report holds an error a later part
+adds only its years, as the serial fold registers only the years of the
+records after its first error. :func:`_folded` then runs the year-gap
+rule and sorts the warnings, so the result is the serial fold's. When a
+part does not complete (a parse or decode error, a cut inside a quoted
+field, text after a closing quote, which only a strict reader refuses,
+a child that fails or is killed), every child is reaped and the whole
+input is folded serially, so every message and location is the serial
+route's. Memory is O(parts * (years + findings)).
 
 CSV schemas
 -----------
@@ -67,6 +90,8 @@ import codecs
 import csv
 import io
 import json
+import marshal
+import os
 from collections import Counter
 from collections.abc import Iterable, Iterator
 from operator import itemgetter
@@ -696,10 +721,9 @@ def load(source: BinaryIO, format: str = "csv", config: AnalysisConfig | None = 
     read once into a temporary file first, so it gives the same results and
     messages as a file, in the same memory.
 
-    A record CSV file of at least 1 MiB per usable CPU, at least two, is
-    folded in parts at once (:mod:`scientoscope.split` says how); JSON and
-    aggregate input are always read whole. The result, or the error, is
-    always the serial load's.
+    A large record CSV file is folded in parts at once, as the module
+    docstring says; JSON and aggregate input are always read whole. The
+    result, or the error, is always the serial load's.
     """
     if not source.seekable():  # an error reads the input again, from the start
         import shutil
@@ -710,8 +734,7 @@ def load(source: BinaryIO, format: str = "csv", config: AnalysisConfig | None = 
             return load(spool, format, config, granularity)
     config = config or AnalysisConfig()
     if format == "csv":
-        from .split import fold_parts  # only CSV input compiles and loads it
-        folded = fold_parts(source, config, granularity)
+        folded = _fold_parts(source, config, granularity)
         if folded is not None:
             return _folded(*folded)
     text = io.TextIOWrapper(source, encoding="utf-8-sig", newline="\n")
@@ -795,6 +818,140 @@ def _folded(report: ValidationReport, tally: _YearTally) -> tuple[Dataset, Valid
     if report.ok:
         report.warnings = tally.sorted_warnings()
     return tally.dataset(), report
+
+
+#: Fewest bytes each part of a split record CSV holds, so a file under
+#: twice this is folded whole: a fork and a merge would cost more than
+#: they save.
+_SPLIT_BYTES = 1 << 20
+
+
+def _cuts(source: BinaryIO) -> list[int] | None:
+    """Offsets that cut *source*, from its position to its end, into one
+    part per usable CPU, each of at least ``_SPLIT_BYTES`` and each but the
+    last ending on a ``\\n``, with no repeated cut; ``None`` when that makes
+    fewer than two parts or the process cannot fork safely (no fork, or
+    another thread)."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return None
+    try:
+        fd = source.fileno()
+        start, size = source.tell(), os.fstat(fd).st_size
+        threads = len(os.listdir("/proc/self/task"))
+    except OSError:  # no file descriptor (io.BytesIO), or no /proc
+        return None
+    if threads != 1:
+        return None
+    parts = min(len(os.sched_getaffinity(0)), (size - start) // _SPLIT_BYTES)
+    cuts = [start]
+    for k in range(1, parts):
+        at = start + (size - start) * k // parts
+        while (block := os.pread(fd, 1 << 16, at)) and b"\n" not in block:
+            at += len(block)
+        cuts.append(at + block.index(b"\n") + 1 if block else size)
+    cuts = sorted({*cuts, size})  # a row longer than a part repeats a cut
+    return cuts if len(cuts) > 2 else None
+
+
+class _Part(io.RawIOBase):
+    """Bytes *start* to *end* of the file *fd*, read by ``os.pread`` so that
+    no two parts share a file offset."""
+
+    def __init__(self, fd: int, start: int, end: int):
+        super().__init__()
+        self._fd, self._at, self._end = fd, start, end
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        data = os.pread(self._fd, min(len(buffer), self._end - self._at), self._at)
+        self._at += len(data)
+        buffer[:len(data)] = data
+        return len(data)
+
+
+def _fold_parts(source: BinaryIO, config: AnalysisConfig,
+                granularity: str | None) -> tuple[ValidationReport, _YearTally] | None:
+    """Fold record CSV *source* in the parts :func:`_cuts` gives, the first
+    here and each other in a forked child, and merge them, as the module
+    docstring describes; ``None`` when the file is not split or a part does
+    not complete."""
+    cuts = _cuts(source)
+    if cuts is None:
+        return None
+    fd = source.fileno()
+
+    def part(k: int):
+        """A csv reader of part *k*, strict unless it is the last, so that a
+        part cut inside a quoted field raises at its end."""
+        text = io.TextIOWrapper(_Part(fd, cuts[k], cuts[k + 1]),
+                                encoding="utf-8" if k else "utf-8-sig", newline="\n")
+        return csv.reader(text, strict=cuts[k + 1] < cuts[-1])
+
+    def fold(reader) -> tuple[ValidationReport, _YearTally]:
+        return _fold(_csv_rows(reader, header, "records"), "csv", config)
+
+    children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    messages: list[bytes] = []
+    try:
+        reader = part(0)
+        header = _csv_header(reader)
+        if granularity is None:
+            granularity = _granularity(header)
+        if granularity != "records":
+            return None
+        for k in range(1, len(cuts) - 1):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:  # the child: send the fold of part k and exit, never print
+                code = 1
+                try:
+                    os.close(read)
+                    report, tally = fold(part(k))
+                    with open(write, "wb") as pipe:
+                        pipe.write(marshal.dumps((report.record_count, tally.counts,
+                                                  list(map(tuple, tally.warnings)),
+                                                  list(map(tuple, report.errors)))))
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write)
+            children.append((pid, read))
+        report, tally = fold(reader)
+        messages = [open(read, "rb", buffering=0, closefd=False).readall()
+                    for _, read in children]
+    except (ParseError, UnicodeDecodeError, OSError):
+        return None
+    finally:
+        statuses = []
+        for pid, read in children:
+            if len(messages) < len(children):  # this part raised or failed: stop the rest
+                os.kill(pid, 9)  # SIGKILL
+            statuses.append(os.waitpid(pid, 0)[1])
+            os.close(read)
+    if any(statuses):
+        return None
+    for message in messages:
+        try:
+            count, counts, warnings, errors = marshal.loads(message)
+        except (EOFError, ValueError, TypeError):  # a short message
+            return None
+        if report.errors:  # the serial fold registers only the years after an error
+            for year in counts:
+                tally.year(year)
+        else:
+            tally.merge(counts, warnings)
+        for location, rule, text in errors:  # "record N", N counted within this part
+            number = int(location.removeprefix("record ")) + report.record_count
+            report.error(f"record {number}", rule, text)
+        report.record_count += count
+    return report, tally
 
 
 # ---------------------------------------------------------------------------

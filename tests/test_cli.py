@@ -665,15 +665,14 @@ def test_a_closed_stdout_pipe_exits_1_without_a_traceback():
 
 
 def test_importing_the_cli_loads_no_process_or_thread_machinery():
-    # The split load forks with os and sends with marshal, both loaded at
-    # start-up, and its module is imported by a CSV load alone. Run without
-    # site, which may load threading itself.
+    # The split load in ingest forks with os and sends with marshal, which
+    # need none of these. Run without site, which may load threading itself.
     src = Path(__file__).resolve().parents[1] / "src"
     code = ("import sys\n"
             "before = set(sys.modules)\n"
             "import scientoscope.cli\n"
-            "print(sorted({'multiprocessing', 'concurrent.futures', 'pickle', 'threading',\n"
-            "              'scientoscope.split'} & (set(sys.modules) - before)),\n"
+            "print(sorted({'multiprocessing', 'concurrent.futures', 'pickle', 'threading'}\n"
+            "             & (set(sys.modules) - before)),\n"
             "      'threading' in before)")
     child = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
                            env=dict(os.environ, PYTHONPATH=str(src)), check=True)

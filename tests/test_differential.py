@@ -20,14 +20,15 @@ same tables, and so must the aggregate CSV of an accepted set. The
 settings are deterministic, like ``tests/test_fuzz.py``.
 
 :func:`load` of a large record CSV file folds it in parts, the first in
-this process and each other in a forked child (``scientoscope.split``).
+this process and each other in a forked child (``ingest._fold_parts``).
 Every CSV above is also loaded from a file split into 2 and into 3
 parts, by a ``_SPLIT_BYTES`` small enough for it, and must give what
 :func:`load` of the same bytes in memory, which is never split, gives.
 Dedicated cases put a quoted line break, blank lines or CRLF line ends
 at a cut, a row only a strict reader refuses in the first or the last
-part, a row longer than a part, a fault in the last part, or a fault in
-a part's child, and check that no child outlives the load.
+part, a row longer than a part, a fault in the last part, a rule error
+in any part, or a fault in a part's child, and check that no child
+outlives the load.
 """
 
 import csv
@@ -56,7 +57,7 @@ from scientoscope import (
     validate,
     write_aggregates_csv,
 )
-from scientoscope import ingest, split
+from scientoscope import ingest
 from scientoscope.cli import demo_aggregates_path, main
 from scientoscope.ingest import MAX_COUNT, RECORD_FIELDS, load
 
@@ -211,7 +212,7 @@ def _load_split(raw, parts, config, tmp_path, granularity="records"):
     path = tmp_path / "split.csv"
     path.write_bytes(raw)
     with pytest.MonkeyPatch.context() as patch, path.open("rb") as source:
-        patch.setattr(split, "_SPLIT_BYTES", max(1, len(raw) // parts))
+        patch.setattr(ingest, "_SPLIT_BYTES", max(1, len(raw) // parts))
         patch.setattr(os, "sched_getaffinity", lambda pid: set(range(parts)))
         return _outcome(lambda: load(source, "csv", config, granularity))
 
@@ -329,8 +330,10 @@ _ROWS = "".join(f"{2012 + i % 4},{i % 9 + 1},{i % 4 + 1},Title {i},A; B,{i + 1},
 @pytest.fixture
 def route(monkeypatch):
     """The forks and the folds that loads make in this process: a split
-    forks a child per part but the first, and the serial load after a
-    part fails folds a second time."""
+    forks a child per part but the first, and a part that does not
+    complete (a parse error, a cut inside a quoted field, a failed child)
+    sends the file to the serial load, a second fold. A rule error does
+    not: it merges like the counts."""
     counts = Counter()
     fork, fold = os.fork, ingest._fold
 
@@ -357,9 +360,9 @@ def _cut_after(prefix, suffix, tmp_path):
     path = tmp_path / "cut.csv"
     path.write_bytes(raw)
     with pytest.MonkeyPatch.context() as patch, path.open("rb") as source:
-        patch.setattr(split, "_SPLIT_BYTES", 1)
+        patch.setattr(ingest, "_SPLIT_BYTES", 1)
         patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        assert split._cuts(source) == [0, len(prefix.encode()), size]
+        assert ingest._cuts(source) == [0, len(prefix.encode()), size]
     return raw
 
 
@@ -432,9 +435,9 @@ def test_a_row_longer_than_a_part_makes_no_empty_part(tmp_path, route, where):
     path = tmp_path / "long.csv"
     path.write_bytes(raw)
     with pytest.MonkeyPatch.context() as patch, path.open("rb") as source:
-        patch.setattr(split, "_SPLIT_BYTES", 1)
+        patch.setattr(ingest, "_SPLIT_BYTES", 1)
         patch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
-        cuts = split._cuts(source)
+        cuts = ingest._cuts(source)
     end = len((HEADER + _ROWS + long_row).encode())
     assert cuts == ([0, end, len(raw)] if where == "middle" else None)
     folded = _load_split(raw, 4, AnalysisConfig(), tmp_path)
@@ -481,6 +484,25 @@ def test_the_split_row_in_the_input_is_the_serial_parse_error(tmp_path, route, b
     assert folded == _serial(raw) == "line 18: expected 8 fields, got 1"
 
 
+_REVERSED = "2013,,,T,A,9,4,ICT\n"  # a page-span error
+
+
+@pytest.mark.parametrize("where", ["first", "last", "every"])
+@pytest.mark.parametrize("parts", [2, 3])
+def test_a_rule_error_in_any_part_folds_the_file_once(tmp_path, route, parts, where):
+    # A part's rule errors merge like its counts, each record number
+    # shifted by the records of the parts before it. "every" has a
+    # reversed span every 9 rows, and each part holds more than 9 rows.
+    rows = {"first": _REVERSED + _ROWS * 6, "last": _ROWS * 6 + _REVERSED,
+            "every": (_ROWS + _REVERSED) * 6}[where]
+    raw = (HEADER + rows).encode()
+    folded = _load_split(raw, parts, AnalysisConfig(), tmp_path)
+    assert route == {"forks": parts - 1, "folds": 1}
+    assert folded == _serial(raw)
+    assert [f.rule for f in folded[1].errors] == ["page-span"] * rows.count(_REVERSED)
+    _assert_no_child_left()
+
+
 def test_a_fault_in_the_first_part_stops_the_children(tmp_path, route):
     raw = (HEADER + "2013,,,T,A,q,2,ICT\n" + _ROWS * 6).encode()
     folded = _load_split(raw, 3, AnalysisConfig(), tmp_path)
@@ -516,7 +538,7 @@ def test_a_failed_child_falls_back_to_the_serial_load_and_is_reaped(monkeypatch,
         "short-message": ("marshal", SimpleNamespace(dumps=lambda obj: marshal.dumps(obj)[:-1],
                                                      loads=marshal.loads)),
     }[failure]
-    monkeypatch.setattr(split if name == "marshal" else ingest, name, value)
+    monkeypatch.setattr(ingest, name, value)
     assert _load_split(raw, 3, AnalysisConfig(), tmp_path) == _serial(raw)
     assert route["forks"] == 2
     _assert_no_child_left()
@@ -569,7 +591,7 @@ def test_the_cli_prints_the_same_for_a_split_and_a_serial_load(tmp_path, command
     drawn = gen.generate(gen.Knobs(records=20_000, missing_pages=0.2, unknown_subjects=0.1,
                                    count_only=0.1), seed=1)
     gen.write_records_csv(drawn, str(path))
-    assert path.stat().st_size >= 2 * split._SPLIT_BYTES
+    assert path.stat().st_size >= 2 * ingest._SPLIT_BYTES
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
 
     def run(cpus):
