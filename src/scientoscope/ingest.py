@@ -24,8 +24,14 @@ reads its ``strict``, ``study_window`` and ``taxonomy`` from one
 Each record rule is stated once, in ``_validate_record``, and the
 bridge count once, in ``_YearTally.add``; both routes call them for
 every record. A record rule formats a location only when it fails. The
-loop takes each row by a short parse that builds no location string and
-looks each numeral up in a memo of ``int()`` results, one per load or
+rows reach the loop as ``(columns, values)`` pairs: a CSV row straight
+off the csv reader, zipped with its header's column map, and a JSON
+element as the list of its values. A row's location, ``line N`` from the
+csv reader's ``line_num`` or ``element N``, is read only for a row that
+fails, as are the blank-row skip and the field-count check, each stated
+once in the CSV row source. The loop takes each row by a short parse that
+counts a ``;``-separated author list by its pieces when none is blank,
+and looks each numeral up in a memo of ``int()`` results, one per load or
 per part of a split load. Years, volumes, issues and pages repeat, so
 most lookups hit. After ``_MEMO_SIZE`` misses the parse converts each
 numeral as it is read, as it would without the memo, so input whose
@@ -93,7 +99,8 @@ import json
 import marshal
 import os
 from collections import Counter
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
+from itertools import repeat
 from operator import itemgetter
 from typing import BinaryIO, TextIO
 
@@ -195,54 +202,58 @@ def _json_text(key: str, value: object, record: bool) -> str | None:
     return str(value)
 
 
-def _location(format: str, number: int) -> str:
-    """The location a row error names: a CSV line or a JSON element."""
-    return f"{'line' if format == 'csv' else 'element'} {number}"
-
-
 #: Granularity -> the name its messages give the input, and its required fields.
 _KIND = {"records": "record", "aggregates": "aggregate"}
 GRANULARITIES = tuple(_KIND)
 _REQUIRED = {"records": RECORD_FIELDS, "aggregates": AGGREGATE_FIELDS}
-_Rows = Iterator[tuple[int, dict[str, int], list]]
+_Rows = Iterator[tuple[dict[str, int], list]]
+_Locate = Callable[..., str | None]
 
 
 def _rows(stream: TextIO | Iterator[str], format: str,
-          granularity: str | None = None) -> tuple[str, _Rows]:
+          granularity: str | None = None) -> tuple[str, _Rows, _Locate]:
     """The granularity, given or read off the CSV header or first JSON
-    element, and ``(number, columns, values)`` for each non-blank CSV row or
-    JSON element, read on from there.
+    element, the rows read on from there as ``(columns, values)`` pairs,
+    and their ``locate``.
 
-    ``number`` is the line or element :func:`_location` names, and
-    ``values[columns[name]]`` the field's string or ``None``, as
-    :func:`_json_text` gives it for JSON. Every ``values`` ends in a
-    ``None`` pad, so ``values[columns.get(name, -1)]`` reads an absent
-    field as ``None``. CSV rows share the header's ``columns``; JSON
-    elements share one while their key order repeats. CSV is read from
-    ``stream``, or its lines, row by row, and ``number`` is the physical
-    line a row ends on; JSON is decoded whole.
+    ``values[columns[name]]`` is the field's string or ``None``, as
+    :func:`_json_text` gives it for JSON. A CSV row is the csv reader's
+    list, zipped with the header's ``columns``, so no Python code runs
+    between the reader and the consumer; JSON elements share one
+    ``columns`` while their key order repeats. The consumer appends a
+    ``None`` pad, which ``values[columns.get(name, -1)]`` reads for an
+    absent field; a padded row is ``len(columns) + 1`` long unless it is
+    a CSV row of another width.
+
+    ``locate(values)``, needed only for a row of another width or one a
+    parse cannot take, holds the row checks: ``None`` for a CSV row blank
+    in every cell, which is skipped; a ParseError for a CSV row of another
+    width; else the location of the row read last, ``line N`` (the csv
+    reader's ``line_num``, the physical line the row ends on) or
+    ``element N``. A JSON element is never skipped. ``locate()`` gives the
+    location alone. CSV is read from ``stream``, or its lines, row by row;
+    JSON is decoded whole.
     """
     if format == "csv":
         reader = csv.reader(stream)
-        names = header = _csv_header(reader)
-    elif format == "json":
-        try:
-            data = json.loads(stream.read(), parse_float=str)
-        except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
-            raise ParseError(f"invalid JSON: {exc}") from None
-        except RecursionError:
-            raise ParseError("invalid JSON: nested too deeply") from None
-        kind = _KIND.get(granularity, "input")
-        if not isinstance(data, list):
-            raise ParseError(f"{kind} JSON must be a top-level list")
-        names = next(_json_rows(data, kind), (0, {}, []))[1]  # element 1, checked
-    else:
+        header = _csv_header(reader)
+        granularity = granularity or _granularity(header)
+        return granularity, *_csv_rows(reader, header, granularity)
+    if format != "json":
         raise ParseError(f"unknown input format: {format!r}")
+    try:
+        data = json.loads(stream.read(), parse_float=str)
+    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
+        raise ParseError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
+    kind = _KIND.get(granularity, "input")
+    if not isinstance(data, list):
+        raise ParseError(f"{kind} JSON must be a top-level list")
     if granularity is None:
-        granularity = _granularity(names)
-    if format == "csv":
-        return granularity, _csv_rows(reader, header, granularity)
-    return granularity, _json_rows(data, _KIND[granularity])
+        first = next(_json_rows(data, kind)[0], None)  # element 1, checked
+        granularity = _granularity(first[0] if first else ())
+    return granularity, *_json_rows(data, _KIND[granularity])
 
 
 def _csv_header(reader) -> list[str]:
@@ -268,44 +279,65 @@ def _granularity(names: Iterable[str]) -> str:
     raise ParseError("cannot determine granularity from input header")
 
 
-def _csv_rows(reader, header: list[str], granularity: str) -> _Rows:
-    """The rows after *header*, once it holds the granularity's required
-    columns."""
+def _csv_rows(reader, header: list[str], granularity: str) -> tuple[_Rows, _Locate]:
+    """The rows after *header* and their ``locate``, once *header* holds
+    the granularity's required columns: the one statement of the blank-row
+    skip and the field-count check."""
     missing = [f for f in _REQUIRED[granularity] if f not in header]
     if missing:
         raise ParseError(f"{_KIND[granularity]} CSV header is missing columns: "
                          f"{', '.join(missing)}", "line 1")
     columns = {name: i for i, name in enumerate(header)}
-    width = len(header)
-    try:
-        for row in reader:
-            # A full-width row whose first cell is not blank is not blank.
-            if (len(row) != width or not row[0].strip()) and not "".join(row).strip():
-                continue
-            if len(row) != width:
-                raise ParseError(f"expected {width} fields, got {len(row)}",
+
+    def locate(values: list | None = None) -> str | None:
+        if values is not None:
+            cells = values[:-1]  # without the pad
+            if not "".join(cells).strip():
+                return None
+            if len(cells) != len(header):
+                raise ParseError(f"expected {len(header)} fields, got {len(cells)}",
                                  f"line {reader.line_num}")
-            row.append(None)
-            yield reader.line_num, columns, row
+        return f"line {reader.line_num}"
+
+    return zip(repeat(columns), reader), locate
+
+
+def _json_rows(data: list, kind: str) -> tuple[_Rows, _Locate]:
+    """The elements of *data* as rows, and their ``locate``."""
+    index = 0
+
+    def rows() -> _Rows:
+        nonlocal index
+        keys: tuple | None = None
+        record = kind == "record"
+        for index, obj in enumerate(data, start=1):
+            if not isinstance(obj, dict):
+                raise ParseError(f"{kind} element must be an object", f"element {index}")
+            if tuple(obj) != keys:
+                keys = tuple(obj)
+                columns = {key: i for i, key in enumerate(keys)}
+            try:
+                values = [_json_text(key, value, record) for key, value in obj.items()]
+            except ValueError as exc:
+                raise ParseError(str(exc), f"element {index}") from None
+            yield columns, values
+
+    return rows(), lambda values=None: f"element {index}"
+
+
+def _checked(rows: _Rows, locate: _Locate) -> Iterator[tuple[str, dict[str, int], list]]:
+    """The location, ``columns`` and padded ``values`` of each row of
+    *rows* that is not skipped, each row taking the checks of ``locate``:
+    the reference parses' route, where the fold checks only a row that it
+    cannot take."""
+    try:
+        for columns, values in rows:
+            values.append(None)
+            location = locate(values)
+            if location is not None:
+                yield location, columns, values
     except csv.Error as exc:
-        raise ParseError(f"malformed CSV: {exc}", f"line {reader.line_num}") from None
-
-
-def _json_rows(data: list, kind: str) -> _Rows:
-    keys: tuple | None = None
-    record = kind == "record"
-    for index, obj in enumerate(data, start=1):
-        if not isinstance(obj, dict):
-            raise ParseError(f"{kind} element must be an object", f"element {index}")
-        if tuple(obj) != keys:
-            keys = tuple(obj)
-            columns = {key: i for i, key in enumerate(keys)}
-        try:
-            values = [_json_text(key, value, record) for key, value in obj.items()]
-        except ValueError as exc:
-            raise ParseError(str(exc), f"element {index}") from None
-        values.append(None)
-        yield index, columns, values
+        raise ParseError(f"malformed CSV: {exc}", locate()) from None
 
 
 #: Record columns in the order :func:`_record_fields` checks them.
@@ -380,12 +412,11 @@ def parse_records(source: bytes | str, format: str = "csv") -> tuple[BibRecord, 
     Every record takes the precise parse: this is the reference that
     :func:`load`, the CLI's path, which builds no records, is tested against.
     """
-    _, rows = _rows(io.StringIO(_decode(source)), format, "records")
+    _, rows, locate = _rows(io.StringIO(_decode(source)), format, "records")
     records = tuple(
-        BibRecord(*_record_fields(_location(format, number),
-                                  tuple(values[columns.get(name, -1)]
-                                        for name in _RECORD_COLUMNS)))
-        for number, columns, values in rows)
+        BibRecord(*_record_fields(location, tuple(values[columns.get(name, -1)]
+                                                  for name in _RECORD_COLUMNS)))
+        for location, columns, values in _checked(rows, locate))
     if not records:
         raise ParseError("empty dataset")
     return records
@@ -414,9 +445,9 @@ def _aggregate_from_fields(columns: dict[str, int], values: list,
     )
 
 
-def _aggregate_dataset(rows: _Rows, format: str) -> Dataset:
-    aggregates = [_aggregate_from_fields(columns, values, _location(format, number))
-                  for number, columns, values in rows]
+def _aggregate_dataset(rows: _Rows, locate: _Locate) -> Dataset:
+    aggregates = [_aggregate_from_fields(columns, values, location)
+                  for location, columns, values in _checked(rows, locate)]
     if not aggregates:
         raise ParseError("empty dataset")
     aggregates.sort(key=lambda a: a.year)
@@ -430,8 +461,7 @@ def parse_aggregates(source: bytes | str, format: str = "csv") -> Dataset:
     :func:`validate`, not here, so parse failures and validation
     findings stay distinguishable.
     """
-    _, rows = _rows(io.StringIO(_decode(source)), format, "aggregates")
-    return _aggregate_dataset(rows, format)
+    return _aggregate_dataset(*_rows(io.StringIO(_decode(source)), format, "aggregates")[1:])
 
 
 def sniff_granularity(source: bytes | str, format: str = "csv") -> str:
@@ -443,12 +473,16 @@ def sniff_granularity(source: bytes | str, format: str = "csv") -> str:
     fault is the one reported.
     """
     if format == "csv" and isinstance(source, bytes):
-        try:
-            return _rows(codecs.iterdecode(io.BytesIO(source), "utf-8-sig"), format)[0]
-        except UnicodeDecodeError:
-            _decode(source)  # the first bad byte is the one hit: raises its message
-            raise
-    return _rows(io.StringIO(_decode(source)), format)[0]
+        stream = codecs.iterdecode(io.BytesIO(source), "utf-8-sig")
+    else:
+        stream = io.StringIO(_decode(source))
+    try:
+        if format == "csv":  # the header alone: its required columns are the parse's check
+            return _granularity(_csv_header(csv.reader(stream)))
+        return _rows(stream, format)[0]
+    except UnicodeDecodeError:
+        _decode(source)  # the first bad byte is the one hit: raises its message
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -705,11 +739,14 @@ def load(source: BinaryIO, format: str = "csv", config: AnalysisConfig | None = 
     :func:`parse_records`, then :func:`validate`, then, when the report
     has no errors, :func:`aggregate_records` give, all three with the same
     config and the bridge's warnings appended to the report. No
-    :class:`BibRecord` is built: one loop parses, checks and counts each
-    row, so for CSV, read row by row, memory is O(years + findings); JSON
-    is decoded whole. A clean row takes the short parse; a row whose short
-    parse raises, or finds a blank mandatory field or author list, is
-    parsed again by the precise parse, which words every parse error.
+    :class:`BibRecord` is built: one loop, :func:`_fold`, parses, checks
+    and counts each row as the csv reader or the JSON decode gives it, so
+    for CSV, read row by row, memory is O(years + findings); JSON is
+    decoded whole. A clean row takes the short parse, and no location is
+    read for it; a row of another width than the header, or whose short
+    parse raises or finds a blank mandatory field or author list, takes
+    the row checks, which skip a blank CSV row, and then the precise
+    parse, which words every parse error at the row's location.
     Every record, on either parse, goes through the record rules
     (``_validate_record``) and the bridge count (``_YearTally.add``);
     there is no second, cheaper copy of them. With errors, the report has
@@ -739,10 +776,10 @@ def load(source: BinaryIO, format: str = "csv", config: AnalysisConfig | None = 
             return _folded(*folded)
     text = io.TextIOWrapper(source, encoding="utf-8-sig", newline="\n")
     try:
-        granularity, rows = _rows(text, format, granularity)
+        granularity, rows, locate = _rows(text, format, granularity)
         if granularity == "records":
-            return _folded(*_fold(rows, format, config))
-        dataset = _aggregate_dataset(rows, format)
+            return _folded(*_fold(rows, locate, config))
+        dataset = _aggregate_dataset(rows, locate)
     except (ParseError, UnicodeDecodeError):
         # A decode error carries a position within the decoder's chunk,
         # and a row error may precede a bad byte: decode it all again.
@@ -754,56 +791,81 @@ def load(source: BinaryIO, format: str = "csv", config: AnalysisConfig | None = 
     return dataset, validate(dataset, config)
 
 
-def _fold(rows: _Rows, format: str,
+def _fold(rows: _Rows, locate: _Locate,
           config: AnalysisConfig) -> tuple[ValidationReport, _YearTally]:
-    """Parse, check and count each record *rows* holds, in one loop: by
-    the short parse, with the memo the module docstring describes, or by
-    :func:`_record_fields` for a row where that raises ValueError (a
-    malformed or whitespace-only number) or finds a blank mandatory field
-    or author list. :func:`_folded` finishes what it returns."""
+    """Parse, check and count each record *rows* holds, in one loop.
+
+    A row of its ``columns``' width takes the short parse, with the memo
+    the module docstring describes. The short parse counts the authors of
+    a ``;``-separated list as its pieces, ``len(authors.split(";"))``, when
+    no piece is empty or whitespace-only, and else as
+    ``len(split_authors(authors))``. Only a row of another width, or one
+    where the short parse raises ValueError (a malformed or
+    whitespace-only number) or finds a blank mandatory field or author
+    list, reaches ``locate``, which skips it or gives its location, and
+    then the precise parse, :func:`_record_fields`. :func:`_folded`
+    finishes what this returns."""
     report = ValidationReport()
     tally = _YearTally(config.taxonomy)
     window = config.study_window
+    errors, add, add_year = report.errors, tally.add, tally.year
+    count = 0
     ints = _Ints()
     memo = ints.__getitem__
     columns: dict[str, int] | None = None
-    for number, row_columns, values in rows:
-        if row_columns is not columns:  # once for CSV, once per JSON key order
-            columns = row_columns
-            pick = itemgetter(*(columns.get(name, -1) for name in _RECORD_COLUMNS))
-        raw = pick(values)
-        (year, title, subject, author_count, authors,
-         start_page, end_page, page_count, volume, issue) = raw
-        # After _MEMO_SIZE misses the numerals repeat too seldom for the memo to pay.
-        convert = memo if ints.misses < _MEMO_SIZE else int
-        try:
-            year = convert(year) if year else None
-            author_count = convert(author_count) if author_count else None
-            start_page = convert(start_page) if start_page else None
-            end_page = convert(end_page) if end_page else None
-            page_count = convert(page_count) if page_count else None
-            volume = convert(volume) if volume else None
-            issue = convert(issue) if issue else None
-        except ValueError:
-            clean = False
-        else:
-            title = title.strip() if title else ""
-            subject = subject.strip() if subject else ""
-            names = split_authors(authors) if author_count is None and authors else None
-            clean = year is not None and title and subject and (names or author_count is not None)
-        if not clean:
-            (year, title, subject, names, author_count, _, _,
-             start_page, end_page, page_count) = _record_fields(_location(format, number), raw)
-        elif page_count is None and start_page is not None and end_page is not None:
-            page_count = end_page - start_page + 1 if end_page >= start_page else None
-        n_authors = len(names) if author_count is None else author_count
-        report.record_count += 1
-        _validate_record(report.record_count, year, n_authors, start_page, end_page,
-                         page_count, window, report)
-        if report.errors:
-            tally.year(year)  # no bridge will run; the year still counts for year-gap
-        else:
-            tally.add(year, n_authors, page_count, subject, title)
+    try:
+        for row_columns, values in rows:
+            values.append(None)  # the pad that an absent column's -1 reads
+            if row_columns is not columns:  # once for CSV, once per JSON key order
+                columns = row_columns
+                width = len(columns) + 1
+                pick = itemgetter(*(columns.get(name, -1) for name in _RECORD_COLUMNS))
+            clean = len(values) == width
+            if clean:
+                (year, title, subject, author_count, authors,
+                 start_page, end_page, page_count, volume, issue) = pick(values)
+                # After _MEMO_SIZE misses the numerals repeat too seldom for the memo to pay.
+                convert = memo if ints.misses < _MEMO_SIZE else int
+                try:
+                    year = convert(year) if year else None
+                    author_count = convert(author_count) if author_count else None
+                    start_page = convert(start_page) if start_page else None
+                    end_page = convert(end_page) if end_page else None
+                    page_count = convert(page_count) if page_count else None
+                    volume = convert(volume) if volume else None
+                    issue = convert(issue) if issue else None
+                except ValueError:
+                    clean = False
+                else:
+                    title = title.strip() if title else ""
+                    subject = subject.strip() if subject else ""
+                    n_authors = author_count
+                    if author_count is None:
+                        names = authors.split(";") if authors else ()
+                        n_authors = (len(names) if "" not in names
+                                     and not any(map(str.isspace, names))
+                                     else len(split_authors(authors)))
+                    clean = (year is not None and title and subject
+                             and (n_authors or author_count is not None))
+            if not clean:
+                location = locate(values)
+                if location is None:
+                    continue
+                (year, title, subject, names, author_count, _, _,
+                 start_page, end_page, page_count) = _record_fields(location, pick(values))
+                n_authors = len(names) if author_count is None else author_count
+            elif page_count is None and start_page is not None and end_page is not None:
+                page_count = end_page - start_page + 1 if end_page >= start_page else None
+            count += 1
+            _validate_record(count, year, n_authors, start_page, end_page, page_count,
+                             window, report)
+            if errors:
+                add_year(year)  # no bridge will run; the year still counts for year-gap
+            else:
+                add(year, n_authors, page_count, subject, title)
+    except csv.Error as exc:
+        raise ParseError(f"malformed CSV: {exc}", locate()) from None
+    report.record_count = count
     return report, tally
 
 
@@ -890,7 +952,7 @@ def _fold_parts(source: BinaryIO, config: AnalysisConfig,
         return csv.reader(text, strict=cuts[k + 1] < cuts[-1])
 
     def fold(reader) -> tuple[ValidationReport, _YearTally]:
-        return _fold(_csv_rows(reader, header, "records"), "csv", config)
+        return _fold(*_csv_rows(reader, header, "records"), config)
 
     children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
     messages: list[bytes] = []

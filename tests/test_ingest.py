@@ -468,14 +468,16 @@ def _fold_bytes(raw):
     return load(io.BytesIO(raw), "csv", AnalysisConfig(), "records")
 
 
-@pytest.mark.parametrize("flawed, precise, ok", [
-    ("", 0, True),
-    ("2005,,,T,;A;;B;,1,2,ICT\n", 0, True),  # blank author names stay on the short path
-    ("2005, ,,T,A,1,2,ICT\n", 1, True),  # a whitespace-only volume: the precise parse
-    ("2005,,,T,A,9,4,ICT\n", 0, False),  # a reversed span: the short parse, then an error
-    ("2005, ,,T,A,9,4,ICT\n", 1, False),
-], ids=["clean", "blank-names", "parse", "rules", "both"])
-def test_only_a_row_the_short_path_cannot_take_leaves_it(monkeypatch, flawed, precise, ok):
+@pytest.mark.parametrize("flawed, precise, ok, authors", [
+    ("", 0, True, 0),
+    ("2005,,,T,;A;;B;,1,2,ICT\n", 0, True, 2),  # blank author names stay on the short path
+    ("2005, ,,T,A,1,2,ICT\n", 1, True, 1),  # a whitespace-only volume: the precise parse
+    ("2005,,,T,A,9,4,ICT\n", 0, False, 1),  # a reversed span: the short parse, then an error
+    ("2005, ,,T,A,9,4,ICT\n", 1, False, 1),
+    ("2005,,,T,A;\u00a0;B,1,2,ICT\n", 0, True, 2),  # a no-break space is a blank name too
+], ids=["clean", "blank-names", "parse", "rules", "both", "nbsp-name"])
+def test_only_a_row_the_short_path_cannot_take_leaves_it(monkeypatch, flawed, precise, ok,
+                                                         authors):
     # Only such a row reaches the precise parse, while the record rules run on every row.
     counts = Counter()
     for name in ("_record_fields", "_validate_record"):
@@ -485,10 +487,38 @@ def test_only_a_row_the_short_path_cannot_take_leaves_it(monkeypatch, flawed, pr
         monkeypatch.setattr(ingest, name, counted)
     rows = _record_rows(2000).splitlines(keepends=True)
     raw = (RECORD_HEADER + "\n" + "".join(rows[:1000]) + flawed + "".join(rows[1000:])).encode()
-    _, report = _fold_bytes(raw)
+    dataset, report = _fold_bytes(raw)
     assert report.record_count == 2000 + bool(flawed)
     assert report.ok == ok
     assert (counts["_record_fields"], counts["_validate_record"]) == (precise, report.record_count)
+    if ok:  # each clean row i has i % 6 + 1 authors
+        assert (sum(a.total_authors for a in dataset.aggregates)
+                == sum(i % 6 + 1 for i in range(2000)) + authors)
+
+
+#: Pieces of an author cell: a letter, the separator, characters that
+#: ``str.strip`` removes, and "\ufeff", which it keeps.
+_AUTHOR_PIECES = ("a", "Z", ";", " ", "\t", "\u00a0", "\u3000", "\x1c", "\u0085", "\ufeff")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.text(alphabet=_AUTHOR_PIECES, max_size=12))
+def test_load_counts_the_authors_split_authors_finds(cell):
+    # The short parse counts the pieces of a list when none is blank; the
+    # count must be split_authors' whichever way it is reached.
+    expected = len(ingest.split_authors(cell))
+    row = {"year": "2013", "volume": "", "issue": "", "title": "T", "authors": cell,
+           "start_page": "1", "end_page": "2", "subject": "ICT"}
+    text = io.StringIO()
+    csv.writer(text, lineterminator="\n").writerows([RECORD_HEADER.split(","), row.values()])
+    for format, raw in (("csv", text.getvalue()), ("json", json.dumps([row]))):
+        try:
+            dataset, _ = load(io.BytesIO(raw.encode()), format)
+        except ParseError as exc:
+            assert expected == 0
+            assert "missing mandatory field 'authors'" in str(exc)
+        else:
+            assert dataset.aggregates[0].total_authors == expected
 
 
 @pytest.mark.parametrize("offset", [100, 70_000])
@@ -559,6 +589,82 @@ def test_a_blank_row_is_skipped_and_a_row_with_values_is_parsed(row, message):
         with pytest.raises(ParseError) as raised:
             parse(raw)
         assert str(raised.value) == message
+
+
+#: Clean aggregate rows under AGG_HEADER, one per year from 2000.
+_AGG_ROWS = "".join(f"{2000 + i},2,1,1,0,0,0,3,1,1,0,1,1\n" for i in range(40))
+
+
+def _each_route(raw, format, granularity, tmp_path):
+    """What each route that reads *raw* gives: its dataset, or its parse
+    message. Record CSV is also loaded split in two parts, which must fork."""
+    def outcome(route):
+        try:
+            return route()
+        except ParseError as exc:
+            return str(exc)
+
+    parse = parse_records if granularity == "records" else parse_aggregates
+    routes = {
+        "load": lambda: load(io.BytesIO(raw), format, AnalysisConfig(), granularity)[0],
+        "parse": lambda: (aggregate_records(parse(raw, format))[0]
+                          if granularity == "records" else parse(raw, format)),
+    }
+    outcomes = {name: outcome(route) for name, route in routes.items()}
+    if format == "csv" and granularity == "records":
+        path = tmp_path / "split.csv"
+        path.write_bytes(raw)
+        forks = Counter()
+        fork = os.fork
+        with pytest.MonkeyPatch.context() as patch, path.open("rb") as source:
+            patch.setattr(ingest, "_SPLIT_BYTES", len(raw) // 2)
+            patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+            patch.setattr(os, "fork", lambda: forks.update(["fork"]) or fork())
+            outcomes["split"] = outcome(lambda: load(source, "csv", AnalysisConfig(),
+                                                     "records")[0])
+        assert forks["fork"] == 1
+    return outcomes
+
+
+def _with_row(header, rows, row, at=30):
+    """CSV bytes of *header* and *rows* with *row* put before row *at*: on
+    line ``at + 2``, in the second half, so in the second part of a split."""
+    lines = rows.splitlines(keepends=True)
+    return (header + "\n" + "".join(lines[:at]) + row + "".join(lines[at:])).encode()
+
+
+@pytest.mark.parametrize("granularity, header, rows", [
+    ("records", RECORD_HEADER, _record_rows(40)),
+    ("aggregates", AGG_HEADER, _AGG_ROWS),
+], ids=["records", "aggregates"])
+def test_every_route_checks_the_shape_of_a_row_alike(tmp_path, granularity, header, rows):
+    width = header.count(",") + 1
+
+    def expect(raw, outcome):
+        outcomes = _each_route(raw, "csv", granularity, tmp_path)
+        assert outcomes == dict.fromkeys(outcomes, outcome)
+
+    expect(_with_row(header, rows, "2013" + "," * width + "\n"),
+           f"line 32: expected {width} fields, got {width + 1}")
+    # An extra column: a row blank in every other column is not blank.
+    extended = "".join(line + ",\n" for line in rows.splitlines())
+    expect(_with_row(header + ",note", extended, "," * width + "x\n"),
+           "line 32: missing mandatory field 'year'")
+    # Blank and whitespace-only rows, of any width, are skipped.
+    clean = _each_route((header + "\n" + rows).encode(), "csv", granularity, tmp_path)["load"]
+    blanks = "\n" + " \t\n" + "," * (width - 1) + "\n" + " ," * (width - 1) + "\u3000\n" + ",,\n"
+    expect(_with_row(header, rows, blanks), clean)
+
+
+@pytest.mark.parametrize("granularity, fields", [
+    ("records", RECORD_HEADER.split(",")),
+    ("aggregates", AGG_HEADER.split(",")),
+], ids=["records", "aggregates"])
+def test_a_json_element_of_blank_values_is_an_error_not_skipped(tmp_path, granularity, fields):
+    element = {name: None if i % 2 else "" for i, name in enumerate(fields)}
+    raw = json.dumps([dict.fromkeys(fields, "1") | {"year": 2013}, element]).encode()
+    outcomes = _each_route(raw, "json", granularity, tmp_path)
+    assert outcomes == dict.fromkeys(outcomes, "element 2: missing mandatory field 'year'")
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
