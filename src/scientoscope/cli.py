@@ -1,13 +1,9 @@
 """Command-line driver.
 
-Commands::
-
-    scientoscope validate        check an input file, print the findings
-    scientoscope analyze         compute and render tables 1-8
-    scientoscope indicators      ``analyze`` with tables 3-6 by default
-    scientoscope reproduce-paper ``analyze`` of the bundled study, every
-                                 value then checked against the printed tables
-    scientoscope schema          print the CSV/JSON input schemas
+Usage: ``scientoscope COMMAND [OPTIONS]``. ``_COMMANDS`` names each
+command with its handler and the one-line help that ``-h`` lists. One
+parser reads the command word and the options, which every command
+shares and which may come before or after it.
 
 The four input commands load through one pipeline: read, validate, and,
 for accepted record input, bridge to per-year aggregates, folding the
@@ -81,37 +77,33 @@ def demo_records_path() -> Path:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--input", type=Path, help="input CSV or JSON file")
-    common.add_argument("--format", choices=FORMATS, default=None,
-                        help="output format (default: text)")
-    common.add_argument("--mode", choices=MODES, default=None,
-                        help="formula/display conventions (default: paper)")
-    common.add_argument("--table", default=None,
-                        help="table number 1-8 or 'all' (default: all)")
-    common.add_argument("--strict", action="store_true", default=None,
-                        help="treat bin-sum mismatches as errors")
-    common.add_argument("--config", type=Path, default=None,
-                        help=f"JSON config file (or ${CONFIG_ENV_VAR})")
-    common.add_argument("--show-config", action="store_true",
-                        help="print the effective configuration before output")
-    common.add_argument("--granularity", choices=GRANULARITIES, default=None,
-                        help="input granularity (default: sniffed from header)")
-    common.add_argument("--timestamp", action="store_true", default=None,
-                        help="include a timestamp in the metadata line")
-
     parser = argparse.ArgumentParser(
         prog="scientoscope",
         description="Scientometric indicators over bibliographic record sets.",
+        epilog="commands:\n" + "".join(f"  {name:<17}{help}\n"
+                                        for name, (_, help) in _COMMANDS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     parser.add_argument("--version", action="version", version=f"scientoscope {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("validate", parents=[common], help="validate an input file")
-    sub.add_parser("analyze", parents=[common], help="compute and render tables")
-    sub.add_parser("indicators", parents=[common], help="render the indicator tables (3-6)")
-    sub.add_parser("reproduce-paper", parents=[common],
-                   help="rebuild the bundled study and verify against its printed tables")
-    sub.add_parser("schema", parents=[common], help="print the input schemas")
+    parser.add_argument("command", choices=_COMMANDS, metavar="command",
+                        help="the command to run (listed below)")
+    parser.add_argument("--input", type=Path, help="input CSV or JSON file")
+    parser.add_argument("--format", choices=FORMATS, default=None,
+                        help="output format (default: text)")
+    parser.add_argument("--mode", choices=MODES, default=None,
+                        help="formula/display conventions (default: paper)")
+    parser.add_argument("--table", default=None,
+                        help="table number 1-8 or 'all' (default: all)")
+    parser.add_argument("--strict", action="store_true", default=None,
+                        help="treat bin-sum mismatches as errors")
+    parser.add_argument("--config", type=Path, default=None,
+                        help=f"JSON config file (or ${CONFIG_ENV_VAR})")
+    parser.add_argument("--show-config", action="store_true",
+                        help="print the effective configuration before output")
+    parser.add_argument("--granularity", choices=GRANULARITIES, default=None,
+                        help="input granularity (default: sniffed from header)")
+    parser.add_argument("--timestamp", action="store_true", default=None,
+                        help="include a timestamp in the metadata line")
     return parser
 
 
@@ -312,11 +304,13 @@ def cmd_schema(config: AnalysisConfig, run: dict) -> int:
 
 
 _COMMANDS = {
-    "validate": cmd_validate,
-    "analyze": cmd_analyze,
-    "indicators": lambda config, run: cmd_analyze(config, run, default=(3, 4, 5, 6)),
-    "reproduce-paper": cmd_reproduce_paper,
-    "schema": cmd_schema,
+    "validate": (cmd_validate, "check an input file and print its findings"),
+    "analyze": (cmd_analyze, "compute and render tables 1-8"),
+    "indicators": (lambda config, run: cmd_analyze(config, run, default=(3, 4, 5, 6)),
+                   "compute and render tables 3-6 by default"),
+    "reproduce-paper": (cmd_reproduce_paper,
+                        "rebuild the bundled study and check it against its printed tables"),
+    "schema": (cmd_schema, "print the CSV and JSON input schemas"),
 }
 
 
@@ -327,7 +321,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.show_config:
             print(json.dumps({"analysis": config.to_dict(), "run": run,
                               "config_hash": config.config_hash()}, indent=2, sort_keys=True))
-        return _COMMANDS[args.command](config, run)
+        return _COMMANDS[args.command][0](config, run)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

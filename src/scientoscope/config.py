@@ -76,7 +76,8 @@ def _window(value: Any) -> bool:
 
 
 def _taxonomy(value: Any) -> bool:
-    return (isinstance(value, (list, tuple)) and all(isinstance(t, str) for t in value)
+    return (isinstance(value, (list, tuple))
+            and all(isinstance(t, str) and t.splitlines() == [t] for t in value)
             and "Others" in value and len(set(value)) == len(value))
 
 
@@ -84,7 +85,7 @@ def _taxonomy(value: Any) -> bool:
 _RULES = {
     "strict": (lambda value: isinstance(value, bool), "true or false"),
     "study_window": (_window, "[first, last]"),
-    "taxonomy": (_taxonomy, "distinct labels that include 'Others'"),
+    "taxonomy": (_taxonomy, "distinct one-line labels that include 'Others'"),
     "absent_marker": (lambda value: isinstance(value, str), "a string"),
     **{name: (valid.__contains__, f"one of {valid}") for name, valid in _VALID.items()},
 }

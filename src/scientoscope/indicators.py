@@ -30,7 +30,7 @@ from itertools import accumulate
 
 from .config import AnalysisConfig
 from .model import Dataset
-from .report import CellValue, ColumnSpec, ReportTable, round_half_up
+from .report import CellValue, ColumnSpec, ReportTable, round_display, round_half_up
 
 LN2 = math.log(2.0)
 
@@ -252,7 +252,7 @@ def egr_table(dataset: Dataset, config: AnalysisConfig | None = None) -> ReportT
         rows=rows,
         footer=["Total", sum(p for _, p in series), sum(rates)],
         notes=[f"CAGR {first_year}-{last_year}: "
-               f"{round_half_up(growth_pct, 1):.1f}% over {n_periods} periods."],
+               f"{round_display(growth_pct, 1)}% over {n_periods} periods."],
     )
 
 

@@ -161,6 +161,17 @@ def test_config_file_and_flag_precedence(tmp_path, capsys):
     assert "Relative growth" not in out
 
 
+def test_a_config_file_turns_on_strict_and_timestamp_without_the_flags(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"strict": True, "timestamp": True}))
+    assert main(["validate", "--input", AGG_PATH]) == 0  # a bin-sum warning
+    assert main(["validate", "--input", AGG_PATH, "--config", str(cfg)]) == 1
+    capsys.readouterr()
+    assert main(["schema", "--show-config", "--config", str(cfg)]) == 0
+    shown, _ = json.JSONDecoder().raw_decode(capsys.readouterr().out)
+    assert shown["run"]["timestamp"] is True
+
+
 def test_indicator_override_echoed_in_metadata(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"mode": "paper", "ci_variant": "stated"}))
@@ -362,7 +373,7 @@ def test_config_env_var_fallback(tmp_path, capsys, monkeypatch):
     ("study_window", [2013.9, 2017], "[first, last]"),
     ("study_window", [2017, 2013], "[first, last]"),
     ("study_window", ["2013", "2017"], "[first, last]"),
-    ("taxonomy", 5, "distinct labels that include 'Others'"),
+    ("taxonomy", 5, "distinct one-line labels that include 'Others'"),
     ("absent_marker", 5, "a string"),
 ])
 def test_config_value_of_wrong_shape_exits_1(key, value, shape, tmp_path, capsys):
@@ -413,13 +424,15 @@ def test_a_falsy_run_value_is_a_value_not_unset(flags, data, code, message, tmp_
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
-@pytest.mark.parametrize("taxonomy", [["A", "A", "Others"], ["A", "B"], ["Others", 1]])
+@pytest.mark.parametrize("taxonomy", [["A", "A", "Others"], ["A", "B"], ["Others", 1],
+                                      ["A\nB", "Others"], ["A\n", "Others"], ["", "Others"]])
 def test_config_taxonomy_needs_distinct_labels_and_others(taxonomy, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"taxonomy": taxonomy}))
     assert main(["analyze", "--input", REC_PATH, "--config", str(cfg)]) == 1
-    assert capsys.readouterr().err == (f"error: invalid taxonomy: {taxonomy!r} "
-                                       "(expected distinct labels that include 'Others')\n")
+    assert capsys.readouterr().err == (
+        f"error: invalid taxonomy: {taxonomy!r} "
+        "(expected distinct one-line labels that include 'Others')\n")
 
 
 def test_config_input_that_is_not_a_path_exits_1(tmp_path, capsys):
@@ -618,6 +631,72 @@ def test_schema_headers_read_back_as_csv(fmt, capsys):
     width = len(next(csv.reader([aggregate_header])))
     dataset = parse_aggregates(aggregate_header + "\n2013" + ",0" * (width - 1) + "\n")
     assert list(dataset.aggregates[0].subject_counts) == list(AnalysisConfig().taxonomy)
+
+
+# Every option unset: a config file may then set each one, `strict` and
+# `timestamp` to true included.
+_UNSET = {"input": None, "format": None, "mode": None, "table": None, "strict": None,
+          "config": None, "show_config": False, "granularity": None, "timestamp": None}
+
+
+@pytest.mark.parametrize("argv, parsed", [
+    # The README's usage lines.
+    ("validate --input data.csv --strict --format json",
+     {"command": "validate", "input": Path("data.csv"), "strict": True, "format": "json"}),
+    ("analyze --input data.csv --table 3 --mode standard --format markdown",
+     {"command": "analyze", "input": Path("data.csv"), "table": "3", "mode": "standard",
+      "format": "markdown"}),
+    ("indicators --input data.csv", {"command": "indicators", "input": Path("data.csv")}),
+    ("reproduce-paper", {"command": "reproduce-paper"}),
+    ("reproduce-paper --input data.csv",
+     {"command": "reproduce-paper", "input": Path("data.csv")}),
+    ("schema", {"command": "schema"}),
+    # The benchmark's.
+    ("analyze --table all --input F", {"command": "analyze", "table": "all", "input": Path("F")}),
+    ("analyze --table all --input F --format json",
+     {"command": "analyze", "table": "all", "input": Path("F"), "format": "json"}),
+    ("reproduce-paper --format json", {"command": "reproduce-paper", "format": "json"}),
+    # Every option.
+    ("validate --input F --format csv --mode paper --table all --strict --config c.json "
+     "--show-config --granularity records --timestamp",
+     {"command": "validate", "input": Path("F"), "format": "csv", "mode": "paper",
+      "table": "all", "strict": True, "config": Path("c.json"), "show_config": True,
+      "granularity": "records", "timestamp": True}),
+])
+def test_the_cli_parses_each_documented_argv(argv, parsed):
+    words = argv.split()
+    assert vars(cli._build_parser().parse_args(words)) == {**_UNSET, **parsed}
+    # An option may come before the command word as well as after it.
+    moved = [*words[1:], words[0]]
+    assert vars(cli._build_parser().parse_args(moved)) == {**_UNSET, **parsed}
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([], "the following arguments are required: command"),
+    (["--input", AGG_PATH], "the following arguments are required: command"),
+    (["analyse", "--input", AGG_PATH],
+     "argument command: invalid choice: 'analyse' (choose from 'validate', 'analyze', "
+     "'indicators', 'reproduce-paper', 'schema')"),
+])
+def test_no_command_or_an_unknown_one_exits_2(argv, message, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    out, err = capsys.readouterr()
+    assert (out, err.splitlines()[-1]) == ("", f"scientoscope: error: {message}")
+
+
+def test_help_lists_every_command_and_version_prints_the_version(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["-h"])
+    assert excinfo.value.code == 0
+    out = capsys.readouterr().out
+    for name, (_, help_line) in cli._COMMANDS.items():
+        assert f"  {name} " in out and help_line in out
+    with pytest.raises(SystemExit) as excinfo:
+        main(["--version"])
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out == f"scientoscope {cli.__version__}\n"
 
 
 @pytest.mark.parametrize("command", ["analyze", "indicators", "reproduce-paper", "validate",

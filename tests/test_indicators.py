@@ -162,6 +162,14 @@ def test_cagr_modes():
     assert cagr(9, 9, 3, "intervals") == pytest.approx(0.0)
 
 
+@pytest.mark.parametrize("mode, periods", [("paper_years", 50), ("intervals", 49)])
+def test_cagr_note_prints_a_tiny_decline_as_zero(mode, periods):
+    papers = [1000] + [999] * 49  # -0.002% a year
+    years = [YearAggregate(1970 + i, n, [n, 0, 0, 0, 0], [0, 0, 0]) for i, n in enumerate(papers)]
+    table = egr_table(Dataset(years), AnalysisConfig(cagr_mode=mode))
+    assert table.notes == [f"CAGR 1970-2019: 0.0% over {periods} periods."]
+
+
 def test_cagr_zero_periods():
     with pytest.raises(ValueError, match="zero periods"):
         cagr(3, 5, 1, "intervals")

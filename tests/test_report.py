@@ -26,6 +26,10 @@ def test_round_display_half_up_cases():
     assert round_display(27.7533, 1) == "27.8"
     assert round_display(0.20067, 2) == "0.20"
     assert round_display(100.0, 2) == "100.00"
+    # Exact in binary, so the half-up rule alone decides these.
+    assert round_display(0.125, 2) == "0.13"
+    assert round_display(-0.125, 2) == "-0.13"
+    assert round_display(2.5, 0) == "3"
 
 
 def test_round_display_normalizes_negative_zero():
@@ -43,6 +47,7 @@ def test_round_half_up_numeric():
     assert round_half_up(0.515151, 2) == 0.52
     assert round_half_up(0.64663, 2) == 0.65
     assert round_half_up(1.94444, 2) == 1.94
+    assert round_half_up(0.625, 2) == 0.63
 
 
 def test_rounding_beyond_default_decimal_precision():

@@ -46,7 +46,7 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_datetime():
     (AnalysisConfig(), "study_window", (2017, 2013),
      "invalid study_window: (2017, 2013) (expected [first, last])"),
     (AnalysisConfig(), "taxonomy", ("A",),
-     "invalid taxonomy: ('A',) (expected distinct labels that include 'Others')"),
+     "invalid taxonomy: ('A',) (expected distinct one-line labels that include 'Others')"),
     (AnalysisConfig(), "absent_marker", None, "invalid absent_marker: None (expected a string)"),
     (AnalysisConfig(), "mode", None,
      "invalid mode: None (expected one of ('paper', 'standard'))"),

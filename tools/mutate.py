@@ -1,4 +1,4 @@
-"""Mutation check of the record fold's tests.
+"""Mutation check of the tests of the record fold, the CLI and the formulas.
 
 Copies the source tree (``src``, ``tests``, ``bench`` and
 ``pyproject.toml``) to a temporary directory and applies each mutant of a
@@ -34,7 +34,11 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 INGEST = "src/scientoscope/ingest.py"
+CLI = "src/scientoscope/cli.py"
+INDICATORS = "src/scientoscope/indicators.py"
 FOLD_TESTS = ("tests/test_ingest.py", "tests/test_differential.py")
+CLI_TESTS = ("tests/test_cli.py",)
+FORMULA_TESTS = ("tests/test_indicators.py", "tests/test_report.py")
 
 
 class Mutant(NamedTuple):
@@ -103,6 +107,60 @@ MUTANTS = (
            INGEST,
            "min(len(buffer), self._end - self._at)",
            "len(buffer)"),
+    Mutant("command-routed-to-another-handler",
+           "reproduce-paper runs analyze's handler",
+           CLI,
+           '"reproduce-paper": (cmd_reproduce_paper,',
+           '"reproduce-paper": (cmd_analyze,',
+           CLI_TESTS),
+    Mutant("strict-flag-defaults-false",
+           "an absent --strict reads False, so a config file's true loses",
+           CLI,
+           '"--strict", action="store_true", default=None',
+           '"--strict", action="store_true", default=False',
+           CLI_TESTS),
+    Mutant("timestamp-flag-defaults-false",
+           "an absent --timestamp reads False, so a config file's true loses",
+           CLI,
+           '"--timestamp", action="store_true", default=None',
+           '"--timestamp", action="store_true", default=False',
+           CLI_TESTS),
+    Mutant("ci-variants-swapped",
+           "the CI column computes stated for printed and printed for stated",
+           INDICATORS,
+           "variant = config.ci_variant",
+           'variant = {"printed": "stated", "stated": "printed"}[config.ci_variant]',
+           FORMULA_TESTS),
+    Mutant("dc-over-single",
+           "DC divides by the single-authored papers, not by all papers",
+           INDICATORS,
+           "return multiple / papers",
+           "return multiple / single",
+           FORMULA_TESTS),
+    Mutant("egr-paper-first-year-one",
+           "the paper EGR's first year is 1, not 0",
+           INDICATORS,
+           'rows.append([year, papers, 0.0 if mode == "paper" else None])',
+           'rows.append([year, papers, 1.0 if mode == "paper" else None])',
+           FORMULA_TESTS),
+    Mutant("rgr-paper-unrounded",
+           "paper-mode R is carried at full precision",
+           INDICATORS,
+           "r = round_half_up(abs(w2 - w1), 2)",
+           "r = abs(w2 - w1)",
+           FORMULA_TESTS),
+    Mutant("cagr-intervals-periods",
+           "CAGR over intervals compounds once per calendar year",
+           INDICATORS,
+           "return years - 1",
+           "return years",
+           FORMULA_TESTS),
+    Mutant("quantize-half-even",
+           "report._quantize rounds half to even",
+           "src/scientoscope/report.py",
+           "rounding=ROUND_HALF_UP",
+           'rounding="ROUND_HALF_EVEN"',
+           FORMULA_TESTS),
 )
 
 
