@@ -86,7 +86,8 @@ _RULES = {
     "strict": (lambda value: isinstance(value, bool), "true or false"),
     "study_window": (_window, "[first, last]"),
     "taxonomy": (_taxonomy, "distinct one-line labels that include 'Others'"),
-    "absent_marker": (lambda value: isinstance(value, str), "a string"),
+    "absent_marker": (lambda value: isinstance(value, str) and value.splitlines() in ([], [value]),
+                      "a string without line breaks"),
     **{name: (valid.__contains__, f"one of {valid}") for name, valid in _VALID.items()},
 }
 

@@ -47,23 +47,25 @@ A record CSV file is split when it holds at least ``_SPLIT_BYTES``
 (1 MiB) per part, one part per usable CPU (``os.sched_getaffinity``),
 at least two, and the process can fork (POSIX) and runs one thread.
 :func:`_cuts` cuts it at the first ``\\n`` from each k/N of its size,
-and a repeated cut makes no part. This process folds the first part and
-a forked child each other, all read by ``os.pread``. A quoted field may
-hold a ``\\n``, so each part but the last is read by a strict
-``csv.reader``, which raises at end of data inside a quoted field: a
-part that ends without error ends between rows. Each child sends its
-record count, year counts, bridge warnings and rule errors through a
-pipe (``marshal``), and :func:`_fold_parts` merges them into this
-part's in part order. A ``record N`` is renumbered by the records of
-the parts before it, and once the report holds an error a later part
-adds only its years, as the serial fold registers only the years of the
-records after its first error. :func:`_folded` then runs the year-gap
-rule and sorts the warnings, so the result is the serial fold's. When a
-part does not complete (a parse or decode error, a cut inside a quoted
-field, text after a closing quote, which only a strict reader refuses,
-a child that fails or is killed), every child is reaped and the whole
-input is folded serially, so every message and location is the serial
-route's. Memory is O(parts * (years + findings)).
+and a repeated cut makes no part. :func:`load` reads the header once;
+for records, a forked child folds each part but the last and this
+process the last, each part read by ``os.pread`` with the columns of the
+first part's first row. A quoted field may hold a ``\\n``, so each part
+but the last is read by a strict ``csv.reader``, which raises at end of
+data inside a quoted field: a part that ends without error ends between
+rows. Each part's fold is one tuple (record count, year counts, bridge
+warnings, rule errors), a child's sent through a pipe (``marshal``), and
+:func:`_fold_parts` merges them all in part order. A ``record N`` is
+renumbered by the records of the parts before it, and once the report
+holds an error a later part adds only its years, as the serial fold
+registers only the years of the records after its first error.
+:func:`_folded` then runs the year-gap rule and sorts the warnings, so
+the result is the serial fold's. When a part does not complete (a parse
+or decode error, a cut inside a quoted field, text after a closing
+quote, which only a strict reader refuses, a child that fails or is
+killed), every child is reaped and the fold goes on with the reader that
+read the header, from the row after it, so every message and location
+is the serial route's. Memory is O(parts * (years + findings)).
 
 CSV schemas
 -----------
@@ -759,8 +761,9 @@ def load(source: BinaryIO, format: str = "csv", config: AnalysisConfig | None = 
     messages as a file, in the same memory.
 
     A large record CSV file is folded in parts at once, as the module
-    docstring says; JSON and aggregate input are always read whole. The
-    result, or the error, is always the serial load's.
+    docstring says; a split that does not complete goes on with the
+    reader that read the header. JSON and aggregate input are always
+    read whole. The result, or the error, is always the serial load's.
     """
     if not source.seekable():  # an error reads the input again, from the start
         import shutil
@@ -770,15 +773,13 @@ def load(source: BinaryIO, format: str = "csv", config: AnalysisConfig | None = 
             spool.seek(0)
             return load(spool, format, config, granularity)
     config = config or AnalysisConfig()
-    if format == "csv":
-        folded = _fold_parts(source, config, granularity)
-        if folded is not None:
-            return _folded(*folded)
+    cuts = _cuts(source) if format == "csv" else None
     text = io.TextIOWrapper(source, encoding="utf-8-sig", newline="\n")
     try:
         granularity, rows, locate = _rows(text, format, granularity)
         if granularity == "records":
-            return _folded(*_fold(rows, locate, config))
+            return _folded(*(cuts and _fold_parts(source, cuts, config)
+                             or _fold(rows, locate, config)))
         dataset = _aggregate_dataset(rows, locate)
     except (ParseError, UnicodeDecodeError):
         # A decode error carries a position within the decoder's chunk,
@@ -933,37 +934,33 @@ class _Part(io.RawIOBase):
         return len(data)
 
 
-def _fold_parts(source: BinaryIO, config: AnalysisConfig,
-                granularity: str | None) -> tuple[ValidationReport, _YearTally] | None:
-    """Fold record CSV *source* in the parts :func:`_cuts` gives, the first
-    here and each other in a forked child, and merge them, as the module
-    docstring describes; ``None`` when the file is not split or a part does
-    not complete."""
-    cuts = _cuts(source)
-    if cuts is None:
-        return None
-    fd = source.fileno()
+def _fold_parts(source: BinaryIO, cuts: list[int],
+                config: AnalysisConfig) -> tuple[ValidationReport, _YearTally] | None:
+    """Fold record CSV *source* in the parts *cuts* gives, the last here and
+    each other in a forked child, and merge them, as the module docstring
+    describes; ``None`` when a part does not complete."""
+    fd, last = source.fileno(), len(cuts) - 2
 
     def part(k: int):
         """A csv reader of part *k*, strict unless it is the last, so that a
         part cut inside a quoted field raises at its end."""
         text = io.TextIOWrapper(_Part(fd, cuts[k], cuts[k + 1]),
                                 encoding="utf-8" if k else "utf-8-sig", newline="\n")
-        return csv.reader(text, strict=cuts[k + 1] < cuts[-1])
+        return csv.reader(text, strict=k < last)
 
-    def fold(reader) -> tuple[ValidationReport, _YearTally]:
-        return _fold(*_csv_rows(reader, header, "records"), config)
+    def fold(k: int) -> tuple:
+        """Part *k*'s record count, year counts, bridge warnings and rule
+        errors, as plain tuples; its header is the first part's first row."""
+        reader = part(k)
+        header = _csv_header(part(0) if k else reader)
+        report, tally = _fold(*_csv_rows(reader, header, "records"), config)
+        return (report.record_count, tally.counts, list(map(tuple, tally.warnings)),
+                list(map(tuple, report.errors)))
 
     children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
     messages: list[bytes] = []
     try:
-        reader = part(0)
-        header = _csv_header(reader)
-        if granularity is None:
-            granularity = _granularity(header)
-        if granularity != "records":
-            return None
-        for k in range(1, len(cuts) - 1):
+        for k in range(last):
             read, write = os.pipe()
             try:
                 pid = os.fork()
@@ -975,17 +972,14 @@ def _fold_parts(source: BinaryIO, config: AnalysisConfig,
                 code = 1
                 try:
                     os.close(read)
-                    report, tally = fold(part(k))
                     with open(write, "wb") as pipe:
-                        pipe.write(marshal.dumps((report.record_count, tally.counts,
-                                                  list(map(tuple, tally.warnings)),
-                                                  list(map(tuple, report.errors)))))
+                        pipe.write(marshal.dumps(fold(k)))
                     code = 0
                 finally:
                     os._exit(code)
             os.close(write)
             children.append((pid, read))
-        report, tally = fold(reader)
+        own = fold(last)
         messages = [open(read, "rb", buffering=0, closefd=False).readall()
                     for _, read in children]
     except (ParseError, UnicodeDecodeError, OSError):
@@ -999,17 +993,18 @@ def _fold_parts(source: BinaryIO, config: AnalysisConfig,
             os.close(read)
     if any(statuses):
         return None
-    for message in messages:
-        try:
-            count, counts, warnings, errors = marshal.loads(message)
-        except (EOFError, ValueError, TypeError):  # a short message
-            return None
+    try:
+        folds = [*map(marshal.loads, messages), own]
+    except (EOFError, ValueError, TypeError):  # a short message
+        return None
+    report, tally = ValidationReport(), _YearTally(config.taxonomy)
+    for count, counts, warnings, errors in folds:
         if report.errors:  # the serial fold registers only the years after an error
             for year in counts:
                 tally.year(year)
         else:
             tally.merge(counts, warnings)
-        for location, rule, text in errors:  # "record N", N counted within this part
+        for location, rule, text in errors:  # "record N", N counted within its part
             number = int(location.removeprefix("record ")) + report.record_count
             report.error(f"record {number}", rule, text)
         report.record_count += count

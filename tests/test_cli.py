@@ -374,7 +374,9 @@ def test_config_env_var_fallback(tmp_path, capsys, monkeypatch):
     ("study_window", [2017, 2013], "[first, last]"),
     ("study_window", ["2013", "2017"], "[first, last]"),
     ("taxonomy", 5, "distinct one-line labels that include 'Others'"),
-    ("absent_marker", 5, "a string"),
+    ("absent_marker", 5, "a string without line breaks"),
+    ("absent_marker", "n/\na", "a string without line breaks"),
+    ("absent_marker", "n/a\u2028", "a string without line breaks"),
 ])
 def test_config_value_of_wrong_shape_exits_1(key, value, shape, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"

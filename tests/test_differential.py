@@ -19,7 +19,7 @@ the memo answers them. The CSV and JSON forms of a set must print the
 same tables, and so must the aggregate CSV of an accepted set. The
 settings are deterministic, like ``tests/test_fuzz.py``.
 
-:func:`load` of a large record CSV file folds it in parts, the first in
+:func:`load` of a large record CSV file folds it in parts, the last in
 this process and each other in a forked child (``ingest._fold_parts``).
 Every CSV above is also loaded from a file split into 2 and into 3
 parts, by a ``_SPLIT_BYTES`` small enough for it, and must give what
@@ -330,10 +330,10 @@ _ROWS = "".join(f"{2012 + i % 4},{i % 9 + 1},{i % 4 + 1},Title {i},A; B,{i + 1},
 @pytest.fixture
 def route(monkeypatch):
     """The forks and the folds that loads make in this process: a split
-    forks a child per part but the first, and a part that does not
-    complete (a parse error, a cut inside a quoted field, a failed child)
-    sends the file to the serial load, a second fold. A rule error does
-    not: it merges like the counts."""
+    forks a child per part but the last, which this process folds, and a
+    part that does not complete (a parse error, a cut inside a quoted
+    field, a failed child) sends the rest of the file to the serial fold,
+    a second fold. A rule error does not: it merges like the counts."""
     counts = Counter()
     fork, fold = os.fork, ingest._fold
 
@@ -466,7 +466,9 @@ def test_crlf_line_ends_split_as_they_load_whole(tmp_path, route):
 def test_a_fault_in_the_last_part_gives_the_serial_outcome(tmp_path, route, last, parts):
     raw = (HEADER + _ROWS * 6).encode() + last
     folded = _load_split(raw, parts, AnalysisConfig(), tmp_path)
-    assert route["forks"] == parts - 1
+    # load decodes the first 8 KiB, all of this file, as it reads the
+    # header, so a bad byte raises before any fork, with the same message.
+    assert route["forks"] == (0 if b"\xff" in last else parts - 1)
     assert folded == _serial(raw)
     assert isinstance(folded, str) or not folded[1].ok
     _assert_no_child_left()
@@ -508,6 +510,19 @@ def test_a_fault_in_the_first_part_stops_the_children(tmp_path, route):
     folded = _load_split(raw, 3, AnalysisConfig(), tmp_path)
     assert route == {"forks": 2, "folds": 2}
     assert folded == _serial(raw)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("header, message", [
+    (HEADER.replace("volume", "title"), "line 1: duplicate columns: title"),
+    (HEADER.replace(",volume", ""), "line 1: record CSV header is missing columns: volume"),
+], ids=["duplicate-column", "missing-column"])
+@pytest.mark.parametrize("parts", [2, 3])
+def test_a_bad_header_gives_the_serial_message_before_any_fork(tmp_path, route, parts, header,
+                                                              message):
+    raw = (header + _ROWS * 6).encode()
+    assert _load_split(raw, parts, AnalysisConfig(), tmp_path) == _serial(raw) == message
+    assert not route  # no fork and no fold
     _assert_no_child_left()
 
 
@@ -582,7 +597,8 @@ def test_merged_subject_labels_keep_the_taxonomy_order_with_others_last():
         ["ICT", "Webometrics", "Others"]] * 2 + [["ICT", "Webometrics"]]
 
 
-@pytest.mark.parametrize("command", [["validate"], ["analyze", "--table", "all"]])
+@pytest.mark.parametrize("command", [["validate"], ["analyze", "--table", "all"],
+                                     ["analyze", "--table", "all", "--show-config"]])
 def test_the_cli_prints_the_same_for_a_split_and_a_serial_load(tmp_path, command):
     # Above two real _SPLIT_BYTES, so the file splits on two usable CPUs;
     # pinned to one CPU it loads whole. communicate() returns only once no
@@ -606,3 +622,5 @@ def test_the_cli_prints_the_same_for_a_split_and_a_serial_load(tmp_path, command
     code, out, err = run(cpus)
     assert (code, out, err) == run({min(cpus)})
     assert code == 0 and (out + err).count(b"WARNING [") == 6018
+    # --show-config prints before the load forks: no child prints it again.
+    assert out.count(b'"config_hash"') == ("--show-config" in command)

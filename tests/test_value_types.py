@@ -47,7 +47,8 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_datetime():
      "invalid study_window: (2017, 2013) (expected [first, last])"),
     (AnalysisConfig(), "taxonomy", ("A",),
      "invalid taxonomy: ('A',) (expected distinct one-line labels that include 'Others')"),
-    (AnalysisConfig(), "absent_marker", None, "invalid absent_marker: None (expected a string)"),
+    (AnalysisConfig(), "absent_marker", None,
+     "invalid absent_marker: None (expected a string without line breaks)"),
     (AnalysisConfig(), "mode", None,
      "invalid mode: None (expected one of ('paper', 'standard'))"),
 ])

@@ -100,8 +100,43 @@ MUTANTS = (
     Mutant("split-parts-not-strict",
            "every part of a split is read by a lenient csv reader",
            INGEST,
-           "strict=cuts[k + 1] < cuts[-1]",
+           "strict=k < last",
            "strict=False"),
+    Mutant("split-own-part-merged-first",
+           "the part this process folds, the last, is merged before the children's",
+           INGEST,
+           "folds = [*map(marshal.loads, messages), own]",
+           "folds = [own, *map(marshal.loads, messages)]"),
+    Mutant("split-part-header-from-its-own-first-row",
+           "each part takes its columns from its own first row, not the file's header",
+           INGEST,
+           "header = _csv_header(part(0) if k else reader)",
+           "header = _csv_header(reader)"),
+    Mutant("record-zero-authors-accepted",
+           "the record rules accept an author count of 0",
+           INGEST,
+           "if n_authors < 1:",
+           "if n_authors < 0:"),
+    Mutant("tally-four-authors-pooled",
+           "the bridge counts a four-author record in the open 5+ bin",
+           INGEST,
+           "n_authors - 1 if n_authors <= _POOLED else _POOLED",
+           "n_authors - 1 if n_authors < _POOLED else _POOLED"),
+    Mutant("merge-subject-count-replaced",
+           "a merge replaces a year's subject count by the other tally's",
+           INGEST,
+           "mine[4][label] = mine[4].get(label, 0) + n",
+           "mine[4][label] = n"),
+    Mutant("cut-before-its-line-end",
+           "a cut falls on the \\n that ends a part's last row, not after it",
+           INGEST,
+           'cuts.append(at + block.index(b"\\n") + 1 if block else size)',
+           'cuts.append(at + block.index(b"\\n") if block else size)'),
+    Mutant("cuts-of-one-part",
+           "a file that makes one part is still cut",
+           INGEST,
+           "return cuts if len(cuts) > 2 else None",
+           "return cuts if len(cuts) > 1 else None"),
     Mutant("split-part-reads-past-its-end",
            "a part reads on past the cut that ends it",
            INGEST,
