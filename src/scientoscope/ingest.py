@@ -47,25 +47,26 @@ A record CSV file is split when it holds at least ``_SPLIT_BYTES``
 (1 MiB) per part, one part per usable CPU (``os.sched_getaffinity``),
 at least two, and the process can fork (POSIX) and runs one thread.
 :func:`_cuts` cuts it at the first ``\\n`` from each k/N of its size,
-and a repeated cut makes no part. :func:`load` reads the header once;
-for records, a forked child folds each part but the last and this
-process the last, each part read by ``os.pread`` with the columns of the
-first part's first row. A quoted field may hold a ``\\n``, so each part
-but the last is read by a strict ``csv.reader``, which raises at end of
-data inside a quoted field: a part that ends without error ends between
-rows. Each part's fold is one tuple (record count, year counts, bridge
-warnings, rule errors), a child's sent through a pipe (``marshal``), and
-:func:`_fold_parts` merges them all in part order. A ``record N`` is
-renumbered by the records of the parts before it, and once the report
+and a repeated cut makes no part. After :func:`load` reads the header,
+:func:`_fold_parts` reads it once more, by the first part's reader, then
+forks a child for each later part and folds the first in this process,
+each part read by ``os.pread``. A quoted field may hold a ``\\n``, so each
+part but the last is read by a strict ``csv.reader``, which raises at end
+of data inside a quoted field: a part that ends without error ends
+between rows. A child sends its fold as one tuple (record count, year
+counts, bridge warnings, rule errors) through a pipe (``marshal``), and
+this process merges each into its own fold in part order. A ``record N``
+is renumbered by the records of the parts before it, and once the report
 holds an error a later part adds only its years, as the serial fold
 registers only the years of the records after its first error.
 :func:`_folded` then runs the year-gap rule and sorts the warnings, so
 the result is the serial fold's. When a part does not complete (a parse
 or decode error, a cut inside a quoted field, text after a closing
 quote, which only a strict reader refuses, a child that fails or is
-killed), every child is reaped and the fold goes on with the reader that
-read the header, from the row after it, so every message and location
-is the serial route's. Memory is O(parts * (years + findings)).
+killed), every child is reaped, killed at once if this process's part
+failed, and the fold goes on with the reader that read the header, from
+the row after it, so every message and location is the serial route's.
+Memory is O(parts * (years + findings)).
 
 CSV schemas
 -----------
@@ -761,9 +762,11 @@ def load(source: BinaryIO, format: str = "csv", config: AnalysisConfig | None = 
     messages as a file, in the same memory.
 
     A large record CSV file is folded in parts at once, as the module
-    docstring says; a split that does not complete goes on with the
-    reader that read the header. JSON and aggregate input are always
-    read whole. The result, or the error, is always the serial load's.
+    docstring says: the header is read once more, by the first part's
+    reader, before any fork, and each child's fold merges into this
+    process's fold of the first part. A split that does not complete goes
+    on with the reader that read the header. JSON and aggregate input are
+    read whole. The result, or the error, is the serial load's.
     """
     if not source.seekable():  # an error reads the input again, from the start
         import shutil
@@ -773,6 +776,7 @@ def load(source: BinaryIO, format: str = "csv", config: AnalysisConfig | None = 
             spool.seek(0)
             return load(spool, format, config, granularity)
     config = config or AnalysisConfig()
+    start = source.tell()
     cuts = _cuts(source) if format == "csv" else None
     text = io.TextIOWrapper(source, encoding="utf-8-sig", newline="\n")
     try:
@@ -784,7 +788,7 @@ def load(source: BinaryIO, format: str = "csv", config: AnalysisConfig | None = 
     except (ParseError, UnicodeDecodeError):
         # A decode error carries a position within the decoder's chunk,
         # and a row error may precede a bad byte: decode it all again.
-        source.seek(0)
+        source.seek(start)
         _decode(source.read())
         raise
     finally:
@@ -936,8 +940,9 @@ class _Part(io.RawIOBase):
 
 def _fold_parts(source: BinaryIO, cuts: list[int],
                 config: AnalysisConfig) -> tuple[ValidationReport, _YearTally] | None:
-    """Fold record CSV *source* in the parts *cuts* gives, the last here and
-    each other in a forked child, and merge them, as the module docstring
+    """Fold the parts *cuts* gives of record CSV *source*, once the first
+    part's reader has read the header: each other part in a forked child,
+    merged into this process's fold of the first, as the module docstring
     describes; ``None`` when a part does not complete."""
     fd, last = source.fileno(), len(cuts) - 2
 
@@ -948,19 +953,12 @@ def _fold_parts(source: BinaryIO, cuts: list[int],
                                 encoding="utf-8" if k else "utf-8-sig", newline="\n")
         return csv.reader(text, strict=k < last)
 
-    def fold(k: int) -> tuple:
-        """Part *k*'s record count, year counts, bridge warnings and rule
-        errors, as plain tuples; its header is the first part's first row."""
-        reader = part(k)
-        header = _csv_header(part(0) if k else reader)
-        report, tally = _fold(*_csv_rows(reader, header, "records"), config)
-        return (report.record_count, tally.counts, list(map(tuple, tally.warnings)),
-                list(map(tuple, report.errors)))
-
     children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
     messages: list[bytes] = []
     try:
-        for k in range(last):
+        reader = part(0)
+        header = _csv_header(reader)
+        for k in range(1, last + 1):
             read, write = os.pipe()
             try:
                 pid = os.fork()
@@ -968,18 +966,21 @@ def _fold_parts(source: BinaryIO, cuts: list[int],
                 os.close(read)
                 os.close(write)
                 raise
-            if pid == 0:  # the child: send the fold of part k and exit, never print
+            if pid == 0:  # the child: send part k's fold as plain tuples and exit, never print
                 code = 1
                 try:
                     os.close(read)
+                    report, tally = _fold(*_csv_rows(part(k), header, "records"), config)
                     with open(write, "wb") as pipe:
-                        pipe.write(marshal.dumps(fold(k)))
+                        pipe.write(marshal.dumps((report.record_count, tally.counts,
+                                                  list(map(tuple, tally.warnings)),
+                                                  list(map(tuple, report.errors)))))
                     code = 0
                 finally:
                     os._exit(code)
             os.close(write)
             children.append((pid, read))
-        own = fold(last)
+        report, tally = _fold(*_csv_rows(reader, header, "records"), config)
         messages = [open(read, "rb", buffering=0, closefd=False).readall()
                     for _, read in children]
     except (ParseError, UnicodeDecodeError, OSError):
@@ -994,10 +995,9 @@ def _fold_parts(source: BinaryIO, cuts: list[int],
     if any(statuses):
         return None
     try:
-        folds = [*map(marshal.loads, messages), own]
+        folds = list(map(marshal.loads, messages))
     except (EOFError, ValueError, TypeError):  # a short message
         return None
-    report, tally = ValidationReport(), _YearTally(config.taxonomy)
     for count, counts, warnings, errors in folds:
         if report.errors:  # the serial fold registers only the years after an error
             for year in counts:

@@ -19,16 +19,18 @@ the memo answers them. The CSV and JSON forms of a set must print the
 same tables, and so must the aggregate CSV of an accepted set. The
 settings are deterministic, like ``tests/test_fuzz.py``.
 
-:func:`load` of a large record CSV file folds it in parts, the last in
-this process and each other in a forked child (``ingest._fold_parts``).
-Every CSV above is also loaded from a file split into 2 and into 3
-parts, by a ``_SPLIT_BYTES`` small enough for it, and must give what
-:func:`load` of the same bytes in memory, which is never split, gives.
-Dedicated cases put a quoted line break, blank lines or CRLF line ends
-at a cut, a row only a strict reader refuses in the first or the last
-part, a row longer than a part, a fault in the last part, a rule error
-in any part, or a fault in a part's child, and check that no child
-outlives the load.
+:func:`load` of a large record CSV file folds it in parts
+(``ingest._fold_parts``): this process reads the header once, by the
+first part's reader, before it forks a child for each later part, folds
+the first part and merges each child's fold into its own. Every CSV
+above is also loaded from a file split into 2 and into 3 parts, by a
+``_SPLIT_BYTES`` small enough for it, and must give what :func:`load` of
+the same bytes in memory, which is never split, gives. Dedicated cases
+put a quoted line break, blank lines or CRLF line ends at a cut, a row
+only a strict reader refuses in the header, the first or the last part,
+a row longer than a part, a fault in the first or the last part, a rule
+error in any part, a fault in a part's child, or the input after the
+start of its file, and check that no child outlives the load.
 """
 
 import csv
@@ -330,10 +332,11 @@ _ROWS = "".join(f"{2012 + i % 4},{i % 9 + 1},{i % 4 + 1},Title {i},A; B,{i + 1},
 @pytest.fixture
 def route(monkeypatch):
     """The forks and the folds that loads make in this process: a split
-    forks a child per part but the last, which this process folds, and a
-    part that does not complete (a parse error, a cut inside a quoted
-    field, a failed child) sends the rest of the file to the serial fold,
-    a second fold. A rule error does not: it merges like the counts."""
+    reads the header once, forks a child per part but the first, which
+    this process folds, and merges each child's fold into its own. A part
+    that does not complete (a parse error, a cut inside a quoted field, a
+    failed child) sends the rest of the file to the serial fold, a second
+    fold. A rule error does not: it merges like the counts."""
     counts = Counter()
     fork, fold = os.fork, ingest._fold
 
@@ -411,17 +414,23 @@ def test_blank_lines_at_the_cut_are_skipped_as_the_serial_load_skips_them(tmp_pa
     assert folded == _serial(raw)
 
 
-@pytest.mark.parametrize("part, folds", [(0, 2), (1, 1)], ids=["first", "last"])
-def test_a_row_only_a_strict_reader_refuses_gives_the_serial_outcome(tmp_path, route, part,
-                                                                     folds):
+@pytest.mark.parametrize("where, forks, folds", [("first", 1, 2), ("last", 1, 1), ("header", 0, 1)],
+                         ids=["first", "last", "header"])
+def test_a_row_only_a_strict_reader_refuses_gives_the_serial_outcome(tmp_path, route, where,
+                                                                     forks, folds):
     # Text after a closing quote is kept by the serial reader. The strict
     # reader of a part but the last refuses it, so that part falls back to
     # the serial load; the last part is read as the serial load reads it.
+    # The header is read by the first part's reader before any fork, so a
+    # header it refuses falls back before a child is forked.
     row = '2013,,,"T"x,A,1,5,ICT\n'
-    before, after = (_ROWS + row, "") if part == 0 else ("", row)
-    raw = _cut_after(HEADER + _ROWS + before, after + _ROWS, tmp_path)
+    if where == "header":
+        raw = (HEADER.replace("\n", ',"note"x\n') + _ROWS.replace("\n", ",\n") * 6).encode()
+    else:
+        before, after = (_ROWS + row, "") if where == "first" else ("", row)
+        raw = _cut_after(HEADER + _ROWS + before, after + _ROWS, tmp_path)
     folded = _load_split(raw, 2, AnalysisConfig(), tmp_path)
-    assert route == {"forks": 1, "folds": folds}
+    assert (route["forks"], route["folds"]) == (forks, folds)
     assert folded == _serial(raw)
     assert folded[1].ok and folded[1].record_count == raw.count(b"\n") - 1  # "Tx" kept
 
@@ -505,11 +514,23 @@ def test_a_rule_error_in_any_part_folds_the_file_once(tmp_path, route, parts, wh
     _assert_no_child_left()
 
 
-def test_a_fault_in_the_first_part_stops_the_children(tmp_path, route):
+def test_a_fault_in_the_first_part_stops_the_children(monkeypatch, tmp_path, route):
+    # This process folds the first part. Each child would fold for 20 s:
+    # only a kill when this part raises lets the load end sooner.
     raw = (HEADER + "2013,,,T,A,q,2,ICT\n" + _ROWS * 6).encode()
+    parent, fold = os.getpid(), ingest._fold
+
+    def slow_in_a_child(*args):
+        if os.getpid() != parent:
+            time.sleep(20)
+        return fold(*args)
+
+    monkeypatch.setattr(ingest, "_fold", slow_in_a_child)
+    start = time.monotonic()
     folded = _load_split(raw, 3, AnalysisConfig(), tmp_path)
+    assert time.monotonic() - start < 10
     assert route == {"forks": 2, "folds": 2}
-    assert folded == _serial(raw)
+    assert folded == _serial(raw) == "line 2: non-numeric start_page: 'q'"
     _assert_no_child_left()
 
 
@@ -523,6 +544,35 @@ def test_a_bad_header_gives_the_serial_message_before_any_fork(tmp_path, route, 
     raw = (header + _ROWS * 6).encode()
     assert _load_split(raw, parts, AnalysisConfig(), tmp_path) == _serial(raw) == message
     assert not route  # no fork and no fold
+    _assert_no_child_left()
+
+
+_BAD_ROW = "2015,,,T,A,q,2,ICT\n"  # a parse error
+
+
+@pytest.mark.parametrize("body", [
+    (HEADER + _ROWS * 6).encode(),
+    (HEADER + _ROWS * 6 + _BAD_ROW).encode(),
+    (HEADER + _BAD_ROW + _ROWS * 40).encode() + b"2015,,,T\xff,A,1,2,ICT\n",  # past 8 KiB
+    HEADER.replace("title", "ti\xfftle").encode("latin-1") + (_ROWS * 6).encode(),
+], ids=["valid", "row-error", "row-error-then-bad-byte", "bad-byte-in-header"])
+def test_an_input_after_the_start_of_its_file_loads_as_it_loads_alone(tmp_path, body):
+    # The input starts after a line that is not valid UTF-8, which the
+    # whole-input decode of an error must not read again.
+    junk = b"\xff\xfe junk\n"
+    expected = _serial(body)
+    positioned = io.BytesIO(junk + body)
+    positioned.readline()
+    assert _outcome(lambda: load(positioned, "csv", AnalysisConfig(), "records")) == expected
+    path = tmp_path / "positioned.csv"
+    path.write_bytes(junk + body)
+    with pytest.MonkeyPatch.context() as patch, path.open("rb") as source:
+        source.readline()
+        patch.setattr(ingest, "_SPLIT_BYTES", len(body) // 2)
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        cuts = ingest._cuts(source)
+        assert len(cuts) == 3 and cuts[0] == len(junk)  # two parts, from the input's start
+        assert _outcome(lambda: load(source, "csv", AnalysisConfig(), "records")) == expected
     _assert_no_child_left()
 
 

@@ -4,9 +4,10 @@ Copies the source tree (``src``, ``tests``, ``bench`` and
 ``pyproject.toml``) to a temporary directory and applies each mutant of a
 fixed, named list there in turn. Each mutant replaces one exact piece of
 code, which must occur once. For each mutant the tests it targets run
-(``pytest -x``); a mutant is killed when a test fails and survives when
-they all pass. The unmutated copy runs the same tests first, and must
-pass.
+(``pytest -x``); a mutant is killed when a test fails, survives when
+they all pass, and is broken when pytest exits otherwise, as it does
+when the mutated code cannot be imported. The unmutated copy runs the
+same tests first, and must pass.
 
 Run it from the root of a source checkout, with pytest and hypothesis
 installed:
@@ -16,8 +17,9 @@ installed:
     python3 tools/mutate.py --list      # the names
 
 It exits 0 when every mutant was killed, 1 when one survived, and 2 when
-a mutant no longer matches the code or the unmutated tests fail. It runs
-for minutes, so it is not part of the test suite. Stdlib only.
+a mutant no longer matches the code or is broken, or the unmutated tests
+fail. It runs for minutes, so it is not part of the test suite. Stdlib
+only.
 """
 
 from __future__ import annotations
@@ -102,16 +104,34 @@ MUTANTS = (
            INGEST,
            "strict=k < last",
            "strict=False"),
-    Mutant("split-own-part-merged-first",
-           "the part this process folds, the last, is merged before the children's",
+    Mutant("split-own-part-merged-last",
+           "the part this process folds, the first, is merged after the children's",
            INGEST,
-           "folds = [*map(marshal.loads, messages), own]",
-           "folds = [own, *map(marshal.loads, messages)]"),
+           "        folds = list(map(marshal.loads, messages))\n",
+           "        own = (report.record_count, tally.counts, list(map(tuple, tally.warnings)),\n"
+           "               list(map(tuple, report.errors)))\n"
+           "        report, tally = ValidationReport(), _YearTally(config.taxonomy)\n"
+           "        folds = [*map(marshal.loads, messages), own]\n"),
+    Mutant("split-children-merged-in-reverse",
+           "the children's folds are merged in reverse part order",
+           INGEST,
+           "folds = list(map(marshal.loads, messages))",
+           "folds = list(map(marshal.loads, messages[::-1]))"),
     Mutant("split-part-header-from-its-own-first-row",
-           "each part takes its columns from its own first row, not the file's header",
+           "each child's part takes its columns from its own first row, not the file's header",
            INGEST,
-           "header = _csv_header(part(0) if k else reader)",
-           "header = _csv_header(reader)"),
+           '_fold(*_csv_rows(part(k), header, "records"), config)',
+           '_fold(*_csv_rows(reader := part(k), _csv_header(reader), "records"), config)'),
+    Mutant("split-children-not-killed",
+           "the children are only reaped, not killed, when this process's part raises",
+           INGEST,
+           "os.kill(pid, 9)  # SIGKILL",
+           "pass  # SIGKILL"),
+    Mutant("error-rereads-from-byte-0",
+           "the decode of a failed input reads its file from byte 0, not from where it starts",
+           INGEST,
+           "source.seek(start)",
+           "source.seek(0)"),
     Mutant("record-zero-authors-accepted",
            "the record rules accept an author count of 0",
            INGEST,
@@ -241,7 +261,7 @@ def main(argv: list[str] | None = None) -> int:
         if baseline.returncode:
             print(f"the unmutated tests fail: {_summary(baseline)}")
             return 2
-        survivors = []
+        survivors, broken = [], []
         for m in mutants:
             path = tree / m.path
             original = path.read_text()
@@ -251,14 +271,17 @@ def main(argv: list[str] | None = None) -> int:
                 run = _pytest(tree, m.tests)
             finally:
                 path.write_text(original)
-            outcome = "killed  " if run.returncode else "SURVIVED"
-            if not run.returncode:
+            outcome = {0: "SURVIVED", 1: "killed  "}.get(run.returncode, "BROKEN  ")
+            if run.returncode == 0:
                 survivors.append(m.name)
+            elif run.returncode != 1:  # no test ran to an outcome
+                broken.append(m.name)
             print(f"{outcome} {m.name:<36} {_summary(run)} ({time.monotonic() - start:.0f} s)",
                   flush=True)
-    print(f"{len(mutants) - len(survivors)} of {len(mutants)} killed"
-          + (f"; survived: {', '.join(survivors)}" if survivors else ""))
-    return 1 if survivors else 0
+    print(f"{len(mutants) - len(survivors) - len(broken)} of {len(mutants)} killed"
+          + (f"; survived: {', '.join(survivors)}" if survivors else "")
+          + (f"; broken: {', '.join(broken)}" if broken else ""))
+    return 2 if broken else 1 if survivors else 0
 
 
 if __name__ == "__main__":
