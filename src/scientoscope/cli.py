@@ -17,8 +17,8 @@ adds the conformance check. One dict (``_meta``) states each run, as
 the JSON ``meta`` object and as the text metadata line.
 
 Exit codes: 0 success, 1 validation/analysis/golden failure, 2 input or
-parse failure. Output is byte-identical for identical input and
-configuration; timestamps appear only under ``--timestamp``.
+parse failure, or out of memory. Output is byte-identical for identical
+input and configuration; timestamps appear only under ``--timestamp``.
 """
 
 from __future__ import annotations
@@ -316,6 +316,7 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    run = {"input": args.input}
     try:
         config, run = _effective_options(args)
         if args.show_config:
@@ -328,6 +329,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
+    except MemoryError:  # what the load held is freed by the time it gets here
+        print(f"error: out of memory loading {run['input']}", file=sys.stderr)
+        return EXIT_PARSE
 
 
 def entry() -> None:

@@ -53,9 +53,11 @@ forks a child for each later part and folds the first in this process,
 each part read by ``os.pread``. A quoted field may hold a ``\\n``, so each
 part but the last is read by a strict ``csv.reader``, which raises at end
 of data inside a quoted field: a part that ends without error ends
-between rows. A child sends its fold as one tuple (record count, year
-counts, bridge warnings, rule errors) through a pipe (``marshal``), and
-this process merges each into its own fold in part order. A ``record N``
+between rows. A child sends its whole fold as one tuple (record count,
+year counts, bridge warnings, rule errors) through a pipe (``marshal``),
+or nothing, and this process loads each in part order and merges it into
+its own fold. A part is folded when its whole fold arrives, whatever its
+child's exit status. A ``record N``
 is renumbered by the records of the parts before it, and once the report
 holds an error a later part adds only its years, as the serial fold
 registers only the years of the records after its first error.
@@ -63,8 +65,8 @@ registers only the years of the records after its first error.
 the result is the serial fold's. When a part does not complete (a parse
 or decode error, a cut inside a quoted field, text after a closing
 quote, which only a strict reader refuses, a child that fails or is
-killed), every child is reaped, killed at once if this process's part
-failed, and the fold goes on with the reader that read the header, from
+killed before its whole fold is sent), every child is killed at once and
+reaped, and the fold goes on with the reader that read the header, from
 the row after it, so every message and location is the serial route's.
 Memory is O(parts * (years + findings)).
 
@@ -943,7 +945,8 @@ def _fold_parts(source: BinaryIO, cuts: list[int],
     """Fold the parts *cuts* gives of record CSV *source*, once the first
     part's reader has read the header: each other part in a forked child,
     merged into this process's fold of the first, as the module docstring
-    describes; ``None`` when a part does not complete."""
+    describes; ``None`` when this process's part raises or a child's whole
+    fold does not arrive."""
     fd, last = source.fileno(), len(cuts) - 2
 
     def part(k: int):
@@ -954,7 +957,7 @@ def _fold_parts(source: BinaryIO, cuts: list[int],
         return csv.reader(text, strict=k < last)
 
     children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
-    messages: list[bytes] = []
+    folds: list[tuple] = []
     try:
         reader = part(0)
         header = _csv_header(reader)
@@ -966,8 +969,7 @@ def _fold_parts(source: BinaryIO, cuts: list[int],
                 os.close(read)
                 os.close(write)
                 raise
-            if pid == 0:  # the child: send part k's fold as plain tuples and exit, never print
-                code = 1
+            if pid == 0:  # the child: send part k's fold as plain tuples, or nothing; never print
                 try:
                     os.close(read)
                     report, tally = _fold(*_csv_rows(part(k), header, "records"), config)
@@ -975,29 +977,21 @@ def _fold_parts(source: BinaryIO, cuts: list[int],
                         pipe.write(marshal.dumps((report.record_count, tally.counts,
                                                   list(map(tuple, tally.warnings)),
                                                   list(map(tuple, report.errors)))))
-                    code = 0
                 finally:
-                    os._exit(code)
+                    os._exit(0)
             os.close(write)
             children.append((pid, read))
         report, tally = _fold(*_csv_rows(reader, header, "records"), config)
-        messages = [open(read, "rb", buffering=0, closefd=False).readall()
-                    for _, read in children]
-    except (ParseError, UnicodeDecodeError, OSError):
+        for _, read in children:  # an empty or short message raises EOFError or ValueError
+            folds.append(marshal.loads(open(read, "rb", buffering=0, closefd=False).readall()))
+    except (ValueError, EOFError, OSError):  # ParseError and UnicodeDecodeError are ValueErrors
         return None
     finally:
-        statuses = []
         for pid, read in children:
-            if len(messages) < len(children):  # this part raised or failed: stop the rest
+            if len(folds) < len(children):  # a part failed: stop the rest
                 os.kill(pid, 9)  # SIGKILL
-            statuses.append(os.waitpid(pid, 0)[1])
+            os.waitpid(pid, 0)
             os.close(read)
-    if any(statuses):
-        return None
-    try:
-        folds = list(map(marshal.loads, messages))
-    except (EOFError, ValueError, TypeError):  # a short message
-        return None
     for count, counts, warnings, errors in folds:
         if report.errors:  # the serial fold registers only the years after an error
             for year in counts:

@@ -745,6 +745,24 @@ def test_a_closed_stdout_pipe_exits_1_without_a_traceback():
     assert "Error" not in stderr
 
 
+def test_an_input_too_large_for_the_memory_left_exits_2_without_a_traceback(tmp_path):
+    # On 64-bit Linux with Python 3.11 the CLI starts in about 30 MB of
+    # address space, and decoding this 22 MB of JSON takes about 450 MB.
+    # The limit is set in the child only.
+    resource = pytest.importorskip("resource")
+    limit = 128 << 20
+    path = tmp_path / "large.json"
+    path.write_bytes(b"[" + b'{"year":1},' * 1_999_999 + b'{"year":1}]')
+    src = Path(__file__).resolve().parents[1] / "src"
+    child = subprocess.run(
+        [sys.executable, "-c", "from scientoscope.cli import entry; entry()",
+         "validate", "--input", str(path)], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+    assert (child.returncode, child.stdout, child.stderr) == (
+        2, "", f"error: out of memory loading {path}\n")
+
+
 def test_importing_the_cli_loads_no_process_or_thread_machinery():
     # The split load in ingest forks with os and sends with marshal, which
     # need none of these. Run without site, which may load threading itself.

@@ -29,8 +29,9 @@ the same bytes in memory, which is never split, gives. Dedicated cases
 put a quoted line break, blank lines or CRLF line ends at a cut, a row
 only a strict reader refuses in the header, the first or the last part,
 a row longer than a part, a fault in the first or the last part, a rule
-error in any part, a fault in a part's child, or the input after the
-start of its file, and check that no child outlives the load.
+error in any part, a fault in a part's child, a child killed after it
+sent its whole fold, or the input after the start of its file, and check
+that no child outlives the load.
 """
 
 import csv
@@ -334,9 +335,10 @@ def route(monkeypatch):
     """The forks and the folds that loads make in this process: a split
     reads the header once, forks a child per part but the first, which
     this process folds, and merges each child's fold into its own. A part
-    that does not complete (a parse error, a cut inside a quoted field, a
-    failed child) sends the rest of the file to the serial fold, a second
-    fold. A rule error does not: it merges like the counts."""
+    has failed when its whole fold does not arrive (a parse error, a cut
+    inside a quoted field, a child that fails before it has sent it), and
+    the rest of the file then goes to the serial fold, a second fold. A
+    rule error does not: it merges like the counts."""
     counts = Counter()
     fork, fold = os.fork, ingest._fold
 
@@ -583,7 +585,7 @@ def test_aggregate_csv_is_never_split(tmp_path, route):
     assert folded == load(io.BytesIO(raw))
 
 
-@pytest.mark.parametrize("failure", ["child-killed", "child-exits-1", "short-message"])
+@pytest.mark.parametrize("failure", ["child-killed", "fold-not-sent", "short-message"])
 def test_a_failed_child_falls_back_to_the_serial_load_and_is_reaped(monkeypatch, tmp_path, route,
                                                                     failure):
     raw = (HEADER + _ROWS * 6).encode()
@@ -599,13 +601,53 @@ def test_a_failed_child_falls_back_to_the_serial_load_and_is_reaped(monkeypatch,
 
     name, value = {
         "child-killed": ("_fold", killed),
-        "child-exits-1": ("marshal", SimpleNamespace(dumps=refused, loads=marshal.loads)),
+        "fold-not-sent": ("marshal", SimpleNamespace(dumps=refused, loads=marshal.loads)),
         "short-message": ("marshal", SimpleNamespace(dumps=lambda obj: marshal.dumps(obj)[:-1],
                                                      loads=marshal.loads)),
     }[failure]
     monkeypatch.setattr(ingest, name, value)
     assert _load_split(raw, 3, AnalysisConfig(), tmp_path) == _serial(raw)
     assert route["forks"] == 2
+    _assert_no_child_left()
+
+
+def test_a_whole_fold_counts_whatever_the_childs_exit_status(monkeypatch, tmp_path, route):
+    # A child that is killed after it has sent its fold still folded its
+    # part: the message is the only news of a part that this process reads.
+    raw = (HEADER + _ROWS * 6 + _REVERSED).encode()
+    parent = os.getpid()
+
+    def killed_on_exit(code):
+        assert os.getpid() != parent
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(os, "_exit", killed_on_exit)
+    folded = _load_split(raw, 3, AnalysisConfig(), tmp_path)
+    assert route == {"forks": 2, "folds": 1}
+    assert folded == _serial(raw)
+    assert [f.rule for f in folded[1].errors] == ["page-span"]
+    _assert_no_child_left()
+
+
+def test_a_failed_child_stops_the_later_children(monkeypatch, tmp_path, route):
+    # The first child's fold raises; the second would fold for 20 s. Its
+    # pipe is never read: the first empty one ends the split at once.
+    raw = (HEADER + _ROWS * 6).encode()
+    parent, fold = os.getpid(), ingest._fold
+
+    def failed_or_slow(*args):
+        if os.getpid() != parent:  # the child of fork k sees k forks
+            if route["forks"] == 1:
+                raise ParseError("this part failed")
+            time.sleep(20)
+        return fold(*args)
+
+    monkeypatch.setattr(ingest, "_fold", failed_or_slow)
+    start = time.monotonic()
+    folded = _load_split(raw, 3, AnalysisConfig(), tmp_path)
+    assert time.monotonic() - start < 10
+    assert route == {"forks": 2, "folds": 2}
+    assert folded == _serial(raw)
     _assert_no_child_left()
 
 

@@ -6,19 +6,26 @@ fails the test. Besides arbitrary bytes and JSON, the strategies build
 inputs in the record and aggregate schemas. Half of those draw their
 counts from the range validation accepts (zero, one year, the limit
 itself), so that many examples get past validation into the bridge and
-the tables. A last test feeds arbitrary JSON as the ``--config`` file.
+the tables. Each CSV input also runs split: a file read with a
+``_SPLIT_BYTES`` of 1 on three usable CPUs is folded in parts, and must
+give the exit code, stdout and stderr it gives on one CPU, where it is
+read whole, whatever bytes fall at a cut. Arbitrary CSV bytes run once
+more after a record header, as few of them make a header the split
+accepts. A last test feeds arbitrary JSON as the ``--config`` file.
 """
 
 import csv
 import io
 import json
+import os
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from scientoscope import cli, config
+from scientoscope import cli, config, ingest
 from scientoscope.cli import demo_aggregates_path, demo_records_path, main
-from scientoscope.ingest import AGGREGATE_FIELDS, MAX_COUNT
+from scientoscope.ingest import AGGREGATE_FIELDS, MAX_COUNT, RECORD_FIELDS
 
 COMMANDS = (["validate"], ["analyze"], ["reproduce-paper", "--mode", "standard"])
 
@@ -89,10 +96,35 @@ def _run_all(tmp_path, name, data):
         assert main([*command, "--input", str(path)]) in (0, 1, 2)
 
 
+def _outputs(capsys, command, path, cpus):
+    """Exit code, stdout and stderr of *command* on *path* with *cpus*
+    usable CPUs and a ``_SPLIT_BYTES`` of 1, so that a record CSV file is
+    folded in up to *cpus* parts, cut at its line breaks."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ingest, "_SPLIT_BYTES", 1)
+        patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        code = main([*command, "--input", str(path)])
+    return (code, *capsys.readouterr())
+
+
+def _run_serial_and_split(tmp_path, capsys, data):
+    path = tmp_path / "input.csv"
+    path.write_bytes(data)
+    capsys.readouterr()  # what runs of other examples printed
+    for command in COMMANDS:
+        serial = _outputs(capsys, command, path, 1)
+        assert serial[0] in (0, 1, 2)
+        assert _outputs(capsys, command, path, 3) == serial
+
+
 @FUZZ
 @given(data=st.binary(max_size=200), suffix=st.sampled_from([".csv", ".json"]))
-def test_arbitrary_bytes(tmp_path, data, suffix):
-    _run_all(tmp_path, "input" + suffix, data)
+def test_arbitrary_bytes(tmp_path, capsys, data, suffix):
+    if suffix == ".csv":  # after a record header too, so that the bytes reach the parts
+        for raw in (data, ",".join(RECORD_FIELDS).encode() + b"\n" + data):
+            _run_serial_and_split(tmp_path, capsys, raw)
+    else:
+        _run_all(tmp_path, "input" + suffix, data)
 
 
 @FUZZ
@@ -109,8 +141,8 @@ def test_schema_shaped_json(tmp_path, objects):
 
 @FUZZ
 @given(objects=datasets)
-def test_schema_shaped_csv(tmp_path, objects):
-    _run_all(tmp_path, "input.csv", _csv(objects).encode("utf-8", "surrogatepass"))
+def test_schema_shaped_csv(tmp_path, capsys, objects):
+    _run_serial_and_split(tmp_path, capsys, _csv(objects).encode("utf-8", "surrogatepass"))
 
 
 # A valid config-file value for each key a config file may set.

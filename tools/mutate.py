@@ -107,16 +107,37 @@ MUTANTS = (
     Mutant("split-own-part-merged-last",
            "the part this process folds, the first, is merged after the children's",
            INGEST,
-           "        folds = list(map(marshal.loads, messages))\n",
-           "        own = (report.record_count, tally.counts, list(map(tuple, tally.warnings)),\n"
-           "               list(map(tuple, report.errors)))\n"
-           "        report, tally = ValidationReport(), _YearTally(config.taxonomy)\n"
-           "        folds = [*map(marshal.loads, messages), own]\n"),
+           "    for count, counts, warnings, errors in folds:\n",
+           "    own = (report.record_count, tally.counts, list(map(tuple, tally.warnings)),\n"
+           "           list(map(tuple, report.errors)))\n"
+           "    report, tally = ValidationReport(), _YearTally(config.taxonomy)\n"
+           "    for count, counts, warnings, errors in [*folds, own]:\n"),
     Mutant("split-children-merged-in-reverse",
            "the children's folds are merged in reverse part order",
            INGEST,
-           "folds = list(map(marshal.loads, messages))",
-           "folds = list(map(marshal.loads, messages[::-1]))"),
+           "for _, read in children:  # an empty or short message",
+           "for _, read in children[::-1]:  # an empty or short message"),
+    Mutant("split-failed-part-sends-empty-fold",
+           "a child whose part raises sends the fold of no record, which counts as folded",
+           INGEST,
+           "                finally:\n"
+           "                    os._exit(0)",
+           "                except Exception:  # the fold of no record\n"
+           "                    with open(write, \"wb\") as pipe:\n"
+           "                        pipe.write(marshal.dumps((0, {}, [], [])))\n"
+           "                finally:\n"
+           "                    os._exit(0)"),
+    Mutant("split-empty-message-not-a-failure",
+           "an empty message from a child raises out of the load, not back to the serial fold",
+           INGEST,
+           "except (ValueError, EOFError, OSError):",
+           "except (ValueError, OSError):"),
+    Mutant("split-pipes-read-before-any-load",
+           "every child's pipe is read to its end before any fold is loaded from it",
+           INGEST,
+           "folds.append(marshal.loads(open(read, \"rb\", buffering=0, closefd=False).readall()))",
+           "folds.append(open(read, \"rb\", buffering=0, closefd=False).readall())\n"
+           "        folds[:] = map(marshal.loads, folds)"),
     Mutant("split-part-header-from-its-own-first-row",
            "each child's part takes its columns from its own first row, not the file's header",
            INGEST,
