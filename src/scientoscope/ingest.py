@@ -31,12 +31,13 @@ csv reader's ``line_num`` or ``element N``, is read only for a row that
 fails, as are the blank-row skip and the field-count check, each stated
 once in the CSV row source. The loop takes each row by a short parse that
 counts a ``;``-separated author list by its pieces when none is blank,
-and looks each numeral up in a memo of ``int()`` results, one per load or
-per part of a split load. Years, volumes, issues and pages repeat, so
-most lookups hit. After ``_MEMO_SIZE`` misses the parse converts each
-numeral as it is read, as it would without the memo, so input whose
-numerals seldom repeat is not slowed; the memo keeps only numerals of at
-most ``_MEMO_WIDTH`` characters, under about 1 MB whatever the input. A row
+and looks each numeral up in one table of ``int()`` results, ``_INTS``,
+built at import and never written after, so every load and every child
+of a split load shares its 0.3 MB. It holds the decimals 0 to 4095:
+every year, volume and issue, and most page numbers. A lookup it holds
+costs about a quarter of ``int()``; one it lacks goes on to ``int()`` and
+costs about a quarter more, so input whose numerals are mostly past the
+table, or not written as plain decimals, parses a little slower. A row
 the short parse cannot take goes to the precise parse,
 ``_record_fields``, the only code that words a parse message, so both
 routes give the same fields and errors.
@@ -141,6 +142,33 @@ def _decode(source: bytes | str) -> str:
     except UnicodeDecodeError as exc:
         raise ParseError(f"input is not valid UTF-8: {exc}") from exc
     return text.removeprefix("\ufeff")
+
+
+#: Bytes :func:`_check_utf8` reads at a time.
+_UTF8_BLOCK = 1 << 16
+
+
+def _check_utf8(source: BinaryIO) -> None:
+    """Raise the ParseError :func:`_decode` of the rest of *source* would
+    raise, if any, reading it a block at a time, so that the check holds
+    one block, not the whole input."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    done = 0  # bytes read before the block
+    while True:
+        block = source.read(_UTF8_BLOCK)
+        try:
+            decoder.decode(block, final=not block)
+        except UnicodeDecodeError as exc:
+            # exc counts from the bytes the decoder held back, which end the last block.
+            at = done - len(decoder.getstate()[0])
+            start, end = exc.start + at, exc.end + at
+            where = (f"byte 0x{exc.object[exc.start]:02x} in position {start}"
+                     if end == start + 1 else f"bytes in position {start}-{end - 1}")
+            raise ParseError(f"input is not valid UTF-8: 'utf-8' codec can't decode "
+                             f"{where}: {exc.reason}") from None
+        if not block:
+            return
+        done += len(block)
 
 
 def _opt_int(raw: str | None, what: str, location: str) -> int | None:
@@ -384,31 +412,16 @@ def _record_fields(location: str, raw: tuple) -> tuple:
             start_page, end_page, page_count)
 
 
-#: Bounds of the short parse's numeral memo. It converts at most
-#: ``_MEMO_SIZE`` numerals and remembers those of at most ``_MEMO_WIDTH``
-#: characters, which keeps it under about 1 MB.
-_MEMO_SIZE = 8192
-_MEMO_WIDTH = 12
-
-
 class _Ints(dict):
-    """Numeral -> ``int(numeral)``, remembered for a numeral of at most
-    ``_MEMO_WIDTH`` characters. ``misses`` counts the numerals it was
-    asked to convert. A ValueError raises as ``int()`` raises it, and
-    nothing is stored for it."""
+    """Numeral -> ``int(numeral)``: a numeral it does not hold is converted
+    by ``int()``, which raises its ValueError, and is not stored."""
 
-    __slots__ = ("misses",)
+    __missing__ = int
 
-    def __init__(self) -> None:
-        super().__init__()
-        self.misses = 0
 
-    def __missing__(self, raw: str) -> int:
-        self.misses += 1
-        value = int(raw)
-        if len(raw) <= _MEMO_WIDTH:
-            self[raw] = value
-        return value
+#: The short parse's numerals, never written after this: the canonical
+#: decimals of every year, volume and issue, and of most page numbers.
+_INTS = _Ints((str(n), n) for n in range(4096))
 
 
 def parse_records(source: bytes | str, format: str = "csv") -> tuple[BibRecord, ...]:
@@ -758,7 +771,9 @@ def load(source: BinaryIO, format: str = "csv", config: AnalysisConfig | None = 
     no bridge warnings and the aggregates are incomplete.
 
     A bad UTF-8 byte anywhere in the input takes precedence over every
-    other parse error, with the message that decoding the whole input gives.
+    other parse error, with the message that decoding the whole input gives:
+    after any parse error, :func:`_check_utf8` reads the input again from
+    its start, one block at a time.
     A source that cannot seek, such as a pipe (``--input /dev/stdin``), is
     read once into a temporary file first, so it gives the same results and
     messages as a file, in the same memory.
@@ -789,9 +804,9 @@ def load(source: BinaryIO, format: str = "csv", config: AnalysisConfig | None = 
         dataset = _aggregate_dataset(rows, locate)
     except (ParseError, UnicodeDecodeError):
         # A decode error carries a position within the decoder's chunk,
-        # and a row error may precede a bad byte: decode it all again.
+        # and a row error may precede a bad byte: check it all again.
         source.seek(start)
-        _decode(source.read())
+        _check_utf8(source)
         raise
     finally:
         text.detach()  # the caller owns and closes source
@@ -802,12 +817,12 @@ def _fold(rows: _Rows, locate: _Locate,
           config: AnalysisConfig) -> tuple[ValidationReport, _YearTally]:
     """Parse, check and count each record *rows* holds, in one loop.
 
-    A row of its ``columns``' width takes the short parse, with the memo
-    the module docstring describes. The short parse counts the authors of
-    a ``;``-separated list as its pieces, ``len(authors.split(";"))``, when
-    no piece is empty or whitespace-only, and else as
-    ``len(split_authors(authors))``. Only a row of another width, or one
-    where the short parse raises ValueError (a malformed or
+    A row of its ``columns``' width takes the short parse, which reads its
+    numerals off ``_INTS``, as the module docstring describes, and counts
+    the authors of a ``;``-separated list as its pieces,
+    ``len(authors.split(";"))``, when no piece is empty or whitespace-only,
+    and else as ``len(split_authors(authors))``. Only a row of another
+    width, or one where the short parse raises ValueError (a malformed or
     whitespace-only number) or finds a blank mandatory field or author
     list, reaches ``locate``, which skips it or gives its location, and
     then the precise parse, :func:`_record_fields`. :func:`_folded`
@@ -817,8 +832,7 @@ def _fold(rows: _Rows, locate: _Locate,
     window = config.study_window
     errors, add, add_year = report.errors, tally.add, tally.year
     count = 0
-    ints = _Ints()
-    memo = ints.__getitem__
+    convert = _INTS.__getitem__
     columns: dict[str, int] | None = None
     try:
         for row_columns, values in rows:
@@ -831,8 +845,6 @@ def _fold(rows: _Rows, locate: _Locate,
             if clean:
                 (year, title, subject, author_count, authors,
                  start_page, end_page, page_count, volume, issue) = pick(values)
-                # After _MEMO_SIZE misses the numerals repeat too seldom for the memo to pay.
-                convert = memo if ints.misses < _MEMO_SIZE else int
                 try:
                     year = convert(year) if year else None
                     author_count = convert(author_count) if author_count else None

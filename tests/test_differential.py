@@ -11,11 +11,12 @@ every edge input and flaw below with and without a study window, both
 routes must give equal aggregates, equal findings and equal parse
 errors; one case leaves the short parse for a valid row between clean
 ones, so the fold switches parses and back. The short parse looks
-numerals up in a memo until it has missed a bounded number of times,
-then converts them with plain ``int()``, so the drawn sets and the edges
-and flaws run under the shipped bound, a bound a parse reaches after its
-first rows, and a bound of nothing; one set repeats odd numerals so that
-the memo answers them. The CSV and JSON forms of a set must print the
+numerals up in a table of ``int()`` results that holds the decimals 0 to
+4095 and converts any other numeral with ``int()``, so the drawn sets and
+the edges and flaws run with the shipped table and with an empty one,
+which sends every numeral to ``int()``; one set repeats odd numerals, and
+one puts numerals at and past the table's edge in every numeric field.
+The CSV and JSON forms of a set must print the
 same tables, and so must the aggregate CSV of an accepted set. The
 settings are deterministic, like ``tests/test_fuzz.py``.
 
@@ -234,17 +235,16 @@ def _assert_routes_agree(records, blanks, window, tmp_path):
                 assert _load_split(raw, parts, config, tmp_path) == serial
 
 
-# The short parse's memo bounds: as shipped, so numerals hit and miss it;
-# a few misses, so a parse turns to plain int() after its first rows; and
-# none, so every numeral is converted by plain int().
-MEMO_SIZES = (ingest._MEMO_SIZE, 5, 0)
+# The short parse's numeral table: as shipped, so numerals hit and miss
+# it, and empty, so every numeral is converted by plain int().
+TABLES = (ingest._INTS, ingest._Ints())
 
 
 @DIFFERENTIAL
 @given(record_sets(), st.none() | st.just((2012, 2015)))
 def test_fold_equals_parse_validate_and_bridge(monkeypatch, tmp_path, drawn, window):
-    for size in MEMO_SIZES:
-        monkeypatch.setattr(ingest, "_MEMO_SIZE", size)
+    for table in TABLES:
+        monkeypatch.setattr(ingest, "_INTS", table)
         _assert_routes_agree(*drawn, window, tmp_path)
 
 
@@ -263,20 +263,42 @@ SPACED = {"author_count": " ", "page_count": " "}
 def test_every_edge_and_flaw_agrees_on_both_routes(monkeypatch, tmp_path, override, window):
     records = [dict(rec) for rec in _BASE]
     records[1].update(override)
-    for size in MEMO_SIZES:
-        monkeypatch.setattr(ingest, "_MEMO_SIZE", size)
+    for table in TABLES:
+        monkeypatch.setattr(ingest, "_INTS", table)
         _assert_routes_agree(records, _BLANKS, window, tmp_path)
 
 
 @pytest.mark.parametrize("window", [None, (2012, 2015)])
 def test_odd_numerals_that_repeat_agree_on_both_routes(tmp_path, window):
-    # Each odd numeral recurs in several records and fields, so the memo
-    # answers most of its lookups, and the precise parse is compared with them.
+    # Each odd numeral recurs in several records and fields, and the table
+    # holds none of them, so int() converts each one on the short parse, as
+    # the precise parse does, and the two are compared.
     odd = (" 12 ", "12", "+5", "1_0", "\u0663")
     records = [dict(_BASE[i % 4], volume=odd[i % 5], issue=odd[(i + 1) % 5],
                     author_count=odd[(i + 2) % 5], start_page=odd[2 + i % 3],
                     end_page=odd[i % 2]) for i in range(15)]
     _assert_routes_agree(records, [None] * len(records), window, tmp_path)
+
+
+def test_the_numeral_table_holds_each_decimal_to_4095_as_its_int():
+    assert sorted(ingest._INTS.values()) == list(range(4096))
+    assert all(type(value) is int and value == int(key) and key == str(value)
+               for key, value in ingest._INTS.items())
+
+
+@pytest.mark.parametrize("numeral", ["4095", "4096", "007", "+5", " 12 ", "1_0", "\u0663", "-3"])
+def test_numerals_at_and_past_the_table_agree_on_both_routes(tmp_path, numeral):
+    # The numeral in each numeric field but the year, one field a record,
+    # with a span of one page, so a valid numeral leaves the set accepted;
+    # then as the year of one record.
+    overrides = ({"volume": numeral}, {"issue": numeral}, {"author_count": numeral},
+                 {"start_page": numeral, "end_page": numeral},
+                 {"start_page": None, "end_page": None, "page_count": numeral})
+    records = [dict(_BASE[i % 4], **override) for i, override in enumerate(overrides)]
+    _assert_routes_agree(records, [None] * len(records), None, tmp_path)
+    records = [dict(record) for record in _BASE]
+    records[1]["year"] = numeral
+    _assert_routes_agree(records, [None] * len(records), None, tmp_path)
 
 
 @DIFFERENTIAL
@@ -310,7 +332,7 @@ def test_csv_json_and_aggregate_forms_print_the_same_tables(drawn, tmp_path, cap
 ], ids=["default", "dirty"])
 def test_the_benchmark_inputs_load_as_the_precise_route_reads_them(tmp_path, knobs, format):
     # The benchmark's generator, at a small size: the input family the
-    # short parse and its memo are timed on.
+    # short parse and its numeral table are timed on.
     drawn = gen.generate(gen.Knobs(records=500, **knobs), seed=1)
     path = tmp_path / f"records.{format}"
     (gen.write_records_json if format == "json" else gen.write_records_csv)(drawn, str(path))

@@ -538,6 +538,30 @@ def test_bad_utf8_reports_the_position_decoding_the_whole_input_gives(offset):
     assert str(parsed.value) == message
 
 
+@pytest.mark.parametrize("block", [1, 2, 3, 7, 64])
+@pytest.mark.parametrize("fault", [b"", b"\xff", b"\xe2\x28", b"\xf0\x9f\x98\n", b"\xe2\x82"],
+                         ids=["none", "start-byte", "continuation", "cut-short", "at-the-end"])
+def test_the_error_path_checks_utf8_a_block_at_a_time(monkeypatch, block, fault):
+    # A row error comes first, so the load checks the whole input after it.
+    # The rows after it hold characters of 2, 3 and 4 bytes, so every block
+    # size splits one across two blocks, and the fault is past the first
+    # block. The input starts after 6 bytes of its file.
+    raw = (RECORD_HEADER + "\n2013,,,T,A,q,2,ICT\n"
+           + "2013,,,Bibliométrie € \U0001f4da,A,1,2,ICT\n" * 40).encode() + fault
+    expected = "line 2: non-numeric start_page: 'q'"
+    if fault:
+        with pytest.raises(ParseError) as decoded:
+            ingest._decode(raw)
+        expected = str(decoded.value)
+        assert len(raw) - len(fault) > block and "position" in expected
+    monkeypatch.setattr(ingest, "_UTF8_BLOCK", block)
+    source = io.BytesIO(b"\xff\xfe\n\n\n\n" + raw)
+    source.seek(6)
+    with pytest.raises(ParseError) as folded:
+        load(source, "csv", AnalysisConfig(), "records")
+    assert str(folded.value) == expected
+
+
 @pytest.mark.parametrize("bad", [
     "year,title,authors,subject\n",  # header missing columns
     RECORD_HEADER + "\n2013,,,T,A,1,2\n",  # ragged row
@@ -775,11 +799,9 @@ def test_piped_record_input_loads_in_memory_that_does_not_grow_with_the_records(
 
 
 def test_numerals_that_never_repeat_load_in_memory_that_does_not_grow():
-    # The short parse's numeral memo converts at most ingest._MEMO_SIZE
-    # numerals and keeps those of at most ingest._MEMO_WIDTH characters,
-    # about 1 MB. Here it reaches that bound at both sizes: every row brings
-    # two new short numerals (its pages) and two 300-digit ones, too long to
-    # keep.
+    # The short parse's numeral table is never written: a numeral it lacks
+    # is converted and not kept. At both sizes most rows bring two numerals
+    # past the table (their pages), and every row two 300-digit ones.
     def raw(n):
         long = "1" + "0" * 290
         rows = "".join(f"{2000 + i % 10},{long}{i:09d},{long}{i + n:09d},T,A,"
@@ -787,7 +809,7 @@ def test_numerals_that_never_repeat_load_in_memory_that_does_not_grow():
         return (RECORD_HEADER + "\n" + rows).encode()
 
     small, large = 4_500, 20_000
-    assert 2 * small > ingest._MEMO_SIZE and 300 > ingest._MEMO_WIDTH
+    assert sum(str(5 * i + 1) not in ingest._INTS for i in range(small)) > small / 2
     raws = {n: raw(n) for n in (small, large)}
     _fold_bytes(raws[large])  # fills the free lists first, as in the tests above
     peaks = []

@@ -84,6 +84,22 @@ MUTANTS = (
            INGEST,
            '        return f"line {reader.line_num}"',
            '        return f"line {reader.line_num - 1}"'),
+    Mutant("numeral-table-off-by-one",
+           "the numeral table maps its last decimal, 4095, to 4096",
+           INGEST,
+           "_INTS = _Ints((str(n), n) for n in range(4096))",
+           "_INTS = _Ints((str(n), n + (n == 4095)) for n in range(4096))"),
+    Mutant("numeral-table-misses-are-0",
+           "a numeral the table lacks reads as 0, not as its int()",
+           INGEST,
+           "    __missing__ = int\n",
+           "    def __missing__(self, raw):\n"
+           "        return 0\n"),
+    Mutant("utf8-check-position-unshifted",
+           "the block-by-block UTF-8 check reports a position within its block",
+           INGEST,
+           "start, end = exc.start + at, exc.end + at",
+           "start, end = exc.start, exc.end"),
     Mutant("clean-row-registers-its-year-only",
            "a clean row only registers its year, in place of the bridge count",
            INGEST,
