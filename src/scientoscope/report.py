@@ -1,12 +1,13 @@
 """Render-ready tables and deterministic display formatting.
 
 All numeric cells are kept at full precision inside :class:`ReportTable`;
-rounding happens only at render time, always half-up. The renderers
-read the run's :class:`~scientoscope.config.AnalysisConfig` as it is:
-``absent_marker`` prints an absent cell, and ``totals_source =
-rounded_cells`` adds the CSV renderer's "(display)" columns (the table
-builders derive the footer totals themselves). Rendering the same table
-twice with the same config is byte-identical.
+rounding happens only at render time, half-up from the exact binary
+value, in integers. The renderers read the run's
+:class:`~scientoscope.config.AnalysisConfig` as it is: ``absent_marker``
+prints an absent cell, and ``totals_source = rounded_cells`` adds the CSV
+renderer's "(display)" columns (the table builders derive the footer
+totals themselves). Rendering the same table twice with the same config
+is byte-identical.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ import io
 import json
 import math
 from collections import namedtuple
-from decimal import ROUND_HALF_UP, Context, Decimal
 
 from .config import AnalysisConfig
 from .model import Checked, Fieldwise
@@ -28,29 +28,26 @@ CellValue = int | float | str | None
 COLUMN_KINDS = ("year", "label", "count", "percent", "ratio", "log")
 
 
-def _quantize(value: float, decimals: int) -> Decimal:
-    """Half-up rounding of the exact decimal expansion of *value*.
-
-    Runs under a context precise enough for every finite float: the
-    default 28 digits cannot hold the integer part of values >= 1e28.
-    """
+def _quantize(value: float, decimals: int) -> int:
+    """The exact binary value of *value* in units of ``10**-decimals``,
+    rounded half away from zero, in integers."""
     if not math.isfinite(value):
         raise ValueError(f"cannot round non-finite value {value!r}")
     if decimals < 0:
         raise ValueError("decimals must be >= 0")
-    exact = Decimal(value)
-    # Integer digits, the decimals, and one more for a carry (9.995 -> 10.00).
-    context = Context(prec=max(exact.adjusted(), 0) + decimals + 2)
-    return exact.quantize(Decimal(1).scaleb(-decimals), rounding=ROUND_HALF_UP, context=context)
+    num, den = value.as_integer_ratio()
+    units, rest = divmod(abs(num) * 10**decimals, den)
+    units += 2 * rest >= den
+    return -units if num < 0 else units
 
 
 def round_half_up(value: float, decimals: int) -> float:
     """Round at *decimals* places, half away from zero, as a float.
 
-    Operates on the exact decimal expansion of the binary float, so
-    0.005 -> 0.01 rather than the banker's 0.00.
+    Rounds the exact binary value, so 0.005 -> 0.01 rather than the
+    banker's 0.00; a result of zero keeps the sign of *value*.
     """
-    return float(_quantize(value, decimals))
+    return math.copysign(_quantize(value, decimals) / 10**decimals, value)
 
 
 def round_display(value: float, decimals: int) -> str:
@@ -58,10 +55,10 @@ def round_display(value: float, decimals: int) -> str:
 
     "-0.00" is normalized to "0.00"; non-finite input is an error.
     """
-    rounded = _quantize(value, decimals)
-    if rounded == 0:
-        rounded = abs(rounded)  # avoid "-0.00"
-    return f"{rounded:f}"
+    units = _quantize(value, decimals)
+    whole, fraction = divmod(abs(units), 10**decimals)
+    sign = "-" if units < 0 else ""
+    return f"{sign}{whole}.{fraction:0{decimals}d}" if decimals else f"{sign}{whole}"
 
 
 class ColumnSpec(Checked, namedtuple("ColumnSpec", "header kind decimals", defaults=("count", 2))):

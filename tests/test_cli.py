@@ -745,6 +745,31 @@ def test_a_closed_stdout_pipe_exits_1_without_a_traceback():
     assert "Error" not in stderr
 
 
+@pytest.mark.parametrize("pages, code", [(None, 0), (("15", "14"), 1), (("q", "24"), 2)],
+                         ids=["reproduce-paper", "rule-error", "page-q"])
+def test_entry_exits_through_atexit_handlers_with_main_s_output(pages, code, tmp_path, capsys):
+    # sys.exit runs atexit handlers and flushes both streams; os._exit would do neither.
+    argv = ["reproduce-paper"]
+    if pages:  # the bundled records with new start and end pages in the last row
+        rows = list(csv.reader(io.StringIO(Path(REC_PATH).read_text(encoding="utf-8"))))
+        rows[-1][rows[0].index("start_page")], rows[-1][rows[0].index("end_page")] = pages
+        path = tmp_path / "records.csv"
+        with path.open("w", encoding="utf-8", newline="") as out:
+            csv.writer(out).writerows(rows)
+        argv = ["analyze", "--table", "all", "--input", str(path)]
+    assert main(argv) == code
+    expected = capsys.readouterr()
+    marker = "atexit handler ran\n"
+    script = ("import atexit, sys\n"
+              f"atexit.register(lambda: sys.stderr.write({marker!r}))\n"
+              "from scientoscope.cli import entry; entry()")
+    src = Path(__file__).resolve().parents[1] / "src"
+    child = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True,
+                           timeout=60, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert (child.returncode, child.stdout, child.stderr) == (
+        code, expected.out, expected.err + marker)
+
+
 def test_an_input_too_large_for_the_memory_left_exits_2_without_a_traceback(tmp_path):
     # On 64-bit Linux with Python 3.11 the CLI starts in about 30 MB of
     # address space, and decoding this 22 MB of JSON takes about 450 MB.

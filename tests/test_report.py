@@ -3,8 +3,13 @@
 import csv
 import io
 import json
+import math
+import sys
+from decimal import ROUND_HALF_UP, Context, Decimal
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scientoscope import (
     AnalysisConfig,
@@ -51,11 +56,52 @@ def test_round_half_up_numeric():
 
 
 def test_rounding_beyond_default_decimal_precision():
-    # Values >= 1e28 have more integer digits than Decimal's default context holds.
+    # Values >= 1e28 have more integer digits than a 28-digit decimal context holds.
     assert round_display(1e28, 2) == "9999999999999999583119736832.00"
     assert round_display(1e27, 2) == "1000000000000000013287555072.00"
     assert round_half_up(1e28, 2) == 1e28
     assert round_display(9.9951, 2) == "10.00"
+
+
+def _decimal_quantize(value: float, decimals: int) -> Decimal:
+    """The reference: Decimal's half-up quantize of the exact value of
+    *value*, under a precision that holds every digit of the result."""
+    exact = Decimal(value)
+    # Integer digits, the decimals, and one more for a carry (9.995 -> 10.00).
+    context = Context(prec=max(exact.adjusted(), 0) + decimals + 2)
+    return exact.quantize(Decimal(1).scaleb(-decimals), rounding=ROUND_HALF_UP, context=context)
+
+
+def _binary_ties(decimals: int):
+    """Floats exactly halfway between two multiples of 10**-decimals:
+    odd multiples of 2**-(decimals + 1)."""
+    odd = st.integers(-10**6, 10**6).map(lambda k: 2 * k + 1)
+    return odd.map(lambda o: (o / 2 ** (decimals + 1), decimals))
+
+
+_ROUNDING_CASES = (st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                             st.integers(0, 8))
+                   | st.integers(0, 8).flatmap(_binary_ties))
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(_ROUNDING_CASES)
+@example((0.125, 2))
+@example((-0.375, 2))
+@example((2.5, 0))
+@example((-0.0, 2))
+@example((5e-324, 8))
+@example((-5e-324, 0))
+@example((1e28, 6))
+@example((sys.float_info.max, 8))
+@example((-sys.float_info.max, 0))
+def test_integer_rounding_matches_the_decimal_reference(case):
+    value, decimals = case
+    expected = _decimal_quantize(value, decimals)
+    assert round_display(value, decimals) == f"{abs(expected) if expected == 0 else expected:f}"
+    rounded = round_half_up(value, decimals)
+    assert rounded == float(expected)
+    assert math.copysign(1, rounded) == math.copysign(1, float(expected))
 
 
 def _sample_table() -> ReportTable:

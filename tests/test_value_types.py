@@ -28,7 +28,8 @@ def test_importing_the_cli_loads_no_dataclasses_inspect_or_datetime():
     code = ("import sys\n"
             "before = set(sys.modules)\n"
             "import scientoscope.cli\n"
-            "print(sorted({'dataclasses', 'inspect', 'datetime'} & (set(sys.modules) - before)))")
+            "print(sorted({'dataclasses', 'inspect', 'datetime', 'decimal'}\n"
+            "             & (set(sys.modules) - before)))")
     child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                            env=dict(os.environ, PYTHONPATH=str(SRC)), check=True)
     assert child.stdout == "[]\n"

@@ -38,6 +38,7 @@ ROOT = Path(__file__).resolve().parents[1]
 INGEST = "src/scientoscope/ingest.py"
 CLI = "src/scientoscope/cli.py"
 INDICATORS = "src/scientoscope/indicators.py"
+REPORT = "src/scientoscope/report.py"
 FOLD_TESTS = ("tests/test_ingest.py", "tests/test_differential.py")
 CLI_TESTS = ("tests/test_cli.py",)
 FORMULA_TESTS = ("tests/test_indicators.py", "tests/test_report.py")
@@ -249,9 +250,21 @@ MUTANTS = (
            FORMULA_TESTS),
     Mutant("quantize-half-even",
            "report._quantize rounds half to even",
-           "src/scientoscope/report.py",
-           "rounding=ROUND_HALF_UP",
-           'rounding="ROUND_HALF_EVEN"',
+           REPORT,
+           "units += 2 * rest >= den",
+           "units += 2 * rest + (units % 2) > den",
+           FORMULA_TESTS),
+    Mutant("quantize-sign-lost",
+           "report._quantize returns the units of a negative value unsigned",
+           REPORT,
+           "return -units if num < 0 else units",
+           "return units",
+           FORMULA_TESTS),
+    Mutant("half-up-unsigned-zero",
+           "round_half_up returns +0.0 for a negative value that rounds to zero",
+           REPORT,
+           "return math.copysign(_quantize(value, decimals) / 10**decimals, value)",
+           "return _quantize(value, decimals) / 10**decimals",
            FORMULA_TESTS),
 )
 
