@@ -46,30 +46,34 @@ Record CSV on every CPU
 -----------------------
 A record CSV file is split when it holds at least ``_SPLIT_BYTES``
 (1 MiB) per part, one part per usable CPU (``os.sched_getaffinity``),
-at least two, and the process can fork (POSIX) and runs one thread.
-:func:`_cuts` cuts it at the first ``\\n`` from each k/N of its size,
-and a repeated cut makes no part. After :func:`load` reads the header,
-:func:`_fold_parts` reads it once more, by the first part's reader, then
-forks a child for each later part and folds the first in this process,
-each part read by ``os.pread``. A quoted field may hold a ``\\n``, so each
-part but the last is read by a strict ``csv.reader``, which raises at end
-of data inside a quoted field: a part that ends without error ends
-between rows. A child sends its whole fold as one tuple (record count,
-year counts, bridge warnings, rule errors) through a pipe (``marshal``),
-or nothing, and this process loads each in part order and merges it into
-its own fold. A part is folded when its whole fold arrives, whatever its
-child's exit status. A ``record N``
-is renumbered by the records of the parts before it, and once the report
+at least two, and the process can fork (POSIX), runs one thread and
+leaves SIGCHLD at its default: an ignored SIGCHLD, which a process
+inherits from its parent, or a handler could reap the children first.
+Only an input that large is checked for these. :func:`_cuts` cuts it at
+the first ``\\n`` from each k/N of its size, and a repeated cut makes no
+part. After :func:`load` reads the header, :func:`_fold_parts` reads it
+once more, by the first part's reader, then forks a child for each later
+part and folds the first in this process, each part read by
+``os.pread``. A quoted field may hold a ``\\n``, so each part but the
+last is read by a strict ``csv.reader``, which raises at end of data
+inside a quoted field: a part that ends without error ends between rows.
+A child sends its whole fold as one tuple (record count, year rows,
+bridge warnings, rule errors) through a pipe (``marshal``), or nothing,
+and this process reads the pipes in part order and merges each fold into
+its own as it reads it, adding row to row. A part is folded when its
+whole fold arrives, whatever its child's exit status. A ``record N`` is
+renumbered by the records of the parts before it, and once the report
 holds an error a later part adds only its years, as the serial fold
 registers only the years of the records after its first error.
 :func:`_folded` then runs the year-gap rule and sorts the warnings, so
 the result is the serial fold's. When a part does not complete (a parse
 or decode error, a cut inside a quoted field, text after a closing
 quote, which only a strict reader refuses, a child that fails or is
-killed before its whole fold is sent), every child is killed at once and
-reaped, and the fold goes on with the reader that read the header, from
-the row after it, so every message and location is the serial route's.
-Memory is O(parts * (years + findings)).
+killed before its whole fold is sent), the fold goes on with the reader
+that read the header, so the whole file is read again on one CPU and
+every message and location is the serial route's. Every child is then
+killed and reaped: one that has sent its fold is a zombie until reaped,
+so the kill reaches no other process. Memory is O(parts * (years + findings)).
 
 CSV schemas
 -----------
@@ -103,11 +107,11 @@ import csv
 import io
 import json
 import marshal
+import operator
 import os
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 from itertools import repeat
-from operator import itemgetter
 from typing import BinaryIO, TextIO
 
 from .config import AnalysisConfig
@@ -642,94 +646,84 @@ def validate(data: Dataset | tuple[BibRecord, ...],
 # ---------------------------------------------------------------------------
 
 
-#: Page count -> index of its :data:`PAGE_BINS` class (``None``: it fits none),
-#: for counts 0 to ``_TOP_PAGES``; any larger count shares the last entry.
+#: Slots of a year's row in :class:`_YearTally`: papers, total authors,
+#: the authorship bins, the page bins, then the subjects.
+_AUTHORSHIP = slice(2, 2 + POOLED_BIN_AUTHOR_VALUE)
+_PAGES = slice(_AUTHORSHIP.stop, _AUTHORSHIP.stop + len(PAGE_BINS))
+_POOLED = _AUTHORSHIP.stop - 1  # the open 5+ bin's slot
+
+#: Page count -> the slot of its :data:`PAGE_BINS` class (``None``: it fits
+#: none), for counts 0 to ``_TOP_PAGES``; any larger count shares the last entry.
 _TOP_PAGES = max(lo if hi is None else hi for _, _, lo, hi in PAGE_BINS) + 1
-_PAGE_BIN_OF = tuple(next((i for i, (_, _, lo, hi) in enumerate(PAGE_BINS)
-                           if lo <= n and (hi is None or n <= hi)), None)
-                     for n in range(_TOP_PAGES + 1))
-_POOLED = POOLED_BIN_AUTHOR_VALUE - 1  # the open authorship bin's index
+_PAGE_SLOT_OF = tuple(next((_PAGES.start + i for i, (_, _, lo, hi) in enumerate(PAGE_BINS)
+                            if lo <= n and (hi is None or n <= hi)), None)
+                      for n in range(_TOP_PAGES + 1))
 
 
 class _YearTally:
     """Per-year accumulator of the record bridge, which :meth:`add` states.
 
-    Author counts of 5 or more pool into the open 5+ bin while the
-    author total keeps the exact sum. Records without page information
-    are excluded from the page bins only, with a warning; unknown subject
-    labels map to "Others" with a warning.
+    Each year is one flat row of counts, its last slots one per taxonomy
+    label, so two tallies of one taxonomy merge by adding rows. Author
+    counts of 5 or more pool into the open 5+ bin while the author total
+    keeps the exact sum. Records without page information are excluded
+    from the page bins only, with a warning; an unknown subject label is
+    counted in the slot of "Others", which every taxonomy holds, with a
+    warning. Warnings stay plain tuples until sorted.
     """
 
     def __init__(self, taxonomy: tuple[str, ...]):
         self._taxonomy = taxonomy
-        self._known = frozenset(taxonomy)
-        #: year -> [papers, total authors, authorship bins, page bins, subject counts]
-        self.counts: dict[int, list] = {}
-        self.warnings: list[Finding] = []
+        self._slots = {label: _PAGES.stop + i for i, label in enumerate(taxonomy)}
+        self._others = self._slots["Others"]
+        #: year -> its row of counts
+        self.counts: dict[int, list[int]] = {}
+        self.warnings: list[tuple[str, str, str]] = []
 
-    def year(self, year: int) -> list:
-        """The counts of *year*, registering the year if it is new."""
-        counts = self.counts.get(year)
-        if counts is None:
-            counts = self.counts[year] = [0, 0, [0] * 5, [0] * len(PAGE_BINS),
-                                          dict.fromkeys(self._taxonomy, 0)]
-        return counts
+    def year(self, year: int) -> list[int]:
+        """The row of *year*, registering the year if it is new."""
+        return self.counts.get(year) or self.counts.setdefault(
+            year, [0] * (_PAGES.stop + len(self._taxonomy)))
 
     def add(self, year: int, n_authors: int, page_count: int | None, subject: str,
             title: str) -> None:
-        """Count one record: the one statement of the bridge."""
-        counts = self.counts.get(year) or self.year(year)
-        counts[0] += 1
-        counts[1] += n_authors
-        counts[2][n_authors - 1 if n_authors <= _POOLED else _POOLED] += 1
+        """Count one record, of at least one author: the one statement of the bridge."""
+        row = self.counts.get(year) or self.year(year)
+        row[0] += 1
+        row[1] += n_authors
+        row[n_authors + 1 if n_authors < POOLED_BIN_AUTHOR_VALUE else _POOLED] += 1
         if page_count is None:
-            self.warnings.append(Finding(f"{year}: {title!r}", "missing-pages",
-                                         "no page information; excluded from page bins"))
+            self.warnings.append((f"{year}: {title!r}", "missing-pages",
+                                  "no page information; excluded from page bins"))
         else:
-            i = (_PAGE_BIN_OF[page_count if page_count < _TOP_PAGES else _TOP_PAGES]
-                 if page_count >= 0 else None)
-            if i is None:
-                self.warnings.append(Finding(f"{year}: {title!r}", "page-bin-range",
-                                             f"page count {page_count} fits no page bin"))
+            slot = (_PAGE_SLOT_OF[page_count if page_count < _TOP_PAGES else _TOP_PAGES]
+                    if page_count >= 0 else None)
+            if slot is None:
+                self.warnings.append((f"{year}: {title!r}", "page-bin-range",
+                                      f"page count {page_count} fits no page bin"))
             else:
-                counts[3][i] += 1
-        subjects = counts[4]
-        if subject in self._known:
-            subjects[subject] += 1
-        else:
-            self.warnings.append(Finding(
-                f"{year}: {title!r}", "unknown-subject",
-                f"subject {subject!r} not in taxonomy; counted under 'Others'"))
-            subjects["Others"] = subjects.get("Others", 0) + 1
+                row[slot] += 1
+        if subject not in self._slots:
+            self.warnings.append((f"{year}: {title!r}", "unknown-subject",
+                                  f"subject {subject!r} not in taxonomy; counted under 'Others'"))
+        row[self._slots.get(subject, self._others)] += 1
 
-    def merge(self, counts: dict[int, list], warnings: list[tuple]) -> None:
-        """Add the ``counts`` and the warnings, as plain tuples, of another
-        tally of the same taxonomy. A label this tally's year lacks, only
-        ever "Others" outside the taxonomy, comes after its labels, as
-        :meth:`add` puts it."""
-        for year, (papers, total_authors, bins, pages, subjects) in counts.items():
-            mine = self.year(year)
-            mine[0] += papers
-            mine[1] += total_authors
-            for i, n in enumerate(bins):
-                mine[2][i] += n
-            for i, n in enumerate(pages):
-                mine[3][i] += n
-            for label, n in subjects.items():
-                mine[4][label] = mine[4].get(label, 0) + n
-        self.warnings += map(Finding._make, warnings)
+    def merge(self, counts: dict[int, list[int]], warnings: list[tuple[str, str, str]]) -> None:
+        """Add the ``counts`` and ``warnings`` of another tally of the same taxonomy."""
+        for year, row in counts.items():
+            self.counts[year] = list(map(operator.add, self.year(year), row))
+        self.warnings += warnings
 
     def dataset(self) -> Dataset:
         return Dataset(tuple(
-            YearAggregate(year=year, papers=papers, authorship_bins=tuple(bins),
-                          page_bins=tuple(pages), subject_counts=subjects,
-                          total_authors=total_authors)
-            for year, (papers, total_authors, bins, pages, subjects)
-            in sorted(self.counts.items())))
+            YearAggregate(year=year, papers=row[0], authorship_bins=tuple(row[_AUTHORSHIP]),
+                          page_bins=tuple(row[_PAGES]), total_authors=row[1],
+                          subject_counts=dict(zip(self._taxonomy, row[_PAGES.stop:])))
+            for year, row in sorted(self.counts.items())))
 
     def sorted_warnings(self) -> list[Finding]:
         """The warnings in a deterministic order, whatever the record order."""
-        return sorted(self.warnings)  # by (location, rule, message)
+        return sorted(map(Finding._make, self.warnings))  # by (location, rule, message)
 
 
 def aggregate_records(records: tuple[BibRecord, ...],
@@ -737,10 +731,13 @@ def aggregate_records(records: tuple[BibRecord, ...],
     """Tabulate records into per-year aggregates, as :class:`_YearTally` describes,
     with the config's taxonomy.
 
-    The result is independent of record order.
+    The result is independent of record order. A record of fewer than one
+    author, which :func:`validate` reports as an error, raises ValueError.
     """
     tally = _YearTally((config or AnalysisConfig()).taxonomy)
-    for r in records:
+    for number, r in enumerate(records, start=1):
+        if r.n_authors < 1:
+            raise ValueError(f"record {number}: author count must be >= 1")
         tally.add(r.year, r.n_authors, r.page_count, r.subject, r.title)
     report = ValidationReport(warnings=tally.sorted_warnings(),
                               record_count=len(records), year_count=len(tally.counts))
@@ -840,7 +837,7 @@ def _fold(rows: _Rows, locate: _Locate,
             if row_columns is not columns:  # once for CSV, once per JSON key order
                 columns = row_columns
                 width = len(columns) + 1
-                pick = itemgetter(*(columns.get(name, -1) for name in _RECORD_COLUMNS))
+                pick = operator.itemgetter(*(columns.get(name, -1) for name in _RECORD_COLUMNS))
             clean = len(values) == width
             if clean:
                 (year, title, subject, author_count, authors,
@@ -911,19 +908,22 @@ def _cuts(source: BinaryIO) -> list[int] | None:
     """Offsets that cut *source*, from its position to its end, into one
     part per usable CPU, each of at least ``_SPLIT_BYTES`` and each but the
     last ending on a ``\\n``, with no repeated cut; ``None`` when that makes
-    fewer than two parts or the process cannot fork safely (no fork, or
-    another thread)."""
+    fewer than two parts or the process cannot fork and reap safely (no
+    fork, another thread, or a SIGCHLD that is ignored or handled, which
+    would reap the children itself)."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return None
     try:
         fd = source.fileno()
         start, size = source.tell(), os.fstat(fd).st_size
-        threads = len(os.listdir("/proc/self/task"))
+        parts = min(len(os.sched_getaffinity(0)), (size - start) // _SPLIT_BYTES)
+        if parts < 2 or len(os.listdir("/proc/self/task")) != 1:
+            return None
     except OSError:  # no file descriptor (io.BytesIO), or no /proc
         return None
-    if threads != 1:
+    import signal  # only an input large enough to split loads it
+    if signal.getsignal(signal.SIGCHLD) != signal.SIG_DFL:
         return None
-    parts = min(len(os.sched_getaffinity(0)), (size - start) // _SPLIT_BYTES)
     cuts = [start]
     for k in range(1, parts):
         at = start + (size - start) * k // parts
@@ -956,9 +956,9 @@ def _fold_parts(source: BinaryIO, cuts: list[int],
                 config: AnalysisConfig) -> tuple[ValidationReport, _YearTally] | None:
     """Fold the parts *cuts* gives of record CSV *source*, once the first
     part's reader has read the header: each other part in a forked child,
-    merged into this process's fold of the first, as the module docstring
-    describes; ``None`` when this process's part raises or a child's whole
-    fold does not arrive."""
+    whose fold is merged into this process's fold of the first as its pipe
+    is read, as the module docstring describes; ``None`` when this
+    process's part raises or a child's whole fold does not arrive."""
     fd, last = source.fileno(), len(cuts) - 2
 
     def part(k: int):
@@ -969,7 +969,6 @@ def _fold_parts(source: BinaryIO, cuts: list[int],
         return csv.reader(text, strict=k < last)
 
     children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
-    folds: list[tuple] = []
     try:
         reader = part(0)
         header = _csv_header(reader)
@@ -981,39 +980,37 @@ def _fold_parts(source: BinaryIO, cuts: list[int],
                 os.close(read)
                 os.close(write)
                 raise
-            if pid == 0:  # the child: send part k's fold as plain tuples, or nothing; never print
+            if pid == 0:  # the child: send part k's fold as plain values, or nothing; never print
                 try:
                     os.close(read)
                     report, tally = _fold(*_csv_rows(part(k), header, "records"), config)
                     with open(write, "wb") as pipe:
                         pipe.write(marshal.dumps((report.record_count, tally.counts,
-                                                  list(map(tuple, tally.warnings)),
-                                                  list(map(tuple, report.errors)))))
+                                                  tally.warnings, list(map(tuple, report.errors)))))
                 finally:
                     os._exit(0)
             os.close(write)
             children.append((pid, read))
         report, tally = _fold(*_csv_rows(reader, header, "records"), config)
         for _, read in children:  # an empty or short message raises EOFError or ValueError
-            folds.append(marshal.loads(open(read, "rb", buffering=0, closefd=False).readall()))
+            count, counts, warnings, errors = marshal.loads(
+                open(read, "rb", buffering=0, closefd=False).readall())
+            if report.errors:  # the serial fold registers only the years after an error
+                for year in counts:
+                    tally.year(year)
+            else:
+                tally.merge(counts, warnings)
+            for location, rule, text in errors:  # "record N", N counted within its part
+                number = int(location.removeprefix("record ")) + report.record_count
+                report.error(f"record {number}", rule, text)
+            report.record_count += count
     except (ValueError, EOFError, OSError):  # ParseError and UnicodeDecodeError are ValueErrors
         return None
-    finally:
+    finally:  # a child that has sent its fold is a zombie until reaped: the kill cannot harm it
         for pid, read in children:
-            if len(folds) < len(children):  # a part failed: stop the rest
-                os.kill(pid, 9)  # SIGKILL
+            os.kill(pid, 9)  # SIGKILL
             os.waitpid(pid, 0)
             os.close(read)
-    for count, counts, warnings, errors in folds:
-        if report.errors:  # the serial fold registers only the years after an error
-            for year in counts:
-                tally.year(year)
-        else:
-            tally.merge(counts, warnings)
-        for location, rule, text in errors:  # "record N", N counted within its part
-            number = int(location.removeprefix("record ")) + report.record_count
-            report.error(f"record {number}", rule, text)
-        report.record_count += count
     return report, tally
 
 

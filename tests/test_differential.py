@@ -17,8 +17,9 @@ the edges and flaws run with the shipped table and with an empty one,
 which sends every numeral to ``int()``; one set repeats odd numerals, and
 one puts numerals at and past the table's edge in every numeric field.
 The CSV and JSON forms of a set must print the
-same tables, and so must the aggregate CSV of an accepted set. The
-settings are deterministic, like ``tests/test_fuzz.py``.
+same tables, and so must the aggregate CSV of an accepted set. One set
+also loads under a taxonomy with "Others" first and the other labels
+reversed. The settings are deterministic, like ``tests/test_fuzz.py``.
 
 :func:`load` of a large record CSV file folds it in parts
 (``ingest._fold_parts``): this process reads the header once, by the
@@ -31,8 +32,9 @@ put a quoted line break, blank lines or CRLF line ends at a cut, a row
 only a strict reader refuses in the header, the first or the last part,
 a row longer than a part, a fault in the first or the last part, a rule
 error in any part, a fault in a part's child, a child killed after it
-sent its whole fold, or the input after the start of its file, and check
-that no child outlives the load.
+sent its whole fold, the input after the start of its file, or SIGCHLD
+ignored or handled, which keeps the file whole, and check that no child
+outlives the load.
 """
 
 import csv
@@ -54,6 +56,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from scientoscope import (
+    DEFAULT_TAXONOMY,
     AnalysisConfig,
     ParseError,
     aggregate_records,
@@ -356,11 +359,12 @@ _ROWS = "".join(f"{2012 + i % 4},{i % 9 + 1},{i % 4 + 1},Title {i},A; B,{i + 1},
 def route(monkeypatch):
     """The forks and the folds that loads make in this process: a split
     reads the header once, forks a child per part but the first, which
-    this process folds, and merges each child's fold into its own. A part
-    has failed when its whole fold does not arrive (a parse error, a cut
-    inside a quoted field, a child that fails before it has sent it), and
-    the rest of the file then goes to the serial fold, a second fold. A
-    rule error does not: it merges like the counts."""
+    this process folds, and merges each child's fold into its own as it
+    reads it. A part has failed when its whole fold does not arrive (a
+    parse error, a cut inside a quoted field, a child that fails before it
+    has sent it), and the whole file, from the row after its header, then
+    goes to the serial fold, a second fold. A rule error does not: it
+    merges like the counts."""
     counts = Counter()
     fork, fold = os.fork, ingest._fold
 
@@ -692,23 +696,62 @@ def test_a_parent_part_that_raises_kills_and_reaps_every_child(monkeypatch, tmp_
     _assert_no_child_left()
 
 
-def test_merged_subject_labels_keep_the_taxonomy_order_with_others_last():
-    # No AnalysisConfig holds a taxonomy without "Others", so the tally is
-    # built directly: "Others" is added to a year when its first unknown
-    # subject is counted, and a merge must put it where that left it.
-    taxonomy = ("ICT", "Webometrics")
+def test_merged_subject_counts_keep_the_taxonomy_order():
+    # "Others" between two labels: an unknown subject is counted in its
+    # slot, and a merge adds each year's rows slot by slot.
+    taxonomy = ("ICT", "Others", "Webometrics")
     first = [(2013, "ICT"), (2014, "Zoology"), (2014, "ICT")]
-    second = [(2013, "Botany"), (2013, "Webometrics"), (2015, "ICT")]
+    second = [(2013, "Botany"), (2013, "Webometrics"), (2015, "ICT"), (2015, "Others")]
     whole, merged, other = (ingest._YearTally(taxonomy) for _ in range(3))
     for tally, records in ((whole, first + second), (merged, first), (other, second)):
         for year, subject in records:
             tally.add(year, 2, 5, subject, "T")
     merged.merge(marshal.loads(marshal.dumps(other.counts)),
-                 marshal.loads(marshal.dumps(list(map(tuple, other.warnings)))))
+                 marshal.loads(marshal.dumps(other.warnings)))
     assert merged.dataset() == whole.dataset()
     assert merged.sorted_warnings() == whole.sorted_warnings()
-    assert [list(agg.subject_counts) for agg in merged.dataset().aggregates] == [
-        ["ICT", "Webometrics", "Others"]] * 2 + [["ICT", "Webometrics"]]
+    subjects = [agg.subject_counts for agg in merged.dataset().aggregates]
+    assert [list(counts) for counts in subjects] == [list(taxonomy)] * 3
+    assert subjects == [{"ICT": 1, "Others": 1, "Webometrics": 1},
+                        {"ICT": 1, "Others": 1, "Webometrics": 0},
+                        {"ICT": 1, "Others": 1, "Webometrics": 0}]
+
+
+def test_a_taxonomy_with_others_first_loads_as_the_precise_route_reads_it(tmp_path):
+    # The labels in reverse and "Others" first: each subject's slot, and
+    # the one an unknown subject takes, come from the config's taxonomy.
+    labels = [label for label in DEFAULT_TAXONOMY if label != "Others"]
+    config = AnalysisConfig(taxonomy=("Others", *reversed(labels)))
+    path = tmp_path / "records.csv"
+    gen.write_records_csv(gen.generate(gen.Knobs(records=500, unknown_subjects=0.1), seed=1),
+                          str(path))
+    raw = path.read_bytes()
+    expected = _precise_route(raw, "csv", config)
+    assert expected[1].ok and any(f.rule == "unknown-subject" for f in expected[1].warnings)
+    assert [list(agg.subject_counts) for agg in expected[0].aggregates] == [
+        list(config.taxonomy)] * len(expected[0].aggregates)
+    assert _serial(raw, config) == expected
+    for parts in (2, 3):
+        assert _load_split(raw, parts, config, tmp_path) == expected
+
+
+@pytest.mark.parametrize("parts", [2, 3])
+@pytest.mark.parametrize("disposition", [signal.SIG_IGN, lambda signum, frame: None],
+                         ids=["ignored", "handled"])
+def test_a_sigchld_that_is_not_default_loads_the_file_whole(tmp_path, route, parts, disposition):
+    # An ignored SIGCHLD, which a process inherits from its parent, has the
+    # kernel reap each child itself, so waitpid would fail and a kill could
+    # reach a reused pid; a handler may reap them too. So the load does not
+    # split.
+    raw = (HEADER + _ROWS * 6).encode()
+    previous = signal.signal(signal.SIGCHLD, disposition)
+    try:
+        folded = _load_split(raw, parts, AnalysisConfig(), tmp_path)
+    finally:
+        signal.signal(signal.SIGCHLD, previous)
+    assert (route["forks"], route["folds"]) == (0, 1)
+    assert folded == _serial(raw)
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize("command", [["validate"], ["analyze", "--table", "all"],

@@ -393,6 +393,19 @@ def test_bridge_puts_each_count_in_its_class_at_the_edges():
                                                     "page count 0 fits no page bin"]
 
 
+@pytest.mark.parametrize("record", [
+    BibRecord(2013, "T", "ICT", author_count=0, page_count=3),
+    BibRecord(2013, "T", "ICT", author_count=-9, page_count=3),
+    BibRecord(2013, "T", "ICT", authors=(), page_count=3),
+], ids=["zero", "negative", "no-names"])
+def test_aggregate_records_rejects_a_record_of_no_author(record):
+    # validate reports such a record as an author-count error; the bridge
+    # alone must not count it in any bin.
+    records = (BibRecord(2013, "T", "ICT", author_count=2, page_count=3), record)
+    with pytest.raises(ValueError, match=r"^record 2: author count must be >= 1$"):
+        aggregate_records(records)
+
+
 def test_expand_author_counts_reproduces_author_totals(demo_dataset):
     # The bin-weighted sum, with the 5+ bin valued at 5, matches the
     # dataset's recorded author totals for every year.

@@ -124,11 +124,17 @@ MUTANTS = (
     Mutant("split-own-part-merged-last",
            "the part this process folds, the first, is merged after the children's",
            INGEST,
-           "    for count, counts, warnings, errors in folds:\n",
-           "    own = (report.record_count, tally.counts, list(map(tuple, tally.warnings)),\n"
-           "           list(map(tuple, report.errors)))\n"
-           "    report, tally = ValidationReport(), _YearTally(config.taxonomy)\n"
-           "    for count, counts, warnings, errors in [*folds, own]:\n"),
+           '        report, tally = _fold(*_csv_rows(reader, header, "records"), config)\n'
+           "        for _, read in children:  # an empty or short message raises EOFError or ValueError\n"
+           "            count, counts, warnings, errors = marshal.loads(\n"
+           '                open(read, "rb", buffering=0, closefd=False).readall())\n',
+           '        own_report, own = _fold(*_csv_rows(reader, header, "records"), config)\n'
+           "        report, tally = ValidationReport(), _YearTally(config.taxonomy)\n"
+           '        messages = [marshal.loads(open(read, "rb", buffering=0, closefd=False).readall())\n'
+           "                    for _, read in children]\n"
+           "        messages.append((own_report.record_count, own.counts, own.warnings,\n"
+           "                         list(map(tuple, own_report.errors))))\n"
+           "        for count, counts, warnings, errors in messages:\n"),
     Mutant("split-children-merged-in-reverse",
            "the children's folds are merged in reverse part order",
            INGEST,
@@ -152,9 +158,13 @@ MUTANTS = (
     Mutant("split-pipes-read-before-any-load",
            "every child's pipe is read to its end before any fold is loaded from it",
            INGEST,
-           "folds.append(marshal.loads(open(read, \"rb\", buffering=0, closefd=False).readall()))",
-           "folds.append(open(read, \"rb\", buffering=0, closefd=False).readall())\n"
-           "        folds[:] = map(marshal.loads, folds)"),
+           "        for _, read in children:  # an empty or short message raises EOFError or ValueError\n"
+           "            count, counts, warnings, errors = marshal.loads(\n"
+           '                open(read, "rb", buffering=0, closefd=False).readall())\n',
+           '        messages = [open(read, "rb", buffering=0, closefd=False).readall()\n'
+           "                    for _, read in children]\n"
+           "        for message in messages:  # an empty or short message raises EOFError or ValueError\n"
+           "            count, counts, warnings, errors = marshal.loads(message)\n"),
     Mutant("split-part-header-from-its-own-first-row",
            "each child's part takes its columns from its own first row, not the file's header",
            INGEST,
@@ -165,6 +175,11 @@ MUTANTS = (
            INGEST,
            "os.kill(pid, 9)  # SIGKILL",
            "pass  # SIGKILL"),
+    Mutant("split-sigchld-not-checked",
+           "a load splits with SIGCHLD ignored, so the kernel reaps the children itself",
+           INGEST,
+           "if signal.getsignal(signal.SIGCHLD) != signal.SIG_DFL:",
+           "if False:"),
     Mutant("error-rereads-from-byte-0",
            "the decode of a failed input reads its file from byte 0, not from where it starts",
            INGEST,
@@ -178,13 +193,29 @@ MUTANTS = (
     Mutant("tally-four-authors-pooled",
            "the bridge counts a four-author record in the open 5+ bin",
            INGEST,
-           "n_authors - 1 if n_authors <= _POOLED else _POOLED",
-           "n_authors - 1 if n_authors < _POOLED else _POOLED"),
+           "n_authors + 1 if n_authors < POOLED_BIN_AUTHOR_VALUE else _POOLED",
+           "n_authors + 1 if n_authors < POOLED_BIN_AUTHOR_VALUE - 1 else _POOLED"),
+    Mutant("tally-unknown-subject-slot",
+           "the bridge counts an unknown subject in the first label's slot, not in Others'",
+           INGEST,
+           "row[self._slots.get(subject, self._others)] += 1",
+           "row[self._slots.get(subject, _PAGES.stop)] += 1"),
+    Mutant("aggregate-zero-authors-bridged",
+           "aggregate_records counts a record of 0 authors, which lands in another slot",
+           INGEST,
+           "if r.n_authors < 1:",
+           "if r.n_authors < 0:"),
     Mutant("merge-subject-count-replaced",
            "a merge replaces a year's subject count by the other tally's",
            INGEST,
-           "mine[4][label] = mine[4].get(label, 0) + n",
-           "mine[4][label] = n"),
+           "self.counts[year] = list(map(operator.add, self.year(year), row))",
+           "self.counts[year] = [*map(operator.add, self.year(year)[:_PAGES.stop], row),\n"
+           "                                  *row[_PAGES.stop:]]"),
+    Mutant("merge-replaces-counts",
+           "a merge keeps the other tally's row of a year in place of the sum",
+           INGEST,
+           "self.counts[year] = list(map(operator.add, self.year(year), row))",
+           "self.counts[year] = list(row)"),
     Mutant("cut-before-its-line-end",
            "a cut falls on the \\n that ends a part's last row, not after it",
            INGEST,
