@@ -18,9 +18,11 @@ Conventions worth calling out, because both are implemented:
   ``variant="stated"`` computes the conventional value.
 * The paper-convention growth rate R is carried at the displayed
   2-decimal precision before doubling times and means are derived from
-  it, matching how the published table was computed by hand. The
-  standard convention keeps full precision throughout. In both, every
-  row satisfies dt * r = ln 2 exactly.
+  it, matching how the published table was computed by hand. The mean
+  of R is the exact mean of those 2-decimal values, rounded once to a
+  float, so a mean on a display tie (0.335) shows as by hand (0.34).
+  The standard convention keeps full precision throughout. In both,
+  every row satisfies dt * r = ln 2 exactly.
 """
 
 from __future__ import annotations
@@ -308,7 +310,9 @@ def rgr_table(dataset: Dataset, config: AnalysisConfig | None = None) -> ReportT
     rates = [r for *_, r, _ in rows if r is not None]
     times = [dt for *_, dt in rows if dt is not None]
     notes = ["Dt = ln 2 / R; footer shows arithmetic means of R and Dt."]
-    if config.rgr_mode == "paper":
+    mean_r = sum(rates) / len(rates)
+    if config.rgr_mode == "paper":  # whole hundredths: their exact mean, rounded once
+        mean_r = sum(round(r * 100) for r in rates) / (100 * len(rates))
         notes.append("R compares successive yearly counts at 2-decimal precision; "
                      "the final row measures the last year against the cumulative total.")
     else:
@@ -326,6 +330,6 @@ def rgr_table(dataset: Dataset, config: AnalysisConfig | None = None) -> ReportT
         ],
         rows=rows,
         footer=["Total", sum(p for _, p in series), None, None, None,
-                sum(rates) / len(rates), sum(times) / len(times) if times else None],
+                mean_r, sum(times) / len(times) if times else None],
         notes=notes,
     )

@@ -21,6 +21,17 @@ them to per-year aggregates (:func:`aggregate_records`). Every step
 reads its ``strict``, ``study_window`` and ``taxonomy`` from one
 :class:`~scientoscope.config.AnalysisConfig`.
 
+Every input is read by one reader, :func:`_read`. It decodes an open
+binary file, from its position, and ``bytes`` as it reads them, so a
+CSV parse of the library holds no decoded copy of the whole input (JSON
+is decoded whole), and it drops one leading byte-order mark, of bytes
+or of ``str``. A bad UTF-8 byte anywhere takes precedence over every
+parse error, with the message that ``bytes.decode`` of the whole input
+gives, worded once, in :func:`_check_utf8`: after a parse or decode
+error the reader checks the input again from where it starts, a block
+at a time. So a bad byte late in the input is found once the rows
+before it are parsed.
+
 Each record rule is stated once, in ``_validate_record``, and the
 bridge count once, in ``_YearTally.add``; both routes call them for
 every record. A record rule formats a location only when it fails. The
@@ -112,7 +123,7 @@ import os
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 from itertools import repeat
-from typing import BinaryIO, TextIO
+from typing import BinaryIO, TextIO, TypeVar
 
 from .config import AnalysisConfig
 from .model import (
@@ -139,23 +150,15 @@ _SUBJECT_PREFIX = "subj:"
 MAX_COUNT = 2**53
 
 
-def _decode(source: bytes | str) -> str:
-    """The input as text, without a leading byte-order mark."""
-    try:
-        text = source if isinstance(source, str) else source.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"input is not valid UTF-8: {exc}") from exc
-    return text.removeprefix("\ufeff")
-
-
 #: Bytes :func:`_check_utf8` reads at a time.
 _UTF8_BLOCK = 1 << 16
 
 
 def _check_utf8(source: BinaryIO) -> None:
-    """Raise the ParseError :func:`_decode` of the rest of *source* would
-    raise, if any, reading it a block at a time, so that the check holds
-    one block, not the whole input."""
+    """Raise the ParseError of the first bad UTF-8 byte in the rest of
+    *source*, with the position that ``bytes.decode`` of the rest gives,
+    if it holds one. It reads a block at a time, so it holds one block,
+    not the whole input. This is the one place that words the message."""
     decoder = codecs.getincrementaldecoder("utf-8")()
     done = 0  # bytes read before the block
     while True:
@@ -173,6 +176,35 @@ def _check_utf8(source: BinaryIO) -> None:
         if not block:
             return
         done += len(block)
+
+
+_T = TypeVar("_T")
+
+
+def _read(source: BinaryIO | bytes | str, read: Callable[[TextIO], _T]) -> _T:
+    """``read(text)``, *text* being *source* as a stream of text without
+    its leading byte-order mark: the one reader of every input.
+
+    *source* is an open binary file, read from its position, ``bytes``
+    or ``str``. Binary input is decoded as it is read, so a row-by-row
+    *read* holds no decoded copy of the whole input. A bad UTF-8 byte
+    anywhere takes precedence over every parse error: after a ParseError
+    or a decode error (whose position is within the decoder's chunk, and
+    which a row error may precede), :func:`_check_utf8` reads the input
+    again from where it starts."""
+    if isinstance(source, str):
+        return read(io.StringIO(source.removeprefix("\ufeff")))
+    source = io.BytesIO(source) if isinstance(source, bytes) else source
+    start = source.tell()
+    text = io.TextIOWrapper(source, encoding="utf-8-sig", newline="\n")
+    try:
+        return read(text)
+    except (ParseError, UnicodeDecodeError):
+        source.seek(start)
+        _check_utf8(source)
+        raise
+    finally:
+        text.detach()  # the caller owns and closes source
 
 
 def _opt_int(raw: str | None, what: str, location: str) -> int | None:
@@ -433,12 +465,14 @@ def parse_records(source: bytes | str, format: str = "csv") -> tuple[BibRecord, 
 
     Every record takes the precise parse: this is the reference that
     :func:`load`, the CLI's path, which builds no records, is tested against.
+    *source* is read by the reader :func:`load` uses, so bytes are decoded
+    as they are read, and a bad UTF-8 byte anywhere gives the ParseError
+    that ``load`` gives, once the rows before it are parsed.
     """
-    _, rows, locate = _rows(io.StringIO(_decode(source)), format, "records")
-    records = tuple(
+    records = _read(source, lambda text: tuple(
         BibRecord(*_record_fields(location, tuple(values[columns.get(name, -1)]
                                                   for name in _RECORD_COLUMNS)))
-        for location, columns, values in _checked(rows, locate))
+        for location, columns, values in _checked(*_rows(text, format, "records")[1:])))
     if not records:
         raise ParseError("empty dataset")
     return records
@@ -481,9 +515,10 @@ def parse_aggregates(source: bytes | str, format: str = "csv") -> Dataset:
 
     Semantic consistency (duplicate years, gaps, bin sums) is checked by
     :func:`validate`, not here, so parse failures and validation
-    findings stay distinguishable.
+    findings stay distinguishable. *source* is read as
+    :func:`parse_records` reads it.
     """
-    return _aggregate_dataset(*_rows(io.StringIO(_decode(source)), format, "aggregates")[1:])
+    return _read(source, lambda text: _aggregate_dataset(*_rows(text, format, "aggregates")[1:]))
 
 
 def sniff_granularity(source: bytes | str, format: str = "csv") -> str:
@@ -491,19 +526,21 @@ def sniff_granularity(source: bytes | str, format: str = "csv") -> str:
 
     CSV bytes are decoded only as far as the csv module reads the header,
     so the parse reports bad bytes further on, and a bad byte within it
-    gets the whole input's message. JSON is decoded whole, so its first
-    fault is the one reported.
+    gets the whole input's message, from :func:`_check_utf8`. JSON and
+    ``str`` are read by the reader :func:`parse_records` uses; JSON is
+    decoded whole, so a bad byte anywhere in it is the fault reported.
     """
-    if format == "csv" and isinstance(source, bytes):
-        stream = codecs.iterdecode(io.BytesIO(source), "utf-8-sig")
-    else:
-        stream = io.StringIO(_decode(source))
-    try:
+    def sniff(text: TextIO | Iterator[str]) -> str:
         if format == "csv":  # the header alone: its required columns are the parse's check
-            return _granularity(_csv_header(csv.reader(stream)))
-        return _rows(stream, format)[0]
+            return _granularity(_csv_header(csv.reader(text)))
+        return _rows(text, format)[0]
+
+    if format != "csv" or isinstance(source, str):
+        return _read(source, sniff)
+    try:
+        return sniff(codecs.iterdecode(io.BytesIO(source), "utf-8-sig"))
     except UnicodeDecodeError:
-        _decode(source)  # the first bad byte is the one hit: raises its message
+        _check_utf8(io.BytesIO(source))  # the first bad byte is the one hit: raises its message
         raise
 
 
@@ -767,8 +804,9 @@ def load(source: BinaryIO, format: str = "csv", config: AnalysisConfig | None = 
     there is no second, cheaper copy of them. With errors, the report has
     no bridge warnings and the aggregates are incomplete.
 
-    A bad UTF-8 byte anywhere in the input takes precedence over every
-    other parse error, with the message that decoding the whole input gives:
+    The input is read by :func:`_read`, the reader every parse uses, so
+    a bad UTF-8 byte anywhere in it takes precedence over every other
+    parse error, with the message that decoding the whole input gives:
     after any parse error, :func:`_check_utf8` reads the input again from
     its start, one block at a time.
     A source that cannot seek, such as a pipe (``--input /dev/stdin``), is
@@ -790,24 +828,17 @@ def load(source: BinaryIO, format: str = "csv", config: AnalysisConfig | None = 
             spool.seek(0)
             return load(spool, format, config, granularity)
     config = config or AnalysisConfig()
-    start = source.tell()
     cuts = _cuts(source) if format == "csv" else None
-    text = io.TextIOWrapper(source, encoding="utf-8-sig", newline="\n")
-    try:
-        granularity, rows, locate = _rows(text, format, granularity)
-        if granularity == "records":
+
+    def read(text: TextIO) -> tuple[Dataset, ValidationReport]:
+        kind, rows, locate = _rows(text, format, granularity)
+        if kind == "records":
             return _folded(*(cuts and _fold_parts(source, cuts, config)
                              or _fold(rows, locate, config)))
         dataset = _aggregate_dataset(rows, locate)
-    except (ParseError, UnicodeDecodeError):
-        # A decode error carries a position within the decoder's chunk,
-        # and a row error may precede a bad byte: check it all again.
-        source.seek(start)
-        _check_utf8(source)
-        raise
-    finally:
-        text.detach()  # the caller owns and closes source
-    return dataset, validate(dataset, config)
+        return dataset, validate(dataset, config)
+
+    return _read(source, read)
 
 
 def _fold(rows: _Rows, locate: _Locate,
@@ -1024,11 +1055,8 @@ def write_aggregates_csv(dataset: Dataset) -> str:
 
     Parsing the result reproduces the dataset exactly.
     """
-    labels: list[str] = []
-    for agg in dataset.aggregates:
-        for label in agg.subject_counts:
-            if label not in labels:
-                labels.append(label)
+    labels = list(dict.fromkeys(label for agg in dataset.aggregates
+                                for label in agg.subject_counts))  # in order of first use
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -7,6 +7,7 @@ import os
 import threading
 import tracemalloc
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -563,9 +564,9 @@ def test_the_error_path_checks_utf8_a_block_at_a_time(monkeypatch, block, fault)
            + "2013,,,Bibliométrie € \U0001f4da,A,1,2,ICT\n" * 40).encode() + fault
     expected = "line 2: non-numeric start_page: 'q'"
     if fault:
-        with pytest.raises(ParseError) as decoded:
-            ingest._decode(raw)
-        expected = str(decoded.value)
+        with pytest.raises(UnicodeDecodeError) as decoded:
+            raw.decode("utf-8")
+        expected = f"input is not valid UTF-8: {decoded.value}"
         assert len(raw) - len(fault) > block and "position" in expected
     monkeypatch.setattr(ingest, "_UTF8_BLOCK", block)
     source = io.BytesIO(b"\xff\xfe\n\n\n\n" + raw)
@@ -575,17 +576,84 @@ def test_the_error_path_checks_utf8_a_block_at_a_time(monkeypatch, block, fault)
     assert str(folded.value) == expected
 
 
+@pytest.mark.parametrize("parse", [_fold_bytes, parse_records, parse_aggregates],
+                         ids=["load", "parse_records", "parse_aggregates"])
 @pytest.mark.parametrize("bad", [
     "year,title,authors,subject\n",  # header missing columns
     RECORD_HEADER + "\n2013,,,T,A,1,2\n",  # ragged row
     RECORD_HEADER + "\nMMXIII,,,T,A,1,2,ICT\n",  # non-numeric year
     RECORD_HEADER + "\n2013,,,T,A,1,2,\n",  # missing subject
 ])
-def test_bad_utf8_takes_precedence_over_an_earlier_parse_error(bad):
+def test_bad_utf8_takes_precedence_over_an_earlier_parse_error(bad, parse):
+    # parse_aggregates finds record columns where it wants aggregate ones.
     raw = (bad + _record_rows(3000)).encode() + b"2013,,,\xfe,A,1,2,ICT\n"
     with pytest.raises(ParseError, match="^input is not valid UTF-8: 'utf-8' codec can't decode "
                                          "byte 0xfe in position"):
-        _fold_bytes(raw)
+        parse(raw)
+
+
+#: Faults injected into valid UTF-8 text, and whether each may stand only at its end.
+_UTF8_FAULTS = {
+    "stray-continuation": (b"\x80", False),
+    "invalid-start": (b"\xff", False),
+    "cut-at-the-end": (b"\xf0\x9f\x93", True),
+    "encoded-surrogate": (b"\xed\xa0\x80", False),
+    "overlong": (b"\xc0\xaf", False),
+}
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(text=st.text(st.sampled_from("a\n,\u00e9\u20ac\U0001f4da") | st.characters(codec="utf-8"),
+                    max_size=40),
+       fault=st.sampled_from([None, *_UTF8_FAULTS]), where=st.floats(0, 1),
+       block=st.integers(1, 64), offset=st.integers(1, 8))
+def test_check_utf8_raises_exactly_when_decoding_does(text, fault, where, block, offset):
+    # Characters of 1 to 4 bytes, at most one fault, any block size, and an
+    # input that starts after bad bytes of its file: the check reads from
+    # the position it is given, and counts positions from there.
+    cut = round(where * len(text))
+    head, tail = text[:cut].encode(), text[cut:].encode()
+    if fault is not None:
+        bad, at_the_end = _UTF8_FAULTS[fault]
+        head, tail = (head + tail + bad, b"") if at_the_end else (head + bad, tail)
+    raw = head + tail
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        expected = f"input is not valid UTF-8: {exc}"
+    else:
+        expected = None
+    assert (expected is None) == (fault is None)
+    source = io.BytesIO(b"\xff" * offset + raw)
+    source.seek(offset)
+    with mock.patch.object(ingest, "_UTF8_BLOCK", block):
+        if expected is None:
+            ingest._check_utf8(source)
+        else:
+            with pytest.raises(ParseError) as checked:
+                ingest._check_utf8(source)
+            assert str(checked.value) == expected
+
+
+@pytest.mark.parametrize("parse, path", [
+    (parse_records, demo_records_path), (parse_aggregates, demo_aggregates_path),
+    (sniff_granularity, demo_records_path), (sniff_granularity, demo_aggregates_path),
+], ids=["parse_records", "parse_aggregates", "sniff-records", "sniff-aggregates"])
+def test_one_leading_byte_order_mark_is_dropped_from_bytes_and_from_text(parse, path):
+    def outcome(source):
+        try:
+            return parse(source)
+        except ParseError as exc:
+            return f"ParseError: {exc}"
+
+    raw = path().read_bytes()
+    (none, one, two) = [[outcome("\ufeff" * marks + raw.decode()),
+                         outcome(b"\xef\xbb\xbf" * marks + raw)] for marks in range(3)]
+    assert not isinstance(none[0], str) or none[0] in ingest.GRANULARITIES
+    assert none == one == [none[0]] * 2
+    # A second mark is part of the first column's name, "year", which the sniff does not read.
+    assert two[0] == two[1]
+    assert (two[0] == none[0]) == (parse is sniff_granularity)
 
 
 @pytest.mark.parametrize("last_row, message", [

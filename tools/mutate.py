@@ -180,11 +180,23 @@ MUTANTS = (
            INGEST,
            "if signal.getsignal(signal.SIGCHLD) != signal.SIG_DFL:",
            "if False:"),
-    Mutant("error-rereads-from-byte-0",
-           "the decode of a failed input reads its file from byte 0, not from where it starts",
+    Mutant("read-check-from-zero",
+           "the reader checks the UTF-8 of a failed input from byte 0, not from where it starts",
            INGEST,
            "source.seek(start)",
            "source.seek(0)"),
+    Mutant("read-bytes-skip-utf8-check",
+           "the reader re-raises a failed binary input's error without checking its UTF-8",
+           INGEST,
+           "        source.seek(start)\n"
+           "        _check_utf8(source)\n"
+           "        raise\n",
+           "        raise\n"),
+    Mutant("read-text-keeps-bom",
+           "the reader keeps the leading byte-order mark of a str input",
+           INGEST,
+           'return read(io.StringIO(source.removeprefix("\\ufeff")))',
+           "return read(io.StringIO(source))"),
     Mutant("record-zero-authors-accepted",
            "the record rules accept an author count of 0",
            INGEST,
@@ -273,6 +285,12 @@ MUTANTS = (
            "r = round_half_up(abs(w2 - w1), 2)",
            "r = abs(w2 - w1)",
            FORMULA_TESTS),
+    Mutant("rgr-paper-mean-of-floats",
+           "the paper-mode mean of R divides the float sum of the rounded R's",
+           INDICATORS,
+           "mean_r = sum(round(r * 100) for r in rates) / (100 * len(rates))",
+           "mean_r = sum(rates) / len(rates)",
+           ("tests/test_table_oracle.py",)),
     Mutant("cagr-intervals-periods",
            "CAGR over intervals compounds once per calendar year",
            INDICATORS,
