@@ -17,8 +17,9 @@ adds the conformance check. One dict (``_meta``) states each run, as
 the JSON ``meta`` object and as the text metadata line.
 
 Exit codes: 0 success, 1 validation/analysis/golden failure, 2 input or
-parse failure, or out of memory. Output is byte-identical for identical
-input and configuration; timestamps appear only under ``--timestamp``.
+parse failure, or out of memory, 130 interrupted. Output is
+byte-identical for identical input and configuration; timestamps appear
+only under ``--timestamp``.
 """
 
 from __future__ import annotations
@@ -65,6 +66,7 @@ _RUN_KEYS = ("input", "format", "table", "granularity", "timestamp")
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_PARSE = 2
+EXIT_INTERRUPTED = 130  # the shell's code for SIGINT
 
 
 def demo_aggregates_path() -> Path:
@@ -343,6 +345,9 @@ def entry() -> None:
         # Keep the interpreter's final flush of stdout from raising again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = EXIT_FAILURE
+    except KeyboardInterrupt:  # a split load's children are killed and reaped on the way out
+        print("error: interrupted", file=sys.stderr)
+        code = EXIT_INTERRUPTED
     gc.freeze()  # the OS frees the heap at exit, so the exit's collections need not sweep it
     sys.exit(code)
 

@@ -5,63 +5,47 @@ as pre-tabulated per-year aggregates. Structural problems (bad CSV,
 missing mandatory fields, non-numeric values) raise :class:`ParseError`;
 semantic problems (bin sums, year gaps, window violations) are reported
 by :func:`validate` without ever mutating or silently fixing the data.
+Every step reads its ``strict``, ``study_window`` and ``taxonomy`` from
+one :class:`~scientoscope.config.AnalysisConfig`.
 
-Record input has one set of checks and one count. :func:`load`, which
-the CLI uses, reads an open file of either granularity once, with the
-granularity taken from the CSV header or first JSON element that every
-parse reads anyway. For records, one loop parses each row, checks it by
-the record rules and counts it into the per-year accumulator, with no
-record kept. Record CSV is streamed, so its memory is O(years +
-findings); JSON is decoded whole. A large record CSV file is folded in
-parts at once, one per usable CPU, as the section below says. The
-library route is the precise reference that loop is tested against: it
-builds every :class:`BibRecord` by the precise parse
-(:func:`parse_records`), then checks them (:func:`validate`) and bridges
-them to per-year aggregates (:func:`aggregate_records`). Every step
-reads its ``strict``, ``study_window`` and ``taxonomy`` from one
-:class:`~scientoscope.config.AnalysisConfig`.
+Every input, of the library and of the CLI, is read by one reader,
+:func:`_read`, as a stream of text. The row source, :func:`_rows`, reads
+the granularity off the CSV header or first JSON element that every
+parse reads anyway, then gives the rows as ``(columns, values)`` pairs:
+a CSV row straight off the csv reader, zipped with its header's column
+map, and a JSON element as the list of its values. The blank-row skip,
+the field-count check and a row's location (``line N`` or ``element N``)
+are stated once, in the row source's ``locate``, which runs only for a
+row that fails.
 
-Every input is read by one reader, :func:`_read`. It decodes an open
-binary file, from its position, and ``bytes`` as it reads them, so a
-CSV parse of the library holds no decoded copy of the whole input (JSON
-is decoded whole), and it drops one leading byte-order mark, of bytes
-or of ``str``. A bad UTF-8 byte anywhere takes precedence over every
-parse error, with the message that ``bytes.decode`` of the whole input
-gives, worded once, in :func:`_check_utf8`: after a parse or decode
-error the reader checks the input again from where it starts, a block
-at a time. So a bad byte late in the input is found once the rows
-before it are parsed.
-
-Each record rule is stated once, in ``_validate_record``, and the
-bridge count once, in ``_YearTally.add``; both routes call them for
-every record. A record rule formats a location only when it fails. The
-rows reach the loop as ``(columns, values)`` pairs: a CSV row straight
-off the csv reader, zipped with its header's column map, and a JSON
-element as the list of its values. A row's location, ``line N`` from the
-csv reader's ``line_num`` or ``element N``, is read only for a row that
-fails, as are the blank-row skip and the field-count check, each stated
-once in the CSV row source. The loop takes each row by a short parse that
-counts a ``;``-separated author list by its pieces when none is blank,
-and looks each numeral up in one table of ``int()`` results, ``_INTS``,
-built at import and never written after, so every load and every child
-of a split load shares its 0.3 MB. It holds the decimals 0 to 4095:
-every year, volume and issue, and most page numbers. A lookup it holds
-costs about a quarter of ``int()``; one it lacks goes on to ``int()`` and
-costs about a quarter more, so input whose numerals are mostly past the
-table, or not written as plain decimals, parses a little slower. A row
-the short parse cannot take goes to the precise parse,
-``_record_fields``, the only code that words a parse message, so both
-routes give the same fields and errors.
+Records have one set of checks and one count. :func:`load`, the CLI's
+route, folds them in one loop, :func:`_fold`: each row is parsed,
+checked by the record rules (``_validate_record``) and counted into its
+year (``_YearTally.add``), with no record kept, so record CSV loads in
+O(years + findings) memory. The fold takes a row by a short parse that
+counts a ``;``-separated author list by its pieces and looks each
+numeral up in one table of ``int()`` results, ``_INTS``, built at import
+and never written after, so every load and every child of a split load
+shares its 0.3 MB. It holds the decimals 0 to 4095: every year, volume
+and issue, and most page numbers. A lookup it holds costs about a
+quarter of ``int()``; one it lacks goes on to ``int()`` and costs about
+a quarter more, so input whose numerals are mostly past the table, or
+not written as plain decimals, parses a little slower. A row the short
+parse cannot take goes to the precise parse, ``_record_fields``, the
+only code that words a parse message, so both parses give the same
+fields and errors. The library's record route, :func:`parse_records`
+(the precise parse of every row), :func:`validate` and
+:func:`aggregate_records`, is the reference the fold is tested against.
 
 Record CSV on every CPU
 -----------------------
 A record CSV file is split when it holds at least ``_SPLIT_BYTES``
-(1 MiB) per part, one part per usable CPU (``os.sched_getaffinity``),
-at least two, and the process can fork (POSIX), runs one thread and
-leaves SIGCHLD at its default: an ignored SIGCHLD, which a process
-inherits from its parent, or a handler could reap the children first.
-Only an input that large is checked for these. :func:`_cuts` cuts it at
-the first ``\\n`` from each k/N of its size, and a repeated cut makes no
+(1 MiB) per part, one part per usable CPU (``os.sched_getaffinity``), at
+least two, and the process can fork (POSIX), runs one thread and leaves
+SIGCHLD at its default: an ignored SIGCHLD, which a process inherits
+from its parent, or a handler could reap the children first. Only an
+input that large is checked for these. :func:`_cuts` cuts it at the
+first ``\\n`` from each k/N of its size, and a repeated cut makes no
 part. After :func:`load` reads the header, :func:`_fold_parts` reads it
 once more, by the first part's reader, then forks a child for each later
 part and folds the first in this process, each part read by
@@ -70,45 +54,22 @@ last is read by a strict ``csv.reader``, which raises at end of data
 inside a quoted field: a part that ends without error ends between rows.
 A child sends its whole fold as one tuple (record count, year rows,
 bridge warnings, rule errors) through a pipe (``marshal``), or nothing,
-and this process reads the pipes in part order and merges each fold into
-its own as it reads it, adding row to row. A part is folded when its
-whole fold arrives, whatever its child's exit status. A ``record N`` is
-renumbered by the records of the parts before it, and once the report
-holds an error a later part adds only its years, as the serial fold
-registers only the years of the records after its first error.
-:func:`_folded` then runs the year-gap rule and sorts the warnings, so
-the result is the serial fold's. When a part does not complete (a parse
-or decode error, a cut inside a quoted field, text after a closing
-quote, which only a strict reader refuses, a child that fails or is
-killed before its whole fold is sent), the fold goes on with the reader
-that read the header, so the whole file is read again on one CPU and
-every message and location is the serial route's. Every child is then
-killed and reaped: one that has sent its fold is a zombie until reaped,
-so the kill reaches no other process. Memory is O(parts * (years + findings)).
-
-CSV schemas
------------
-Columns are matched by header name, in any order. The columns shown
-without brackets are required, and no name may appear twice.
-
-records::
-
-    year,volume,issue,title,authors,start_page,end_page,subject[,author_count][,page_count]
-
-with authors ";"-separated; a non-empty ``author_count`` overrides the
-name list (use it when names are unavailable). An optional
-``page_count`` gives the page length when the span is unknown; when both
-are given they must agree.
-
-aggregates::
-
-    year,papers,a1,a2,a3,a4,a5plus,total_authors,p1to5,p6to10,pabove10,subj:<label>,...
-
-with one ``subj:<label>`` column per taxonomy entry. The page columns
-are the study's fixed page-length classes (1-5, 6-10 and above 10
-pages, :data:`~scientoscope.model.PAGE_BINS`), and the record bridge
-bins page counts into the same classes. JSON mirrors the same field
-names, one object per record/aggregate, in a top-level list.
+and this process merges each fold into its own as it reads the pipes in
+part order, adding row to row. A part is folded when its whole fold
+arrives, whatever its child's exit status. A ``record N`` is renumbered
+by the records of the parts before it, and once the report holds an
+error a later part adds only its years, as the serial fold registers
+only the years of the records after its first error. :func:`_folded`
+then runs the year-gap rule and sorts the warnings, so the result is the
+serial fold's. When a part does not complete (a parse or decode error, a
+cut inside a quoted field, text after a closing quote, which only a
+strict reader refuses, a child that fails or is killed before its whole
+fold is sent), the fold goes on with the reader that read the header, so
+the whole file is read again on one CPU and every message and location
+is the serial route's. However the split ends, even by an interrupt,
+every child is then killed and reaped: one that has sent its fold is a
+zombie until reaped, so the kill reaches no other process. Memory is
+O(parts * (years + findings)).
 """
 
 from __future__ import annotations
@@ -188,10 +149,11 @@ def _read(source: BinaryIO | bytes | str, read: Callable[[TextIO], _T]) -> _T:
     *source* is an open binary file, read from its position, ``bytes``
     or ``str``. Binary input is decoded as it is read, so a row-by-row
     *read* holds no decoded copy of the whole input. A bad UTF-8 byte
-    anywhere takes precedence over every parse error: after a ParseError
-    or a decode error (whose position is within the decoder's chunk, and
-    which a row error may precede), :func:`_check_utf8` reads the input
-    again from where it starts."""
+    anywhere takes precedence over every parse error, with the message of
+    a decode of the whole input: after a ParseError or a decode error
+    (whose position is within the decoder's chunk, and which a row error
+    may precede), :func:`_check_utf8` reads the input again from where it
+    starts. So a late bad byte is found once the rows before it are read."""
     if isinstance(source, str):
         return read(io.StringIO(source.removeprefix("\ufeff")))
     source = io.BytesIO(source) if isinstance(source, bytes) else source
@@ -279,7 +241,7 @@ _Rows = Iterator[tuple[dict[str, int], list]]
 _Locate = Callable[..., str | None]
 
 
-def _rows(stream: TextIO | Iterator[str], format: str,
+def _rows(stream: TextIO, format: str,
           granularity: str | None = None) -> tuple[str, _Rows, _Locate]:
     """The granularity, given or read off the CSV header or first JSON
     element, the rows read on from there as ``(columns, values)`` pairs,
@@ -300,8 +262,8 @@ def _rows(stream: TextIO | Iterator[str], format: str,
     width; else the location of the row read last, ``line N`` (the csv
     reader's ``line_num``, the physical line the row ends on) or
     ``element N``. A JSON element is never skipped. ``locate()`` gives the
-    location alone. CSV is read from ``stream``, or its lines, row by row;
-    JSON is decoded whole.
+    location alone. CSV is read from ``stream`` row by row; JSON is
+    decoded whole.
     """
     if format == "csv":
         reader = csv.reader(stream)
@@ -464,10 +426,8 @@ def parse_records(source: bytes | str, format: str = "csv") -> tuple[BibRecord, 
     """Parse record-granularity input into its records, in input order.
 
     Every record takes the precise parse: this is the reference that
-    :func:`load`, the CLI's path, which builds no records, is tested against.
-    *source* is read by the reader :func:`load` uses, so bytes are decoded
-    as they are read, and a bad UTF-8 byte anywhere gives the ParseError
-    that ``load`` gives, once the rows before it are parsed.
+    :func:`load`, the CLI's route, which builds no records, is tested
+    against. *source* is read through :func:`_read`.
     """
     records = _read(source, lambda text: tuple(
         BibRecord(*_record_fields(location, tuple(values[columns.get(name, -1)]
@@ -515,33 +475,20 @@ def parse_aggregates(source: bytes | str, format: str = "csv") -> Dataset:
 
     Semantic consistency (duplicate years, gaps, bin sums) is checked by
     :func:`validate`, not here, so parse failures and validation
-    findings stay distinguishable. *source* is read as
-    :func:`parse_records` reads it.
+    findings stay distinguishable. *source* is read through :func:`_read`.
     """
     return _read(source, lambda text: _aggregate_dataset(*_rows(text, format, "aggregates")[1:]))
 
 
 def sniff_granularity(source: bytes | str, format: str = "csv") -> str:
-    """Records vs aggregates, from the CSV header or the first JSON element.
-
-    CSV bytes are decoded only as far as the csv module reads the header,
-    so the parse reports bad bytes further on, and a bad byte within it
-    gets the whole input's message, from :func:`_check_utf8`. JSON and
-    ``str`` are read by the reader :func:`parse_records` uses; JSON is
-    decoded whole, so a bad byte anywhere in it is the fault reported.
-    """
-    def sniff(text: TextIO | Iterator[str]) -> str:
+    """Records vs aggregates, from the CSV header or the first JSON
+    element of *source*, read through :func:`_read`."""
+    def sniff(text: TextIO) -> str:
         if format == "csv":  # the header alone: its required columns are the parse's check
             return _granularity(_csv_header(csv.reader(text)))
         return _rows(text, format)[0]
 
-    if format != "csv" or isinstance(source, str):
-        return _read(source, sniff)
-    try:
-        return sniff(codecs.iterdecode(io.BytesIO(source), "utf-8-sig"))
-    except UnicodeDecodeError:
-        _check_utf8(io.BytesIO(source))  # the first bad byte is the one hit: raises its message
-        raise
+    return _read(source, sniff)
 
 
 # ---------------------------------------------------------------------------
@@ -786,39 +733,17 @@ def load(source: BinaryIO, format: str = "csv", config: AnalysisConfig | None = 
     """Parse and validate an open binary file of either granularity in one pass.
 
     *granularity* is ``"records"``, ``"aggregates"`` or ``None``: read it
-    off the CSV header or the first JSON element. Aggregates give
-    :func:`parse_aggregates`, then :func:`validate`. Records give what
+    off the CSV header or the first JSON element. Aggregates give what
+    :func:`parse_aggregates`, then :func:`validate` give. Records give what
     :func:`parse_records`, then :func:`validate`, then, when the report
     has no errors, :func:`aggregate_records` give, all three with the same
-    config and the bridge's warnings appended to the report. No
-    :class:`BibRecord` is built: one loop, :func:`_fold`, parses, checks
-    and counts each row as the csv reader or the JSON decode gives it, so
-    for CSV, read row by row, memory is O(years + findings); JSON is
-    decoded whole. A clean row takes the short parse, and no location is
-    read for it; a row of another width than the header, or whose short
-    parse raises or finds a blank mandatory field or author list, takes
-    the row checks, which skip a blank CSV row, and then the precise
-    parse, which words every parse error at the row's location.
-    Every record, on either parse, goes through the record rules
-    (``_validate_record``) and the bridge count (``_YearTally.add``);
-    there is no second, cheaper copy of them. With errors, the report has
-    no bridge warnings and the aggregates are incomplete.
+    config and the bridge's warnings appended to the report; with errors,
+    the report has no bridge warnings and the aggregates are incomplete.
+    No :class:`BibRecord` is built: :func:`_fold` folds the records.
 
-    The input is read by :func:`_read`, the reader every parse uses, so
-    a bad UTF-8 byte anywhere in it takes precedence over every other
-    parse error, with the message that decoding the whole input gives:
-    after any parse error, :func:`_check_utf8` reads the input again from
-    its start, one block at a time.
-    A source that cannot seek, such as a pipe (``--input /dev/stdin``), is
-    read once into a temporary file first, so it gives the same results and
-    messages as a file, in the same memory.
-
-    A large record CSV file is folded in parts at once, as the module
-    docstring says: the header is read once more, by the first part's
-    reader, before any fork, and each child's fold merges into this
-    process's fold of the first part. A split that does not complete goes
-    on with the reader that read the header. JSON and aggregate input are
-    read whole. The result, or the error, is the serial load's.
+    *source* is read through :func:`_read`, from its position. One that
+    cannot seek, such as a pipe, is read once into a temporary file first.
+    A large record CSV file is folded in parts, as the module docstring says.
     """
     if not source.seekable():  # an error reads the input again, from the start
         import shutil
@@ -936,12 +861,9 @@ _SPLIT_BYTES = 1 << 20
 
 
 def _cuts(source: BinaryIO) -> list[int] | None:
-    """Offsets that cut *source*, from its position to its end, into one
-    part per usable CPU, each of at least ``_SPLIT_BYTES`` and each but the
-    last ending on a ``\\n``, with no repeated cut; ``None`` when that makes
-    fewer than two parts or the process cannot fork and reap safely (no
-    fork, another thread, or a SIGCHLD that is ignored or handled, which
-    would reap the children itself)."""
+    """Offsets that cut *source*, from its position to its end, into the
+    parts of a split, as the module docstring says; ``None`` when the file
+    is not split."""
     if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
         return None
     try:
@@ -985,11 +907,9 @@ class _Part(io.RawIOBase):
 
 def _fold_parts(source: BinaryIO, cuts: list[int],
                 config: AnalysisConfig) -> tuple[ValidationReport, _YearTally] | None:
-    """Fold the parts *cuts* gives of record CSV *source*, once the first
-    part's reader has read the header: each other part in a forked child,
-    whose fold is merged into this process's fold of the first as its pipe
-    is read, as the module docstring describes; ``None`` when this
-    process's part raises or a child's whole fold does not arrive."""
+    """Fold the parts *cuts* gives of record CSV *source*, as the module
+    docstring describes; ``None`` when this process's part raises or a
+    child's whole fold does not arrive."""
     fd, last = source.fileno(), len(cuts) - 2
 
     def part(k: int):

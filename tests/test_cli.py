@@ -21,7 +21,7 @@ from scientoscope import (
 )
 from scientoscope.cli import demo_aggregates_path, demo_records_path, main
 from scientoscope.config import config_from_dict
-from scientoscope.golden import GoldenCheck, check_outcome
+from scientoscope.golden import GoldenCheck, check_outcome, conformance_lines, run_conformance
 from scientoscope.ingest import RECORD_FIELDS
 
 AGG_PATH = str(demo_aggregates_path())
@@ -525,6 +525,16 @@ def test_reproduce_paper_passes(capsys):
     assert ", 0 failed," in out
     assert "[FAIL]" not in out
     assert out.count("[EXEMPT]") == 6
+
+
+def test_verbose_conformance_adds_one_pass_line_per_passed_check(demo_dataset, paper_config):
+    tables = [build(demo_dataset, paper_config) for build in cli._TABLE_BUILDERS.values()]
+    result = run_conformance(tables, paper_config)
+    quiet, verbose = conformance_lines(result), conformance_lines(result, verbose=True)
+    passes = [line for line in verbose if line.startswith("[PASS]")]
+    assert len(verbose) - len(quiet) == len(passes) == result.n_passed == 297
+    assert [line for line in verbose if not line.startswith("[PASS]")] == quiet
+    assert passes[0] == "[PASS]   table 1 / 2013 / papers: 33"
 
 
 def test_reproduce_paper_standard_mode_skips_goldens(capsys):

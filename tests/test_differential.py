@@ -38,6 +38,7 @@ outlives the load.
 """
 
 import csv
+import gc
 import importlib.util
 import io
 import json
@@ -65,7 +66,7 @@ from scientoscope import (
     write_aggregates_csv,
 )
 from scientoscope import ingest
-from scientoscope.cli import demo_aggregates_path, main
+from scientoscope.cli import demo_aggregates_path, entry, main
 from scientoscope.ingest import MAX_COUNT, RECORD_FIELDS, load
 
 _GEN_SPEC = importlib.util.spec_from_file_location(
@@ -693,6 +694,39 @@ def test_a_parent_part_that_raises_kills_and_reaps_every_child(monkeypatch, tmp_
     with pytest.raises(KeyboardInterrupt):
         _load_split(raw, 3, AnalysisConfig(), tmp_path)
     assert time.monotonic() - start < 10
+    _assert_no_child_left()
+
+
+def test_an_interrupted_cli_exits_130_with_a_message_and_no_child_left(
+        monkeypatch, tmp_path, capsys, route):
+    # As a SIGINT while a 3-part split folds: the parent's part raises, and
+    # each child would fold for 20 s, so only a kill lets the run end sooner.
+    raw = (HEADER + _ROWS * 6).encode()
+    path = tmp_path / "split.csv"
+    path.write_bytes(raw)
+    parent, fold = os.getpid(), ingest._fold
+
+    def interrupted(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(20)
+        return fold(*args)
+
+    monkeypatch.setattr(ingest, "_fold", interrupted)
+    monkeypatch.setattr(ingest, "_SPLIT_BYTES", len(raw) // 3)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
+    monkeypatch.setattr(gc, "freeze", lambda: None)  # entry's last step, for an exiting process
+    monkeypatch.setattr(sys, "argv", ["scientoscope", "analyze", "--input", str(path)])
+    start = time.monotonic()
+    with pytest.raises(SystemExit) as exited:
+        try:
+            entry()
+        except KeyboardInterrupt:  # left to pytest, it would end the whole run
+            pytest.fail("the interrupt escaped entry()")
+    assert time.monotonic() - start < 10
+    assert route == {"forks": 2}
+    assert exited.value.code == 130
+    assert capsys.readouterr().err == "error: interrupted\n"
     _assert_no_child_left()
 
 

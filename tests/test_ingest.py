@@ -421,13 +421,20 @@ def test_aggregates_csv_round_trip(demo_dataset):
 def test_sniff_granularity():
     assert sniff_granularity(AGG_HEADER + "\n") == "aggregates"
     assert sniff_granularity(RECORD_HEADER + "\n") == "records"
-    # Only the CSV header is decoded; the parse reports the bad byte.
+    # The sniff reads as every parse reads: a bad byte after the header is
+    # the fault, with the message of a decode of the whole input.
     raw = (RECORD_HEADER + "\n2013,,,T,A,1,2,ICT\n").encode() + b"2014,,,\xff,A,1,2,ICT\n"
-    assert sniff_granularity(raw) == "records"
-    with pytest.raises(ParseError, match="input is not valid UTF-8"):
-        parse_records(raw)
+    for read in (sniff_granularity, parse_records):
+        with pytest.raises(ParseError) as raised:
+            read(raw)
+        assert str(raised.value) == ("input is not valid UTF-8: 'utf-8' codec can't decode "
+                                     "byte 0xff in position 86: invalid start byte")
+    with pytest.raises(ParseError) as raised:
+        sniff_granularity(b'year,ti"tle,authors\n\xff\n')
+    assert str(raised.value) == ("input is not valid UTF-8: 'utf-8' codec can't decode "
+                                 "byte 0xff in position 20: invalid start byte")
     # A '"' inside an unquoted header cell is literal, so the header ends at its newline.
-    assert sniff_granularity(b'year,ti"tle,authors\n\xff\n') == "records"
+    assert sniff_granularity('year,ti"tle,authors\n"\n') == "records"
 
 
 @pytest.mark.parametrize("parse", [
@@ -797,6 +804,25 @@ def test_lone_carriage_return_in_an_unquoted_field_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: line 5: malformed CSV: new-line character seen in unquoted field - "
         "do you need to open the file in universal-newline mode?\n")
+
+
+def test_a_row_over_the_field_limit_is_located_on_the_checked_routes(tmp_path, capsys):
+    # Aggregate input, on every route, and parse_records read each row
+    # through the row checks, not through the fold.
+    big = "x" * (csv.field_size_limit() + 1)
+    aggregates = (AGG_HEADER + "\n2013,1,1,0,0,0,0,1,1,0,0,1,0\n"
+                  f"2014,{big},1,0,0,0,0,1,1,0,0,1,0\n")
+    records = RECORD_HEADER + "\n2013,,,T,A,1,2,ICT\n" + f"2014,,,{big},A,1,2,ICT\n"
+    message = "line 3: malformed CSV: field larger than field limit (131072)"
+    path = tmp_path / "aggregates.csv"
+    path.write_text(aggregates)
+    assert main(["analyze", "--input", str(path)]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    for parse, text in ((parse_aggregates, aggregates), (parse_records, records)):
+        for source in (text, text.encode()):
+            with pytest.raises(ParseError) as raised:
+                parse(source)
+            assert str(raised.value) == message
 
 
 def test_record_input_loads_in_memory_that_does_not_grow_with_the_records(tmp_path, capsys):

@@ -97,8 +97,7 @@ def test_each_header_and_first_element_fault_keeps_its_message(name, raw, messag
 
 
 def test_a_bad_byte_in_the_csv_header_gets_the_whole_input_message():
-    # The sniff decodes only the header's lines, yet words the fault as a
-    # decode of the whole input does.
+    # The sniff words the fault as a decode of the whole input does.
     with pytest.raises(ParseError) as raised:
         sniff_granularity(b"year,ti\xfftle,authors\n2013,T,A\n")
     assert str(raised.value) == BAD_HEADER_BYTE

@@ -197,6 +197,15 @@ MUTANTS = (
            INGEST,
            'return read(io.StringIO(source.removeprefix("\\ufeff")))',
            "return read(io.StringIO(source))"),
+    Mutant("checked-csv-error-unlocated",
+           "a csv error in a row the row checks read is raised without its line",
+           INGEST,
+           "                yield location, columns, values\n"
+           "    except csv.Error as exc:\n"
+           '        raise ParseError(f"malformed CSV: {exc}", locate()) from None\n',
+           "                yield location, columns, values\n"
+           "    except csv.Error as exc:\n"
+           '        raise ParseError(f"malformed CSV: {exc}") from None\n'),
     Mutant("record-zero-authors-accepted",
            "the record rules accept an author count of 0",
            INGEST,
@@ -249,6 +258,13 @@ MUTANTS = (
            '"reproduce-paper": (cmd_reproduce_paper,',
            '"reproduce-paper": (cmd_analyze,',
            CLI_TESTS),
+    Mutant("entry-interrupt-uncaught",
+           "an interrupt leaves the CLI as a KeyboardInterrupt traceback",
+           CLI,
+           '        print("error: interrupted", file=sys.stderr)\n'
+           "        code = EXIT_INTERRUPTED\n",
+           "        raise\n",
+           ("tests/test_differential.py",)),
     Mutant("strict-flag-defaults-false",
            "an absent --strict reads False, so a config file's true loses",
            CLI,
