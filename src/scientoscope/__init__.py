@@ -28,6 +28,7 @@ from .indicators import (
 )
 from .ingest import (
     aggregate_records,
+    load,
     parse_aggregates,
     parse_records,
     sniff_granularity,
@@ -72,6 +73,7 @@ __all__ = [
     "degree_of_collaboration",
     "egr_table",
     "exponential_growth",
+    "load",
     "page_length_table",
     "parse_aggregates",
     "parse_records",

@@ -39,9 +39,10 @@ fields and errors. The library's record route, :func:`parse_records`
 
 Record CSV on every CPU
 -----------------------
-A record CSV file is split when it holds at least ``_SPLIT_BYTES``
-(1 MiB) per part, one part per usable CPU (``os.sched_getaffinity``), at
-least two, and the process can fork (POSIX), runs one thread and leaves
+A record CSV file, or the temporary file that :func:`_read` reads a pipe
+into, is split when it holds at least ``_SPLIT_BYTES`` (1 MiB) per part,
+one part per usable CPU (``os.sched_getaffinity``), at least two, and
+the process can fork (POSIX), runs one thread and leaves
 SIGCHLD at its default: an ignored SIGCHLD, which a process inherits
 from its parent, or a handler could reap the children first. Only an
 input that large is checked for these. :func:`_cuts` cuts it at the
@@ -111,7 +112,7 @@ _SUBJECT_PREFIX = "subj:"
 MAX_COUNT = 2**53
 
 
-#: Bytes :func:`_check_utf8` reads at a time.
+#: Bytes :func:`_check_utf8` reads at a time, and characters the sniff reads.
 _UTF8_BLOCK = 1 << 16
 
 
@@ -153,10 +154,19 @@ def _read(source: BinaryIO | bytes | str, read: Callable[[TextIO], _T]) -> _T:
     a decode of the whole input: after a ParseError or a decode error
     (whose position is within the decoder's chunk, and which a row error
     may precede), :func:`_check_utf8` reads the input again from where it
-    starts. So a late bad byte is found once the rows before it are read."""
+    starts. So a late bad byte is found once the rows before it are read.
+    A file that cannot seek, such as a pipe, is therefore read once into
+    a temporary file first, and *text* reads that file."""
     if isinstance(source, str):
         return read(io.StringIO(source.removeprefix("\ufeff")))
     source = io.BytesIO(source) if isinstance(source, bytes) else source
+    if not source.seekable():
+        import shutil
+        import tempfile  # only unseekable input loads these
+        with tempfile.TemporaryFile() as spool:
+            shutil.copyfileobj(source, spool)
+            spool.seek(0)
+            return _read(spool, read)
     start = source.tell()
     text = io.TextIOWrapper(source, encoding="utf-8-sig", newline="\n")
     try:
@@ -422,7 +432,7 @@ class _Ints(dict):
 _INTS = _Ints((str(n), n) for n in range(4096))
 
 
-def parse_records(source: bytes | str, format: str = "csv") -> tuple[BibRecord, ...]:
+def parse_records(source: BinaryIO | bytes | str, format: str = "csv") -> tuple[BibRecord, ...]:
     """Parse record-granularity input into its records, in input order.
 
     Every record takes the precise parse: this is the reference that
@@ -470,7 +480,7 @@ def _aggregate_dataset(rows: _Rows, locate: _Locate) -> Dataset:
     return Dataset(tuple(aggregates))
 
 
-def parse_aggregates(source: bytes | str, format: str = "csv") -> Dataset:
+def parse_aggregates(source: BinaryIO | bytes | str, format: str = "csv") -> Dataset:
     """Parse aggregate-granularity input, sorted ascending by year.
 
     Semantic consistency (duplicate years, gaps, bin sums) is checked by
@@ -480,12 +490,16 @@ def parse_aggregates(source: bytes | str, format: str = "csv") -> Dataset:
     return _read(source, lambda text: _aggregate_dataset(*_rows(text, format, "aggregates")[1:]))
 
 
-def sniff_granularity(source: bytes | str, format: str = "csv") -> str:
+def sniff_granularity(source: BinaryIO | bytes | str, format: str = "csv") -> str:
     """Records vs aggregates, from the CSV header or the first JSON
-    element of *source*, read through :func:`_read`."""
+    element of *source*, read through :func:`_read`. It reads its whole
+    input, so a bad UTF-8 byte anywhere raises as it does in every parse."""
     def sniff(text: TextIO) -> str:
-        if format == "csv":  # the header alone: its required columns are the parse's check
-            return _granularity(_csv_header(csv.reader(text)))
+        if format == "csv":  # the header decides: its required columns are the parse's check
+            granularity = _granularity(_csv_header(csv.reader(text)))
+            while text.read(_UTF8_BLOCK):  # the rest, for its UTF-8 alone
+                pass
+            return granularity
         return _rows(text, format)[0]
 
     return _read(source, sniff)
@@ -728,9 +742,9 @@ def aggregate_records(records: tuple[BibRecord, ...],
     return tally.dataset(), report
 
 
-def load(source: BinaryIO, format: str = "csv", config: AnalysisConfig | None = None,
+def load(source: BinaryIO | bytes | str, format: str = "csv", config: AnalysisConfig | None = None,
          granularity: str | None = None) -> tuple[Dataset, ValidationReport]:
-    """Parse and validate an open binary file of either granularity in one pass.
+    """Parse and validate input of either granularity in one pass.
 
     *granularity* is ``"records"``, ``"aggregates"`` or ``None``: read it
     off the CSV header or the first JSON element. Aggregates give what
@@ -741,24 +755,17 @@ def load(source: BinaryIO, format: str = "csv", config: AnalysisConfig | None = 
     the report has no bridge warnings and the aggregates are incomplete.
     No :class:`BibRecord` is built: :func:`_fold` folds the records.
 
-    *source* is read through :func:`_read`, from its position. One that
-    cannot seek, such as a pipe, is read once into a temporary file first.
-    A large record CSV file is folded in parts, as the module docstring says.
+    *source* is read through :func:`_read`. A large record CSV file is
+    folded in parts, as the module docstring says.
     """
-    if not source.seekable():  # an error reads the input again, from the start
-        import shutil
-        import tempfile  # only unseekable input loads these
-        with tempfile.TemporaryFile() as spool:
-            shutil.copyfileobj(source, spool)
-            spool.seek(0)
-            return load(spool, format, config, granularity)
     config = config or AnalysisConfig()
-    cuts = _cuts(source) if format == "csv" else None
 
     def read(text: TextIO) -> tuple[Dataset, ValidationReport]:
+        # Cut before the header is read, while the file is still at its start.
+        cuts = format == "csv" and _cuts(getattr(text, "buffer", text))  # str has no buffer
         kind, rows, locate = _rows(text, format, granularity)
         if kind == "records":
-            return _folded(*(cuts and _fold_parts(source, cuts, config)
+            return _folded(*(cuts and _fold_parts(text.buffer, cuts, config)
                              or _fold(rows, locate, config)))
         dataset = _aggregate_dataset(rows, locate)
         return dataset, validate(dataset, config)
@@ -872,7 +879,7 @@ def _cuts(source: BinaryIO) -> list[int] | None:
         parts = min(len(os.sched_getaffinity(0)), (size - start) // _SPLIT_BYTES)
         if parts < 2 or len(os.listdir("/proc/self/task")) != 1:
             return None
-    except OSError:  # no file descriptor (io.BytesIO), or no /proc
+    except OSError:  # no file descriptor (io.BytesIO, io.StringIO), or no /proc
         return None
     import signal  # only an input large enough to split loads it
     if signal.getsignal(signal.SIGCHLD) != signal.SIG_DFL:

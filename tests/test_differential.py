@@ -32,12 +32,13 @@ put a quoted line break, blank lines or CRLF line ends at a cut, a row
 only a strict reader refuses in the header, the first or the last part,
 a row longer than a part, a fault in the first or the last part, a rule
 error in any part, a fault in a part's child, a child killed after it
-sent its whole fold, the input after the start of its file, or SIGCHLD
-ignored or handled, which keeps the file whole, and check that no child
-outlives the load.
+sent its whole fold, a fork that fails, the input after the start of its
+file or in a pipe, or SIGCHLD ignored or handled, which keeps the file
+whole, and check that no child outlives the load.
 """
 
 import csv
+import errno
 import gc
 import importlib.util
 import io
@@ -694,6 +695,45 @@ def test_a_parent_part_that_raises_kills_and_reaps_every_child(monkeypatch, tmp_
     with pytest.raises(KeyboardInterrupt):
         _load_split(raw, 3, AnalysisConfig(), tmp_path)
     assert time.monotonic() - start < 10
+    _assert_no_child_left()
+
+
+def test_a_fork_that_fails_closes_its_pipe_and_loads_the_file_serially(monkeypatch, tmp_path,
+                                                                         route):
+    # The second of three parts cannot fork: its pipe is closed, the first
+    # child is killed and reaped, and the file goes to the serial fold.
+    raw = (HEADER + _ROWS * 6).encode()
+    fork, attempts = os.fork, []
+
+    def fails_second():
+        attempts.append(route["forks"])
+        if len(attempts) == 2:
+            raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+        return fork()
+
+    fds = set(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(os, "fork", fails_second)
+    folded = _load_split(raw, 3, AnalysisConfig(), tmp_path)
+    assert set(os.listdir("/proc/self/fd")) == fds
+    assert (attempts, route) == ([0, 1], {"forks": 1, "folds": 1})
+    assert folded == _serial(raw)
+    _assert_no_child_left()
+
+
+def test_a_piped_record_csv_splits_from_its_temporary_file(monkeypatch, route):
+    # Written whole before the load, so no writer thread runs while the
+    # load counts this process's threads.
+    raw = (HEADER + _ROWS * 6).encode()
+    assert len(raw) < 1 << 16  # a pipe's buffer holds it
+    read, write = os.pipe()
+    with open(write, "wb") as pipe:
+        pipe.write(raw)
+    monkeypatch.setattr(ingest, "_SPLIT_BYTES", len(raw) // 3)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    with open(read, "rb") as pipe:
+        folded = _outcome(lambda: load(pipe, "csv", AnalysisConfig(), "records"))
+    assert route == {"forks": 2, "folds": 1}
+    assert folded == _serial(raw)
     _assert_no_child_left()
 
 

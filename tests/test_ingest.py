@@ -461,6 +461,20 @@ def test_sniff_granularity_reads_a_header_with_a_quoted_newline():
         load(io.BytesIO(raw.encode()))  # which load reads as records too
 
 
+@pytest.mark.parametrize("rows", [401, 501, 1001], ids=["byte-7679", "byte-9579", "byte-19079"])
+def test_sniff_granularity_raises_a_bad_byte_anywhere_as_the_parse_does(rows):
+    # The bad byte falls inside, just past and far past the text reader's
+    # first 8 KiB chunk; the sniff reads to the end whatever the header says.
+    raw = (RECORD_HEADER + "\n" + "2013,,,T,A,1,2,ICT\n" * rows).encode() + b"\xff,,,T,A,1,2,ICT\n"
+    assert raw.index(b"\xff") == 60 + 19 * rows
+    with pytest.raises(ParseError) as parsed:
+        parse_records(raw)
+    with pytest.raises(ParseError) as sniffed:
+        sniff_granularity(raw)
+    assert str(sniffed.value) == str(parsed.value)
+    assert str(parsed.value).startswith("input is not valid UTF-8: 'utf-8' codec can't decode")
+
+
 def test_parse_aggregates_json_round_trip(demo_dataset):
     objs = []
     for agg in demo_dataset.aggregates:
@@ -848,8 +862,9 @@ def test_record_input_loads_in_memory_that_does_not_grow_with_the_records(tmp_pa
     assert peaks[1] < 1.5 * peaks[0], peaks
 
 
-def _load_piped(raw: bytes):
-    """:func:`load` of *raw* read from a pipe, which a thread fills so no size blocks it."""
+def _load_piped(raw: bytes, read=load):
+    """:func:`load`, or *read*, of *raw* read from a pipe, which a thread
+    fills so no size blocks it."""
     read_fd, write_fd = os.pipe()
 
     def write() -> None:
@@ -860,7 +875,7 @@ def _load_piped(raw: bytes):
     writer.start()
     try:
         with open(read_fd, "rb") as pipe:
-            return load(pipe)
+            return read(pipe)
     finally:
         writer.join()
 
@@ -878,9 +893,10 @@ _ROW_ERROR = _AGGREGATES.replace(b"\n2013,", b"\n2013,x", 1)
 
 @pytest.mark.parametrize("raw, message", [
     (_AGGREGATES, None),
+    (demo_records_path().read_bytes(), None),
     (_ROW_ERROR, "ParseError: line 2: non-numeric papers: 'x"),
     (_ROW_ERROR + b"2018,\xff\n", "ParseError: input is not valid UTF-8: 'utf-8' codec can't"),
-], ids=["valid", "row-error", "row-error-then-bad-byte"])
+], ids=["valid", "valid-records", "row-error", "row-error-then-bad-byte"])
 def test_piped_input_loads_as_the_same_bytes_in_memory(raw, message):
     expected = _outcome(lambda r: load(io.BytesIO(r)), raw)
     assert _outcome(_load_piped, raw) == expected
@@ -888,6 +904,13 @@ def test_piped_input_loads_as_the_same_bytes_in_memory(raw, message):
         assert expected.startswith(message)
     else:
         assert expected[1].ok
+    # Every entry point takes bytes, str, a seekable file and a pipe alike.
+    for read in (load, parse_records, parse_aggregates, sniff_granularity):
+        outcomes = [_outcome(read, raw), _outcome(lambda r: read(io.BytesIO(r)), raw),
+                    _outcome(lambda r: _load_piped(r, read), raw)]
+        if b"\xff" not in raw:
+            outcomes.append(_outcome(read, raw.decode("utf-8")))
+        assert outcomes == [outcomes[0]] * len(outcomes), read.__name__
 
 
 def test_piped_record_input_loads_in_memory_that_does_not_grow_with_the_records():

@@ -175,6 +175,15 @@ MUTANTS = (
            INGEST,
            "os.kill(pid, 9)  # SIGKILL",
            "pass  # SIGKILL"),
+    Mutant("fork-failure-leaks-pipe",
+           "a fork that fails leaves both ends of its pipe open",
+           INGEST,
+           "            except OSError:\n"
+           "                os.close(read)\n"
+           "                os.close(write)\n"
+           "                raise\n",
+           "            except OSError:\n"
+           "                raise\n"),
     Mutant("split-sigchld-not-checked",
            "a load splits with SIGCHLD ignored, so the kernel reaps the children itself",
            INGEST,
@@ -192,6 +201,23 @@ MUTANTS = (
            "        _check_utf8(source)\n"
            "        raise\n",
            "        raise\n"),
+    Mutant("read-spool-dropped",
+           "the reader reads a pipe as it comes, so an error cannot seek back to its start",
+           INGEST,
+           "    if not source.seekable():\n"
+           "        import shutil\n"
+           "        import tempfile  # only unseekable input loads these\n"
+           "        with tempfile.TemporaryFile() as spool:\n"
+           "            shutil.copyfileobj(source, spool)\n"
+           "            spool.seek(0)\n"
+           "            return _read(spool, read)\n",
+           ""),
+    Mutant("sniff-reads-the-header-alone",
+           "the sniff reads the CSV header and no further, so a later bad byte goes unseen",
+           INGEST,
+           "            while text.read(_UTF8_BLOCK):  # the rest, for its UTF-8 alone\n"
+           "                pass\n",
+           ""),
     Mutant("read-text-keeps-bom",
            "the reader keeps the leading byte-order mark of a str input",
            INGEST,
