@@ -22,55 +22,62 @@ Records have one set of checks and one count. :func:`load`, the CLI's
 route, folds them in one loop, :func:`_fold`: each row is parsed,
 checked by the record rules (``_validate_record``) and counted into its
 year (``_YearTally.add``), with no record kept, so record CSV loads in
-O(years + findings) memory. The fold takes a row by a short parse that
-counts a ``;``-separated author list by its pieces and looks each
-numeral up in one table of ``int()`` results, ``_INTS``, built at import
-and never written after, so every load and every child of a split load
-shares its 0.3 MB. It holds the decimals 0 to 4095: every year, volume
-and issue, and most page numbers. A lookup it holds costs about a
-quarter of ``int()``; one it lacks goes on to ``int()`` and costs about
-a quarter more, so input whose numerals are mostly past the table, or
-not written as plain decimals, parses a little slower. A row the short
-parse cannot take goes to the precise parse, ``_record_fields``, the
-only code that words a parse message, so both parses give the same
-fields and errors. The library's record route, :func:`parse_records`
-(the precise parse of every row), :func:`validate` and
-:func:`aggregate_records`, is the reference the fold is tested against.
+O(years + findings) memory. A record that fails a rule registers its
+year alone, which the year-gap rule reads, and every other record is
+counted, so the fold is a sum over the records, whatever their order.
+The fold takes a row by a short parse that counts a ``;``-separated
+author list by its pieces and looks each numeral up in one table of
+``int()`` results, ``_INTS``, built at import and never written after,
+so every load and every child of a split load shares its 0.3 MB. It
+holds the decimals 0 to 4095: every year, volume and issue, and most
+page numbers. A lookup it holds costs about a quarter of ``int()``; one
+it lacks goes on to ``int()`` and costs about a quarter more, so input
+whose numerals are mostly past the table, or not written as plain
+decimals, parses a little slower. A row the short parse cannot take goes
+to the precise parse, ``_record_fields``, the only code that words a
+parse message, so both parses give the same fields and errors. The
+library's record route, :func:`parse_records` (the precise parse of
+every row), :func:`validate` and :func:`aggregate_records`, is the
+reference the fold is tested against.
 
 Record CSV on every CPU
 -----------------------
 A record CSV file, or the temporary file that :func:`_read` reads a pipe
 into, is split when it holds at least ``_SPLIT_BYTES`` (1 MiB) per part,
 one part per usable CPU (``os.sched_getaffinity``), at least two, and
-the process can fork (POSIX), runs one thread and leaves
-SIGCHLD at its default: an ignored SIGCHLD, which a process inherits
-from its parent, or a handler could reap the children first. Only an
-input that large is checked for these. :func:`_cuts` cuts it at the
-first ``\\n`` from each k/N of its size, and a repeated cut makes no
-part. After :func:`load` reads the header, :func:`_fold_parts` reads it
-once more, by the first part's reader, then forks a child for each later
-part and folds the first in this process, each part read by
-``os.pread``. A quoted field may hold a ``\\n``, so each part but the
-last is read by a strict ``csv.reader``, which raises at end of data
-inside a quoted field: a part that ends without error ends between rows.
-A child sends its whole fold as one tuple (record count, year rows,
-bridge warnings, rule errors) through a pipe (``marshal``), or nothing,
-and this process merges each fold into its own as it reads the pipes in
-part order, adding row to row. A part is folded when its whole fold
-arrives, whatever its child's exit status. A ``record N`` is renumbered
-by the records of the parts before it, and once the report holds an
-error a later part adds only its years, as the serial fold registers
-only the years of the records after its first error. :func:`_folded`
-then runs the year-gap rule and sorts the warnings, so the result is the
-serial fold's. When a part does not complete (a parse or decode error, a
-cut inside a quoted field, text after a closing quote, which only a
-strict reader refuses, a child that fails or is killed before its whole
-fold is sent), the fold goes on with the reader that read the header, so
-the whole file is read again on one CPU and every message and location
-is the serial route's. However the split ends, even by an interrupt,
-every child is then killed and reaped: one that has sent its fold is a
-zombie until reaped, so the kill reaches no other process. Memory is
-O(parts * (years + findings)).
+the process can fork (POSIX), runs one thread and leaves SIGCHLD at its
+default: an ignored SIGCHLD, which a process inherits from its parent,
+or a handler could reap the children first. Only an input that large is
+checked for these. :func:`_cuts` cuts it at the first ``\\n`` from each
+k/N of its size, and a repeated cut makes no part. After :func:`load`
+reads the header, :func:`_fold_parts` reads it once more, by the first
+part's reader, then forks a child for each later part and folds the
+first in this process, each part read by ``os.pread``. A quoted field
+may hold a ``\\n``, so each part but the last is read by a strict
+``csv.reader``, which raises at end of data inside a quoted field: a
+part that ends without error ends between rows. A child sends its whole
+fold as one tuple (record count, year rows, bridge warnings, rule
+errors) through a pipe (``marshal``), or nothing, and this process adds
+each fold to its own, row to row, as it reads the pipes. A part is
+folded when its whole fold arrives, whatever its child's exit status. As
+the fold is a sum over the records, only a ``record N`` needs the part
+order: it is renumbered by the records of the parts before it.
+:func:`_folded` then runs the year-gap rule and sorts the warnings, so
+the result is the serial fold's. When a part does not complete (a parse
+or decode error, a cut inside a quoted field, text after a closing
+quote, which only a strict reader refuses, a child that fails or is
+killed before its whole fold is sent), the fold goes on with the reader
+that read the header, so the whole file is read again on one CPU and
+every message and location is the serial route's. However the split
+ends, even by an interrupt, every child is then killed and reaped: one
+that has sent its fold is a zombie until reaped, so the kill reaches no
+other process. While the split runs, a SIGTERM at its default
+disposition is an interrupt, as SIGINT is, so it too ends in that kill,
+and both signals wait while the children are forked and while they are
+killed and reaped, so no interrupt leaves a child unlisted or unreaped;
+a SIGTERM that waited for the reaping then ends this process as its
+default does. A child keeps both blocked: this process kills it. Memory
+is O(parts * (years + findings)).
 """
 
 from __future__ import annotations
@@ -751,9 +758,11 @@ def load(source: BinaryIO | bytes | str, format: str = "csv", config: AnalysisCo
     :func:`parse_aggregates`, then :func:`validate` give. Records give what
     :func:`parse_records`, then :func:`validate`, then, when the report
     has no errors, :func:`aggregate_records` give, all three with the same
-    config and the bridge's warnings appended to the report; with errors,
-    the report has no bridge warnings and the aggregates are incomplete.
-    No :class:`BibRecord` is built: :func:`_fold` folds the records.
+    config and the bridge's warnings appended to the report. With errors,
+    the report has no bridge warnings, and the dataset is what
+    :func:`aggregate_records` gives of the records that pass every record
+    rule, with a row of zeros for each year that only failing records
+    hold. No :class:`BibRecord` is built: :func:`_fold` folds the records.
 
     *source* is read through :func:`_read`. A large record CSV file is
     folded in parts, as the module docstring says.
@@ -791,7 +800,7 @@ def _fold(rows: _Rows, locate: _Locate,
     tally = _YearTally(config.taxonomy)
     window = config.study_window
     errors, add, add_year = report.errors, tally.add, tally.year
-    count = 0
+    count = failed = 0  # records, and rule errors
     convert = _INTS.__getitem__
     columns: dict[str, int] | None = None
     try:
@@ -838,8 +847,9 @@ def _fold(rows: _Rows, locate: _Locate,
             count += 1
             _validate_record(count, year, n_authors, start_page, end_page, page_count,
                              window, report)
-            if errors:
-                add_year(year)  # no bridge will run; the year still counts for year-gap
+            if errors and len(errors) > failed:  # this record failed a rule
+                failed = len(errors)
+                add_year(year)  # not bridged; the year still counts for year-gap
             else:
                 add(year, n_authors, page_count, subject, title)
     except csv.Error as exc:
@@ -926,7 +936,12 @@ def _fold_parts(source: BinaryIO, cuts: list[int],
                                 encoding="utf-8" if k else "utf-8-sig", newline="\n")
         return csv.reader(text, strict=k < last)
 
+    import signal  # loaded by _cuts
     children: list[tuple[int, int]] = []  # (pid, read end of its pipe)
+    stops, term = {signal.SIGINT, signal.SIGTERM}, signal.getsignal(signal.SIGTERM)
+    mask = signal.pthread_sigmask(signal.SIG_BLOCK, stops)  # no interrupt before a child is listed
+    if term == signal.SIG_DFL:  # it would end this process before the finally below
+        signal.signal(signal.SIGTERM, signal.default_int_handler)  # an interrupt, as SIGINT is
     try:
         reader = part(0)
         header = _csv_header(reader)
@@ -949,15 +964,12 @@ def _fold_parts(source: BinaryIO, cuts: list[int],
                     os._exit(0)
             os.close(write)
             children.append((pid, read))
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         report, tally = _fold(*_csv_rows(reader, header, "records"), config)
         for _, read in children:  # an empty or short message raises EOFError or ValueError
             count, counts, warnings, errors = marshal.loads(
                 open(read, "rb", buffering=0, closefd=False).readall())
-            if report.errors:  # the serial fold registers only the years after an error
-                for year in counts:
-                    tally.year(year)
-            else:
-                tally.merge(counts, warnings)
+            tally.merge(counts, warnings)
             for location, rule, text in errors:  # "record N", N counted within its part
                 number = int(location.removeprefix("record ")) + report.record_count
                 report.error(f"record {number}", rule, text)
@@ -965,10 +977,14 @@ def _fold_parts(source: BinaryIO, cuts: list[int],
     except (ValueError, EOFError, OSError):  # ParseError and UnicodeDecodeError are ValueErrors
         return None
     finally:  # a child that has sent its fold is a zombie until reaped: the kill cannot harm it
+        signal.pthread_sigmask(signal.SIG_BLOCK, stops)  # a second interrupt waits for the reaping
         for pid, read in children:
-            os.kill(pid, 9)  # SIGKILL
+            os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             os.close(read)
+        if term == signal.SIG_DFL:
+            signal.signal(signal.SIGTERM, term)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)  # a signal that waited acts here
     return report, tally
 
 

@@ -9,8 +9,11 @@ record rules and the bridge count. The reference route is the library's:
 :func:`aggregate_records`. For small generated record sets, and for
 every edge input and flaw below with and without a study window, both
 routes must give equal aggregates, equal findings and equal parse
-errors; one case leaves the short parse for a valid row between clean
-ones, so the fold switches parses and back. The short parse looks
+errors. With rule errors the aggregates are those of the records that
+pass every rule, with a row of zeros for a year that only failing
+records hold, so no record's count hangs on an error before it. One
+case leaves the short parse for a valid row between clean ones, so the
+fold switches parses and back. The short parse looks
 numerals up in a table of ``int()`` results that holds the decimals 0 to
 4095 and converts any other numeral with ``int()``, so the drawn sets and
 the edges and flaws run with the shipped table and with an empty one,
@@ -26,15 +29,19 @@ reversed. The settings are deterministic, like ``tests/test_fuzz.py``.
 first part's reader, before it forks a child for each later part, folds
 the first part and merges each child's fold into its own. Every CSV
 above is also loaded from a file split into 2 and into 3 parts, by a
-``_SPLIT_BYTES`` small enough for it, and must give what :func:`load` of
-the same bytes in memory, which is never split, gives. Dedicated cases
+``_SPLIT_BYTES`` small enough for it, and must give the same, as
+:func:`load` of the same bytes in memory, which is never split, does.
+Dedicated cases
 put a quoted line break, blank lines or CRLF line ends at a cut, a row
 only a strict reader refuses in the header, the first or the last part,
 a row longer than a part, a fault in the first or the last part, a rule
 error in any part, a fault in a part's child, a child killed after it
 sent its whole fold, a fork that fails, the input after the start of its
-file or in a pipe, or SIGCHLD ignored or handled, which keeps the file
-whole, and check that no child outlives the load.
+file or in a pipe, or SIGCHLD ignored or handled, or no ``os.fork`` or
+``os.sched_getaffinity``, which keeps the file whole, and check that no
+child outlives the load. A CLI in a session of its own is sent SIGTERM,
+or its process group SIGINT, while its split folds, and must exit 130
+with ``error: interrupted`` and leave no process in that session.
 """
 
 import csv
@@ -60,7 +67,9 @@ from hypothesis import strategies as st
 from scientoscope import (
     DEFAULT_TAXONOMY,
     AnalysisConfig,
+    Dataset,
     ParseError,
+    YearAggregate,
     aggregate_records,
     parse_records,
     validate,
@@ -69,6 +78,7 @@ from scientoscope import (
 from scientoscope import ingest
 from scientoscope.cli import demo_aggregates_path, entry, main
 from scientoscope.ingest import MAX_COUNT, RECORD_FIELDS, load
+from scientoscope.model import PAGE_BINS
 
 _GEN_SPEC = importlib.util.spec_from_file_location(
     "bench_gen", Path(__file__).resolve().parents[1] / "bench" / "gen.py")
@@ -198,14 +208,20 @@ def _json_bytes(records, authors_as_text):
 
 
 def _precise_route(raw, format, config):
-    """parse_records -> validate -> aggregate_records, as the CLI once ran them."""
+    """parse_records -> validate -> aggregate_records, as the CLI once ran
+    them. With rule errors the report takes no bridge warnings, and the
+    dataset bridges the records that pass the rules one by one, with a row
+    of zeros for each year that only failing records hold."""
     records = parse_records(raw, format)
     report = validate(records, config)
-    if not report.ok:
-        return None, report
-    aggregated, bridged = aggregate_records(records, config)
-    report.warnings.extend(bridged.warnings)
-    return aggregated, report
+    passing = tuple(r for r in records if validate((r,), config).ok)
+    aggregated, bridged = aggregate_records(passing, config)
+    if report.ok:
+        report.warnings.extend(bridged.warnings)
+    zeros = {r.year: YearAggregate(r.year, 0, (0,) * 5, (0,) * len(PAGE_BINS),
+                                   dict.fromkeys(config.taxonomy, 0), 0) for r in records}
+    zeros.update((agg.year, agg) for agg in aggregated.aggregates)
+    return Dataset(tuple(agg for _, agg in sorted(zeros.items()))), report
 
 
 def _outcome(route):
@@ -231,13 +247,10 @@ def _assert_routes_agree(records, blanks, window, tmp_path):
     for format, raw in (("csv", _csv_bytes(records, blanks)),
                         ("json", _json_bytes(records, authors_as_text=False))):
         expected = _outcome(lambda: _precise_route(raw, format, config))
-        serial = folded = _outcome(lambda: load(io.BytesIO(raw), format, config, "records"))
-        if isinstance(expected, str) or not expected[1].ok:
-            folded = folded if isinstance(folded, str) else (None, folded[1])
-        assert folded == expected
+        assert _outcome(lambda: load(io.BytesIO(raw), format, config, "records")) == expected
         if format == "csv":
             for parts in (2, 3):
-                assert _load_split(raw, parts, config, tmp_path) == serial
+                assert _load_split(raw, parts, config, tmp_path) == expected
 
 
 # The short parse's numeral table: as shipped, so numerals hit and miss
@@ -770,6 +783,72 @@ def test_an_interrupted_cli_exits_130_with_a_message_and_no_child_left(
     _assert_no_child_left()
 
 
+# A CLI whose record CSV splits into 3 parts, each child's fold marked on
+# stdout and then 20 s long, with SIGINT and SIGTERM at the dispositions
+# a shell gives its foreground job.
+_SLOW_SPLIT_CLI = """
+import os, signal, time
+from scientoscope import ingest
+from scientoscope.cli import entry
+signal.signal(signal.SIGINT, signal.default_int_handler)
+signal.signal(signal.SIGTERM, signal.SIG_DFL)
+ingest._SPLIT_BYTES = 1
+os.sched_getaffinity = lambda pid: {0, 1, 2}
+parent, fold = os.getpid(), ingest._fold
+
+def slow_in_a_child(*args):
+    if os.getpid() != parent:
+        os.write(1, b"folding\\n")
+        time.sleep(20)
+    return fold(*args)
+
+ingest._fold = slow_in_a_child
+entry()
+"""
+
+
+def _session(sid):
+    """The pids of the processes in session *sid*."""
+    pids = []
+    for entry in filter(str.isdigit, os.listdir("/proc")):
+        try:
+            stat = Path(f"/proc/{entry}/stat").read_text()
+        except OSError:  # gone since the listing
+            continue
+        if int(stat.rpartition(")")[2].split()[3]) == sid:  # after state, ppid and pgrp
+            pids.append(int(entry))
+    return pids
+
+
+@pytest.mark.parametrize("signalled", ["sigterm", "sigint-to-the-group"])
+def test_a_signal_during_a_split_cli_load_exits_130_and_leaves_no_process(tmp_path, signalled):
+    # The CLI runs in a session of its own, whose id is its pid, and is
+    # signalled once both children fold. A child that outlived it would
+    # still be in that session.
+    path = tmp_path / "split.csv"
+    path.write_bytes((HEADER + _ROWS * 6).encode())
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    cli = subprocess.Popen([sys.executable, "-c", _SLOW_SPLIT_CLI, "analyze", "--input", str(path)],
+                           stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+                           start_new_session=True)
+    try:
+        assert [cli.stdout.readline() for _ in range(2)] == [b"folding\n"] * 2
+        if signalled == "sigterm":
+            cli.send_signal(signal.SIGTERM)
+        else:
+            os.killpg(cli.pid, signal.SIGINT)
+        code = cli.wait(timeout=10)
+        left = _session(cli.pid)
+    finally:
+        try:
+            os.killpg(cli.pid, signal.SIGKILL)
+        except ProcessLookupError:  # no process is left in its group
+            pass
+        out, err = cli.communicate(timeout=10)
+    assert (code, out, err) == (130, b"", b"error: interrupted\n")
+    assert left == []
+
+
 def test_merged_subject_counts_keep_the_taxonomy_order():
     # "Others" between two labels: an unknown subject is counted in its
     # slot, and a merge adds each year's rows slot by slot.
@@ -823,6 +902,25 @@ def test_a_sigchld_that_is_not_default_loads_the_file_whole(tmp_path, route, par
         folded = _load_split(raw, parts, AnalysisConfig(), tmp_path)
     finally:
         signal.signal(signal.SIGCHLD, previous)
+    assert (route["forks"], route["folds"]) == (0, 1)
+    assert folded == _serial(raw)
+    _assert_no_child_left()
+
+
+@pytest.mark.parametrize("missing", ["fork", "sched_getaffinity"])
+def test_a_platform_without_fork_or_cpu_affinity_loads_the_file_whole(monkeypatch, tmp_path,
+                                                                      route, missing):
+    # As on Windows, which has no fork, or macOS, which has no
+    # sched_getaffinity: the file is not cut, and one fold reads it.
+    raw = (HEADER + _ROWS * 6).encode()
+    path = tmp_path / "whole.csv"
+    path.write_bytes(raw)
+    monkeypatch.setattr(ingest, "_SPLIT_BYTES", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    monkeypatch.delattr(os, missing)
+    with path.open("rb") as source:
+        assert ingest._cuts(source) is None
+        folded = _outcome(lambda: load(source, "csv", AnalysisConfig(), "records"))
     assert (route["forks"], route["folds"]) == (0, 1)
     assert folded == _serial(raw)
     _assert_no_child_left()

@@ -132,6 +132,7 @@ def test_validate_page_count_span_mismatch():
     ("2013,,,T,A,1,5,ICT,,7", "page-count", "page_count 7 != span 5"),
     ("2013,,,T,A,0,3,ICT,,", "page-positive", "start_page must be positive, got 0"),
     ("2013,,,T,A,,-4,ICT,,", "page-positive", "end_page must be positive, got -4"),
+    ("2013,,,T,A,,0,ICT,,", "page-positive", "end_page must be positive, got 0"),
     ("2013,,,T,A,,,ICT,,0", "page-positive", "page_count must be positive, got 0"),
     ("2013,,,T,,,,ICT,0,", "author-count", "author count must be >= 1"),
     ("2013,,,T,,,,ICT,-9,", "author-count", "author count must be >= 1"),

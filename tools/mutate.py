@@ -106,16 +106,26 @@ MUTANTS = (
            INGEST,
            "add(year, n_authors, page_count, subject, title)\n    except csv.Error",
            "add_year(year)\n    except csv.Error"),
+    Mutant("fold-bridges-a-failing-record",
+           "a record that fails a rule is counted by the bridge",
+           INGEST,
+           "if errors and len(errors) > failed:",
+           "if False:"),
+    Mutant("fold-drops-a-failing-year",
+           "a record that fails a rule does not register its year",
+           INGEST,
+           "add_year(year)  # not bridged",
+           "pass  # not bridged"),
+    Mutant("fold-stops-bridging-after-an-error",
+           "every record after the first that fails a rule registers its year alone",
+           INGEST,
+           "                failed = len(errors)\n",
+           ""),
     Mutant("split-renumbering-dropped",
            "a child's record N is not renumbered by the records before its part",
            INGEST,
            'number = int(location.removeprefix("record ")) + report.record_count',
            'number = int(location.removeprefix("record "))'),
-    Mutant("split-years-only-merge-dropped",
-           "after an error, a child's counts and warnings merge, not its years alone",
-           INGEST,
-           "if report.errors:  # the serial fold registers only the years after an error",
-           "if False:"),
     Mutant("split-parts-not-strict",
            "every part of a split is read by a lenient csv reader",
            INGEST,
@@ -173,8 +183,19 @@ MUTANTS = (
     Mutant("split-children-not-killed",
            "the children are only reaped, not killed, when this process's part raises",
            INGEST,
-           "os.kill(pid, 9)  # SIGKILL",
-           "pass  # SIGKILL"),
+           "os.kill(pid, signal.SIGKILL)",
+           "pass"),
+    Mutant("split-sigterm-not-an-interrupt",
+           "a SIGTERM during a split ends this process at once, its children left folding",
+           INGEST,
+           "        signal.signal(signal.SIGTERM, signal.default_int_handler)",
+           "        pass"),
+    Mutant("cuts-platform-check-dropped",
+           "a platform without os.fork or os.sched_getaffinity is still cut",
+           INGEST,
+           '    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):\n'
+           "        return None\n",
+           ""),
     Mutant("fork-failure-leaks-pipe",
            "a fork that fails leaves both ends of its pipe open",
            INGEST,
@@ -232,6 +253,51 @@ MUTANTS = (
            "                yield location, columns, values\n"
            "    except csv.Error as exc:\n"
            '        raise ParseError(f"malformed CSV: {exc}") from None\n'),
+    Mutant("rule-author-source-dropped",
+           "a record with both an author list and an author_count is accepted",
+           INGEST,
+           "if both_author_sources:",
+           "if False:"),
+    Mutant("rule-author-count-negative-accepted",
+           "the record rules accept a negative author count",
+           INGEST,
+           "if n_authors < 1:",
+           "if n_authors == 0:"),
+    Mutant("rule-count-range-off-by-one",
+           "the record rules accept an author count of MAX_COUNT + 1",
+           INGEST,
+           "elif n_authors > MAX_COUNT:",
+           "elif n_authors > MAX_COUNT + 1:"),
+    Mutant("rule-year-window-end-excluded",
+           "a record in the last year of the study window is outside it",
+           INGEST,
+           "window[0] <= year <= window[1]",
+           "window[0] <= year < window[1]"),
+    Mutant("rule-page-span-one-page-reversed",
+           "a span of one page (start_page == end_page) is a reversed span",
+           INGEST,
+           "if end_page < start_page:",
+           "if end_page <= start_page:"),
+    Mutant("rule-page-count-span-off-by-one",
+           "the page-count rule compares page_count with the span less one",
+           INGEST,
+           "span := end_page - start_page + 1",
+           "span := end_page - start_page"),
+    Mutant("rule-start-page-zero-accepted",
+           "the record rules accept a start_page of 0",
+           INGEST,
+           "if start_page is not None and start_page < 1:",
+           "if start_page is not None and start_page < 0:"),
+    Mutant("rule-end-page-zero-accepted",
+           "the record rules accept an end_page of 0",
+           INGEST,
+           "if end_page is not None and end_page < 1:",
+           "if end_page is not None and end_page < 0:"),
+    Mutant("rule-page-count-zero-accepted",
+           "the record rules accept a page_count of 0",
+           INGEST,
+           "if page_count is not None and page_count < 1:",
+           "if page_count is not None and page_count < 0:"),
     Mutant("record-zero-authors-accepted",
            "the record rules accept an author count of 0",
            INGEST,
