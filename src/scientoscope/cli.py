@@ -174,7 +174,7 @@ def _meta(config: AnalysisConfig, run: dict) -> dict:
     return meta
 
 
-def _load(config: AnalysisConfig, run: dict) -> tuple[Dataset, ValidationReport]:
+def _load(config: AnalysisConfig, run: dict) -> tuple[Dataset | None, ValidationReport]:
     """Read and validate the input. Record input is folded to per-year
     aggregates in the same pass, with the bridge's warnings in the report."""
     if not run["input"]:

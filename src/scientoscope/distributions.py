@@ -14,14 +14,9 @@ from __future__ import annotations
 
 from .config import AnalysisConfig
 from .model import AUTHORSHIP_BIN_LABELS, PAGE_BINS, Dataset
-from .report import ColumnSpec, ReportTable
+from .report import ColumnSpec, ReportTable, percent
 
 PAGE_BIN_LABELS = tuple(label for _, label, _, _ in PAGE_BINS)
-
-
-def _pct(part: float, whole: float) -> float:
-    """part/whole as a percentage; 0 when the denominator is 0."""
-    return part / whole * 100.0 if whole else 0.0
 
 
 def _column_sums(bins: list[tuple[int, ...]], width: int) -> tuple[int, ...]:
@@ -43,9 +38,9 @@ def _bin_table(title: str, labels: tuple[str, ...], rows: list[tuple],
 
     def cells(first, counts, percents, papers) -> list:
         out: list = [first]
-        for count, percent in zip(counts, percents):
-            out.extend([count, percent])
-        out.extend([papers, _pct(papers, total)])
+        for count, share in zip(counts, percents):
+            out.extend([count, share])
+        out.extend([papers, percent(papers, total)])
         return out
 
     return ReportTable(title=title, columns=columns,
@@ -64,8 +59,8 @@ def year_distribution_table(dataset: Dataset) -> ReportTable:
     running = 0
     for i, agg in enumerate(aggregates):
         running += agg.papers
-        rows.append([agg.year, agg.papers, _pct(agg.papers, total),
-                     None if i == 0 else running, None if i == 0 else _pct(running, total)])
+        rows.append([agg.year, agg.papers, percent(agg.papers, total),
+                     None if i == 0 else running, None if i == 0 else percent(running, total)])
     return ReportTable(
         title="Articles published per year",
         columns=[
@@ -92,9 +87,9 @@ def authorship_table(dataset: Dataset) -> ReportTable:
     totals = _column_sums([a.authorship_bins for a in aggregates], len(AUTHORSHIP_BIN_LABELS))
     return _bin_table(
         "Authorship pattern by year", AUTHORSHIP_BIN_LABELS,
-        [(a.year, a.authorship_bins, [_pct(n, a.papers) for n in a.authorship_bins], a.papers)
+        [(a.year, a.authorship_bins, [percent(n, a.papers) for n in a.authorship_bins], a.papers)
          for a in aggregates],
-        ("Total", totals, [_pct(n, total) for n in totals], total),
+        ("Total", totals, [percent(n, total) for n in totals], total),
     )
 
 
@@ -105,7 +100,7 @@ def page_length_table(dataset: Dataset) -> ReportTable:
     totals = _column_sums([a.page_bins for a in aggregates], len(PAGE_BINS))
     return _bin_table(
         "Page-length distribution of articles", PAGE_BIN_LABELS,
-        [(a.year, a.page_bins, [_pct(n, whole) for n, whole in zip(a.page_bins, totals)],
+        [(a.year, a.page_bins, [percent(n, whole) for n, whole in zip(a.page_bins, totals)],
           a.papers) for a in aggregates],
         ("Total", totals, [None] * len(totals), total),
     )

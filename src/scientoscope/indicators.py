@@ -32,7 +32,7 @@ from itertools import accumulate
 
 from .config import AnalysisConfig
 from .model import Dataset
-from .report import CellValue, ColumnSpec, ReportTable, round_display, round_half_up
+from .report import CellValue, ColumnSpec, ReportTable, percent, round_display, round_half_up
 
 LN2 = math.log(2.0)
 
@@ -164,10 +164,8 @@ def productivity_table(dataset: Dataset, config: AnalysisConfig | None = None) -
             ColumnSpec("AAPP", "ratio", 2),
             ColumnSpec("PPA", "ratio", 2),
         ],
-        rows=[[a.year, a.papers,
-               a.papers / total_papers * 100.0 if total_papers else 0.0,
-               a.total_authors,
-               a.total_authors / total_authors * 100.0 if total_authors else 0.0,
+        rows=[[a.year, a.papers, percent(a.papers, total_papers),
+               a.total_authors, percent(a.total_authors, total_authors),
                aapp, ppa] for a, (aapp, ppa) in zip(aggregates, ratios)],
         footer=["Total", total_papers, None, total_authors, None, total_aapp, total_ppa],
         notes=["AAPP = average authors per paper; PPA = papers per author.", note],

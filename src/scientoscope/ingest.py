@@ -22,9 +22,10 @@ Records have one set of checks and one count. :func:`load`, the CLI's
 route, folds them in one loop, :func:`_fold`: each row is parsed,
 checked by the record rules (``_validate_record``) and counted into its
 year (``_YearTally.add``), with no record kept, so record CSV loads in
-O(years + findings) memory. A record that fails a rule registers its
-year alone, which the year-gap rule reads, and every other record is
-counted, so the fold is a sum over the records, whatever their order.
+O(years + findings) memory. A report with errors comes with no dataset,
+so once a rule fails, each record after it registers its year alone,
+which the year-gap rule reads; with no error, the fold is a sum over the
+records, whatever their order.
 The fold takes a row by a short parse that counts a ``;``-separated
 author list by its pieces and looks each numeral up in one table of
 ``int()`` results, ``_INTS``, built at import and never written after,
@@ -59,9 +60,10 @@ part that ends without error ends between rows. A child sends its whole
 fold as one tuple (record count, year rows, bridge warnings, rule
 errors) through a pipe (``marshal``), or nothing, and this process adds
 each fold to its own, row to row, as it reads the pipes. A part is
-folded when its whole fold arrives, whatever its child's exit status. As
-the fold is a sum over the records, only a ``record N`` needs the part
-order: it is renumbered by the records of the parts before it.
+folded when its whole fold arrives, whatever its child's exit status.
+The counts matter only when no part holds an error, and then the fold
+is a sum over the records, so only a ``record N`` needs the part order:
+it is renumbered by the records of the parts before it.
 :func:`_folded` then runs the year-gap rule and sorts the warnings, so
 the result is the serial fold's. When a part does not complete (a parse
 or decode error, a cut inside a quoted field, text after a closing
@@ -750,19 +752,17 @@ def aggregate_records(records: tuple[BibRecord, ...],
 
 
 def load(source: BinaryIO | bytes | str, format: str = "csv", config: AnalysisConfig | None = None,
-         granularity: str | None = None) -> tuple[Dataset, ValidationReport]:
+         granularity: str | None = None) -> tuple[Dataset | None, ValidationReport]:
     """Parse and validate input of either granularity in one pass.
 
     *granularity* is ``"records"``, ``"aggregates"`` or ``None``: read it
-    off the CSV header or the first JSON element. Aggregates give what
+    off the CSV header or the first JSON element. A report with errors
+    comes with no dataset: ``(None, report)``. Aggregates give what
     :func:`parse_aggregates`, then :func:`validate` give. Records give what
     :func:`parse_records`, then :func:`validate`, then, when the report
     has no errors, :func:`aggregate_records` give, all three with the same
-    config and the bridge's warnings appended to the report. With errors,
-    the report has no bridge warnings, and the dataset is what
-    :func:`aggregate_records` gives of the records that pass every record
-    rule, with a row of zeros for each year that only failing records
-    hold. No :class:`BibRecord` is built: :func:`_fold` folds the records.
+    config and the bridge's warnings appended to the report. No
+    :class:`BibRecord` is built: :func:`_fold` folds the records.
 
     *source* is read through :func:`_read`. A large record CSV file is
     folded in parts, as the module docstring says.
@@ -779,7 +779,8 @@ def load(source: BinaryIO | bytes | str, format: str = "csv", config: AnalysisCo
         dataset = _aggregate_dataset(rows, locate)
         return dataset, validate(dataset, config)
 
-    return _read(source, read)
+    dataset, report = _read(source, read)
+    return dataset if report.ok else None, report
 
 
 def _fold(rows: _Rows, locate: _Locate,
@@ -800,7 +801,7 @@ def _fold(rows: _Rows, locate: _Locate,
     tally = _YearTally(config.taxonomy)
     window = config.study_window
     errors, add, add_year = report.errors, tally.add, tally.year
-    count = failed = 0  # records, and rule errors
+    count = 0
     convert = _INTS.__getitem__
     columns: dict[str, int] | None = None
     try:
@@ -847,9 +848,8 @@ def _fold(rows: _Rows, locate: _Locate,
             count += 1
             _validate_record(count, year, n_authors, start_page, end_page, page_count,
                              window, report)
-            if errors and len(errors) > failed:  # this record failed a rule
-                failed = len(errors)
-                add_year(year)  # not bridged; the year still counts for year-gap
+            if errors:  # the load gives no dataset: only the year counts, for year-gap
+                add_year(year)
             else:
                 add(year, n_authors, page_count, subject, title)
     except csv.Error as exc:

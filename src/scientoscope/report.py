@@ -61,6 +61,11 @@ def round_display(value: float, decimals: int) -> str:
     return f"{sign}{whole}.{fraction:0{decimals}d}" if decimals else f"{sign}{whole}"
 
 
+def percent(part: float, whole: float) -> float:
+    """part/whole as a percentage, 0 when the denominator is 0: every share cell's formula."""
+    return part / whole * 100.0 if whole else 0.0
+
+
 class ColumnSpec(Checked, namedtuple("ColumnSpec", "header kind decimals", defaults=("count", 2))):
     __slots__ = ()
 

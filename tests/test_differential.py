@@ -3,19 +3,19 @@
 The CLI loads record input with :func:`load`, one loop that parses,
 validates and bridges each row. It sends a row to the precise parse only
 when the short parse cannot take it, and runs every row through the
-record rules and the bridge count. The reference route is the library's:
-:func:`parse_records`, which runs every row through the precise parse
-(``ingest._record_fields``), then :func:`validate` and
-:func:`aggregate_records`. For small generated record sets, and for
-every edge input and flaw below with and without a study window, both
-routes must give equal aggregates, equal findings and equal parse
-errors. With rule errors the aggregates are those of the records that
-pass every rule, with a row of zeros for a year that only failing
-records hold, so no record's count hangs on an error before it. One
-case leaves the short parse for a valid row between clean ones, so the
-fold switches parses and back. The short parse looks
-numerals up in a table of ``int()`` results that holds the decimals 0 to
-4095 and converts any other numeral with ``int()``, so the drawn sets and
+record rules and, until a rule fails, the bridge count. The reference
+route is the library's: :func:`parse_records`, which runs every row
+through the precise parse (``ingest._record_fields``), then
+:func:`validate` and :func:`aggregate_records`. For small generated
+record sets, and for every edge input and flaw below with and without a
+study window, both routes must give equal aggregates, equal findings and
+equal parse errors, and with rule errors no aggregates at all. One flaw,
+an author count of -99, would index past its year's row if the fold
+counted a record after a rule error, so that guard shows as a crash.
+One case leaves the short parse for a valid row between clean ones, so
+the fold switches parses and back. The short parse looks numerals up
+in a table of ``int()`` results that holds the decimals 0 to 4095 and
+converts any other numeral with ``int()``, so the drawn sets and
 the edges and flaws run with the shipped table and with an empty one,
 which sends every numeral to ``int()``; one set repeats odd numerals, and
 one puts numerals at and past the table's edge in every numeric field.
@@ -67,9 +67,7 @@ from hypothesis import strategies as st
 from scientoscope import (
     DEFAULT_TAXONOMY,
     AnalysisConfig,
-    Dataset,
     ParseError,
-    YearAggregate,
     aggregate_records,
     parse_records,
     validate,
@@ -78,7 +76,6 @@ from scientoscope import (
 from scientoscope import ingest
 from scientoscope.cli import demo_aggregates_path, entry, main
 from scientoscope.ingest import MAX_COUNT, RECORD_FIELDS, load
-from scientoscope.model import PAGE_BINS
 
 _GEN_SPEC = importlib.util.spec_from_file_location(
     "bench_gen", Path(__file__).resolve().parents[1] / "bench" / "gen.py")
@@ -152,7 +149,8 @@ FLAWS = (
     {"start_page": 0, "end_page": 3},  # page not positive
     {"page_count": -2},
     {"author_count": 0},
-    {"author_count": -9},  # would index past the authorship bins
+    {"author_count": -9},  # would index past the authorship bins, into a subject slot
+    {"author_count": -99},  # would index past the whole row of its year
     {"year": 2030},  # outside any window, and a long gap
     {"year": "MMXIII"},
     {"start_page": "x", "end_page": 3},
@@ -209,19 +207,14 @@ def _json_bytes(records, authors_as_text):
 
 def _precise_route(raw, format, config):
     """parse_records -> validate -> aggregate_records, as the CLI once ran
-    them. With rule errors the report takes no bridge warnings, and the
-    dataset bridges the records that pass the rules one by one, with a row
-    of zeros for each year that only failing records hold."""
+    them: with rule errors, no dataset."""
     records = parse_records(raw, format)
     report = validate(records, config)
-    passing = tuple(r for r in records if validate((r,), config).ok)
-    aggregated, bridged = aggregate_records(passing, config)
-    if report.ok:
-        report.warnings.extend(bridged.warnings)
-    zeros = {r.year: YearAggregate(r.year, 0, (0,) * 5, (0,) * len(PAGE_BINS),
-                                   dict.fromkeys(config.taxonomy, 0), 0) for r in records}
-    zeros.update((agg.year, agg) for agg in aggregated.aggregates)
-    return Dataset(tuple(agg for _, agg in sorted(zeros.items()))), report
+    if not report.ok:
+        return None, report
+    dataset, bridged = aggregate_records(records, config)
+    report.warnings.extend(bridged.warnings)
+    return dataset, report
 
 
 def _outcome(route):
@@ -553,6 +546,7 @@ def test_a_rule_error_in_any_part_folds_the_file_once(tmp_path, route, parts, wh
     folded = _load_split(raw, parts, AnalysisConfig(), tmp_path)
     assert route == {"forks": parts - 1, "folds": 1}
     assert folded == _serial(raw)
+    assert folded[0] is None  # a report with errors comes with no dataset
     assert [f.rule for f in folded[1].errors] == ["page-span"] * rows.count(_REVERSED)
     _assert_no_child_left()
 

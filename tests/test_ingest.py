@@ -116,6 +116,11 @@ def test_validate_year_out_of_window():
     ds = parse_records(RECORD_HEADER + "\n2019,,,T,A,,,Subj\n")
     report = validate(ds, AnalysisConfig(study_window=(2013, 2017)))
     assert any(f.rule == "year-window" for f in report.errors)
+    # An aggregate year: the window's first and last years are inside it.
+    rows = "".join(f"{year},1,1,0,0,0,0,1,1,0,0,1,0\n" for year in (2013, 2014, 2015))
+    report = validate(parse_aggregates(AGG_HEADER + "\n" + rows),
+                      AnalysisConfig(study_window=(2013, 2014)))
+    assert [(f.location, f.rule) for f in report.errors] == [("2015", "year-window")]
 
 
 def test_validate_page_count_span_mismatch():
@@ -256,7 +261,12 @@ def test_parse_aggregates_sorted_and_consistent():
             "2013,1,1,0,0,0,0,1,1,0,0,1,0\n")
     ds = parse_aggregates(text)
     assert [a.year for a in ds.aggregates] == [2013, 2014]
-    assert validate(ds).ok
+    report = validate(ds)
+    assert report.ok
+    # A label outside the taxonomy is reported where it counts a paper: not B in 2013.
+    assert [(f.location, f.rule, f.message[:11]) for f in report.warnings] == [
+        ("2013", "unknown-subject", "subject 'A'"), ("2014", "unknown-subject", "subject 'A'"),
+        ("2014", "unknown-subject", "subject 'B'")]
 
 
 def test_parse_aggregates_empty_is_parse_error():
@@ -290,10 +300,19 @@ def test_validate_year_gap():
             "2015,1,1,0,0,0,0,1,1,0,0,1,0\n")
     report = validate(parse_aggregates(text))
     assert any(f.rule == "year-gap" and f.location == "2014" for f in report.errors)
-    records = parse_records(RECORD_HEADER + "\n2013,,,T1,A,1,2,ICT\n2015,,,T2,A,1,2,ICT\n")
-    report = validate(records)
+    raw = RECORD_HEADER + "\n2013,,,T1,A,1,2,ICT\n2015,,,T2,A,1,2,ICT\n"
+    report = validate(parse_records(raw))
     assert [(f.location, f.rule) for f in report.errors] == [("2014", "year-gap")]
     assert (report.record_count, report.year_count) == (2, 2)
+    # A report with errors comes with no dataset from load; the parse still gives one.
+    assert load(raw) == (None, report)
+    names = AGG_HEADER.split(",")
+    as_json = json.dumps([dict(zip(names, map(int, row.split(","))))
+                          for row in text.splitlines()[1:]])
+    for raw, format in ((text, "csv"), (as_json, "json")):
+        dataset = parse_aggregates(raw, format)
+        assert [a.year for a in dataset.aggregates] == [2013, 2015]
+        assert load(raw, format) == (None, validate(dataset))
 
 
 def test_validate_long_year_gap_is_one_finding():
@@ -310,6 +329,7 @@ def test_validate_counts_above_the_limit():
     report = validate(parse_aggregates(AGG_HEADER + f"\n2013,1,1,0,0,0,0,{big},1,0,0,1,0\n"))
     assert [(f.rule, f.message) for f in report.errors] == [
         ("count-range", f"total_authors is above {MAX_COUNT}")]
+    assert validate(parse_aggregates(AGG_HEADER + f"\n2013,1,1,0,0,0,0,{MAX_COUNT},1,0,0,1,0\n")).ok
     records = parse_records("year,title,authors,subject,volume,issue,start_page,end_page,"
                             f"author_count\n2013,T,,ICT,,,,,{big}\n")
     assert [f.rule for f in validate(records).errors] == ["count-range"]

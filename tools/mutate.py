@@ -1,4 +1,4 @@
-"""Mutation check of the tests of the record fold, the CLI and the formulas.
+"""Mutation check of the tests of the record fold, validation, the CLI and the formulas.
 
 Copies the source tree (``src``, ``tests``, ``bench`` and
 ``pyproject.toml``) to a temporary directory and applies each mutant of a
@@ -107,20 +107,20 @@ MUTANTS = (
            "add(year, n_authors, page_count, subject, title)\n    except csv.Error",
            "add_year(year)\n    except csv.Error"),
     Mutant("fold-bridges-a-failing-record",
-           "a record that fails a rule is counted by the bridge",
+           "a record that fails a rule, and each after it, is counted by the bridge",
            INGEST,
-           "if errors and len(errors) > failed:",
-           "if False:"),
+           "if errors:  # the load gives no dataset",
+           "if False:  # the load gives no dataset"),
     Mutant("fold-drops-a-failing-year",
-           "a record that fails a rule does not register its year",
+           "a record that fails a rule, and each after it, does not register its year",
            INGEST,
-           "add_year(year)  # not bridged",
-           "pass  # not bridged"),
-    Mutant("fold-stops-bridging-after-an-error",
-           "every record after the first that fails a rule registers its year alone",
+           "                add_year(year)\n",
+           "                pass\n"),
+    Mutant("load-gives-a-rejected-dataset",
+           "load returns the dataset of input whose report has errors",
            INGEST,
-           "                failed = len(errors)\n",
-           ""),
+           "return dataset if report.ok else None, report",
+           "return dataset, report"),
     Mutant("split-renumbering-dropped",
            "a child's record N is not renumbered by the records before its part",
            INGEST,
@@ -303,6 +303,51 @@ MUTANTS = (
            INGEST,
            "if n_authors < 1:",
            "if n_authors < 0:"),
+    Mutant("gap-of-one-year-missed",
+           "a single missing year is no year gap",
+           INGEST,
+           "if nxt - prev > 1:",
+           "if nxt - prev > 2:"),
+    Mutant("gap-of-one-year-located-as-a-run",
+           "a single missing year is located as a run (2014-2014)",
+           INGEST,
+           "gap = str(prev + 1) if nxt - prev == 2 else",
+           "gap = str(prev + 1) if nxt - prev == 3 else"),
+    Mutant("duplicate-year-twice-accepted",
+           "an aggregate year is a duplicate only when it appears three times",
+           INGEST,
+           "if n > 1:",
+           "if n > 2:"),
+    Mutant("aggregate-year-window-end-excluded",
+           "an aggregate year in the last year of the study window is outside it",
+           INGEST,
+           "window[0] <= agg.year <= window[1]",
+           "window[0] <= agg.year < window[1]"),
+    Mutant("aggregate-zero-count-negative",
+           "an aggregate count of 0 is a negative count",
+           INGEST,
+           "if count < 0:",
+           "if count <= 0:"),
+    Mutant("aggregate-count-range-at-the-limit",
+           "an aggregate count of exactly MAX_COUNT is out of range",
+           INGEST,
+           "elif count > MAX_COUNT:",
+           "elif count >= MAX_COUNT:"),
+    Mutant("aggregate-bin-sum-above-only",
+           "a bin sum below papers is no bin-sum finding",
+           INGEST,
+           "if total != agg.papers:",
+           "if total > agg.papers:"),
+    Mutant("aggregate-strict-ignored",
+           "a bin-sum mismatch is a warning even under strict",
+           INGEST,
+           "finding = report.error if config.strict else report.warn",
+           "finding = report.warn"),
+    Mutant("unknown-subject-of-zero-warned",
+           "an unknown aggregate subject with a count of 0 is warned about",
+           INGEST,
+           "if count and label not in config.taxonomy:",
+           "if label not in config.taxonomy:"),
     Mutant("tally-four-authors-pooled",
            "the bridge counts a four-author record in the open 5+ bin",
            INGEST,
