@@ -813,6 +813,27 @@ def test_importing_the_cli_loads_no_process_or_thread_machinery():
     assert child.stdout == "[] False\n"
 
 
+def test_only_record_input_imports_the_record_fold():
+    # reproduce-paper and every aggregate load run without compiling
+    # scientoscope.fold; the first record load imports it.
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import contextlib, csv, io, json, sys\n"
+            "from scientoscope.cli import demo_aggregates_path, demo_records_path, main\n"
+            "from scientoscope.ingest import load\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert main(['reproduce-paper']) == 0\n"
+            "raw = demo_aggregates_path().read_text()\n"
+            "as_json = json.dumps(list(csv.DictReader(io.StringIO(raw))))\n"
+            "loaded = [load(raw), load(as_json, 'json')]\n"
+            "print([len(dataset.aggregates) for dataset, _ in loaded],\n"
+            "      'scientoscope.fold' in sys.modules)\n"
+            "load(demo_records_path().read_bytes())\n"
+            "print('scientoscope.fold' in sys.modules)")
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                           env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    assert child.stdout == "[5, 5] False\nTrue\n"
+
+
 def test_cli_binds_every_name_the_trace_harness_wraps():
     # bench/trace_child.py stops every traced run when one of these names
     # is gone from cli; it is compiled from source here, so nothing is written.

@@ -5,7 +5,7 @@ validates and bridges each row. It sends a row to the precise parse only
 when the short parse cannot take it, and runs every row through the
 record rules and, until a rule fails, the bridge count. The reference
 route is the library's: :func:`parse_records`, which runs every row
-through the precise parse (``ingest._record_fields``), then
+through the precise parse (``fold._record_fields``), then
 :func:`validate` and :func:`aggregate_records`. For small generated
 record sets, and for every edge input and flaw below with and without a
 study window, both routes must give equal aggregates, equal findings and
@@ -25,7 +25,7 @@ also loads under a taxonomy with "Others" first and the other labels
 reversed. The settings are deterministic, like ``tests/test_fuzz.py``.
 
 :func:`load` of a large record CSV file folds it in parts
-(``ingest._fold_parts``): this process reads the header once, by the
+(``fold._fold_parts``): this process reads the header once, by the
 first part's reader, before it forks a child for each later part, folds
 the first part and merges each child's fold into its own. Every CSV
 above is also loaded from a file split into 2 and into 3 parts, by a
@@ -73,6 +73,7 @@ from scientoscope import (
     validate,
     write_aggregates_csv,
 )
+from scientoscope import fold as record_fold
 from scientoscope import ingest
 from scientoscope.cli import demo_aggregates_path, entry, main
 from scientoscope.ingest import MAX_COUNT, RECORD_FIELDS, load
@@ -248,14 +249,14 @@ def _assert_routes_agree(records, blanks, window, tmp_path):
 
 # The short parse's numeral table: as shipped, so numerals hit and miss
 # it, and empty, so every numeral is converted by plain int().
-TABLES = (ingest._INTS, ingest._Ints())
+TABLES = (record_fold._INTS, record_fold._Ints())
 
 
 @DIFFERENTIAL
 @given(record_sets(), st.none() | st.just((2012, 2015)))
 def test_fold_equals_parse_validate_and_bridge(monkeypatch, tmp_path, drawn, window):
     for table in TABLES:
-        monkeypatch.setattr(ingest, "_INTS", table)
+        monkeypatch.setattr(record_fold, "_INTS", table)
         _assert_routes_agree(*drawn, window, tmp_path)
 
 
@@ -275,7 +276,7 @@ def test_every_edge_and_flaw_agrees_on_both_routes(monkeypatch, tmp_path, overri
     records = [dict(rec) for rec in _BASE]
     records[1].update(override)
     for table in TABLES:
-        monkeypatch.setattr(ingest, "_INTS", table)
+        monkeypatch.setattr(record_fold, "_INTS", table)
         _assert_routes_agree(records, _BLANKS, window, tmp_path)
 
 
@@ -292,9 +293,9 @@ def test_odd_numerals_that_repeat_agree_on_both_routes(tmp_path, window):
 
 
 def test_the_numeral_table_holds_each_decimal_to_4095_as_its_int():
-    assert sorted(ingest._INTS.values()) == list(range(4096))
+    assert sorted(record_fold._INTS.values()) == list(range(4096))
     assert all(type(value) is int and value == int(key) and key == str(value)
-               for key, value in ingest._INTS.items())
+               for key, value in record_fold._INTS.items())
 
 
 @pytest.mark.parametrize("numeral", ["4095", "4096", "007", "+5", " 12 ", "1_0", "\u0663", "-3"])
@@ -374,7 +375,7 @@ def route(monkeypatch):
     goes to the serial fold, a second fold. A rule error does not: it
     merges like the counts."""
     counts = Counter()
-    fork, fold = os.fork, ingest._fold
+    fork, fold = os.fork, record_fold._fold
 
     def counted_fork():
         counts["forks"] += 1
@@ -385,7 +386,7 @@ def route(monkeypatch):
         return fold(*args)
 
     monkeypatch.setattr(os, "fork", counted_fork)
-    monkeypatch.setattr(ingest, "_fold", counted_fold)
+    monkeypatch.setattr(record_fold, "_fold", counted_fold)
     return counts
 
 
@@ -555,14 +556,14 @@ def test_a_fault_in_the_first_part_stops_the_children(monkeypatch, tmp_path, rou
     # This process folds the first part. Each child would fold for 20 s:
     # only a kill when this part raises lets the load end sooner.
     raw = (HEADER + "2013,,,T,A,q,2,ICT\n" + _ROWS * 6).encode()
-    parent, fold = os.getpid(), ingest._fold
+    parent, fold = os.getpid(), record_fold._fold
 
     def slow_in_a_child(*args):
         if os.getpid() != parent:
             time.sleep(20)
         return fold(*args)
 
-    monkeypatch.setattr(ingest, "_fold", slow_in_a_child)
+    monkeypatch.setattr(record_fold, "_fold", slow_in_a_child)
     start = time.monotonic()
     folded = _load_split(raw, 3, AnalysisConfig(), tmp_path)
     assert time.monotonic() - start < 10
@@ -624,7 +625,7 @@ def test_aggregate_csv_is_never_split(tmp_path, route):
 def test_a_failed_child_falls_back_to_the_serial_load_and_is_reaped(monkeypatch, tmp_path, route,
                                                                     failure):
     raw = (HEADER + _ROWS * 6).encode()
-    parent, fold = os.getpid(), ingest._fold
+    parent, fold = os.getpid(), record_fold._fold
 
     def killed(*args):
         if os.getpid() != parent:
@@ -640,7 +641,7 @@ def test_a_failed_child_falls_back_to_the_serial_load_and_is_reaped(monkeypatch,
         "short-message": ("marshal", SimpleNamespace(dumps=lambda obj: marshal.dumps(obj)[:-1],
                                                      loads=marshal.loads)),
     }[failure]
-    monkeypatch.setattr(ingest, name, value)
+    monkeypatch.setattr(record_fold, name, value)
     assert _load_split(raw, 3, AnalysisConfig(), tmp_path) == _serial(raw)
     assert route["forks"] == 2
     _assert_no_child_left()
@@ -668,7 +669,7 @@ def test_a_failed_child_stops_the_later_children(monkeypatch, tmp_path, route):
     # The first child's fold raises; the second would fold for 20 s. Its
     # pipe is never read: the first empty one ends the split at once.
     raw = (HEADER + _ROWS * 6).encode()
-    parent, fold = os.getpid(), ingest._fold
+    parent, fold = os.getpid(), record_fold._fold
 
     def failed_or_slow(*args):
         if os.getpid() != parent:  # the child of fork k sees k forks
@@ -677,7 +678,7 @@ def test_a_failed_child_stops_the_later_children(monkeypatch, tmp_path, route):
             time.sleep(20)
         return fold(*args)
 
-    monkeypatch.setattr(ingest, "_fold", failed_or_slow)
+    monkeypatch.setattr(record_fold, "_fold", failed_or_slow)
     start = time.monotonic()
     folded = _load_split(raw, 3, AnalysisConfig(), tmp_path)
     assert time.monotonic() - start < 10
@@ -689,7 +690,7 @@ def test_a_failed_child_stops_the_later_children(monkeypatch, tmp_path, route):
 def test_a_parent_part_that_raises_kills_and_reaps_every_child(monkeypatch, tmp_path):
     # Each child would fold for 20 s: only a kill lets the load end sooner.
     raw = (HEADER + _ROWS * 6).encode()
-    parent, fold = os.getpid(), ingest._fold
+    parent, fold = os.getpid(), record_fold._fold
 
     def interrupted(*args):
         if os.getpid() == parent:
@@ -697,7 +698,7 @@ def test_a_parent_part_that_raises_kills_and_reaps_every_child(monkeypatch, tmp_
         time.sleep(20)
         return fold(*args)
 
-    monkeypatch.setattr(ingest, "_fold", interrupted)
+    monkeypatch.setattr(record_fold, "_fold", interrupted)
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         _load_split(raw, 3, AnalysisConfig(), tmp_path)
@@ -751,7 +752,7 @@ def test_an_interrupted_cli_exits_130_with_a_message_and_no_child_left(
     raw = (HEADER + _ROWS * 6).encode()
     path = tmp_path / "split.csv"
     path.write_bytes(raw)
-    parent, fold = os.getpid(), ingest._fold
+    parent, fold = os.getpid(), record_fold._fold
 
     def interrupted(*args):
         if os.getpid() == parent:
@@ -759,7 +760,7 @@ def test_an_interrupted_cli_exits_130_with_a_message_and_no_child_left(
         time.sleep(20)
         return fold(*args)
 
-    monkeypatch.setattr(ingest, "_fold", interrupted)
+    monkeypatch.setattr(record_fold, "_fold", interrupted)
     monkeypatch.setattr(ingest, "_SPLIT_BYTES", len(raw) // 3)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(3)))
     monkeypatch.setattr(gc, "freeze", lambda: None)  # entry's last step, for an exiting process
@@ -782,13 +783,14 @@ def test_an_interrupted_cli_exits_130_with_a_message_and_no_child_left(
 # a shell gives its foreground job.
 _SLOW_SPLIT_CLI = """
 import os, signal, time
+from scientoscope import fold as record_fold
 from scientoscope import ingest
 from scientoscope.cli import entry
 signal.signal(signal.SIGINT, signal.default_int_handler)
 signal.signal(signal.SIGTERM, signal.SIG_DFL)
 ingest._SPLIT_BYTES = 1
 os.sched_getaffinity = lambda pid: {0, 1, 2}
-parent, fold = os.getpid(), ingest._fold
+parent, fold = os.getpid(), record_fold._fold
 
 def slow_in_a_child(*args):
     if os.getpid() != parent:
@@ -796,7 +798,7 @@ def slow_in_a_child(*args):
         time.sleep(20)
     return fold(*args)
 
-ingest._fold = slow_in_a_child
+record_fold._fold = slow_in_a_child
 entry()
 """
 
@@ -849,7 +851,7 @@ def test_merged_subject_counts_keep_the_taxonomy_order():
     taxonomy = ("ICT", "Others", "Webometrics")
     first = [(2013, "ICT"), (2014, "Zoology"), (2014, "ICT")]
     second = [(2013, "Botany"), (2013, "Webometrics"), (2015, "ICT"), (2015, "Others")]
-    whole, merged, other = (ingest._YearTally(taxonomy) for _ in range(3))
+    whole, merged, other = (record_fold._YearTally(taxonomy) for _ in range(3))
     for tally, records in ((whole, first + second), (merged, first), (other, second)):
         for year, subject in records:
             tally.add(year, 2, 5, subject, "T")

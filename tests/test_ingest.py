@@ -27,7 +27,7 @@ from scientoscope import (
     validate,
     write_aggregates_csv,
 )
-from scientoscope import ingest
+from scientoscope import fold, ingest
 from scientoscope.cli import demo_aggregates_path, demo_records_path, main
 from scientoscope.ingest import MAX_COUNT, load
 
@@ -537,10 +537,10 @@ def test_only_a_row_the_short_path_cannot_take_leaves_it(monkeypatch, flawed, pr
     # Only such a row reaches the precise parse, while the record rules run on every row.
     counts = Counter()
     for name in ("_record_fields", "_validate_record"):
-        def counted(*args, real=getattr(ingest, name), name=name):
+        def counted(*args, real=getattr(fold, name), name=name):
             counts[name] += 1
             return real(*args)
-        monkeypatch.setattr(ingest, name, counted)
+        monkeypatch.setattr(fold, name, counted)
     rows = _record_rows(2000).splitlines(keepends=True)
     raw = (RECORD_HEADER + "\n" + "".join(rows[:1000]) + flawed + "".join(rows[1000:])).encode()
     dataset, report = _fold_bytes(raw)
@@ -960,7 +960,7 @@ def test_numerals_that_never_repeat_load_in_memory_that_does_not_grow():
         return (RECORD_HEADER + "\n" + rows).encode()
 
     small, large = 4_500, 20_000
-    assert sum(str(5 * i + 1) not in ingest._INTS for i in range(small)) > small / 2
+    assert sum(str(5 * i + 1) not in fold._INTS for i in range(small)) > small / 2
     raws = {n: raw(n) for n in (small, large)}
     _fold_bytes(raws[large])  # fills the free lists first, as in the tests above
     peaks = []

@@ -36,6 +36,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 INGEST = "src/scientoscope/ingest.py"
+FOLD = "src/scientoscope/fold.py"
 CLI = "src/scientoscope/cli.py"
 INDICATORS = "src/scientoscope/indicators.py"
 REPORT = "src/scientoscope/report.py"
@@ -56,12 +57,12 @@ class Mutant(NamedTuple):
 MUTANTS = (
     Mutant("authors-blank-pieces-counted",
            "the short parse counts every piece of an author list, blank ones too",
-           INGEST,
+           FOLD,
            'n_authors = (len(names) if "" not in names',
            'n_authors = (len(names) if True'),
     Mutant("authors-nbsp-piece-a-name",
            "a piece of only no-break spaces counts as a name (strip(\" \"))",
-           INGEST,
+           FOLD,
            'and not any(map(str.isspace, names))',
            'and all(name.strip(" ") for name in names)'),
     Mutant("field-count-check-dropped",
@@ -87,12 +88,12 @@ MUTANTS = (
            '        return f"line {reader.line_num - 1}"'),
     Mutant("numeral-table-off-by-one",
            "the numeral table maps its last decimal, 4095, to 4096",
-           INGEST,
+           FOLD,
            "_INTS = _Ints((str(n), n) for n in range(4096))",
            "_INTS = _Ints((str(n), n + (n == 4095)) for n in range(4096))"),
     Mutant("numeral-table-misses-are-0",
            "a numeral the table lacks reads as 0, not as its int()",
-           INGEST,
+           FOLD,
            "    __missing__ = int\n",
            "    def __missing__(self, raw):\n"
            "        return 0\n"),
@@ -103,17 +104,17 @@ MUTANTS = (
            "start, end = exc.start, exc.end"),
     Mutant("clean-row-registers-its-year-only",
            "a clean row only registers its year, in place of the bridge count",
-           INGEST,
+           FOLD,
            "add(year, n_authors, page_count, subject, title)\n    except csv.Error",
            "add_year(year)\n    except csv.Error"),
     Mutant("fold-bridges-a-failing-record",
            "a record that fails a rule, and each after it, is counted by the bridge",
-           INGEST,
+           FOLD,
            "if errors:  # the load gives no dataset",
            "if False:  # the load gives no dataset"),
     Mutant("fold-drops-a-failing-year",
            "a record that fails a rule, and each after it, does not register its year",
-           INGEST,
+           FOLD,
            "                add_year(year)\n",
            "                pass\n"),
     Mutant("load-gives-a-rejected-dataset",
@@ -121,19 +122,27 @@ MUTANTS = (
            INGEST,
            "return dataset if report.ok else None, report",
            "return dataset, report"),
+    Mutant("fold-imported-with-ingest",
+           "ingest imports the record fold as it loads, so a run on aggregates compiles it",
+           INGEST,
+           '    }, indent=2) + "\\n"\n',
+           '    }, indent=2) + "\\n"\n'
+           "\n\n"
+           "from . import fold  # noqa: F401\n",
+           CLI_TESTS),
     Mutant("split-renumbering-dropped",
            "a child's record N is not renumbered by the records before its part",
-           INGEST,
+           FOLD,
            'number = int(location.removeprefix("record ")) + report.record_count',
            'number = int(location.removeprefix("record "))'),
     Mutant("split-parts-not-strict",
            "every part of a split is read by a lenient csv reader",
-           INGEST,
+           FOLD,
            "strict=k < last",
            "strict=False"),
     Mutant("split-own-part-merged-last",
            "the part this process folds, the first, is merged after the children's",
-           INGEST,
+           FOLD,
            '        report, tally = _fold(*_csv_rows(reader, header, "records"), config)\n'
            "        for _, read in children:  # an empty or short message raises EOFError or ValueError\n"
            "            count, counts, warnings, errors = marshal.loads(\n"
@@ -147,12 +156,12 @@ MUTANTS = (
            "        for count, counts, warnings, errors in messages:\n"),
     Mutant("split-children-merged-in-reverse",
            "the children's folds are merged in reverse part order",
-           INGEST,
+           FOLD,
            "for _, read in children:  # an empty or short message",
            "for _, read in children[::-1]:  # an empty or short message"),
     Mutant("split-failed-part-sends-empty-fold",
            "a child whose part raises sends the fold of no record, which counts as folded",
-           INGEST,
+           FOLD,
            "                finally:\n"
            "                    os._exit(0)",
            "                except Exception:  # the fold of no record\n"
@@ -162,12 +171,12 @@ MUTANTS = (
            "                    os._exit(0)"),
     Mutant("split-empty-message-not-a-failure",
            "an empty message from a child raises out of the load, not back to the serial fold",
-           INGEST,
+           FOLD,
            "except (ValueError, EOFError, OSError):",
            "except (ValueError, OSError):"),
     Mutant("split-pipes-read-before-any-load",
            "every child's pipe is read to its end before any fold is loaded from it",
-           INGEST,
+           FOLD,
            "        for _, read in children:  # an empty or short message raises EOFError or ValueError\n"
            "            count, counts, warnings, errors = marshal.loads(\n"
            '                open(read, "rb", buffering=0, closefd=False).readall())\n',
@@ -177,17 +186,17 @@ MUTANTS = (
            "            count, counts, warnings, errors = marshal.loads(message)\n"),
     Mutant("split-part-header-from-its-own-first-row",
            "each child's part takes its columns from its own first row, not the file's header",
-           INGEST,
+           FOLD,
            '_fold(*_csv_rows(part(k), header, "records"), config)',
            '_fold(*_csv_rows(reader := part(k), _csv_header(reader), "records"), config)'),
     Mutant("split-children-not-killed",
            "the children are only reaped, not killed, when this process's part raises",
-           INGEST,
+           FOLD,
            "os.kill(pid, signal.SIGKILL)",
            "pass"),
     Mutant("split-sigterm-not-an-interrupt",
            "a SIGTERM during a split ends this process at once, its children left folding",
-           INGEST,
+           FOLD,
            "        signal.signal(signal.SIGTERM, signal.default_int_handler)",
            "        pass"),
     Mutant("cuts-platform-check-dropped",
@@ -198,7 +207,7 @@ MUTANTS = (
            ""),
     Mutant("fork-failure-leaks-pipe",
            "a fork that fails leaves both ends of its pipe open",
-           INGEST,
+           FOLD,
            "            except OSError:\n"
            "                os.close(read)\n"
            "                os.close(write)\n"
@@ -255,52 +264,52 @@ MUTANTS = (
            '        raise ParseError(f"malformed CSV: {exc}") from None\n'),
     Mutant("rule-author-source-dropped",
            "a record with both an author list and an author_count is accepted",
-           INGEST,
+           FOLD,
            "if both_author_sources:",
            "if False:"),
     Mutant("rule-author-count-negative-accepted",
            "the record rules accept a negative author count",
-           INGEST,
+           FOLD,
            "if n_authors < 1:",
            "if n_authors == 0:"),
     Mutant("rule-count-range-off-by-one",
            "the record rules accept an author count of MAX_COUNT + 1",
-           INGEST,
+           FOLD,
            "elif n_authors > MAX_COUNT:",
            "elif n_authors > MAX_COUNT + 1:"),
     Mutant("rule-year-window-end-excluded",
            "a record in the last year of the study window is outside it",
-           INGEST,
+           FOLD,
            "window[0] <= year <= window[1]",
            "window[0] <= year < window[1]"),
     Mutant("rule-page-span-one-page-reversed",
            "a span of one page (start_page == end_page) is a reversed span",
-           INGEST,
+           FOLD,
            "if end_page < start_page:",
            "if end_page <= start_page:"),
     Mutant("rule-page-count-span-off-by-one",
            "the page-count rule compares page_count with the span less one",
-           INGEST,
+           FOLD,
            "span := end_page - start_page + 1",
            "span := end_page - start_page"),
     Mutant("rule-start-page-zero-accepted",
            "the record rules accept a start_page of 0",
-           INGEST,
+           FOLD,
            "if start_page is not None and start_page < 1:",
            "if start_page is not None and start_page < 0:"),
     Mutant("rule-end-page-zero-accepted",
            "the record rules accept an end_page of 0",
-           INGEST,
+           FOLD,
            "if end_page is not None and end_page < 1:",
            "if end_page is not None and end_page < 0:"),
     Mutant("rule-page-count-zero-accepted",
            "the record rules accept a page_count of 0",
-           INGEST,
+           FOLD,
            "if page_count is not None and page_count < 1:",
            "if page_count is not None and page_count < 0:"),
     Mutant("record-zero-authors-accepted",
            "the record rules accept an author count of 0",
-           INGEST,
+           FOLD,
            "if n_authors < 1:",
            "if n_authors < 0:"),
     Mutant("gap-of-one-year-missed",
@@ -350,12 +359,12 @@ MUTANTS = (
            "if label not in config.taxonomy:"),
     Mutant("tally-four-authors-pooled",
            "the bridge counts a four-author record in the open 5+ bin",
-           INGEST,
+           FOLD,
            "n_authors + 1 if n_authors < POOLED_BIN_AUTHOR_VALUE else _POOLED",
            "n_authors + 1 if n_authors < POOLED_BIN_AUTHOR_VALUE - 1 else _POOLED"),
     Mutant("tally-unknown-subject-slot",
            "the bridge counts an unknown subject in the first label's slot, not in Others'",
-           INGEST,
+           FOLD,
            "row[self._slots.get(subject, self._others)] += 1",
            "row[self._slots.get(subject, _PAGES.stop)] += 1"),
     Mutant("aggregate-zero-authors-bridged",
@@ -365,13 +374,13 @@ MUTANTS = (
            "if r.n_authors < 0:"),
     Mutant("merge-subject-count-replaced",
            "a merge replaces a year's subject count by the other tally's",
-           INGEST,
+           FOLD,
            "self.counts[year] = list(map(operator.add, self.year(year), row))",
            "self.counts[year] = [*map(operator.add, self.year(year)[:_PAGES.stop], row),\n"
            "                                  *row[_PAGES.stop:]]"),
     Mutant("merge-replaces-counts",
            "a merge keeps the other tally's row of a year in place of the sum",
-           INGEST,
+           FOLD,
            "self.counts[year] = list(map(operator.add, self.year(year), row))",
            "self.counts[year] = list(row)"),
     Mutant("cut-before-its-line-end",
@@ -386,7 +395,7 @@ MUTANTS = (
            "return cuts if len(cuts) > 1 else None"),
     Mutant("split-part-reads-past-its-end",
            "a part reads on past the cut that ends it",
-           INGEST,
+           FOLD,
            "min(len(buffer), self._end - self._at)",
            "len(buffer)"),
     Mutant("command-routed-to-another-handler",
